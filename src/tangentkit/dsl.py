@@ -352,7 +352,7 @@ def _compile_node(node: Node):
             return lambda env: left(env) - right(env)
         if node.op == "*":
             return lambda env: left(env) * right(env)
-        return lambda env: _checked_div(left(env), right(env))
+        return lambda env: jets._div(left(env), right(env))
     if isinstance(node, Pow):
         base = _compile_node(node.base)
         k = node.exponent
@@ -362,12 +362,6 @@ def _compile_node(node: Node):
         arg = _compile_node(node.arg)
         return lambda env: fn(arg(env))
     raise TypeError(f"unknown node {node!r}")
-
-
-def _checked_div(a, b):
-    if jets.primal_value(b) == 0.0:
-        raise jets.EvaluationDomainError("division", jets.primal_value(b))
-    return a / b
 
 
 def compile_expr(node: Node, arity: int, time_dependent: bool = False) -> SmoothMap:

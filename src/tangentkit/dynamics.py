@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,10 @@ from .fields import (
     LinearVectorField,
     VectorField,
     commutes,
+    gap,
+    law_check,
     tangent_lift,
+    worst_case,
 )
 from .jets import Jet, jet_depth, primal_value
 from .kernel import (
@@ -186,18 +190,14 @@ class Connection:
         n = self.base_dim
         if samples is None:
             samples = sample_points(2 * n + 1, count=25, seed=seed)
-        worst, witness = 0.0, None
-        for row in samples:
+
+        def residual(row):
             x, u, a = row[:n], row[n : 2 * n], row[2 * n]
             scaled = self.gamma(list(x) + [a * ui for ui in u])
             direct = self.gamma(list(x) + list(u))
-            residual = max(
-                abs(primal_value(s) - a * a * primal_value(d))
-                for s, d in zip(scaled, direct)
-            )
-            if residual > worst:
-                worst, witness = residual, tuple(row)
-        return LawCheck("christoffel-quadratic", worst <= tol, worst, witness, seed)
+            return gap(scaled, [a * a * primal_value(d) for d in direct])
+
+        return law_check("christoffel-quadratic", zip(samples), residual, tol, seed)
 
 
 # -- the curve object ---------------------------------------------------------
@@ -215,10 +215,8 @@ class CurveObject:
         """Startup checks: c1 is a section with constant component 1 and
         commutes with itself."""
         pts = sample_points(1, count=25, seed=DEFAULT_SEED)
-        sect = max(
-            abs(primal_value(self.c1.full_map(p)[0]) - p[0]) for p in pts
-        )
-        comp = max(abs(primal_value(self.c1.vhat(p)[0]) - 1.0) for p in pts)
+        sect, _ = worst_case(zip(pts), lambda p: gap(self.c1.full_map(p)[:1], p))
+        comp, _ = worst_case(zip(pts), lambda p: gap(self.c1.vhat(p), [1.0]))
         return [
             LawCheck("curve-section", sect <= tol, sect, None, DEFAULT_SEED),
             LawCheck("curve-unit-component", comp <= tol, comp, None, DEFAULT_SEED),
@@ -541,17 +539,24 @@ def flow_smooth_map(flow: Flow) -> SmoothMap:
     return SmoothMap(Space(1 + n), flow.space, ev, name="flow")
 
 
+def time_derivative(evaluate, t, xs):
+    """Values and d/dt of a jet-polymorphic ``evaluate(t, xs)``.
+
+    Time gets a fresh outermost jet level and the state is lifted as
+    constant in that direction.  ``t`` and ``xs`` are used as given (no
+    float coercion), so nested jets ride along below the time level.
+    """
+    out = evaluate(Jet(t, 1.0), [Jet(x, 0.0) for x in xs])
+    values = [o.primal if isinstance(o, Jet) else o for o in out]
+    rates = [o.tangent if isinstance(o, Jet) else 0.0 for o in out]
+    return values, rates
+
+
 def generator(flow: Flow) -> VectorField:
     """The derivative of the flow at time 0, by one jet evaluation."""
-    n = flow.space.dim
 
     def ev(xs):
-        # Fresh outermost jet level for the time direction; the state is
-        # lifted as constant in that direction.
-        t = Jet(0.0, 1.0)
-        lifted = [Jet(x, 0.0) for x in xs]
-        ys = flow.evaluate(t, lifted)
-        return [y.tangent if isinstance(y, Jet) else 0.0 for y in ys]
+        return time_derivative(flow.evaluate, 0.0, xs)[1]
 
     return VectorField(flow.space, SmoothMap(flow.space, flow.space, ev, name="gen"))
 
@@ -628,76 +633,46 @@ def flow_laws(
     fmap = flow_smooth_map(flow)
     tfmap = tangent(fmap)
 
-    checks = []
-
-    worst, witness = 0.0, None
-    for x in samples:
-        y = ev(0.0, x)
-        r = max(abs(primal_value(a) - b) for a, b in zip(y, x))
-        if r > worst:
-            worst, witness = r, tuple(x)
-    checks.append(LawCheck("flow-unit", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for t in times:
-        for s in times:
-            for x in samples:
-                a = ev(t, ev(s, x))
-                b = ev(t + s, x)
-                r = max(
-                    abs(primal_value(ai) - primal_value(bi)) for ai, bi in zip(a, b)
-                )
-                if r > worst:
-                    worst, witness = r, (t, s, *x)
-    checks.append(LawCheck("flow-action", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for t in times:
-        for x in samples:
-            vx = [primal_value(v) for v in gen.vhat(x)]
-            # T(flow) at point (t, x) with direction (0, vhat(x)): the
-            # output is the TM-element (flow(t,x), D_x flow(t,x) vhat(x)).
-            out = tfmap([t] + list(x) + [0.0] + vx)
-            moved = [primal_value(o) for o in out[:n]]
-            pushed = out[n:]
-            vy = gen.vhat(moved)
-            r = max(
-                abs(primal_value(a) - primal_value(b)) for a, b in zip(pushed, vy)
-            )
-            if r > worst:
-                worst, witness = r, (t, *x)
-    checks.append(LawCheck("flow-own-invariance", worst <= tol, worst, witness, seed))
+    def own_invariance(t, x):
+        vx = [primal_value(v) for v in gen.vhat(x)]
+        # T(flow) at point (t, x) with direction (0, vhat(x)): the output is
+        # the TM-element (flow(t,x), D_x flow(t,x) vhat(x)).
+        out = tfmap([t] + list(x) + [0.0] + vx)
+        return gap(out[n:], gen.vhat([primal_value(o) for o in out[:n]]))
 
     # L4: gammaT(t, (x, v)) := (flow(t, x), D_x flow(t, x) v) must satisfy
     # the unit law and solve the lifted field on TM.
     def gamma_t(t, xv):
         return tfmap.evaluator([t] + list(xv[:n]) + [0.0] + list(xv[n:]))
 
+    def variation(*case):
+        if len(case) == 1:  # the unit law, at t = 0
+            return gap(gamma_t(0.0, case[0]), case[0])
+        # d/dt of gamma_t vs the lifted field at the flowed point
+        at, rates = time_derivative(gamma_t, *case)
+        return gap(rates, lifted.vhat(at))
+
     tm_samples = sample_points(2 * n, count=max(4, len(samples) // 2), seed=seed + 1)
-    worst, witness = 0.0, None
-    for xv in tm_samples:
-        y = gamma_t(0.0, xv)
-        r = max(abs(primal_value(a) - b) for a, b in zip(y, xv))
-        if r > worst:
-            worst, witness = r, tuple(xv)
-    for t in times:
-        for xv in tm_samples:
-            # d/dt of gamma_t vs the lifted field at the flowed point; the
-            # time jet is introduced at a fresh outermost level.
-            tj = Jet(float(t), 1.0)
-            y = gamma_t(tj, [Jet(v, 0.0) for v in xv])
-            deriv = [v.tangent if isinstance(v, Jet) else 0.0 for v in y]
-            at = [v.primal if isinstance(v, Jet) else v for v in y]
-            want = lifted.vhat(at)
-            r = max(
-                abs(primal_value(a) - primal_value(b)) for a, b in zip(deriv, want)
-            )
-            if r > worst:
-                worst, witness = r, (t, *xv)
-    checks.append(
-        LawCheck("flow-equation-of-variation", worst <= tol, worst, witness, seed)
-    )
-    return checks
+    return [
+        law_check("flow-unit", zip(samples), lambda x: gap(ev(0.0, x), x), tol, seed),
+        law_check(
+            "flow-action",
+            product(times, times, samples),
+            lambda t, s, x: gap(ev(t, ev(s, x)), ev(t + s, x)),
+            tol,
+            seed,
+        ),
+        law_check(
+            "flow-own-invariance", product(times, samples), own_invariance, tol, seed
+        ),
+        law_check(
+            "flow-equation-of-variation",
+            chain(zip(tm_samples), product(times, tm_samples)),
+            variation,
+            tol,
+            seed,
+        ),
+    ]
 
 
 def _flow_for(v: VectorField, cfg: IntegratorConfig) -> Flow:
@@ -726,19 +701,12 @@ def commuting_flows_check(
     f1 = _cached_float_flow(_flow_for(v1, cfg))
     f2 = _cached_float_flow(_flow_for(v2, cfg))
 
-    worst, witness = 0.0, None
-    for t in times:
-        for s in times:
-            for x in samples:
-                a = f1(t, f2(s, x))
-                b = f2(s, f1(t, x))
-                r = max(
-                    abs(primal_value(ai) - primal_value(bi)) for ai, bi in zip(a, b)
-                )
-                if r > worst:
-                    worst, witness = r, (t, s, *x)
-    interchange = LawCheck(
-        "flow-interchange", worst <= tol, worst, witness, seed
+    interchange = law_check(
+        "flow-interchange",
+        product(times, times, samples),
+        lambda t, s, x: gap(f1(t, f2(s, x)), f2(s, f1(t, x))),
+        tol,
+        seed,
     )
 
     comm = commutes(v1, v2, samples=samples, tol=min(tol, JET_TOL), seed=seed)
@@ -749,20 +717,14 @@ def commuting_flows_check(
 
 def _invariance_check(v, flow_eval, samples, times, tol, seed, law):
     """V invariant under the flow: D_x gamma(t, x) vhat(x) = vhat(gamma(t, x))."""
-    worst, witness = 0.0, None
-    for t in times:
-        for x in samples:
-            vx = [primal_value(a) for a in v.vhat(x)]
-            pushed = flow_eval(t, [Jet(xi, vi) for xi, vi in zip(x, vx)])
-            moved = [primal_value(p) for p in pushed]
-            want = v.vhat(moved)
-            r = max(
-                abs((p.tangent if isinstance(p, Jet) else 0.0) - primal_value(w))
-                for p, w in zip(pushed, want)
-            )
-            if r > worst:
-                worst, witness = r, (t, *x)
-    return LawCheck(law, worst <= tol, worst, witness, seed)
+
+    def residual(t, x):
+        vx = [primal_value(a) for a in v.vhat(x)]
+        pushed = flow_eval(t, [Jet(xi, vi) for xi, vi in zip(x, vx)])
+        rates = [p.tangent if isinstance(p, Jet) else 0.0 for p in pushed]
+        return gap(rates, v.vhat([primal_value(p) for p in pushed]))
+
+    return law_check(law, product(times, samples), residual, tol, seed)
 
 
 def sum_flow(
@@ -819,14 +781,8 @@ def _check_section_conditions(
         for _ in range(k):
             proj = tangent(proj)
         candidate = compose(full, proj)
-        worst = 0.0
-        for x in pts:
-            y = candidate(x)
-            worst = max(
-                worst,
-                max(abs(primal_value(a) - b) for a, b in zip(y, x)),
-            )
-        if worst > tol:
+        worst, _ = worst_case(zip(pts), lambda x: gap(candidate(x), x))
+        if not worst <= tol:
             raise ShapeError(
                 f"order-{n} section condition failed for T^{k}(p): residual {worst:.3e}"
             )
@@ -886,24 +842,13 @@ def acceleration_residual(
     if conn is None:
         raise ValueError("flow has no connection metadata")
     n = conn.base_dim
-    worst = 0.0
-    for start in samples:
-        for t in times:
-            tj = Jet(float(t), 1.0)
-            out = flow.evaluate(tj, [Jet(v, 0.0) for v in start])
-            state = [primal_value(o) for o in out]
-            uprime = [
-                o.tangent if isinstance(o, Jet) else 0.0 for o in out[n:]
-            ]
-            g = conn.gamma(state)
-            worst = max(
-                worst,
-                max(
-                    abs(primal_value(up) + primal_value(gi))
-                    for up, gi in zip(uprime, g)
-                ),
-            )
-    return worst
+
+    def residual(start, t):
+        state, rates = time_derivative(flow.evaluate, t, start)
+        g = conn.gamma([primal_value(v) for v in state])
+        return gap(rates[n:], [-primal_value(gi) for gi in g])
+
+    return worst_case(product(samples, times), residual)[0]
 
 
 def augment_time(spec: dsl.FieldSpec) -> DynamicalSystem:

@@ -9,7 +9,6 @@ the worst witness point, never a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .kernel import (
     identity_map,
     pair,
     product,
-    product_interleave_inv,
     structural_map,
     tangent,
     vertical_bracket,
@@ -157,27 +155,48 @@ def rotation_field() -> VectorField:
 # -- residual machinery -------------------------------------------------------
 
 
-def _max_abs(values) -> float:
-    return max((abs(primal_value(v)) for v in values), default=0.0)
-
-
-def _check_on_samples(
-    law: str,
-    lhs: SmoothMap,
-    rhs: SmoothMap,
-    samples: Sequence[Sequence[float]],
-    tol: float,
-    seed: int | None,
-) -> LawCheck:
+def gap(a, b) -> float:
+    """The largest |a_i - b_i| over primal values (0.0 when empty); NaN as
+    soon as any component is NaN, so a non-finite residual never passes."""
     worst = 0.0
-    witness = None
-    for point in samples:
-        a = lhs(point)
-        b = rhs(point)
-        residual = _max_abs([ai - bi for ai, bi in zip(a, b)])
-        if residual > worst:
-            worst = residual
-            witness = tuple(point)
+    for x, y in zip(a, b):
+        r = abs(primal_value(x) - primal_value(y))
+        if r > worst:
+            worst = r
+        elif r != r:
+            return r
+    return worst
+
+
+def _flat(case) -> tuple:
+    out = []
+    for part in case:
+        if isinstance(part, (list, tuple, np.ndarray)):
+            out.extend(part)
+        else:
+            out.append(part)
+    return tuple(out)
+
+
+def worst_case(cases, residual) -> tuple:
+    """Fold a sampled law: ``(worst, witness)`` where ``worst`` is the largest
+    ``residual(*case)`` and ``witness`` the first case attaining it, flattened
+    (a case ``(t, s, x)`` is reported as ``(t, s, *x)``).  The witness stays
+    ``None`` while every residual is 0.  The first NaN residual sticks: it
+    becomes ``worst`` with its case as witness, and every case is still
+    evaluated."""
+    worst, witness = 0.0, None
+    for case in cases:
+        r = residual(*case)
+        if r > worst or (r != r and worst == worst):
+            worst, witness = r, _flat(case)
+    return worst, witness
+
+
+def law_check(law: str, cases, residual, tol: float, seed: int | None) -> LawCheck:
+    """The :func:`worst_case` fold as a :class:`LawCheck` passing iff
+    ``worst <= tol``."""
+    worst, witness = worst_case(cases, residual)
     return LawCheck(law, worst <= tol, worst, witness, seed)
 
 
@@ -236,7 +255,7 @@ def commutes(
     flip = structural_map("flip", v1.space)
     lhs = compose(compose(v1.full_map, tangent(v2.full_map)), flip)
     rhs = compose(v2.full_map, tangent(v1.full_map))
-    return _check_on_samples("commutes", lhs, rhs, samples, tol, seed)
+    return law_check("commutes", zip(samples), lambda p: gap(lhs(p), rhs(p)), tol, seed)
 
 
 def is_vf_morphism(
@@ -253,7 +272,9 @@ def is_vf_morphism(
     samples, seed = _default_samples(v1.space.dim, samples, seed)
     lhs = compose(v1.full_map, tangent(f))
     rhs = compose(f, v2.full_map)
-    return _check_on_samples("vf-morphism", lhs, rhs, samples, tol, seed)
+    return law_check(
+        "vf-morphism", zip(samples), lambda p: gap(lhs(p), rhs(p)), tol, seed
+    )
 
 
 def tangent_lift(v: VectorField) -> VectorField:
@@ -274,12 +295,6 @@ def product_vf(v1: VectorField, v2: VectorField) -> VectorField:
     )
 
 
-def product_full_map(v1: VectorField, v2: VectorField) -> SmoothMap:
-    """V1 x V2 as a map into T(M1 x M2), interleaving included."""
-    raw = product(v1.full_map, v2.full_map)  # lands in TM1 x TM2
-    return compose(raw, product_interleave_inv(v1.space, v2.space))
-
-
 def matrix_of(
     v: VectorField, tol: float = JET_TOL, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
@@ -295,15 +310,10 @@ def matrix_of(
         cols.append([primal_value(y) - z for y, z in zip(v.vhat(e), at_zero)])
     A = np.array(cols, dtype=float).T if n else np.zeros((0, 0))
 
-    worst = 0.0
-    witness = None
-    for point in sample_points(n, count=25, seed=seed):
-        expected = A @ np.array(point) if n else np.zeros(0)
-        actual = np.array([primal_value(y) for y in v.vhat(point)])
-        residual = float(np.max(np.abs(actual - expected))) if n else 0.0
-        if residual > worst:
-            worst = residual
-            witness = tuple(point)
-    if worst > tol:
+    worst, witness = worst_case(
+        zip(sample_points(n, count=25, seed=seed)),
+        lambda p: gap([primal_value(y) for y in v.vhat(p)], A @ np.array(p)),
+    )
+    if not worst <= tol:
         raise LinearityError(worst, witness)
     return A

@@ -28,8 +28,6 @@ LAW_ANCHORS = {
     "coherence-ell-p": "ell T(p) = p 0",
     "plus-monoid": "fibrewise + is commutative and associative",
     "neg-inverse": "fibrewise - inverts +",
-    "tangent-exactness": "T(f) matches the symbolic derivative",
-    "tangent-vs-finite-differences": "T(f) matches central differences",
     "bracket-reconstruction": "a vertical map is rebuilt from its bracket",
     "functoriality": "T(fg) = T(f)T(g)",
     # vector fields

@@ -14,9 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dynamics import DEFAULT_CONFIG, Flow, IntegratorConfig, flow_of, flow_smooth_map
-from .fields import LawCheck, VectorField
-from .jets import Jet, exp as jet_exp, primal_value
+from .dynamics import (
+    DEFAULT_CONFIG,
+    Flow,
+    IntegratorConfig,
+    flow_of,
+    flow_smooth_map,
+    time_derivative,
+)
+from .fields import LawCheck, VectorField, gap, law_check
+from .jets import exp as jet_exp, primal_value
 from .kernel import (
     ShapeError,
     SmoothMap,
@@ -112,15 +119,10 @@ def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> EulerField:
         y = full(p)
         # over the zero field on the base: T(q) sends it to (x, 0)
         base_dir = y[n + m : 2 * n + m]
-        resid = max((abs(primal_value(v)) for v in base_dir), default=0.0)
-        sect = max(
-            abs(primal_value(a) - b) for a, b in zip(y[: n + m], p)
-        ) if (n + m) else 0.0
-        lin = max(
-            (abs(primal_value(a) - primal_value(b)) for a, b in zip(lhs(p), rhs(p))),
-            default=0.0,
-        )
-        if max(resid, sect, lin) > check_tol:
+        resid = gap(base_dir, [0.0] * n)
+        sect = gap(y[: n + m], p)
+        lin = gap(lhs(p), rhs(p))
+        if not (resid <= check_tol and sect <= check_tol and lin <= check_tol):
             raise ShapeError(
                 f"scaling field failed its structural checks at {p}: "
                 f"section {sect:.2e}, base {resid:.2e}, linearity {lin:.2e}"
@@ -199,48 +201,45 @@ def rig_suite(
     if samples is None:
         samples = sample_points(3, count=15, seed=seed)
 
-    checks = []
+    def multiply_laws(a, b, c):
+        return gap(
+            [mult(a, b), mult(a, mult(b, c)), mult(a, b + c), mult(a + b, c)],
+            [
+                mult(b, a),
+                mult(mult(a, b), c),
+                mult(a, b) + mult(a, c),
+                mult(a, c) + mult(b, c),
+            ],
+        )
 
-    worst, witness = 0.0, None
-    for row in samples:
-        v = row[0]
-        r = abs(primal_value(de([0.0, v])[1]) - v)
-        if r > worst:
-            worst, witness = r, (v,)
-    checks.append(LawCheck("rig-derivative-unit", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for row in samples:
-        a, b = row[0], row[1]
-        lhs = primal_value(de([a, ev_e(b)])[1])
-        rhs = ev_e(a + b)
-        r = abs(lhs - rhs)
-        if r > worst:
-            worst, witness = r, (a, b)
-    checks.append(LawCheck("rig-derivative-sum", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for row in samples:
-        a, b = row[0], row[1]
-        r = abs(ev_e(a + b) - mult(ev_e(a), ev_e(b)))
-        if r > worst:
-            worst, witness = r, (a, b)
-    checks.append(LawCheck("rig-exp-of-sum", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for row in samples:
-        a, b, c = row
-        r = abs(mult(a, b) - mult(b, a))
-        r = max(r, abs(mult(a, mult(b, c)) - mult(mult(a, b), c)))
-        r = max(r, abs(mult(a, b + c) - (mult(a, b) + mult(a, c))))
-        r = max(r, abs(mult(a + b, c) - (mult(a, c) + mult(b, c))))
-        if r > worst:
-            worst, witness = r, tuple(row)
-    checks.append(LawCheck("rig-multiply-laws", worst <= tol, worst, witness, seed))
-
+    pairs = [(row[0], row[1]) for row in samples]
     r = abs(ev_e(0.0) - 1.0)
-    checks.append(LawCheck("rig-unit-value", r <= tol, r, (0.0,), seed))
-    return checks
+    return [
+        law_check(
+            "rig-derivative-unit",
+            ((row[0],) for row in samples),
+            lambda v: abs(primal_value(de([0.0, v])[1]) - v),
+            tol,
+            seed,
+        ),
+        law_check(
+            "rig-derivative-sum",
+            pairs,
+            lambda a, b: abs(primal_value(de([a, ev_e(b)])[1]) - ev_e(a + b)),
+            tol,
+            seed,
+        ),
+        law_check(
+            "rig-exp-of-sum",
+            pairs,
+            lambda a, b: abs(ev_e(a + b) - mult(ev_e(a), ev_e(b))),
+            tol,
+            seed,
+        ),
+        law_check("rig-multiply-laws", samples, multiply_laws, tol, seed),
+        # the witness is kept even when the residual is 0
+        LawCheck("rig-unit-value", r <= tol, r, (0.0,), seed),
+    ]
 
 
 # -- the action of C on bundles -------------------------------------------------
@@ -276,15 +275,6 @@ def _fibre_add(bundle: TrivialBundle, p: Sequence, q: Sequence) -> list:
     return list(p[:n]) + [a + b for a, b in zip(p[n:], q[n:])]
 
 
-def _time_derivative(evaluate, t: float, xs: Sequence[float]):
-    """Value and d/dt of a jet-polymorphic (t, xs) callable, via a fresh
-    outermost jet level."""
-    out = evaluate(Jet(float(t), 1.0), [Jet(float(x), 0.0) for x in xs])
-    vals = [o.primal if isinstance(o, Jet) else o for o in out]
-    ders = [o.tangent if isinstance(o, Jet) else 0.0 for o in out]
-    return vals, ders
-
-
 def action_suite(
     bundle: TrivialBundle,
     samples=None,
@@ -311,55 +301,19 @@ def action_suite(
     def act_at(s, p):
         return [primal_value(v) for v in act([s] + list(p))]
 
-    checks = []
-
-    worst, witness = 0.0, None
-    for row in samples:
-        p = row[2 : 2 + n + m]
-        got = act_at(1.0, p)
-        r = max(abs(a - b) for a, b in zip(got, p))
-        if r > worst:
-            worst, witness = r, tuple(p)
-    checks.append(LawCheck("action-unit", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for row in samples:
-        s, r_, p = row[0], row[1], row[2 : 2 + n + m]
-        lhs = act_at(s, act_at(r_, p))
-        rhs = act_at(mult(s, r_), p)
-        r = max(abs(a - b) for a, b in zip(lhs, rhs))
-        if r > worst:
-            worst, witness = r, (s, r_, *p)
-    checks.append(LawCheck("action-associative", worst <= tol, worst, witness, seed))
-
-    worst, witness = 0.0, None
-    for row in samples:
+    def additive(row):
         s, r_ = row[0], row[1]
         p = row[2 : 2 + n + m]
-        second_fibre = row[2 + n + m :]
-        q = list(p[:n]) + list(second_fibre)
-        lhs = act_at(s + r_, p)
-        rhs = _fibre_add(bundle, act_at(s, p), act_at(r_, p))
-        r = max(abs(a - b) for a, b in zip(lhs, rhs))
-        lhs2 = act_at(s, _fibre_add(bundle, p, q))
-        rhs2 = _fibre_add(bundle, act_at(s, p), act_at(s, q))
-        r = max(r, max(abs(a - b) for a, b in zip(lhs2, rhs2)))
-        if r > worst:
-            worst, witness = r, tuple(row)
-    checks.append(LawCheck("action-additive", worst <= tol, worst, witness, seed))
+        q = list(p[:n]) + list(row[2 + n + m :])
+        # additivity in the scalar, then in the fibre
+        return gap(
+            act_at(s + r_, p) + act_at(s, _fibre_add(bundle, p, q)),
+            _fibre_add(bundle, act_at(s, p), act_at(r_, p))
+            + _fibre_add(bundle, act_at(s, p), act_at(s, q)),
+        )
 
     lift = structural_map("bundle_lift", bundle)
     t_act = tangent(act)
-    worst, witness = 0.0, None
-    for row in samples:
-        p = list(row[2 : 2 + n + m])
-        # T(action) at point (0, p) with direction (1, 0): a TA-element.
-        out = t_act([0.0] + p + [1.0] + [0.0] * (n + m))
-        want = lift(p)
-        r = max(abs(primal_value(a) - primal_value(b)) for a, b in zip(out, want))
-        if r > worst:
-            worst, witness = r, tuple(p)
-    checks.append(LawCheck("action-derivative-is-lift", worst <= tol, worst, witness, seed))
 
     # A5: (action, second projection) solves the system on the fibre square
     # whose field sends (x, a1, a2) to direction (0, a2, 0) and whose initial
@@ -368,24 +322,38 @@ def action_suite(
         y = act.evaluator([t] + list(xs))
         return list(y) + list(xs[n:])
 
-    worst, witness = 0.0, None
-    for row in samples:
-        p = list(row[2 : 2 + n + m])
-        at0 = [primal_value(v) for v in paired(0.0, p)]
-        start = list(p[:n]) + [0.0] * m + list(p[n:])
-        r = max(abs(a - b) for a, b in zip(at0, start))
+    def solves_system(p):
+        got = paired(0.0, p)
+        want = list(p[:n]) + [0.0] * m + list(p[n:])
         for t in (-1.0, -0.25, 0.5, 1.0):
-            vals, ders = _time_derivative(paired, t, p)
-            vals = [primal_value(v) for v in vals]
-            want = [0.0] * n + vals[n + m :] + [0.0] * m
-            r = max(
-                r,
-                max(abs(primal_value(d) - w) for d, w in zip(ders, want)),
-            )
-        if r > worst:
-            worst, witness = r, tuple(p)
-    checks.append(LawCheck("action-solves-system", worst <= tol, worst, witness, seed))
-    return checks
+            vals, rates = time_derivative(paired, t, p)
+            got += rates
+            want += [0.0] * n + vals[n + m :] + [0.0] * m
+        return gap(got, want)
+
+    points = [(row[2 : 2 + n + m],) for row in samples]
+    return [
+        law_check(
+            "action-unit", points, lambda p: gap(act_at(1.0, p), p), tol, seed
+        ),
+        law_check(
+            "action-associative",
+            [(row[0], row[1], row[2 : 2 + n + m]) for row in samples],
+            lambda s, r_, p: gap(act_at(s, act_at(r_, p)), act_at(mult(s, r_), p)),
+            tol,
+            seed,
+        ),
+        law_check("action-additive", zip(samples), additive, tol, seed),
+        # T(action) at point (0, p) with direction (1, 0) is a TA-element.
+        law_check(
+            "action-derivative-is-lift",
+            points,
+            lambda p: gap(t_act([0.0] + list(p) + [1.0] + [0.0] * (n + m)), lift(p)),
+            tol,
+            seed,
+        ),
+        law_check("action-solves-system", points, solves_system, tol, seed),
+    ]
 
 
 @dataclass(frozen=True)
@@ -431,59 +399,41 @@ def linearity_via_action(
         samples = sample_points(1 + na + 2 * ma, count=12, seed=seed)
 
     def f_at(p):
-        return [primal_value(v) for v in f(list(p))]
+        return [primal_value(v) for v in f([primal_value(q) for q in p])]
 
-    worst, witness = 0.0, None
-    for row in samples:
-        x = row[1 : 1 + na]
+    def bundle_map(row):
+        x = list(row[1 : 1 + na])
         a1 = row[1 + na : 1 + na + ma]
         a2 = row[1 + na + ma :]
-        b1 = f_at(list(x) + list(a1))[:nb]
-        b2 = f_at(list(x) + list(a2))[:nb]
-        r = max((abs(u - v) for u, v in zip(b1, b2)), default=0.0)
-        if r > worst:
-            worst, witness = r, tuple(row)
-    bundle_check = LawCheck("bundle-map", worst <= tol, worst, witness, seed)
+        return gap(f_at(x + list(a1))[:nb], f_at(x + list(a2))[:nb])
 
     lift_a = structural_map("bundle_lift", bundle_a)
     lift_b = structural_map("bundle_lift", bundle_b)
     lin_lhs = compose(lift_a, tangent(f))
     lin_rhs = compose(f, lift_b)
-    worst, witness = 0.0, None
-    for row in samples:
-        p = row[1 : 1 + na + ma]
-        r = max(
-            abs(primal_value(u) - primal_value(v))
-            for u, v in zip(lin_lhs(p), lin_rhs(p))
-        )
-        if r > worst:
-            worst, witness = r, tuple(p)
-    linear_check = LawCheck("linear", worst <= tol, worst, witness, seed)
-
     act_a = action(bundle_a, cfg)
     act_b = action(bundle_b, cfg)
-    worst, witness = 0.0, None
-    for row in samples:
-        s = row[0]
-        p = row[1 : 1 + na + ma]
-        lhs = f_at([primal_value(v) for v in act_a([s] + list(p))])
-        rhs = [primal_value(v) for v in act_b([s] + f_at(p))]
-        r = max(abs(u - v) for u, v in zip(lhs, rhs))
-        if r > worst:
-            worst, witness = r, (s, *p)
-    action_check = LawCheck("preserves-action", worst <= tol, worst, witness, seed)
-
     ea = exp_flow(bundle_a, cfg)
     eb = exp_flow(bundle_b, cfg)
-    worst, witness = 0.0, None
-    for row in samples:
-        s = row[0]
-        p = row[1 : 1 + na + ma]
-        lhs = f_at([primal_value(v) for v in ea.evaluate(s, list(p))])
-        rhs = [primal_value(v) for v in eb.evaluate(s, f_at(p))]
-        r = max(abs(u - v) for u, v in zip(lhs, rhs))
-        if r > worst:
-            worst, witness = r, (s, *p)
-    exp_check = LawCheck("preserves-exp", worst <= tol, worst, witness, seed)
-
-    return ActionLinearityReport(bundle_check, linear_check, action_check, exp_check)
+    points = [(row[1 : 1 + na + ma],) for row in samples]
+    scaled = [(row[0], row[1 : 1 + na + ma]) for row in samples]
+    return ActionLinearityReport(
+        law_check("bundle-map", zip(samples), bundle_map, tol, seed),
+        law_check(
+            "linear", points, lambda p: gap(lin_lhs(p), lin_rhs(p)), tol, seed
+        ),
+        law_check(
+            "preserves-action",
+            scaled,
+            lambda s, p: gap(f_at(act_a([s] + list(p))), act_b([s] + f_at(p))),
+            tol,
+            seed,
+        ),
+        law_check(
+            "preserves-exp",
+            scaled,
+            lambda s, p: gap(f_at(ea.evaluate(s, list(p))), eb.evaluate(s, f_at(p))),
+            tol,
+            seed,
+        ),
+    )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .dynamics import (
     reverse,
     sigma_flow,
     sum_flow,
+    time_derivative,
 )
 from .fields import (
     LawCheck,
@@ -42,14 +45,17 @@ from .fields import (
     VectorField,
     commutes,
     euler_space_field,
+    gap,
     is_vf_morphism,
+    law_check,
     lie_bracket,
     matrix_of,
     rotation_field,
     tangent_lift,
+    worst_case,
     zero_field,
 )
-from .jets import Jet, primal_value
+from .jets import primal_value
 from .jets import cos as jcos, exp as jexp, sin as jsin
 from .kernel import (
     SmoothMap,
@@ -80,32 +86,6 @@ def _law(law, worst, tol, witness=None, seed=None):
     return LawCheck(law, worst <= tol, worst, witness, seed)
 
 
-def _map_residual(f: SmoothMap, g: SmoothMap, samples):
-    worst, witness = 0.0, None
-    for p in samples:
-        a, b = f(p), g(p)
-        r = max(
-            (abs(primal_value(x) - primal_value(y)) for x, y in zip(a, b)),
-            default=0.0,
-        )
-        if r > worst:
-            worst, witness = r, tuple(p)
-    return worst, witness
-
-
-def _flow_residual(f1, f2, times, points) -> float:
-    worst = 0.0
-    for t in times:
-        for x in points:
-            a = f1(t, list(x))
-            b = f2(t, list(x))
-            worst = max(
-                worst,
-                max(abs(primal_value(u) - primal_value(v)) for u, v in zip(a, b)),
-            )
-    return worst
-
-
 def _test_map() -> SmoothMap:
     """A mildly nonlinear 2 -> 2 map used for the kernel identities."""
     return dsl.compile_spec(dsl.parse("sin(x1) * x2; x1^2 + tanh(x2)", 2))
@@ -122,7 +102,6 @@ def suite_kernel(seed: int = DEFAULT_SEED, tol: float = 1e-12, count: int = 100)
     f = _test_map()
     g = _second_map()
     space2 = Space(2)
-    checks = []
 
     pts_m = sample_points(2, count=count, seed=seed)
     pts_tm = sample_points(4, count=count, seed=seed + 1)
@@ -136,69 +115,20 @@ def suite_kernel(seed: int = DEFAULT_SEED, tol: float = 1e-12, count: int = 100)
     plus2 = structural_map("plus", space2)
     neg2 = structural_map("neg", space2)
 
-    worst, wit = _map_residual(compose(tangent(f), p2), compose(p2, f), pts_tm)
-    checks.append(_law("naturality-p", worst, tol, wit, seed))
+    def square(law, lhs, rhs, pts):
+        return law_check(law, zip(pts), lambda p: gap(lhs(p), rhs(p)), tol, seed)
 
-    worst, wit = _map_residual(compose(f, zero2), compose(zero2, tangent(f)), pts_m)
-    checks.append(_law("naturality-zero", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(
-        compose(tangent(f), ell2), compose(ell2, tangent(tangent(f))), pts_tm
-    )
-    checks.append(_law("naturality-ell", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(
-        compose(tangent(tangent(f)), flip2),
-        compose(flip2, tangent(tangent(f))),
-        pts_t2m,
-    )
-    checks.append(_law("naturality-flip", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(
-        compose(flip2, flip2), identity_map(Space(8)), pts_t2m
-    )
-    checks.append(_law("coherence-flip-involution", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(compose(ell2, flip2), ell2, pts_tm)
-    checks.append(_law("coherence-ell-flip", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(
-        compose(ell2, tangent(p2)), compose(p2, zero2), pts_tm
-    )
-    checks.append(_law("coherence-ell-p", worst, tol, wit, seed))
-
-    worst, wit = 0.0, None
-    for row in pts_sum:
+    def plus_monoid(row):
         x, u, w = row[:2], row[2:4], row[4:6]
         v = [wi + 0.5 for wi in w]
-        comm = max(
-            abs(a - b)
-            for a, b in zip(
-                plus2(list(x) + list(u) + list(w)), plus2(list(x) + list(w) + list(u))
-            )
+        # commutativity, then associativity
+        return gap(
+            plus2(x + u + w) + plus2(plus2(x + u + w) + v),
+            plus2(x + w + u) + plus2(x + u + [a + b for a, b in zip(w, v)]),
         )
-        left = plus2(plus2(list(x) + list(u) + list(w)) + v)
-        right = plus2(list(x) + list(u) + [a + b for a, b in zip(w, v)])
-        assoc = max(abs(a - b) for a, b in zip(left, right))
-        r = max(comm, assoc)
-        if r > worst:
-            worst, wit = r, tuple(row)
-    checks.append(_law("plus-monoid", worst, tol, wit, seed))
 
-    worst, wit = 0.0, None
-    for row in pts_tm:
-        x = row[:2]
-        summed = plus2(list(row) + neg2(row)[2:])
-        want = list(x) + [0.0, 0.0]
-        r = max(abs(a - b) for a, b in zip(summed, want))
-        if r > worst:
-            worst, wit = r, tuple(row)
-    checks.append(_law("neg-inverse", worst, tol, wit, seed))
-
-    worst, wit = _map_residual(
-        tangent(compose(f, g)), compose(tangent(f), tangent(g)), pts_tm
-    )
-    checks.append(_law("functoriality", worst, tol, wit, seed))
+    def neg_inverse(row):
+        return gap(plus2(row + neg2(row)[2:]), row[:2] + [0.0, 0.0])
 
     # bracket reconstruction: a vertical value with point (x, a) and
     # direction (0, w) is rebuilt from its bracket output (x, w) and its
@@ -212,16 +142,37 @@ def suite_kernel(seed: int = DEFAULT_SEED, tol: float = 1e-12, count: int = 100)
     vert = SmoothMap(Space(2), Space(8), vertical_ev, name="vertical")
     br = vertical_bracket(vert, bundle)
     lift = structural_map("bundle_lift", bundle)
-    worst, wit = 0.0, None
-    for p in pts_m:
-        original = vert(p)
-        rebuilt = original[:4] + lift(br(p))[4:]
-        r = max(abs(a - b) for a, b in zip(rebuilt, original))
-        if r > worst:
-            worst, wit = r, tuple(p)
-    checks.append(_law("bracket-reconstruction", worst, tol, wit, seed))
 
-    return checks
+    def reconstruction(p):
+        original = vert(p)
+        return gap(original[:4] + lift(br(p))[4:], original)
+
+    t2f = tangent(tangent(f))
+    return [
+        square("naturality-p", compose(tangent(f), p2), compose(p2, f), pts_tm),
+        square("naturality-zero", compose(f, zero2), compose(zero2, tangent(f)), pts_m),
+        square("naturality-ell", compose(tangent(f), ell2), compose(ell2, t2f), pts_tm),
+        square("naturality-flip", compose(t2f, flip2), compose(flip2, t2f), pts_t2m),
+        square(
+            "coherence-flip-involution",
+            compose(flip2, flip2),
+            identity_map(Space(8)),
+            pts_t2m,
+        ),
+        square("coherence-ell-flip", compose(ell2, flip2), ell2, pts_tm),
+        square(
+            "coherence-ell-p", compose(ell2, tangent(p2)), compose(p2, zero2), pts_tm
+        ),
+        law_check("plus-monoid", zip(pts_sum), plus_monoid, tol, seed),
+        law_check("neg-inverse", zip(pts_tm), neg_inverse, tol, seed),
+        square(
+            "functoriality",
+            tangent(compose(f, g)),
+            compose(tangent(f), tangent(g)),
+            pts_tm,
+        ),
+        law_check("bracket-reconstruction", zip(pts_m), reconstruction, tol, seed),
+    ]
 
 
 # -- vector fields -----------------------------------------------------------------
@@ -344,23 +295,14 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
     v1 = VectorField.from_expr("x2^2; x1", 2)
     v2 = VectorField.from_expr("sin(x2); x1*x2", 2)
     bracket = lie_bracket(v1, v2)
-    worst, wit = 0.0, None
-    for p in sample_points(2, count=50, seed=seed):
-        want = _jacobian_bracket(v1, v2, p)
-        got = [primal_value(v) for v in bracket.vhat(p)]
-        r = max(abs(a - b) for a, b in zip(got, want))
-        if r > worst:
-            worst, wit = r, tuple(p)
-    checks.append(_law("bracket-jacobian", worst, 1e-12, wit, seed))
 
-    worst, wit = 0.0, None
-    for p in sample_points(2, count=25, seed=seed + 4):
-        want = _fd_bracket(v1, v2, p)
-        got = [primal_value(v) for v in bracket.vhat(p)]
-        r = max(abs(a - b) for a, b in zip(got, want))
-        if r > worst:
-            worst, wit = r, tuple(p)
-    checks.append(_law("bracket-finite-difference", worst, 1e-5, wit, seed))
+    for law, oracle, count, pts_seed, law_tol in (
+        ("bracket-jacobian", _jacobian_bracket, 50, seed, 1e-12),
+        ("bracket-finite-difference", _fd_bracket, 25, seed + 4, 1e-5),
+    ):
+        pts = zip(sample_points(2, count=count, seed=pts_seed))
+        residual = lambda p: gap(bracket.vhat(p), oracle(v1, v2, p))
+        checks.append(law_check(law, pts, residual, law_tol, seed))
 
     ok, worst = True, 0.0
     for _ in range(10):
@@ -405,54 +347,27 @@ def suite_curve(seed: int = DEFAULT_SEED, tol: float = 1e-9, cfg=DEFAULT_CONFIG)
     def s(t, x):
         return primal_value(sigma.evaluate(t, [x])[0])
 
-    worst, wit = 0.0, None
-    for t in SIGMA_GRID:
-        for x in SIGMA_GRID:
-            r = abs(s(t, x) - (t + x))
-            if r > worst:
-                worst, wit = r, (t, x)
-    checks.append(_law("sigma-addition", worst, tol, wit, seed))
-
-    worst, wit = 0.0, None
-    for x in SIGMA_GRID:
-        r = max(abs(s(0.0, x) - x), abs(s(x, 0.0) - x))
-        if r > worst:
-            worst, wit = r, (x,)
-    checks.append(_law("sigma-unit", worst, tol, wit, seed))
-
-    worst, wit = 0.0, None
-    for t in SIGMA_GRID:
-        for x in SIGMA_GRID:
-            r = abs(s(t, x) - s(x, t))
-            if r > worst:
-                worst, wit = r, (t, x)
-    checks.append(_law("sigma-commutative", worst, tol, wit, seed))
-
-    worst, wit = 0.0, None
-    for t in SIGMA_GRID:
-        for u in SIGMA_GRID:
-            for x in SIGMA_GRID:
-                r = abs(s(t, s(u, x)) - s(s(t, u), x))
-                if r > worst:
-                    worst, wit = r, (t, u, x)
-    checks.append(_law("sigma-associative", worst, tol, wit, seed))
-
     eta_map = eta(cfg)
-    worst, wit = 0.0, None
-    for t in SIGMA_GRID + (1.5, -0.75):
-        r = abs(primal_value(eta_map([t])[0]) + t)
-        if r > worst:
-            worst, wit = r, (t,)
-    checks.append(_law("eta-negation", worst, tol, wit, seed))
 
-    worst, wit = 0.0, None
-    for t in SIGMA_GRID:
-        r = abs(s(t, primal_value(eta_map([t])[0])))
-        if r > worst:
-            worst, wit = r, (t,)
-    checks.append(_law("group-inverse", worst, tol, wit, seed))
+    def minus(t):
+        return primal_value(eta_map([t])[0])
 
-    return checks
+    law = partial(law_check, tol=tol, seed=seed)
+    grid, grid2 = list(zip(SIGMA_GRID)), list(product(SIGMA_GRID, SIGMA_GRID))
+    return checks + [
+        law("sigma-addition", grid2, lambda t, x: abs(s(t, x) - (t + x))),
+        law("sigma-unit", grid, lambda x: gap([s(0.0, x), s(x, 0.0)], [x, x])),
+        law("sigma-commutative", grid2, lambda t, x: abs(s(t, x) - s(x, t))),
+        law(
+            "sigma-associative",
+            product(SIGMA_GRID, SIGMA_GRID, SIGMA_GRID),
+            lambda t, u, x: abs(s(t, s(u, x)) - s(s(t, u), x)),
+        ),
+        law(
+            "eta-negation", zip(SIGMA_GRID + (1.5, -0.75)), lambda t: abs(minus(t) + t)
+        ),
+        law("group-inverse", grid, lambda t: abs(s(t, minus(t)))),
+    ]
 
 
 # -- flows -------------------------------------------------------------------------
@@ -474,27 +389,17 @@ def euler_closed_flow(n: int) -> Flow:
     return Flow(Space(n), evaluate, {"kind": "exact closed form"})
 
 
-def _time_derivative_map(gmap: SmoothMap, t: float, xs):
-    out = gmap.evaluator([Jet(float(t), 1.0)] + [Jet(float(x), 0.0) for x in xs])
-    vals = [o.primal if isinstance(o, Jet) else o for o in out]
-    ders = [o.tangent if isinstance(o, Jet) else 0.0 for o in out]
-    return vals, ders
-
-
 def tangent_of_solution_residual(flow: Flow, v: VectorField, g_scale: float, t, x):
     """Residual of the claim that (t, x) -> V(flow(t, g x)) solves the lifted
     system with initial map g V, for the linear g = g_scale * id."""
-    n = v.space.dim
     lift = tangent_lift(v)
 
-    def candidate(xs):
-        y = flow.evaluate(xs[0], [g_scale * q for q in xs[1:]])
+    def candidate(t, xs):
+        y = flow.evaluate(t, [g_scale * q for q in xs])
         return list(y) + list(v.vhat(y))
 
-    gmap = SmoothMap(Space(1 + n), Space(2 * n), candidate, name="gammaV")
-    vals, ders = _time_derivative_map(gmap, t, x)
-    want = lift.vhat([primal_value(q) for q in vals])
-    return max(abs(primal_value(a) - primal_value(b)) for a, b in zip(ders, want))
+    vals, rates = time_derivative(candidate, t, x)
+    return gap(rates, lift.vhat([primal_value(q) for q in vals]))
 
 
 def solution_square_residuals(flow_eval, v: VectorField, t: float, x):
@@ -504,13 +409,9 @@ def solution_square_residuals(flow_eval, v: VectorField, t: float, x):
         Space(1 + n), Space(n), lambda xs: flow_eval(xs[0], xs[1:]), name="cand"
     )
     out = tangent(fmap)([t] + list(x) + [1.0] + [0.0] * n)
-    lhs_base = [primal_value(q) for q in out[:n]]
-    ddt = [primal_value(q) for q in out[n:]]
     plain = [primal_value(q) for q in flow_eval(t, list(x))]
-    want = [primal_value(q) for q in v.vhat(plain)]
-    base_resid = max(abs(a - b) for a, b in zip(lhs_base, plain))
-    proj_resid = max(abs(a - b) for a, b in zip(ddt, want))
-    return max(base_resid, proj_resid), proj_resid
+    want = v.vhat(plain)
+    return gap(out, plain + list(want)), gap(out[n:], want)
 
 
 def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
@@ -525,20 +426,23 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
     r = abs(got[0] - math.e)
     checks.append(LawCheck("e-value", r <= 1e-8, r, (1.0,), seed))
 
-    worst = 0.0
-    for i in range(4 if quick else 8):
-        n = 2 if i % 2 == 0 else 3
-        A = np.array(sample_matrix(n, rng))
-        got_m = matrix_of(generator(linear_flow(A)))
-        worst = max(worst, float(np.max(np.abs(got_m - A))))
+    def generator_roundtrip(i):
+        A = np.array(sample_matrix(2 if i % 2 == 0 else 3, rng))
+        return gap(matrix_of(generator(linear_flow(A))).ravel(), A.ravel())
+
+    worst, _ = worst_case(zip(range(4 if quick else 8)), generator_roundtrip)
     checks.append(_law("generator-roundtrip", worst, 1e-9, None, seed))
 
-    worst = 0.0
-    for closed in (rotation_closed_flow(), euler_closed_flow(2)):
+    def flow_roundtrip(closed):
         numeric = flow_of(generator(closed), cfg)
-        worst = max(
-            worst, _flow_residual(numeric.evaluate, closed.evaluate, times, pts2[:5])
-        )
+        return worst_case(
+            product(times, pts2[:5]),
+            lambda t, x: gap(numeric.evaluate(t, list(x)), closed.evaluate(t, list(x))),
+        )[0]
+
+    worst, _ = worst_case(
+        zip((rotation_closed_flow(), euler_closed_flow(2))), flow_roundtrip
+    )
     checks.append(_law("flow-roundtrip", worst, 1e-6, None, seed))
 
     A = np.array(sample_matrix(2, rng))
@@ -582,65 +486,64 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
         ok &= interchange.max_residual >= 1e-3
     checks.append(LawCheck("flow-interchange", ok, worst, None, seed))
 
-    worst = 0.0
-    for _ in range(2 if quick else 4):
+    def sum_agreement(_):
         A, B = _commuting_pair(rng, 2)
         sflow = sum_flow(LinearVectorField(A), LinearVectorField(B), cfg)
         target = linear_flow(A + B)
-        worst = max(
-            worst, _flow_residual(sflow.evaluate, target.evaluate, (0.5, 1.0), pts2[:5])
-        )
         swapped = sum_flow(LinearVectorField(B), LinearVectorField(A), cfg)
-        worst = max(
-            worst, _flow_residual(sflow.evaluate, swapped.evaluate, (0.5, 1.0), pts2[:5])
-        )
+        return worst_case(
+            product((target, swapped), (0.5, 1.0), pts2[:5]),
+            lambda other, t, x: gap(
+                sflow.evaluate(t, list(x)), other.evaluate(t, list(x))
+            ),
+        )[0]
+
+    worst, _ = worst_case(zip(range(2 if quick else 4)), sum_agreement)
     checks.append(_law("sum-flow-agreement", worst, 1e-6, None, seed))
 
     A = np.array(sample_matrix(2, rng))
-    worst = _flow_residual(
-        reverse(linear_flow(A), cfg).evaluate, linear_flow(-A).evaluate, times, pts2[:5]
-    )
+    backward, negated = reverse(linear_flow(A), cfg), linear_flow(-A)
     eta_map = eta(cfg)
-    for x in pts2[:5]:
-        t = 0.7
-        back = rot_flow.evaluate(
-            primal_value(eta_map([t])[0]), rot_flow.evaluate(t, x)
-        )
-        worst = max(worst, max(abs(primal_value(u) - v) for u, v in zip(back, x)))
+
+    def reverse_inverse(x):
+        got = [q for t in times for q in backward.evaluate(t, list(x))]
+        want = [q for t in times for q in negated.evaluate(t, list(x))]
+        moved = rot_flow.evaluate(0.7, x)
+        back = rot_flow.evaluate(primal_value(eta_map([0.7])[0]), moved)
+        return gap(got + back, want + list(x))
+
+    worst, _ = worst_case(zip(pts2[:5]), reverse_inverse)
     checks.append(_law("reverse-inverse", worst, 1e-6, None, seed))
 
     v = rotation_field()
-    worst = 0.0
-    for t in times:
-        for x in pts2[:4]:
-            worst = max(worst, tangent_of_solution_residual(rot_flow, v, 2.0, t, x))
+    worst, _ = worst_case(
+        product(times, pts2[:4]),
+        lambda t, x: tangent_of_solution_residual(rot_flow, v, 2.0, t, x),
+    )
     checks.append(_law("tangent-of-solution", worst, 1e-6, None, seed))
 
-    worst = 0.0
     corrupted = lambda tt, xs: [
         xi + tt * wi
         for xi, wi in zip(xs, v.vhat([primal_value(q) for q in xs]))
     ]
-    for t in times:
-        for x in pts2[:4]:
-            full_r, proj_r = solution_square_residuals(rot_flow.evaluate, v, t, x)
-            worst = max(worst, abs(full_r - proj_r))
-            full_b, proj_b = solution_square_residuals(corrupted, v, t, x)
-            worst = max(worst, abs(full_b - proj_b))
+
+    def criterion(t, x):
+        full_r, proj_r = solution_square_residuals(rot_flow.evaluate, v, t, x)
+        full_b, proj_b = solution_square_residuals(corrupted, v, t, x)
+        return gap([full_r, full_b], [proj_r, proj_b])
+
+    worst, _ = worst_case(product(times, pts2[:4]), criterion)
     checks.append(_law("diff-object-criterion", worst, 1e-9, None, seed))
 
-    worst = 0.0
-    for _ in range(3 if quick else 6):
+    def expm_agreement(_):
         A = np.array(sample_matrix(2, rng))
         fl = flow_of(LinearVectorField(A), cfg)
-        for t in (-1.0, 0.5, 1.0):
-            E = expm(t * A)
-            for x in pts2[:4]:
-                a = fl.evaluate(t, x)
-                b = E @ np.array(x)
-                worst = max(
-                    worst, max(abs(primal_value(u) - w) for u, w in zip(a, b))
-                )
+        E = {t: expm(t * A) for t in (-1.0, 0.5, 1.0)}
+        return worst_case(
+            product(E, pts2[:4]), lambda t, x: gap(fl.evaluate(t, x), E[t] @ np.array(x))
+        )[0]
+
+    worst, _ = worst_case(zip(range(3 if quick else 6)), expm_agreement)
     checks.append(_law("expm-vs-integrator", worst, 1e-6, None, seed))
 
     ok, worst = True, 0.0
@@ -659,15 +562,13 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
             fmap, LinearVectorField(A1), LinearVectorField(A2), tol=1e-9, seed=seed
         )
         fl1, fl2 = linear_flow(A1), linear_flow(A2)
-        fworst = 0.0
-        for t in times:
-            for x in pts2[:5]:
-                a = fmap([primal_value(u) for u in fl1.evaluate(t, x)])
-                b = fl2.evaluate(t, fmap(list(x)))
-                fworst = max(
-                    fworst,
-                    max(abs(primal_value(u) - primal_value(w)) for u, w in zip(a, b)),
-                )
+        fworst, _ = worst_case(
+            product(times, pts2[:5]),
+            lambda t, x: gap(
+                fmap([primal_value(u) for u in fl1.evaluate(t, x)]),
+                fl2.evaluate(t, fmap(list(x))),
+            ),
+        )
         intertwines = fworst <= 1e-6
         ok &= morph.passed == intertwines == should
         if should:
@@ -689,14 +590,12 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
         2, SmoothMap(Space(4), Space(2), lambda xs: [0.0, 0.0], name="flat")
     )
     gflow = geodesic_flow(flat, cfg)
-    worst = 0.0
-    for x in sample_points(4, count=5, seed=seed):
-        for t in (0.5, 1.0):
-            got_pt = gflow.evaluate(t, x)
-            want = [x[0] + t * x[2], x[1] + t * x[3], x[2], x[3]]
-            worst = max(
-                worst, max(abs(primal_value(u) - w) for u, w in zip(got_pt, want))
-            )
+    worst, _ = worst_case(
+        product(sample_points(4, count=5, seed=seed), (0.5, 1.0)),
+        lambda x, t: gap(
+            gflow.evaluate(t, x), [x[0] + t * x[2], x[1] + t * x[3], x[2], x[3]]
+        ),
+    )
     checks.append(_law("geodesic-flat", worst, 1e-8, None, seed))
 
     half_conn = half_plane_connection()
@@ -710,24 +609,27 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
         )
     )
     half = geodesic_flow(half_conn, cfg)
-    drift = 0.0
-    for t in [0.25 * k for k in range(9)]:
-        pt = half.evaluate(t, [0.0, 1.0, 1.0, 0.0])
-        drift = max(
-            drift, abs(primal_value(pt[0]) ** 2 + primal_value(pt[1]) ** 2 - 1.0)
-        )
-    checks.append(LawCheck("geodesic-semicircle", drift <= 1e-5, drift, None, seed))
 
-    acc = max(
-        acceleration_residual(gflow, sample_points(4, count=3, seed=seed)),
-        acceleration_residual(half, [[0.0, 1.0, 1.0, 0.0]], times=(0.5, 1.0, 2.0)),
+    def drift(t):
+        x, y = [primal_value(q) for q in half.evaluate(t, [0.0, 1.0, 1.0, 0.0])[:2]]
+        return abs(x**2 + y**2 - 1.0)
+
+    worst, _ = worst_case(zip([0.25 * k for k in range(9)]), drift)
+    checks.append(_law("geodesic-semicircle", worst, 1e-5, None, seed))
+
+    acc, _ = worst_case(
+        [
+            (gflow, sample_points(4, count=3, seed=seed)),
+            (half, [[0.0, 1.0, 1.0, 0.0]], (0.5, 1.0, 2.0)),
+        ],
+        acceleration_residual,
     )
     checks.append(_law("geodesic-acceleration", acc, 1e-6, None, seed))
 
     sys_rot = DynamicalSystem(Space(2), rotation_field())
     a1 = integrate(sys_rot, 1.0, [1.0, 0.5], cfg)
     a2 = integrate(sys_rot, 1.0, [1.0, 0.5], cfg)
-    det = max(abs(u - w) for u, w in zip(a1, a2))
+    det = gap(a1, a2)
     checks.append(LawCheck("integrator-determinism", det == 0.0, det, None, seed))
 
     return checks
@@ -753,21 +655,24 @@ def suite_rig(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG):
     checks.append(LawCheck("e-value", r <= 1e-8, r, (1.0,), seed))
 
     de = tangent(e)
-    worst, wit = 0.0, None
-    for t in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0):
-        for v in (-1.5, -0.5, 1.0, 2.0):
-            r = abs(primal_value(de([t, v])[1]) - v * math.exp(t))
-            if r > worst:
-                worst, wit = r, (t, v)
-    checks.append(LawCheck("de-is-exp-flow", worst <= 1e-7, worst, wit, seed))
-
-    worst, wit = 0.0, None
-    for row in sample_points(2, count=20, seed=seed):
-        a, b = 1.5 * row[0], 1.5 * row[1]
-        r = abs(primal_value(multiply(a, b, cfg=cfg, e=e)) - a * b)
-        if r > worst:
-            worst, wit = r, (a, b)
-    checks.append(LawCheck("multiply-scalar", worst <= 1e-7, worst, wit, seed))
+    checks.append(
+        law_check(
+            "de-is-exp-flow",
+            product((-2.0, -1.0, 0.0, 0.5, 1.0, 2.0), (-1.5, -0.5, 1.0, 2.0)),
+            lambda t, v: abs(primal_value(de([t, v])[1]) - v * math.exp(t)),
+            1e-7,
+            seed,
+        )
+    )
+    checks.append(
+        law_check(
+            "multiply-scalar",
+            [(1.5 * a, 1.5 * b) for a, b in sample_points(2, count=20, seed=seed)],
+            lambda a, b: abs(primal_value(multiply(a, b, cfg=cfg, e=e)) - a * b),
+            1e-7,
+            seed,
+        )
+    )
     return checks
 
 
@@ -777,17 +682,22 @@ def suite_action(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fal
     if not quick:
         bundles += [TrivialBundle(2, 3), TrivialBundle(3, 3)]
 
-    worst, wit = 0.0, None
-    for bundle in bundles:
-        n = bundle.base_dim
-        act = action(bundle, cfg)
-        for row in sample_points(1 + n + bundle.fibre_dim, count=6, seed=seed):
-            s, p = row[0], row[1:]
-            got = [primal_value(q) for q in act([s] + list(p))]
-            want = list(p[:n]) + [s * a for a in p[n:]]
-            r = max(abs(u - w) for u, w in zip(got, want))
-            if r > worst:
-                worst, wit = r, (float(n), float(bundle.fibre_dim), s)
+    acts = {(b.base_dim, b.fibre_dim): action(b, cfg) for b in bundles}
+
+    def scaling(n, m, row):
+        s, p = row[0], row[1:]
+        return gap(acts[n, m](row), p[:n] + [s * a for a in p[n:]])
+
+    worst, wit = worst_case(
+        (
+            (n, m, row)
+            for n, m in acts
+            for row in sample_points(1 + n + m, count=6, seed=seed)
+        ),
+        scaling,
+    )
+    # the witness names the bundle and the scalar: (n, m, s)
+    wit = wit and tuple(float(w) for w in wit[:3])
     checks.append(LawCheck("action-is-scaling", worst <= 1e-6, worst, wit, seed))
 
     for bundle in bundles[:2] if quick else bundles[:3]:

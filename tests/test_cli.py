@@ -9,7 +9,8 @@ from tangentkit.cli import (
     EXIT_USAGE,
     dispatch,
 )
-from tangentkit.fields import LawCheck
+from tangentkit.dynamics import commuting_flows_check
+from tangentkit.fields import LawCheck, LinearVectorField, is_vf_morphism
 from tangentkit.reports import LAW_ANCHORS, emit_report, report_dict
 from tangentkit.verify import run_suite
 
@@ -230,3 +231,20 @@ def test_every_emitted_law_id_is_in_the_anchor_table():
     for name in ("kernel", "vf", "curve", "flows", "rig", "action"):
         for check in run_suite(name, quick=True):
             assert check.law in LAW_ANCHORS, check.law
+
+
+def test_every_anchor_is_emitted():
+    # the reverse direction: the table holds no law that nothing produces
+    emitted = {c.law for c in run_suite("all", quick=True)}
+    rot = LinearVectorField([[0.0, 1.0], [-1.0, 0.0]])
+    eul = LinearVectorField([[1.0, 0.0], [0.0, 1.0]])
+    emitted |= {c.law for c in commuting_flows_check(rot, eul)}
+    emitted.add(is_vf_morphism(rot.vhat, rot, rot).law)
+    assert set(LAW_ANCHORS) - emitted == set()
+
+
+def test_nan_residual_fails_and_serializes_as_nan():
+    law = LawCheck("commutes", False, math.nan, (1.0, 2.0), 1)
+    text = emit_report([law], seed=1, config={}).decode()
+    assert '"max_residual": NaN' in text
+    assert '"passed": false' in text

@@ -500,6 +500,15 @@ def test_section_conditions_rejected_when_violated():
         solve_nth_order(system, 1.0, [0.0, 1.0])
 
 
+def test_section_conditions_reject_a_nan_velocity_block():
+    # a NaN in the block T(p) checks must fail the check, not slip past it
+    tm = Space(2)
+    vf = VectorField(tm, SmoothMap(tm, tm, lambda xs: [xs[1] * math.nan, -xs[0]]))
+    system = DynamicalSystem(Space(1), vf, order=2)
+    with pytest.raises(ShapeError, match="nan"):
+        solve_nth_order(system, 0.5, [1.0, 0.0])
+
+
 def test_geodesic_flat_connection_is_linear_motion():
     conn = Connection(2, SmoothMap(Space(4), Space(2), lambda xs: [0.0, 0.0]))
     flow = geodesic_flow(conn)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,55 @@ def test_law_check_serializes():
     d = check.to_dict()
     assert set(d) == {"law", "passed", "max_residual", "witness", "seed"}
     assert bool(check) == d["passed"]
+
+
+# -- non-finite residuals ------------------------------------------------------------
+
+
+def _map(ev, dim=2):
+    return SmoothMap(Space(dim), Space(dim), ev)
+
+
+def test_commutes_fails_on_a_nan_field():
+    v = VectorField(Space(2), _map(lambda xs: [math.nan, math.nan]))
+    check = commutes(v, v)
+    assert not check.passed
+    assert math.isnan(check.max_residual)
+    assert check.witness is not None
+
+
+def test_nan_in_first_component_fails_the_law():
+    rot = rotation_field()
+    f = _map(lambda xs: [xs[0] * math.nan, xs[1]])
+    check = is_vf_morphism(f, rot, rot, samples=[[1.0, 2.0]])
+    assert not check.passed and math.isnan(check.max_residual)
+    assert check.witness == (1.0, 2.0)
+
+
+def test_nan_in_last_component_fails_the_law():
+    rot = rotation_field()
+    f = _map(lambda xs: [xs[0], xs[1] * math.nan])
+    check = is_vf_morphism(f, rot, rot, samples=[[1.0, 2.0]])
+    assert not check.passed and math.isnan(check.max_residual)
+
+
+def test_nan_at_a_later_sample_only_fails_the_law():
+    # finite (and commuting with itself) for x1 > 0, NaN for x1 < 0
+    def ev(xs):
+        return [xs[1], xs[0] * (1.0 if primal_value(xs[0]) > 0.0 else math.nan)]
+
+    v = VectorField(Space(2), _map(ev))
+    check = commutes(v, v, samples=[[1.0, 1.0], [-1.0, 1.0], [2.0, 1.0]])
+    assert not check.passed and math.isnan(check.max_residual)
+    assert check.witness == (-1.0, 1.0)
+    assert math.isnan(check.to_dict()["max_residual"])
+
+
+def test_matrix_of_rejects_nan_at_some_samples():
+    def ev(xs):
+        return [xs[0] * (1.0 if primal_value(xs[0]) > -1.0 else math.nan)]
+
+    with pytest.raises(LinearityError) as info:
+        matrix_of(VectorField(Space(1), _map(ev, dim=1)))
+    assert math.isnan(info.value.max_residual)
+    assert info.value.witness[0] <= -1.0
