@@ -9,7 +9,6 @@ from .kernel import (
     Space,
     TrivialBundle,
     VerticalityViolation,
-    combine,
     compose,
     identity_map,
     pack_jets,
@@ -63,9 +62,6 @@ from .dynamics import (
 )
 from .rig import (
     ActionLinearityReport,
-    EulerField,
-    ExpFlow,
-    RigStructure,
     action,
     action_suite,
     e_map,
@@ -73,7 +69,6 @@ from .rig import (
     exp_flow,
     linearity_via_action,
     multiply,
-    rig_structure,
     rig_suite,
 )
 from .verify import run_suite

@@ -104,7 +104,9 @@ def _parser() -> argparse.ArgumentParser:
                    choices=("kernel", "vf", "curve", "flows", "rig", "action", "all"),
                    default="all")
     p.add_argument("--quick", action="store_true",
-                   help="smaller sample counts (same laws, same seeding)")
+                   help="smaller sample counts for the flows and action suites "
+                        "(same laws, same seeding; kernel, vf, curve and rig "
+                        "ignore it)")
     return top
 
 
@@ -205,13 +207,21 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
-def _trajectory_csv(system, t, x0, steps, cfg, project_to=None) -> bytes:
-    n = project_to or system.vector_field.space.dim
+def _grid(args, least: int, default=None):
+    """``--grid`` (``default`` when absent); a usage error below ``least``."""
+    if args.grid is None:
+        return default
+    if args.grid < least:
+        raise UsageError(f"--grid must be at least {least}")
+    return args.grid
+
+
+def _trajectory_csv(state_at, t, n, steps) -> bytes:
+    """``steps + 1`` rows ``t_k, state_at(t_k)`` at the times ``t * k / steps``."""
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
     for k in range(steps + 1):
-        tk = t * k / steps if steps else t
-        state = integrate(system, tk, x0, cfg)[:n]
-        lines.append(repr(tk) + "," + ",".join(repr(v) for v in state))
+        tk = t * k / steps
+        lines.append(repr(tk) + "," + ",".join(repr(v) for v in state_at(tk)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -221,8 +231,10 @@ def _cmd_solve(args, stdout) -> int:
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, args.dim)
     if args.format == "csv":
-        payload = _trajectory_csv(system, args.t, x0, args.grid or 100, cfg,
-                                  project_to=args.dim)
+        payload = _trajectory_csv(
+            lambda tk: integrate(system, tk, x0, cfg)[: args.dim],
+            args.t, args.dim, _grid(args, 1, default=100),
+        )
         _emit(args, payload, stdout)
         return EXIT_OK
     state = integrate(system, args.t, x0, cfg)[: args.dim]
@@ -262,12 +274,9 @@ def _cmd_commute(args, stdout) -> int:
     tol = args.tol if args.tol is not None else 1e-6
     cfg = _integrator(args)
     kwargs = {}
-    if args.grid:
-        if args.grid < 2:
-            raise UsageError("--grid needs at least 2 points")
-        kwargs["times"] = tuple(
-            -2.0 + 4.0 * k / (args.grid - 1) for k in range(args.grid)
-        )
+    grid = _grid(args, 2)
+    if grid is not None:
+        kwargs["times"] = tuple(-2.0 + 4.0 * k / (grid - 1) for k in range(grid))
     laws = commuting_flows_check(
         v1, v2, tol=tol, seed=args.seed, cfg=cfg, **kwargs
     )
@@ -296,13 +305,11 @@ def _cmd_geodesic(args, stdout) -> int:
     flow = geodesic_flow(conn, cfg)
     x0 = _parse_x0(args.x0, 2 * n)
     if args.format == "csv":
-        steps = args.grid or 100
-        lines = ["t," + ",".join(f"x{i + 1}" for i in range(2 * n))]
-        for k in range(steps + 1):
-            tk = args.t * k / steps if steps else args.t
-            state = [primal_value(v) for v in flow.evaluate(tk, x0)]
-            lines.append(repr(tk) + "," + ",".join(repr(v) for v in state))
-        _emit(args, ("\n".join(lines) + "\n").encode("utf-8"), stdout)
+        payload = _trajectory_csv(
+            lambda tk: [primal_value(v) for v in flow.evaluate(tk, x0)],
+            args.t, 2 * n, _grid(args, 1, default=100),
+        )
+        _emit(args, payload, stdout)
         return EXIT_OK
     state = [primal_value(v) for v in flow.evaluate(args.t, x0)]
     from .dynamics import acceleration_residual

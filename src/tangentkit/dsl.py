@@ -41,9 +41,7 @@ __all__ = [
     "ArityError",
     "FUNCTIONS",
     "parse",
-    "parse_expr",
     "compile_spec",
-    "compile_expr",
     "format_spec",
     "format_expr",
 ]
@@ -311,14 +309,6 @@ class _Parser:
         return Var(index)
 
 
-def parse_expr(text: str, arity: int, time_dependent: bool = False) -> Node:
-    """Parse a single expression."""
-    parser = _Parser(_tokenize(text), arity, time_dependent)
-    node = parser.parse_expr()
-    parser.expect("EOF", "end of input")
-    return node
-
-
 def parse(text: str, arity: int, time_dependent: bool = False) -> FieldSpec:
     """Parse ``;``-separated component expressions into a :class:`FieldSpec`."""
     if not text.strip():
@@ -362,12 +352,6 @@ def _compile_node(node: Node):
         arg = _compile_node(node.arg)
         return lambda env: fn(arg(env))
     raise TypeError(f"unknown node {node!r}")
-
-
-def compile_expr(node: Node, arity: int, time_dependent: bool = False) -> SmoothMap:
-    body = _compile_node(node)
-    dim_in = arity + (1 if time_dependent else 0)
-    return SmoothMap(Space(dim_in), Space(1), lambda xs: [body(xs)], name="expr")
 
 
 def compile_spec(spec: FieldSpec) -> SmoothMap:

@@ -16,6 +16,7 @@ The short version (layout rules 1-6):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,10 +29,8 @@ __all__ = [
     "ShapeError",
     "VerticalityViolation",
     "identity_map",
-    "constant_map",
     "tangent",
     "structural_map",
-    "combine",
     "compose",
     "pair",
     "product",
@@ -136,11 +135,6 @@ class SmoothMap:
 
 def identity_map(space: Space) -> SmoothMap:
     return SmoothMap(space, space, lambda xs: list(xs), name=f"id_{space.dim}")
-
-
-def constant_map(domain: Space, values: Sequence[float]) -> SmoothMap:
-    vals = [float(v) for v in values]
-    return SmoothMap(domain, Space(len(vals)), lambda xs: list(vals), name="const")
 
 
 def _split_jet(v):
@@ -362,16 +356,6 @@ def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     )
 
 
-def combine(mode: str, f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    if mode == "compose":
-        return compose(f, g)
-    if mode == "pair":
-        return pair(f, g)
-    if mode == "product":
-        return product(f, g)
-    raise ShapeError(f"unknown combine mode {mode!r}")
-
-
 def product_interleave(s1: Space, s2: Space) -> SmoothMap:
     """The canonical iso T(M1 x M2) -> TM1 x TM2 (layout rule 7):
     (x1, x2, d1, d2) -> (x1, d1, x2, d2)."""
@@ -430,10 +414,10 @@ def vertical_bracket(
         x = ys[:n]
         dx = ys[n + m : 2 * n + m]
         da = ys[2 * n + m :]
-        residual = max(
-            (abs(c) for v in dx for c in coefficients(v)), default=0.0
-        )
-        if residual > tol:
+        # NaN sticks, as in fields.gap: a NaN direction is not vertical
+        coeffs = [abs(c) for v in dx for c in coefficients(v)]
+        residual = math.nan if any(c != c for c in coeffs) else max(coeffs, default=0.0)
+        if not residual <= tol:
             raise VerticalityViolation([primal_value(v) for v in xs], residual)
         return list(x) + list(da)
 

@@ -12,7 +12,7 @@ evaluating the second-order jet of ``e`` at point ``(0, a)`` with direction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dynamics import (
     DEFAULT_CONFIG,
@@ -23,7 +23,7 @@ from .dynamics import (
     time_derivative,
 )
 from .fields import LawCheck, VectorField, gap, law_check
-from .jets import exp as jet_exp, primal_value
+from .jets import primal_value
 from .kernel import (
     ShapeError,
     SmoothMap,
@@ -39,15 +39,11 @@ from .kernel import (
 from .sampling import DEFAULT_SEED, sample_points
 
 __all__ = [
-    "EulerField",
-    "ExpFlow",
-    "RigStructure",
     "ActionLinearityReport",
     "euler_field",
     "exp_flow",
     "e_map",
     "multiply",
-    "rig_structure",
     "rig_suite",
     "action",
     "action_suite",
@@ -61,33 +57,6 @@ RIG_TOL = 1e-6
 C_BUNDLE = TrivialBundle(0, 1)
 
 
-@dataclass(frozen=True)
-class EulerField(VectorField):
-    """The fibrewise-scaling generator of a trivial bundle: at ``(x, a)``
-    the direction is ``(0, a)``."""
-
-    bundle: TrivialBundle = C_BUNDLE
-
-
-@dataclass(frozen=True)
-class ExpFlow:
-    """The flow of the scaling field, with the closed form kept alongside
-    for cross-checking."""
-
-    bundle: TrivialBundle
-    flow: Flow
-    closed_form: Callable[[float, Sequence[float]], list] = None
-
-    def evaluate(self, t, xs):
-        return self.flow.evaluate(t, xs)
-
-
-@dataclass(frozen=True)
-class RigStructure:
-    unit: float
-    multiply: Callable[[float, float], float]
-
-
 def _diag_embed(bundle: TrivialBundle) -> SmoothMap:
     """A -> A_2, (x, a) -> (x, a, a)."""
     n, m = bundle.base_dim, bundle.fibre_dim
@@ -98,17 +67,18 @@ def _diag_embed(bundle: TrivialBundle) -> SmoothMap:
     return SmoothMap(Space(n + m), Space(n + 2 * m), ev, name="diag")
 
 
-def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> EulerField:
-    """The scaling field of a trivial bundle, built structurally as the
-    diagonal into the fibre square followed by mu; its section, over-zero
-    and linearity properties are verified on seeded samples."""
+def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
+    """The fibrewise-scaling field of a trivial bundle (at ``(x, a)`` the
+    direction is ``(0, a)``), built structurally as the diagonal into the
+    fibre square followed by mu; its section, over-zero and linearity
+    properties are verified on seeded samples."""
 
     n, m = bundle.base_dim, bundle.fibre_dim
     total = bundle.total
     mu = structural_map("bundle_mu", bundle)
     full = compose(_diag_embed(bundle), mu)
     vhat = compose(full, structural_map("hat_p", TrivialBundle(0, n + m)))
-    field_ = EulerField(total, vhat, bundle)
+    field_ = VectorField(total, vhat)
 
     pts = sample_points(n + m, count=10, seed=DEFAULT_SEED)
     lift = structural_map("bundle_lift", bundle)
@@ -130,25 +100,16 @@ def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> EulerField:
     return field_
 
 
-def exp_flow(
-    bundle: TrivialBundle, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> ExpFlow:
-    """The flow of the scaling field; closed form (t, (x, a)) -> (x, e^t a)."""
-    field_ = euler_field(bundle)
-    flow = flow_of(field_, cfg)
-    n = bundle.base_dim
-
-    def closed(t, xs):
-        scale = jet_exp(t)
-        return list(xs[:n]) + [scale * a for a in xs[n:]]
-
-    return ExpFlow(bundle, flow, closed)
+def exp_flow(bundle: TrivialBundle, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:
+    """The flow of the scaling field, (t, (x, a)) -> (x, e^t a) up to
+    integrator tolerance."""
+    return flow_of(euler_field(bundle), cfg)
 
 
 def e_map(cfg: IntegratorConfig = DEFAULT_CONFIG) -> SmoothMap:
     """The exponential of the curve: the solution through 1 of the scaling
     field on C, as a jet-polymorphic map C -> C."""
-    flow = exp_flow(C_BUNDLE, cfg).flow
+    flow = exp_flow(C_BUNDLE, cfg)
 
     def ev(xs):
         return flow.evaluate(xs[0], [1.0])
@@ -168,12 +129,6 @@ def multiply(a: float, b: float, cfg: IntegratorConfig = DEFAULT_CONFIG, e: Smoo
     d2e = tangent(tangent(e))
     out = d2e([0.0, a, b, 0.0])
     return out[3]
-
-
-def rig_structure(cfg: IntegratorConfig = DEFAULT_CONFIG) -> RigStructure:
-    e = e_map(cfg)
-    unit = primal_value(e([0.0])[0])
-    return RigStructure(unit, lambda a, b: multiply(a, b, cfg=cfg, e=e))
 
 
 def rig_suite(
@@ -264,7 +219,7 @@ def action(
     pre = compose(
         product(lam_c, zero_a), product_interleave_inv(Space(1), total)
     )
-    fmap = flow_smooth_map(exp_flow(bundle, cfg).flow)
+    fmap = flow_smooth_map(exp_flow(bundle, cfg))
     pipeline = compose(pre, tangent(fmap))
     act = vertical_bracket(pipeline, bundle, tol=verticality_tol)
     return SmoothMap(act.domain, act.codomain, act.evaluator, name="action")

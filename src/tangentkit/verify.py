@@ -3,7 +3,8 @@
 Each suite returns a list of :class:`LawCheck` rows; a suite passes when
 every row does.  Negative instances (detectors that must fire) are encoded
 so the row passes exactly when the detector classifies correctly.  Suites
-are deterministic given the seed.
+are deterministic given the seed.  Every suite takes ``(seed, cfg, quick)``;
+only ``flows`` and ``action`` shrink their sample counts under ``quick``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,22 @@ def _law(law, worst, tol, witness=None, seed=None):
     return LawCheck(law, worst <= tol, worst, witness, seed)
 
 
+def _detector(law, cases, judge, seed):
+    """A row over classifier cases: ``judge(*case)`` returns
+    ``(verdict_right, residual)``.  The row passes only if every verdict is
+    right and reports the largest residual (NaN sticks), with no witness.
+    Cases are consumed lazily, one judgement at a time."""
+    right = []
+
+    def residual(*case):
+        ok, r = judge(*case)
+        right.append(ok)
+        return r
+
+    worst, _ = worst_case(cases, residual)
+    return LawCheck(law, all(right), worst, None, seed)
+
+
 def _test_map() -> SmoothMap:
     """A mildly nonlinear 2 -> 2 map used for the kernel identities."""
     return dsl.compile_spec(dsl.parse("sin(x1) * x2; x1^2 + tanh(x2)", 2))
@@ -98,7 +115,8 @@ def _second_map() -> SmoothMap:
 # -- kernel ----------------------------------------------------------------------
 
 
-def suite_kernel(seed: int = DEFAULT_SEED, tol: float = 1e-12, count: int = 100):
+def suite_kernel(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False,
+                 tol: float = 1e-12, count: int = 100):
     f = _test_map()
     g = _second_map()
     space2 = Space(2)
@@ -203,17 +221,6 @@ def _invertible(rng: random.Random, n: int) -> np.ndarray:
             return P
 
 
-def _linear_map(P: np.ndarray) -> SmoothMap:
-    rows = [tuple(float(a) for a in row) for row in P]
-    n = len(rows)
-    return SmoothMap(
-        Space(n),
-        Space(n),
-        lambda xs: [sum(a * x for a, x in zip(row, xs)) for row in rows],
-        name="linear",
-    )
-
-
 def _jacobian_bracket(v1: VectorField, v2: VectorField, p):
     """D(vhat2) vhat1 - D(vhat1) vhat2 by direct jet evaluation, independent
     of the structural pipeline."""
@@ -248,7 +255,8 @@ def _fd_bracket(v1: VectorField, v2: VectorField, p, h: float = 1e-5):
     return [x - y for x, y in zip(a, b)]
 
 
-def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
+def suite_vf(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
+    tol = 1e-9
     rng = random.Random(seed)
     checks = []
     rot = rotation_field()
@@ -257,20 +265,17 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
     zc = commutes(rot, zero_field(Space(2)), tol=tol, seed=seed)
     checks.append(LawCheck("zero-commutes", zc.passed, zc.max_residual, zc.witness, seed))
 
-    ok, worst = True, 0.0
-    for i in range(5):
-        A, B = _commuting_pair(rng, 2 + (i % 2))
+    def linear_commutation(should, i):
+        draw = _commuting_pair if should else _noncommuting_pair
+        A, B = draw(rng, 2 + (i % 2))
         c = commutes(LinearVectorField(A), LinearVectorField(B), tol=tol, seed=seed)
-        ok &= c.passed
-        if not c.passed:
-            worst = max(worst, c.max_residual)
-    for i in range(5):
-        A, B = _noncommuting_pair(rng, 2 + (i % 2))
-        c = commutes(LinearVectorField(A), LinearVectorField(B), tol=tol, seed=seed)
-        ok &= not c.passed
-        if c.passed:
-            worst = max(worst, 1.0)
-    checks.append(LawCheck("linear-commutation", ok, worst, None, seed))
+        if c.passed == should:
+            return True, 0.0
+        # a missed commuting pair reports its residual, a false positive 1
+        return False, c.max_residual if should else 1.0
+
+    cases = product((True, False), range(5))
+    checks.append(_detector("linear-commutation", cases, linear_commutation, seed))
 
     c12 = commutes(rot, eul, tol=tol, seed=seed)
     c21 = commutes(eul, rot, tol=tol, seed=seed)
@@ -284,13 +289,12 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
         )
     )
 
-    nonlinear = VectorField.from_expr("x1*x2; sin(x1)", 2)
-    ok, worst = True, 0.0
-    for v in (rot, eul, nonlinear):
+    def self_commutation(v):
         c = commutes(v, v, tol=tol, seed=seed)
-        ok &= c.passed
-        worst = max(worst, c.max_residual)
-    checks.append(LawCheck("self-commutation", ok, worst, None, seed))
+        return c.passed, c.max_residual
+
+    cases = zip((rot, eul, VectorField.from_expr("x1*x2; sin(x1)", 2)))
+    checks.append(_detector("self-commutation", cases, self_commutation, seed))
 
     v1 = VectorField.from_expr("x2^2; x1", 2)
     v2 = VectorField.from_expr("sin(x2); x1*x2", 2)
@@ -304,15 +308,14 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
         residual = lambda p: gap(bracket.vhat(p), oracle(v1, v2, p))
         checks.append(law_check(law, pts, residual, law_tol, seed))
 
-    ok, worst = True, 0.0
-    for _ in range(10):
+    def related_brackets(_):
         n = rng.choice((2, 3))
         P = _invertible(rng, n)
         Pinv = np.linalg.inv(P)
         A1 = np.array(sample_matrix(n, rng))
         A2 = np.array(sample_matrix(n, rng))
         W1, W2 = P @ A1 @ Pinv, P @ A2 @ Pinv
-        fmap = _linear_map(P)
+        fmap = LinearVectorField(P).vhat
         va1, va2 = LinearVectorField(A1), LinearVectorField(A2)
         wb1, wb2 = LinearVectorField(W1), LinearVectorField(W2)
         m1 = is_vf_morphism(fmap, va1, wb1, tol=1e-9, seed=seed)
@@ -320,19 +323,23 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
         mb = is_vf_morphism(
             fmap, lie_bracket(va1, va2), lie_bracket(wb1, wb2), tol=1e-7, seed=seed
         )
-        ok &= m1.passed and m2.passed and mb.passed
-        worst = max(worst, mb.max_residual)
-    checks.append(LawCheck("f-relatedness-bracket", ok, worst, None, seed))
+        return m1.passed and m2.passed and mb.passed, mb.max_residual
 
-    ok, worst = True, 0.0
-    shear_a = LinearVectorField([[0.0, 1.0], [0.0, 0.0]])
-    shear_b = LinearVectorField([[0.0, 0.0], [1.0, 0.0]])
-    for va, vb, should in ((rot, eul, True), (shear_a, shear_b, False)):
+    cases = zip(range(10))
+    checks.append(_detector("f-relatedness-bracket", cases, related_brackets, seed))
+
+    def pair_predicate(va, vb, should):
         cm = commutes(va, vb, tol=tol, seed=seed)
         morph = is_vf_morphism(vb.full_map, va, tangent_lift(va), tol=tol, seed=seed)
-        ok &= (cm.passed == morph.passed == should)
-        worst = max(worst, abs(cm.max_residual - morph.max_residual))
-    checks.append(LawCheck("pair-commuting-predicate", ok, worst, None, seed))
+        return (
+            cm.passed == morph.passed == should,
+            abs(cm.max_residual - morph.max_residual),
+        )
+
+    shear_a = LinearVectorField([[0.0, 1.0], [0.0, 0.0]])
+    shear_b = LinearVectorField([[0.0, 0.0], [1.0, 0.0]])
+    cases = [(rot, eul, True), (shear_a, shear_b, False)]
+    checks.append(_detector("pair-commuting-predicate", cases, pair_predicate, seed))
 
     return checks
 
@@ -340,7 +347,8 @@ def suite_vf(seed: int = DEFAULT_SEED, tol: float = 1e-9):
 # -- curve -------------------------------------------------------------------------
 
 
-def suite_curve(seed: int = DEFAULT_SEED, tol: float = 1e-9, cfg=DEFAULT_CONFIG):
+def suite_curve(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
+    tol = 1e-9
     checks = list(curve().self_check())
     sigma = sigma_flow(cfg)
 
@@ -456,9 +464,8 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
     ):
         checks.append(c)
 
-    ok, worst = True, 0.0
-    for _ in range(2 if quick else 4):
-        A, B = _commuting_pair(rng, 2)
+    def interchange(should, _):
+        A, B = (_commuting_pair if should else _noncommuting_pair)(rng, 2)
         rep = commuting_flows_check(
             LinearVectorField(A),
             LinearVectorField(B),
@@ -468,23 +475,14 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
             seed=seed,
             cfg=cfg,
         )
-        ok &= all(c.passed for c in rep)
-        worst = max(worst, rep[0].max_residual)
-    for _ in range(2 if quick else 4):
-        A, B = _noncommuting_pair(rng, 2)
-        rep = commuting_flows_check(
-            LinearVectorField(A),
-            LinearVectorField(B),
-            samples=pts2[:5],
-            tol=1e-6,
-            times=times,
-            seed=seed,
-            cfg=cfg,
-        )
-        interchange, comm = rep[0], rep[1]
-        ok &= (not interchange.passed) and (not comm.passed)
-        ok &= interchange.max_residual >= 1e-3
-    checks.append(LawCheck("flow-interchange", ok, worst, None, seed))
+        if should:
+            return all(c.passed for c in rep), rep[0].max_residual
+        swapped, comm = rep[0], rep[1]
+        fired = not swapped.passed and not comm.passed
+        return fired and swapped.max_residual >= 1e-3, 0.0
+
+    cases = product((True, False), range(2 if quick else 4))
+    checks.append(_detector("flow-interchange", cases, interchange, seed))
 
     def sum_agreement(_):
         A, B = _commuting_pair(rng, 2)
@@ -546,8 +544,7 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
     worst, _ = worst_case(zip(range(3 if quick else 6)), expm_agreement)
     checks.append(_law("expm-vs-integrator", worst, 1e-6, None, seed))
 
-    ok, worst = True, 0.0
-    for should in (True, False):
+    def morphism_equivalence(should):
         P = _invertible(rng, 2)
         A1 = np.array(sample_matrix(2, rng))
         if should:
@@ -557,7 +554,7 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
                 A2 = np.array(sample_matrix(2, rng))
                 if np.max(np.abs(P @ A2 - A1 @ P)) > 0.05:
                     break
-        fmap = _linear_map(P)
+        fmap = LinearVectorField(P).vhat
         morph = is_vf_morphism(
             fmap, LinearVectorField(A1), LinearVectorField(A2), tol=1e-9, seed=seed
         )
@@ -569,11 +566,11 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
                 fl2.evaluate(t, fmap(list(x))),
             ),
         )
-        intertwines = fworst <= 1e-6
-        ok &= morph.passed == intertwines == should
-        if should:
-            worst = max(worst, fworst)
-    checks.append(LawCheck("flow-morphism-equivalence", ok, worst, None, seed))
+        right = morph.passed == (fworst <= 1e-6) == should
+        return right, fworst if should else 0.0
+
+    cases = [(True,), (False,)]
+    checks.append(_detector("flow-morphism-equivalence", cases, morphism_equivalence, seed))
 
     quad = VectorField.from_expr("x1^2", 1)
     try:
@@ -648,7 +645,7 @@ def half_plane_connection() -> Connection:
 # -- rig and action ------------------------------------------------------------------
 
 
-def suite_rig(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG):
+def suite_rig(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
     checks = list(rig_suite(cfg=cfg, seed=seed))
     e = e_map(cfg)
     r = abs(primal_value(e([1.0])[0]) - math.e)
@@ -733,12 +730,12 @@ def suite_action(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fal
 
 
 SUITES = {
-    "kernel": lambda seed, cfg, quick: suite_kernel(seed),
-    "vf": lambda seed, cfg, quick: suite_vf(seed),
-    "curve": lambda seed, cfg, quick: suite_curve(seed, cfg=cfg),
-    "flows": lambda seed, cfg, quick: suite_flows(seed, cfg=cfg, quick=quick),
-    "rig": lambda seed, cfg, quick: suite_rig(seed, cfg=cfg),
-    "action": lambda seed, cfg, quick: suite_action(seed, cfg=cfg, quick=quick),
+    "kernel": suite_kernel,
+    "vf": suite_vf,
+    "curve": suite_curve,
+    "flows": suite_flows,
+    "rig": suite_rig,
+    "action": suite_action,
 }
 
 
@@ -749,10 +746,7 @@ def run_suite(
     quick: bool = False,
 ) -> list[LawCheck]:
     if name == "all":
-        out = []
-        for key in ("kernel", "vf", "curve", "flows", "rig", "action"):
-            out.extend(SUITES[key](seed, cfg, quick))
-        return out
+        return [c for suite in SUITES.values() for c in suite(seed, cfg, quick)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](seed, cfg, quick)

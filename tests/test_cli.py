@@ -128,6 +128,31 @@ def test_exp_subcommand():
     assert abs(state[1] - 2.0 * math.e) <= 1e-8
 
 
+def test_grid_below_one_is_a_usage_error():
+    flow = ["flow", "--dim", "2", "--vf", "x2; -x1", "--t", "1", "--x0", "1,0"]
+    geodesic = ["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2",
+                "--t", "1", "--x0", "0,1", "--format", "csv"]
+    for argv in (flow, geodesic):
+        for grid in ("0", "-3"):
+            assert run(argv + ["--grid", grid]) == (EXIT_USAGE, "")
+    commute = ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"]
+    for grid in ("0", "1"):
+        assert run(commute + ["--grid", grid]) == (EXIT_USAGE, "")
+
+
+def test_geodesic_csv_rows_follow_the_grid():
+    geodesic = ["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2",
+                "--t", "1", "--x0", "0,1", "--format", "csv"]
+    code, out = run(geodesic + ["--grid", "1"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "t,x1,x2"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "1.0"]
+    assert lines[1] == "0.0,0.0,1.0"
+    code, out = run(geodesic)
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + 101
+
+
 def test_geodesic_subcommand():
     code, out = run(
         ["geodesic", "--dim", "2",

@@ -116,6 +116,18 @@ def test_max_steps_exceeded():
         integrate(DynamicalSystem(Space(2), rotation_field()), 10.0, [1.0, 0.0], cfg)
 
 
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_non_finite_state_raises_step_size_collapse(method):
+    # the second component turns NaN once x1 passes 1.5: neither the error
+    # norm nor the state-norm guard may drop it
+    vhat = SmoothMap(
+        Space(2), Space(2), lambda xs: [1.0, math.nan if xs[0] > 1.5 else 0.0]
+    )
+    system = DynamicalSystem(Space(2), VectorField(Space(2), vhat))
+    with pytest.raises(StepSizeCollapse):
+        integrate(system, 2.0, [0.0, 0.0], IntegratorConfig(method=method))
+
+
 def test_eta_is_jet_polymorphic():
     out = eta()([Jet(1.5, 1.0)])[0]
     assert abs(out.primal + 1.5) <= 1e-9
@@ -237,6 +249,23 @@ def test_linear_flow_agrees_with_integrator():
                 a = exact.evaluate(t, x)
                 b = numeric.evaluate(t, x)
                 assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-6
+
+
+def test_linear_flow_memoizes_expm_per_float_time(monkeypatch):
+    from tangentkit import dynamics
+
+    calls = []
+    real = dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda M: calls.append(M) or real(M))
+    flow = linear_flow([[0.0, 1.0], [-1.0, 0.0]])
+    first = flow.evaluate(0.7, [1.0, 0.0])
+    assert flow.evaluate(0.7, [1.0, 0.0]) == first
+    assert len(calls) == 1
+    # the memo is bounded: 1024 further times evict 0.7
+    for k in range(1024):
+        flow.evaluate(1.0 + k / 1000.0, [1.0, 0.0])
+    flow.evaluate(0.7, [1.0, 0.0])
+    assert len(calls) == 1 + 1024 + 1
 
 
 def test_linear_flow_jet_time_gives_matrix_derivative():

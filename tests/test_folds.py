@@ -1,11 +1,12 @@
 """The shared fold behind every sampled law: ``gap``, ``worst_case`` and
-``law_check``, and the time-derivative probe."""
+``law_check``, the detector-row fold, and the time-derivative probe."""
 
 import math
 
 from tangentkit.dynamics import time_derivative
 from tangentkit.fields import gap, law_check, worst_case
 from tangentkit.jets import Jet
+from tangentkit.verify import _detector
 
 
 def test_gap_is_the_largest_primal_difference():
@@ -74,3 +75,19 @@ def test_time_derivative_keeps_nested_jets_below_the_time_level():
     assert isinstance(rates[0], Jet)
     assert (rates[0].primal, rates[0].tangent) == (2.0, 1.0)
     assert (vals[0].primal, vals[0].tangent) == (6.0, 3.0)
+
+
+def test_detector_row_needs_every_verdict_and_keeps_a_nan_residual():
+    judged = []
+
+    def judge(right, residual):
+        judged.append(residual)
+        return right, residual
+
+    row = _detector("d", [(True, 0.5), (True, 2.0), (True, 1.0)], judge, 3)
+    assert (row.passed, row.max_residual, row.witness, row.seed) == (True, 2.0, None, 3)
+    assert not _detector("d", [(True, 0.0), (False, 0.0)], judge, 3).passed
+    judged.clear()
+    row = _detector("d", [(True, 1.0), (True, math.nan), (True, 5.0)], judge, 3)
+    assert row.passed and math.isnan(row.max_residual) and row.witness is None
+    assert len(judged) == 3  # every case is judged

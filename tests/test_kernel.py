@@ -15,7 +15,6 @@ from tangentkit.kernel import (
     Space,
     TrivialBundle,
     VerticalityViolation,
-    combine,
     compose,
     identity_map,
     pair,
@@ -170,13 +169,13 @@ def test_tangent_matches_central_differences():
 def test_combine_modes():
     f = _expr("2*x1", 1)
     g = _expr("x1^2", 1)
-    assert combine("product", f, g)([3.0, 4.0]) == [6.0, 16.0]
-    assert combine("compose", f, g)([3.0]) == [36.0]
-    assert combine("pair", f, g)([3.0]) == [6.0, 9.0]
+    assert product(f, g)([3.0, 4.0]) == [6.0, 16.0]
+    assert compose(f, g)([3.0]) == [36.0]
+    assert pair(f, g)([3.0]) == [6.0, 9.0]
     with pytest.raises(ShapeError):
-        combine("pair", f, _expr("x1+x2", 2))
+        pair(f, _expr("x1+x2", 2))
     with pytest.raises(ShapeError):
-        combine("braid", f, g)
+        compose(f, _expr("x1+x2", 2))
 
 
 def test_pair_of_projections_is_identity():
@@ -221,6 +220,16 @@ def test_vertical_bracket_rejects_nonvertical_values():
     with pytest.raises(VerticalityViolation) as info:
         br([1.0, 1.0])
     assert info.value.residual == pytest.approx(0.5)
+
+
+def test_vertical_bracket_rejects_nan_base_direction():
+    # max() drops a NaN unless it comes first, and nan > tol is False: the
+    # NaN must stick so that the value counts as non-vertical
+    m = SmoothMap(Space(2), Space(4), lambda xs: [xs[0], xs[1], float("nan"), 2.0])
+    br = vertical_bracket(m, TrivialBundle(1, 1))
+    with pytest.raises(VerticalityViolation) as info:
+        br([1.0, 3.0])
+    assert math.isnan(info.value.residual)
 
 
 def test_vertical_bracket_of_zero_section_is_projection_zero():
