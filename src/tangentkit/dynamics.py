@@ -241,6 +241,8 @@ def curve() -> CurveObject:
 # -- integration ---------------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau; no nodes c_i, as the rescaled system is autonomous.
+# The last row doubles as the 5th-order weights b5 (b5_7 = 0), so the 7th
+# stage state is the new state itself (FSAL).
 _DP_A = (
     (),
     (1 / 5,),
@@ -250,7 +252,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the embedded error estimate.
 _DP_E = (
     71 / 57600,
@@ -270,14 +271,6 @@ def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
 
 
-def _rk_stage_state(y, h, coeffs, ks):
-    out = list(y)
-    for a, k in zip(coeffs, ks):
-        if a != 0.0:
-            out = _axpy(out, h * a, k)
-    return out
-
-
 def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
     """Integrate dy/ds = rhs(y) over s in [0, 1].
 
@@ -291,7 +284,19 @@ def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
     if cfg.method != "rk45":
         raise ValueError(f"unknown integrator method {cfg.method!r}")
 
+    (
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (b1, _, b3, b4, b5, b6),  # b2 = 0
+    ) = _DP_A[1:]
+    e1, _, e3, e4, e5, e6, e7 = _DP_E  # e2 = 0
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+
     y = list(y0)
+    y_abs = [abs(primal_value(v)) for v in y]  # carried with y across steps
     s = 0.0
     h = 0.01
     k1 = rhs(y)
@@ -305,37 +310,62 @@ def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
         last = h >= 1.0 - s
         h_step = (1.0 - s) if last else h
 
-        ks = [k1]
-        for i in range(1, 7):
-            stage_y = _rk_stage_state(y, h_step, _DP_A[i], ks)
-            ks.append(rhs(stage_y))
+        # One pass per stage state, summed left to right with zero
+        # coefficients left out; the 7th stage state is y_new (FSAL).
+        c1 = h_step * a21
+        k2 = rhs([yi + c1 * p1 for yi, p1 in zip(y, k1)])
+        c1, c2 = h_step * a31, h_step * a32
+        k3 = rhs([yi + c1 * p1 + c2 * p2 for yi, p1, p2 in zip(y, k1, k2)])
+        c1, c2, c3 = h_step * a41, h_step * a42, h_step * a43
+        k4 = rhs([
+            yi + c1 * p1 + c2 * p2 + c3 * p3
+            for yi, p1, p2, p3 in zip(y, k1, k2, k3)
+        ])
+        c1, c2, c3, c4 = h_step * a51, h_step * a52, h_step * a53, h_step * a54
+        k5 = rhs([
+            yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
+            for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+        ])
+        c1, c2, c3 = h_step * a61, h_step * a62, h_step * a63
+        c4, c5 = h_step * a64, h_step * a65
+        k6 = rhs([
+            yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
+            for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+        ])
+        c1, c3, c4 = h_step * b1, h_step * b3, h_step * b4
+        c5, c6 = h_step * b5, h_step * b6
+        y_new = [
+            yi + c1 * p1 + c3 * p3 + c4 * p4 + c5 * p5 + c6 * p6
+            for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)
+        ]
+        k7 = rhs(y_new)
 
-        y_new = list(y)
-        for b, k in zip(_DP_B5, ks):
-            if b != 0.0:
-                y_new = _axpy(y_new, h_step * b, k)
-
-        # Error estimate and norm from primal parts only: jets never steer.
+        # Error norm and state norm in one pass over primal parts only (jets
+        # never steer); NaN sticks in both, so h shrinks until it collapses.
         err = 0.0
-        for i in range(len(y)):
-            e = 0.0
-            for c, k in zip(_DP_E, ks):
-                if c != 0.0:
-                    e += c * primal_value(k[i])
-            e *= h_step
-            scale = cfg.abs_tol + cfg.rel_tol * max(
-                abs(primal_value(y[i])), abs(primal_value(y_new[i]))
+        norm = 0.0
+        new_abs = []
+        for ay, yn, p1, p3, p4, p5, p6, p7 in zip(y_abs, y_new, k1, k3, k4, k5, k6, k7):
+            an = abs(primal_value(yn))
+            new_abs.append(an)
+            e = (
+                e1 * primal_value(p1)
+                + e3 * primal_value(p3)
+                + e4 * primal_value(p4)
+                + e5 * primal_value(p5)
+                + e6 * primal_value(p6)
+                + e7 * primal_value(p7)
             )
-            r = abs(e) / scale
-            if r > err or r != r:  # NaN sticks, so h shrinks until it collapses
-                err = r
+            ratio = abs(e * h_step) / (abs_tol + rel_tol * max(ay, an))
+            if ratio > err or ratio != ratio:
+                err = ratio
+            if an > norm or an != an:
+                norm = an
 
         if err <= 1.0:
             s = 1.0 if last else s + h_step
-            y = y_new
-            k1 = ks[6]  # FSAL
-            # largest |primal| of the state, NaN if any component is NaN
-            if not gap(y, repeat(0.0)) <= _STATE_NORM_LIMIT:
+            y, y_abs, k1 = y_new, new_abs, k7
+            if not norm <= _STATE_NORM_LIMIT:
                 raise StepSizeCollapse(s * primal_value(t_scale))
             h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
         else:
@@ -348,7 +378,7 @@ def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
     steps = max(1, math.ceil(span / cfg.h)) if span > 0.0 else 1
     h = 1.0 / steps
     y = list(y0)
-    for _ in range(steps):
+    for i in range(steps):
         k1 = rhs(y)
         k2 = rhs(_axpy(y, h / 2, k1))
         k3 = rhs(_axpy(y, h / 2, k2))
@@ -358,7 +388,7 @@ def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         ]
         if not gap(y, repeat(0.0)) <= _STATE_NORM_LIMIT:
-            raise StepSizeCollapse(primal_value(t_scale))
+            raise StepSizeCollapse((i + 1) / steps * primal_value(t_scale))
     return y
 
 

@@ -87,6 +87,19 @@ def _law(law, worst, tol, witness=None, seed=None):
     return LawCheck(law, worst <= tol, worst, witness, seed)
 
 
+# Rows that judge classifier verdicts; their residual is not a tolerance
+# residual, so ``verify --tol`` leaves their verdicts as they are.
+_DETECTOR_ROWS = frozenset({
+    "linear-commutation",
+    "self-commutation",
+    "f-relatedness-bracket",
+    "pair-commuting-predicate",
+    "flow-interchange",
+    "flow-morphism-equivalence",
+    "linearity-equivalence",
+})
+
+
 def _detector(law, cases, judge, seed):
     """A row over classifier cases: ``judge(*case)`` returns
     ``(verdict_right, residual)``.  The row passes only if every verdict is

@@ -196,6 +196,33 @@ def test_verify_out_file(tmp_path):
     assert all(law["passed"] for law in payload["laws"])
 
 
+def test_verify_tol_leaves_detector_verdicts_as_they_are():
+    # detector rows judge classifications, so --tol cannot re-judge them;
+    # every other row becomes max_residual <= tol
+    detectors = {
+        "linear-commutation",
+        "self-commutation",
+        "f-relatedness-bracket",
+        "pair-commuting-predicate",
+        "flow-interchange",
+        "flow-morphism-equivalence",
+        "linearity-equivalence",
+    }
+    argv = ["verify", "--suite", "all", "--quick"]
+    _, plain = run(argv)
+    code, judged = run(argv + ["--tol", "1e-300"])
+    before = json.loads(plain)["laws"]
+    after = json.loads(judged)["laws"]
+    assert [law["law_id"] for law in after] == [law["law_id"] for law in before]
+    assert detectors <= {law["law_id"] for law in after}
+    for was, now in zip(before, after):
+        if now["law_id"] in detectors:
+            assert now["passed"] == was["passed"], now["law_id"]
+        else:
+            assert now["passed"] == (now["max_residual"] <= 1e-300), now["law_id"]
+    assert code == EXIT_LAW_FAILURE
+
+
 def test_config_file_supplies_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim=1\nvf=x1\nt=1\nx0=1\n# comment\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from tangentkit.dynamics import (
     expm,
     flow_laws,
     flow_of,
+    flow_smooth_map,
     generator,
     geodesic_flow,
     integrate,
@@ -37,8 +39,8 @@ from tangentkit.fields import (
     rotation_field,
     zero_field,
 )
-from tangentkit.jets import Jet, primal_value
-from tangentkit.kernel import ShapeError, SmoothMap, Space
+from tangentkit.jets import Jet, coefficients, primal_value
+from tangentkit.kernel import ShapeError, SmoothMap, Space, tangent
 from tangentkit.sampling import sample_points
 from tangentkit.verify import (
     euler_closed_flow,
@@ -116,16 +118,85 @@ def test_max_steps_exceeded():
         integrate(DynamicalSystem(Space(2), rotation_field()), 10.0, [1.0, 0.0], cfg)
 
 
+def _nan_past_one_and_a_half() -> VectorField:
+    """(1, 0) until x1 passes 1.5, then (1, NaN): from the origin the state
+    turns NaN near t = 1.5."""
+    vhat = SmoothMap(
+        Space(2),
+        Space(2),
+        lambda xs: [1.0, math.nan if primal_value(xs[0]) > 1.5 else 0.0],
+    )
+    return VectorField(Space(2), vhat)
+
+
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_non_finite_state_raises_step_size_collapse(method):
-    # the second component turns NaN once x1 passes 1.5: neither the error
-    # norm nor the state-norm guard may drop it
-    vhat = SmoothMap(
-        Space(2), Space(2), lambda xs: [1.0, math.nan if xs[0] > 1.5 else 0.0]
-    )
-    system = DynamicalSystem(Space(2), VectorField(Space(2), vhat))
-    with pytest.raises(StepSizeCollapse):
+    # neither the error norm nor the state-norm guard may drop the NaN, and
+    # the error reports the time reached, not the target time
+    system = DynamicalSystem(Space(2), _nan_past_one_and_a_half())
+    with pytest.raises(StepSizeCollapse) as info:
         integrate(system, 2.0, [0.0, 0.0], IntegratorConfig(method=method))
+    assert 1.49 <= info.value.t_reached <= 1.51
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_non_finite_jet_state_raises_step_size_collapse(depth):
+    # the state norm is read from the primal parts of jets: a NaN primal
+    # under a jet must still stop the solve
+    fmap = flow_smooth_map(flow_of(_nan_past_one_and_a_half()))
+    for _ in range(depth):
+        fmap = tangent(fmap)
+    point = [2.0, 0.0, 0.0] + [1.0, 0.0, 0.0] * (2**depth - 1)
+    with pytest.raises(StepSizeCollapse) as info:
+        fmap(point)
+    assert 1.49 <= info.value.t_reached <= 1.51
+
+
+def _flat(values):
+    return [c for v in values for c in coefficients(v)]
+
+
+def test_rk45_bits_are_pinned():
+    # exact outputs of the adaptive solver at float and jet depths 1 and 2;
+    # any change to the step's arithmetic or its order shows here
+    lorenz = VectorField.from_expr("10*(x2-x1); x1*(28-x3)-x2; x1*x2-8/3*x3", 3)
+    evals = []
+
+    def counted(xs):
+        evals.append(1)
+        return lorenz.vhat.evaluator(xs)
+
+    vhat = dataclasses.replace(lorenz.vhat, evaluator=counted)
+    system = DynamicalSystem(Space(3), dataclasses.replace(lorenz, vhat=vhat))
+    assert integrate(system, 1.0, [1.0, 1.0, 20.0]) == [
+        -4.409120385995094,
+        -7.500598779760094,
+        13.839064970006126,
+    ]
+    assert len(evals) == 1693
+
+    d1 = tangent(flow_smooth_map(flow_of(lorenz)))
+    assert _flat(d1([1.0, 1.0, 1.0, 20.0, 1.0, 0.0, 0.0, 0.0])) == [
+        -4.409120385995094,
+        -7.500598779760094,
+        13.839064970006126,
+        -30.91478392045006,
+        -54.93666852467021,
+        -3.8331302828904072,
+    ]
+
+    d2 = tangent(tangent(flow_smooth_map(flow_of(rotation_field()))))
+    point = [3.0, 1.0, 0.5, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert _flat(d2(point)) == [
+        -0.9194324924946375,
+        -0.6361162562993878,
+        -0.6361162561490159,
+        0.919432492617822,
+        -0.6361162561490159,
+        0.919432492617822,
+        0.2833162368393652,
+        1.5555487488259048,
+    ]
 
 
 def test_eta_is_jet_polymorphic():
