@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -27,6 +28,8 @@ from .dynamics import (
     IntegratorConfig,
     MaxStepsExceeded,
     StepSizeCollapse,
+    _geodesic_field,
+    _trajectory,
     augment_time,
     commuting_flows_check,
     expm,
@@ -135,14 +138,17 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         if key in explicit:
             continue
         current = getattr(args, key)
-        if isinstance(current, bool) or value in ("true", "false"):
-            setattr(args, key, value == "true")
-        elif key in ("dim", "seed", "grid"):
-            setattr(args, key, int(value))
-        elif key in ("t", "tol", "rk4_h"):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+        try:
+            if isinstance(current, bool) or value in ("true", "false"):
+                setattr(args, key, value == "true")
+            elif key in ("dim", "seed", "grid"):
+                setattr(args, key, int(value))
+            elif key in ("t", "tol", "rk4_h"):
+                setattr(args, key, float(value))
+            else:
+                setattr(args, key, value)
+        except ValueError as e:
+            raise UsageError(f"--config: line {lineno}: {e}") from e
 
 
 def _require(args, *names):
@@ -156,6 +162,8 @@ def _parse_x0(text: str, expected: int | None = None) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise UsageError(f"--x0: {e}") from e
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError("--x0 entries must be finite")
     if expected is not None and len(values) != expected:
         raise UsageError(f"--x0 expected {expected} values, got {len(values)}")
     return values
@@ -172,6 +180,8 @@ def _parse_matrix(text: str) -> np.ndarray:
         raise UsageError(f"--matrix: {e}") from e
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError("--matrix must be square")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise UsageError("--matrix entries must be finite")
     return np.array(rows)
 
 
@@ -181,9 +191,11 @@ def _field(args) -> VectorField:
 
 
 def _integrator(args) -> IntegratorConfig:
-    if getattr(args, "rk4_h", None):
-        return IntegratorConfig(method="rk4", h=args.rk4_h)
-    return DEFAULT_CONFIG
+    if args.rk4_h is None:
+        return DEFAULT_CONFIG
+    if not (args.rk4_h > 0.0 and math.isfinite(args.rk4_h)):
+        raise UsageError("--rk4-h must be finite and positive")
+    return IntegratorConfig(method="rk4", h=args.rk4_h)
 
 
 def _system(args) -> DynamicalSystem:
@@ -217,12 +229,13 @@ def _grid(args, least: int, default=None):
     return args.grid
 
 
-def _trajectory_csv(state_at, t, n, steps) -> bytes:
-    """``steps + 1`` rows ``t_k, state_at(t_k)`` at the times ``t * k / steps``."""
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-    for k in range(steps + 1):
-        tk = t * k / steps
-        lines.append(repr(tk) + "," + ",".join(repr(v) for v in state_at(tk)))
+def _trajectory_csv(t, states) -> bytes:
+    """Rows ``t_k, states[k]`` at the times ``t_k = t * k / steps``, where
+    ``steps + 1`` states are given."""
+    steps = len(states) - 1
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(len(states[0])))]
+    for k, state in enumerate(states):
+        lines.append(repr(t * k / steps) + "," + ",".join(repr(v) for v in state))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -232,11 +245,11 @@ def _cmd_solve(args, stdout) -> int:
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, args.dim)
     if args.format == "csv":
-        payload = _trajectory_csv(
-            lambda tk: integrate(system, tk, x0, cfg)[: args.dim],
-            args.t, args.dim, _grid(args, 1, default=100),
+        y0 = x0 if system.initial_map is None else system.initial_map(x0)
+        states = _trajectory(
+            system.vector_field.vhat, args.t, y0, _grid(args, 1, default=100), cfg
         )
-        _emit(args, payload, stdout)
+        _emit(args, _trajectory_csv(args.t, [y[: args.dim] for y in states]), stdout)
         return EXIT_OK
     state = integrate(system, args.t, x0, cfg)[: args.dim]
     payload = _json_bytes({"t": args.t, "state": state})
@@ -303,15 +316,14 @@ def _cmd_geodesic(args, stdout) -> int:
         raise UsageError(f"--christoffel needs {n} components")
     conn = Connection(n, dsl.compile_spec(spec))
     cfg = _integrator(args)
-    flow = geodesic_flow(conn, cfg)
     x0 = _parse_x0(args.x0, 2 * n)
     if args.format == "csv":
-        payload = _trajectory_csv(
-            lambda tk: [primal_value(v) for v in flow.evaluate(tk, x0)],
-            args.t, 2 * n, _grid(args, 1, default=100),
+        states = _trajectory(
+            _geodesic_field(conn).vhat, args.t, x0, _grid(args, 1, default=100), cfg
         )
-        _emit(args, payload, stdout)
+        _emit(args, _trajectory_csv(args.t, states), stdout)
         return EXIT_OK
+    flow = geodesic_flow(conn, cfg)
     state = [primal_value(v) for v in flow.evaluate(args.t, x0)]
     from .dynamics import acceleration_residual
 
@@ -376,6 +388,8 @@ def dispatch(argv: list[str], stdout=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         _apply_config_file(args, argv)
+        if args.t is not None and not math.isfinite(args.t):
+            raise UsageError("--t must be finite")
         return _COMMANDS[args.command](args, stdout)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

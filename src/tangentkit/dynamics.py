@@ -271,8 +271,19 @@ def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
 
 
-def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
-    """Integrate dy/ds = rhs(y) over s in [0, 1].
+def _integrate_scaled(
+    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs=(1.0,)
+) -> list:
+    """Integrate dy/ds = rhs(y) over s in [0, 1]; the states at ``outputs``.
+
+    ``outputs`` is a sorted tuple of fractions in [0, 1].  A step that would
+    pass the next output fraction is clipped to land on it exactly (as the
+    last step lands on 1), so each state is a step's end point: there is no
+    interpolation.  The FSAL stage, the carried |y| and the step size carry
+    across output points; after a clipped step the controller resumes from
+    the step it proposed before the clip, so landing on a close output point
+    does not shrink the steps after it.  With the default ``(1.0,)`` this is
+    the plain solve to s = 1.
 
     ``t_scale`` is the original time value (used only to convert the reached
     fraction back to time units in errors); the controller reads primal
@@ -280,7 +291,7 @@ def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
     """
 
     if cfg.method == "rk4":
-        return _rk4_fixed(rhs, y0, cfg, t_scale)
+        return _rk4_fixed(rhs, y0, cfg, t_scale, outputs)
     if cfg.method != "rk45":
         raise ValueError(f"unknown integrator method {cfg.method!r}")
 
@@ -301,112 +312,142 @@ def _integrate_scaled(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
     h = 0.01
     k1 = rhs(y)
     steps = 0
-    while s < 1.0:
-        if steps >= cfg.max_steps:
-            raise MaxStepsExceeded(s * primal_value(t_scale), cfg.max_steps)
-        steps += 1
-        if h < _MIN_STEP or not math.isfinite(h):
-            raise StepSizeCollapse(s * primal_value(t_scale))
-        last = h >= 1.0 - s
-        h_step = (1.0 - s) if last else h
-
-        # One pass per stage state, summed left to right with zero
-        # coefficients left out; the 7th stage state is y_new (FSAL).
-        c1 = h_step * a21
-        k2 = rhs([yi + c1 * p1 for yi, p1 in zip(y, k1)])
-        c1, c2 = h_step * a31, h_step * a32
-        k3 = rhs([yi + c1 * p1 + c2 * p2 for yi, p1, p2 in zip(y, k1, k2)])
-        c1, c2, c3 = h_step * a41, h_step * a42, h_step * a43
-        k4 = rhs([
-            yi + c1 * p1 + c2 * p2 + c3 * p3
-            for yi, p1, p2, p3 in zip(y, k1, k2, k3)
-        ])
-        c1, c2, c3, c4 = h_step * a51, h_step * a52, h_step * a53, h_step * a54
-        k5 = rhs([
-            yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
-            for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
-        ])
-        c1, c2, c3 = h_step * a61, h_step * a62, h_step * a63
-        c4, c5 = h_step * a64, h_step * a65
-        k6 = rhs([
-            yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
-            for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
-        ])
-        c1, c3, c4 = h_step * b1, h_step * b3, h_step * b4
-        c5, c6 = h_step * b5, h_step * b6
-        y_new = [
-            yi + c1 * p1 + c3 * p3 + c4 * p4 + c5 * p5 + c6 * p6
-            for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)
-        ]
-        k7 = rhs(y_new)
-
-        # Error norm and state norm in one pass over primal parts only (jets
-        # never steer); NaN sticks in both, so h shrinks until it collapses.
-        err = 0.0
-        norm = 0.0
-        new_abs = []
-        for ay, yn, p1, p3, p4, p5, p6, p7 in zip(y_abs, y_new, k1, k3, k4, k5, k6, k7):
-            an = abs(primal_value(yn))
-            new_abs.append(an)
-            e = (
-                e1 * primal_value(p1)
-                + e3 * primal_value(p3)
-                + e4 * primal_value(p4)
-                + e5 * primal_value(p5)
-                + e6 * primal_value(p6)
-                + e7 * primal_value(p7)
-            )
-            ratio = abs(e * h_step) / (abs_tol + rel_tol * max(ay, an))
-            if ratio > err or ratio != ratio:
-                err = ratio
-            if an > norm or an != an:
-                norm = an
-
-        if err <= 1.0:
-            s = 1.0 if last else s + h_step
-            y, y_abs, k1 = y_new, new_abs, k7
-            if not norm <= _STATE_NORM_LIMIT:
+    states = []
+    for target in outputs:
+        while s < target:
+            if steps >= cfg.max_steps:
+                raise MaxStepsExceeded(s * primal_value(t_scale), cfg.max_steps)
+            steps += 1
+            if h < _MIN_STEP or not math.isfinite(h):
                 raise StepSizeCollapse(s * primal_value(t_scale))
-            h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
-        else:
-            h = h_step * max(0.2, 0.9 * err**-0.2)
-    return y
+            clipped = h >= target - s
+            h_step = (target - s) if clipped else h
+
+            # One pass per stage state, summed left to right with zero
+            # coefficients left out; the 7th stage state is y_new (FSAL).
+            c1 = h_step * a21
+            k2 = rhs([yi + c1 * p1 for yi, p1 in zip(y, k1)])
+            c1, c2 = h_step * a31, h_step * a32
+            k3 = rhs([yi + c1 * p1 + c2 * p2 for yi, p1, p2 in zip(y, k1, k2)])
+            c1, c2, c3 = h_step * a41, h_step * a42, h_step * a43
+            k4 = rhs([
+                yi + c1 * p1 + c2 * p2 + c3 * p3
+                for yi, p1, p2, p3 in zip(y, k1, k2, k3)
+            ])
+            c1, c2, c3, c4 = h_step * a51, h_step * a52, h_step * a53, h_step * a54
+            k5 = rhs([
+                yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
+                for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+            ])
+            c1, c2, c3 = h_step * a61, h_step * a62, h_step * a63
+            c4, c5 = h_step * a64, h_step * a65
+            k6 = rhs([
+                yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
+                for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+            ])
+            c1, c3, c4 = h_step * b1, h_step * b3, h_step * b4
+            c5, c6 = h_step * b5, h_step * b6
+            y_new = [
+                yi + c1 * p1 + c3 * p3 + c4 * p4 + c5 * p5 + c6 * p6
+                for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = rhs(y_new)
+
+            # Error norm and state norm in one pass over primal parts only
+            # (jets never steer); NaN sticks in both, so h shrinks until it
+            # collapses.
+            err = 0.0
+            norm = 0.0
+            new_abs = []
+            for ay, yn, p1, p3, p4, p5, p6, p7 in zip(
+                y_abs, y_new, k1, k3, k4, k5, k6, k7
+            ):
+                an = abs(primal_value(yn))
+                new_abs.append(an)
+                e = (
+                    e1 * primal_value(p1)
+                    + e3 * primal_value(p3)
+                    + e4 * primal_value(p4)
+                    + e5 * primal_value(p5)
+                    + e6 * primal_value(p6)
+                    + e7 * primal_value(p7)
+                )
+                ratio = abs(e * h_step) / (abs_tol + rel_tol * max(ay, an))
+                if ratio > err or ratio != ratio:
+                    err = ratio
+                if an > norm or an != an:
+                    norm = an
+
+            if err <= 1.0:
+                s = target if clipped else s + h_step
+                y, y_abs, k1 = y_new, new_abs, k7
+                if not norm <= _STATE_NORM_LIMIT:
+                    raise StepSizeCollapse(s * primal_value(t_scale))
+                if not clipped:
+                    h = h_step * (
+                        5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+                    )
+            else:
+                h = h_step * max(0.2, 0.9 * err**-0.2)
+        states.append(y)
+    return states
 
 
-def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale) -> list:
+def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs) -> list:
+    """Classical RK4; each interval between output fractions takes
+    ceil(interval length in time units / cfg.h) equal steps."""
+    if not (cfg.h > 0.0 and math.isfinite(cfg.h)):
+        raise ValueError(f"rk4 step must be finite and positive, got {cfg.h!r}")
     span = abs(primal_value(t_scale))
-    steps = max(1, math.ceil(span / cfg.h)) if span > 0.0 else 1
-    h = 1.0 / steps
     y = list(y0)
-    for i in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(_axpy(y, h / 2, k1))
-        k3 = rhs(_axpy(y, h / 2, k2))
-        k4 = rhs(_axpy(y, h, k3))
-        y = [
-            yi + (h / 6) * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        if not gap(y, repeat(0.0)) <= _STATE_NORM_LIMIT:
-            raise StepSizeCollapse((i + 1) / steps * primal_value(t_scale))
-    return y
+    s = 0.0
+    states = []
+    for target in outputs:
+        width = target - s
+        steps = max(1, math.ceil(span * width / cfg.h))
+        h = width / steps
+        for i in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(_axpy(y, h / 2, k1))
+            k3 = rhs(_axpy(y, h / 2, k2))
+            k4 = rhs(_axpy(y, h, k3))
+            y = [
+                yi + (h / 6) * (a + 2 * b + 2 * c + d)
+                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ]
+            if not gap(y, repeat(0.0)) <= _STATE_NORM_LIMIT:
+                raise StepSizeCollapse(
+                    (s + (i + 1) / steps * width) * primal_value(t_scale)
+                )
+        s = target
+        states.append(y)
+    return states
 
 
-def _integrate_field(vhat: SmoothMap, t, xs: Sequence, cfg: IntegratorConfig) -> list:
-    """Solve y' = vhat(y), y(0) = xs, up to time t (t and xs may be jets)."""
+def _trajectory(
+    vhat: SmoothMap, t, xs: Sequence, steps: int, cfg: IntegratorConfig
+) -> list:
+    """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
+    k = 0..steps, from one integration pass (t and xs may be jets)."""
     xs = list(xs)
     if not math.isfinite(primal_value(t)):
         raise ValueError("integration time must be finite")
     if isinstance(t, (int, float)) and t == 0.0 and not any(
         isinstance(v, Jet) for v in xs
     ):
-        return xs
+        return [xs] * (steps + 1)
 
     def rhs(y):
         vals = vhat.evaluator(list(y))
         return [t * v for v in vals]
 
-    return _integrate_scaled(rhs, xs, cfg, t)
+    outputs = tuple(k / steps for k in range(1, steps + 1))
+    return [xs] + _integrate_scaled(rhs, xs, cfg, t, outputs)
+
+
+def _integrate_field(vhat: SmoothMap, t, xs: Sequence, cfg: IntegratorConfig) -> list:
+    """Solve y' = vhat(y), y(0) = xs, up to time t (t and xs may be jets)."""
+    return _trajectory(vhat, t, xs, 1, cfg)[1]
 
 
 def integrate(
@@ -837,8 +878,9 @@ def solve_nth_order(
     return y
 
 
-def geodesic_flow(conn: Connection, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:
-    """The geodesic field (x, u) -> (u, -gamma(x, u)) integrated on TM."""
+def _geodesic_field(conn: Connection) -> VectorField:
+    """The geodesic field (x, u) -> (u, -gamma(x, u)) on TM, once gamma is
+    checked to be quadratic in u."""
     q = conn.quadratic_check()
     if not q.passed:
         raise ShapeError(
@@ -852,9 +894,13 @@ def geodesic_flow(conn: Connection, cfg: IntegratorConfig = DEFAULT_CONFIG) -> F
         g = conn.gamma(list(x) + list(u))
         return list(u) + [-gi for gi in g]
 
-    field_ = VectorField(tm, SmoothMap(tm, tm, ev, name="geodesic"))
-    flow = flow_of(field_, cfg)
-    return Flow(tm, flow.evaluate, {**flow.provenance, "connection": conn})
+    return VectorField(tm, SmoothMap(tm, tm, ev, name="geodesic"))
+
+
+def geodesic_flow(conn: Connection, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:
+    """The geodesic field (x, u) -> (u, -gamma(x, u)) integrated on TM."""
+    flow = flow_of(_geodesic_field(conn), cfg)
+    return Flow(flow.space, flow.evaluate, {**flow.provenance, "connection": conn})
 
 
 def acceleration_residual(

@@ -1,6 +1,9 @@
+import dataclasses
 import io
 import json
 import math
+
+import pytest
 
 from tangentkit.cli import (
     EXIT_LAW_FAILURE,
@@ -10,7 +13,13 @@ from tangentkit.cli import (
     dispatch,
 )
 from tangentkit.dynamics import commuting_flows_check
-from tangentkit.fields import LawCheck, LinearVectorField, is_vf_morphism
+from tangentkit.fields import (
+    FLOW_TOL,
+    LawCheck,
+    LinearVectorField,
+    VectorField,
+    is_vf_morphism,
+)
 from tangentkit.reports import LAW_ANCHORS, emit_report, report_dict
 from tangentkit.verify import run_suite
 
@@ -153,6 +162,107 @@ def test_geodesic_csv_rows_follow_the_grid():
     assert code == EXIT_OK and len(out.splitlines()) == 1 + 101
 
 
+def _rotation_at(t, x0):
+    c, s = math.cos(t), math.sin(t)
+    return [c * x0[0] + s * x0[1], -s * x0[0] + c * x0[1]]
+
+
+def _half_plane_geodesic_at(t, x0):
+    # unit-speed geodesic of the half-plane through (0, 1) heading along x1
+    sech, tanh = 1 / math.cosh(t), math.tanh(t)
+    return [tanh, sech, sech * sech, -sech * tanh]
+
+
+def _forced_growth_at(t, x0):
+    # x' = x + cos(t): x = (x0 + 1/2) e^t + (sin t - cos t) / 2
+    return [(x0[0] + 0.5) * math.exp(t) + (math.sin(t) - math.cos(t)) / 2]
+
+
+ROTATION = ["--dim", "2", "--vf", "x2; -x1", "--t", "2", "--x0", "0.6,0.8"]
+
+
+@pytest.mark.parametrize(
+    "argv, closed_form",
+    [
+        (["flow"] + ROTATION, _rotation_at),
+        (["flow"] + ROTATION + ["--rk4-h", "0.01"], _rotation_at),
+        (["solve", "--dim", "1", "--vf", "x1 + cos(t)", "--time-dependent",
+          "--t", "2", "--x0", "0.25", "--format", "csv"], _forced_growth_at),
+        (["geodesic", "--dim", "2", "--christoffel", "-2*x3*x4/x2; (x3^2 - x4^2)/x2",
+          "--t", "2", "--x0", "0,1,1,0", "--format", "csv"], _half_plane_geodesic_at),
+    ],
+    ids=["rk45", "rk4", "time-dependent", "geodesic"],
+)
+def test_trajectory_rows_follow_the_solution(argv, closed_form):
+    argv = argv + ["--grid", "7"]
+    code, out = run(argv)
+    assert code == EXIT_OK
+    assert run(argv) == (code, out)
+    x0 = [float(v) for v in argv[argv.index("--x0") + 1].split(",")]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [repr(2.0 * k / 7) for k in range(8)]
+    assert [float(v) for v in rows[0][1:]] == x0
+    for row in rows:
+        state, want = [float(v) for v in row[1:]], closed_form(float(row[0]), x0)
+        assert max(abs(a - b) for a, b in zip(state, want)) <= FLOW_TOL, row
+
+
+def test_trajectory_work_is_linear_in_the_grid(monkeypatch):
+    # one integration pass lands on every grid time: rows cost no re-solves
+    evals = []
+    from_expr = VectorField.from_expr
+
+    def counted_field(expr, dim):
+        v = from_expr(expr, dim)
+        evaluator = v.vhat.evaluator
+
+        def counted(xs):
+            evals.append(1)
+            return evaluator(xs)
+
+        return dataclasses.replace(
+            v, vhat=dataclasses.replace(v.vhat, evaluator=counted)
+        )
+
+    monkeypatch.setattr(VectorField, "from_expr", staticmethod(counted_field))
+
+    def cost(argv):
+        evals.clear()
+        assert run(argv)[0] == EXIT_OK
+        return len(evals)
+
+    rotation = ["--dim", "2", "--vf", "x2; -x1", "--t", "20", "--x0", "0.6,0.8"]
+    single = cost(["solve"] + rotation)
+    assert cost(["flow"] + rotation + ["--grid", "100"]) <= 1.25 * single
+    assert cost(["flow"] + rotation + ["--grid", "400"]) <= 2 * single
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dim", "1", "--vf", "x1", "--t", "inf", "--x0", "1"],
+        ["flow", "--dim", "1", "--vf", "x1", "--t", "nan", "--x0", "1"],
+        ["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2", "--t", "inf",
+         "--x0", "0,1"],
+        ["exp", "--t", "nan"],
+        ["expm", "--matrix", "0,1;-1,0", "--t", "inf"],
+        ["expm", "--matrix", "nan,0;0,0"],
+        ["solve", "--dim", "1", "--vf", "x1", "--t", "1", "--x0", "nan"],
+    ],
+    ids=["solve-t", "flow-t", "geodesic-t", "exp-t", "expm-t", "expm-matrix", "x0"],
+)
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    assert run(argv) == (EXIT_USAGE, "")
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["-0.5", "0", "nan", "inf"])
+def test_rk4_h_must_be_finite_and_positive(h, capsys):
+    argv = ["solve", "--dim", "1", "--vf", "x1", "--t", "1", "--x0", "1"]
+    assert run(argv + [f"--rk4-h={h}"]) == (EXIT_USAGE, "")
+    assert "--rk4-h must be finite and positive" in capsys.readouterr().err
+
+
 def test_geodesic_subcommand():
     code, out = run(
         ["geodesic", "--dim", "2",
@@ -237,6 +347,13 @@ def test_config_file_flag_precedence(tmp_path):
     code, out = run(["solve", "--config", str(cfg), "--t", "0"])
     assert code == EXIT_OK
     assert json.loads(out)["state"] == [1.0]
+
+
+@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf"])
+def test_config_file_bad_number_is_a_usage_error(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dim=1\nvf=x1\nt=1\nx0=1\n{line}\n")
+    assert run(["solve", "--config", str(cfg)]) == (EXIT_USAGE, "")
 
 
 def test_config_file_unknown_key(tmp_path):

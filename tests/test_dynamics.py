@@ -12,6 +12,7 @@ from tangentkit.dynamics import (
     IntegratorConfig,
     NonCommutingFields,
     StepSizeCollapse,
+    _trajectory,
     acceleration_residual,
     augment_time,
     commuting_flows_check,
@@ -31,6 +32,7 @@ from tangentkit.dynamics import (
     sum_flow,
 )
 from tangentkit.fields import (
+    FLOW_TOL,
     LinearVectorField,
     VectorField,
     euler_space_field,
@@ -97,6 +99,25 @@ def test_rk4_fixed_step_matches_closed_form():
     assert abs(got[0] - math.e) <= 1e-9
 
 
+@pytest.mark.parametrize("h", [-0.5, 0.0, math.nan, math.inf])
+def test_rk4_step_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="rk4 step"):
+        integrate(euler_system(), 1.0, [1.0], IntegratorConfig(method="rk4", h=h))
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_trajectory_lands_on_every_grid_time(method):
+    # one pass; row k is the state at t * k / steps
+    x0 = [0.6, 0.8]
+    states = _trajectory(
+        rotation_field().vhat, 2.0, x0, 7, IntegratorConfig(method=method, h=0.01)
+    )
+    assert len(states) == 8 and states[0] == x0
+    for k, state in enumerate(states):
+        want = rotation_closed_flow().evaluate(2.0 * k / 7, x0)
+        assert max(abs(a - b) for a, b in zip(state, want)) <= FLOW_TOL
+
+
 def test_integrator_is_deterministic():
     sys_rot = DynamicalSystem(Space(2), rotation_field())
     a = integrate(sys_rot, 1.0, [1.0, 0.5])
@@ -157,8 +178,9 @@ def _flat(values):
 
 
 def test_rk45_bits_are_pinned():
-    # exact outputs of the adaptive solver at float and jet depths 1 and 2;
-    # any change to the step's arithmetic or its order shows here
+    # exact outputs of the adaptive solver at float and jet depths 1 and 2,
+    # all through the single output fraction (1.0,); any change to the
+    # step's arithmetic, its order or its step-size sequence shows here
     lorenz = VectorField.from_expr("10*(x2-x1); x1*(28-x3)-x2; x1*x2-8/3*x3", 3)
     evals = []
 
@@ -175,6 +197,12 @@ def test_rk45_bits_are_pinned():
     ]
     assert len(evals) == 1693
 
+    # RK4 over the single output interval takes ceil(t / h) equal steps
+    evals.clear()
+    got = integrate(system, 1.0, [1.0, 1.0, 20.0], IntegratorConfig(method="rk4"))
+    assert got == [-4.409120387566219, -7.5005987814639, 13.83906497587975]
+    assert len(evals) == 4 * 1000
+
     d1 = tangent(flow_smooth_map(flow_of(lorenz)))
     assert _flat(d1([1.0, 1.0, 1.0, 20.0, 1.0, 0.0, 0.0, 0.0])) == [
         -4.409120385995094,
@@ -183,6 +211,22 @@ def test_rk45_bits_are_pinned():
         -30.91478392045006,
         -54.93666852467021,
         -3.8331302828904072,
+    ]
+
+    d2 = tangent(tangent(flow_smooth_map(flow_of(lorenz))))
+    assert _flat(d2([1.0, 1.0, 1.0, 20.0] + [1.0, 0.0, 0.0, 0.0] * 3)) == [
+        -4.409120385995094,
+        -7.500598779760094,
+        13.839064970006126,
+        -30.91478392045006,
+        -54.93666852467021,
+        -3.8331302828904072,
+        -30.91478392045006,
+        -54.93666852467021,
+        -3.8331302828904072,
+        -271.1336292503419,
+        -454.68297836930554,
+        480.49032537010874,
     ]
 
     d2 = tangent(tangent(flow_smooth_map(flow_of(rotation_field()))))
