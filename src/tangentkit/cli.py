@@ -390,6 +390,8 @@ def dispatch(argv: list[str], stdout=None) -> int:
         _apply_config_file(args, argv)
         if args.t is not None and not math.isfinite(args.t):
             raise UsageError("--t must be finite")
+        if args.tol is not None and not (0.0 <= args.tol < math.inf):
+            raise UsageError("--tol must be finite and non-negative")
         return _COMMANDS[args.command](args, stdout)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -8,6 +8,10 @@ here ever falls back to finite differences.
 
 Plain ``int``/``float`` values mix freely with jets and behave as constants
 (zero derivative in every direction).
+
+Only :func:`open_level` and :func:`close_level` open or close a perturbation
+level: every other module evaluates through them and never builds or takes
+apart a :class:`Jet` itself, so how a level is identified is decided here.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ __all__ = [
     "primal_value",
     "coefficients",
     "jet_depth",
+    "open_level",
+    "close_level",
     "sin",
     "cos",
     "exp",
@@ -123,6 +129,25 @@ def jet_depth(v) -> int:
         depth += 1
         v = v.primal
     return depth
+
+
+def open_level(points, directions) -> list:
+    """A fresh outermost level: ``Jet(x, d)`` for each point and direction."""
+    return [Jet(x, d) for x, d in zip(points, directions)]
+
+
+def close_level(values) -> tuple[list, list]:
+    """Split the outermost level off: ``(primals, tangents)``.  A value that
+    is not a jet is a constant there, so it splits as ``(v, 0.0)``."""
+    primals, tangents = [], []
+    for v in values:
+        if isinstance(v, Jet):
+            primals.append(v.primal)
+            tangents.append(v.tangent)
+        else:
+            primals.append(v)
+            tangents.append(0.0)
+    return primals, tangents
 
 
 def _div(num, den):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .jets import Jet, coefficients, primal_value
+from .jets import close_level, coefficients, open_level, primal_value
 
 __all__ = [
     "Space",
@@ -137,13 +137,6 @@ def identity_map(space: Space) -> SmoothMap:
     return SmoothMap(space, space, lambda xs: list(xs), name=f"id_{space.dim}")
 
 
-def _split_jet(v):
-    if isinstance(v, Jet):
-        return v.primal, v.tangent
-    # Constants are jets with zero tangent.
-    return v, 0.0
-
-
 def pack_jets(flat: Sequence, level: int) -> list:
     """Interpret a flat T^level element as base-space jet scalars (rule 3:
     base half first, recursively)."""
@@ -153,20 +146,15 @@ def pack_jets(flat: Sequence, level: int) -> list:
     half = len(flat) // 2
     base = pack_jets(flat[:half], level - 1)
     tang = pack_jets(flat[half:], level - 1)
-    return [Jet(b, t) for b, t in zip(base, tang)]
+    return open_level(base, tang)
 
 
 def unpack_jets(jets: Sequence, level: int) -> list:
     """Flatten jet scalars back to the T^level layout; inverse of
     :func:`pack_jets`."""
-    jets = list(jets)
     if level == 0:
-        return jets
-    base, tang = [], []
-    for j in jets:
-        p, t = _split_jet(j)
-        base.append(p)
-        tang.append(t)
+        return list(jets)
+    base, tang = close_level(jets)
     return unpack_jets(base, level - 1) + unpack_jets(tang, level - 1)
 
 
@@ -181,13 +169,7 @@ def tangent(f: SmoothMap) -> SmoothMap:
 
     def ev(args):
         base, tang = args[:n], args[n:]
-        jets = [Jet(b, t) for b, t in zip(base, tang)]
-        out = f.evaluator(jets)
-        primals, tangents = [], []
-        for o in out:
-            p, t = _split_jet(o)
-            primals.append(p)
-            tangents.append(t)
+        primals, tangents = close_level(f.evaluator(open_level(base, tang)))
         return primals + tangents
 
     return SmoothMap(

@@ -263,6 +263,27 @@ def test_rk4_h_must_be_finite_and_positive(h, capsys):
     assert "--rk4-h must be finite and positive" in capsys.readouterr().err
 
 
+def test_rk4_step_budget_is_a_numeric_failure(capsys):
+    argv = ["solve", "--dim", "1", "--vf", "x1", "--t", "1e10", "--x0", "1",
+            "--rk4-h", "1e-300"]
+    assert run(argv) == (EXIT_NUMERIC, "")
+    assert "exceeded 1000000 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "kernel"],
+        ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"],
+    ],
+    ids=["verify", "commute"],
+)
+def test_tol_must_be_finite_and_non_negative(argv, tol, capsys):
+    assert run(argv + [f"--tol={tol}"]) == (EXIT_USAGE, "")
+    assert "--tol must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_geodesic_subcommand():
     code, out = run(
         ["geodesic", "--dim", "2",
@@ -349,7 +370,7 @@ def test_config_file_flag_precedence(tmp_path):
     assert json.loads(out)["state"] == [1.0]
 
 
-@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf"])
+@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf", "tol=nan"])
 def test_config_file_bad_number_is_a_usage_error(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dim=1\nvf=x1\nt=1\nx0=1\n{line}\n")

@@ -155,8 +155,12 @@ def _ast(max_depth, arity):
     return st.recursive(leaf, extend, max_leaves=2**max_depth)
 
 
+# Built once: a fresh st.recursive per example is re-validated every time.
+_ASTS = {n: _ast(8, n) for n in range(1, 5)}
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(st.just(n), _ast(8, n))))
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(st.just(n), _ASTS[n])))
 def test_parse_format_round_trip(case):
     arity, node = case
     spec = dsl.FieldSpec(arity, (node,))

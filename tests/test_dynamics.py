@@ -10,6 +10,7 @@ from tangentkit.dynamics import (
     DynamicalSystem,
     Flow,
     IntegratorConfig,
+    MaxStepsExceeded,
     NonCommutingFields,
     StepSizeCollapse,
     _trajectory,
@@ -116,6 +117,23 @@ def test_trajectory_lands_on_every_grid_time(method):
     for k, state in enumerate(states):
         want = rotation_closed_flow().evaluate(2.0 * k / 7, x0)
         assert max(abs(a - b) for a, b in zip(state, want)) <= FLOW_TOL
+
+
+def test_rk4_step_budget_is_checked_before_stepping():
+    cfg = IntegratorConfig(method="rk4", h=1e-3, max_steps=10)
+    with pytest.raises(MaxStepsExceeded):
+        integrate(euler_system(), 1.0, [1.0], cfg)
+
+
+@pytest.mark.parametrize("max_steps,fits", [(11, False), (12, True)])
+def test_rk4_step_budget_sums_every_grid_interval(max_steps, fits):
+    # four intervals of 0.25 at h = 0.1 take ceil(2.5) = 3 steps each
+    cfg = IntegratorConfig(method="rk4", h=0.1, max_steps=max_steps)
+    if fits:
+        assert len(_trajectory(rotation_field().vhat, 1.0, [1.0, 0.0], 4, cfg)) == 5
+    else:
+        with pytest.raises(MaxStepsExceeded):
+            _trajectory(rotation_field().vhat, 1.0, [1.0, 0.0], 4, cfg)
 
 
 def test_integrator_is_deterministic():
@@ -410,6 +428,18 @@ def test_generator_of_constant_flow_is_zero_field():
         assert _vals(gen.vhat(p)) == [0.0, 0.0]
 
 
+@pytest.mark.xfail(strict=True, reason="perturbation confusion, ROADMAP N1 step 2")
+def test_generator_inside_a_tangent_keeps_the_outer_direction():
+    # g(x) = d/dt (y + x t) at t = 0 is x, so T(g)(2, 1) = (2, 1); the jet of
+    # x captured in the flow collides with the generator's time jet
+    g = SmoothMap(
+        Space(1),
+        Space(1),
+        lambda xs: generator(Flow(Space(1), lambda t, ys: [ys[0] + xs[0] * t])).vhat([0.0]),
+    )
+    assert tangent(g)([2.0, 1.0]) == [2.0, 1.0]
+
+
 def test_generator_of_numeric_rotation_flow():
     gen = generator(flow_of(rotation_field()))
     rot = rotation_field()
@@ -492,6 +522,29 @@ def test_flow_laws_catch_corrupted_flow():
     action = checks["flow-action"]
     assert not action.passed
     assert action.max_residual >= 0.1  # (t,s)=(1,1) from x=1: 4 vs e^2-like 3
+
+
+def test_own_invariance_catches_a_flow_that_does_not_carry_its_generator():
+    # gamma(t, x) = x + t x^2 has generator x^2, but D_x gamma(t, x) x^2 =
+    # (1 + 2 t x) x^2 is not (x + t x^2)^2 once t != 0
+    flow = Flow(Space(1), lambda t, xs: [xs[0] + t * xs[0] ** 2], {"kind": "bad"})
+    row = {c.law: c for c in flow_laws(flow)}["flow-own-invariance"]
+    assert not row.passed
+    t, x = row.witness
+    assert t == -2.0 and abs(x - 1.985) <= 1e-3
+    want = abs((1 + 2 * t * x) * x**2 - (x + t * x**2) ** 2)
+    assert math.isclose(row.max_residual, want, rel_tol=1e-12)
+    assert abs(row.max_residual - 62.16) <= 0.01
+
+
+def test_invariance_rows_catch_a_non_commuting_pair():
+    # at any point, the rotation moved by the x1-translation is off by |t|,
+    # and the unit field pushed by the rotation turns to (cos t, -sin t)
+    unit = VectorField.from_expr("1; 0", 2)
+    rep = {c.law: c for c in commuting_flows_check(rotation_field(), unit, samples=[[0.3, -0.4]])}
+    one, two = rep["field1-invariant"], rep["field2-invariant"]
+    assert not one.passed and math.isclose(one.max_residual, 2.0, rel_tol=1e-9)
+    assert not two.passed and math.isclose(two.max_residual, 1 - math.cos(2.0), rel_tol=1e-9)
 
 
 def test_curve_object_self_checks():

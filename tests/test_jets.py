@@ -5,11 +5,13 @@ import pytest
 from tangentkit.jets import (
     EvaluationDomainError,
     Jet,
+    close_level,
     coefficients,
     cos,
     exp,
     jet_depth,
     ln,
+    open_level,
     pow_int,
     primal_value,
     sin,
@@ -108,3 +110,21 @@ def test_cos_second_derivative_is_negated_cos():
     x = Jet(Jet(0.3, 1.0), Jet(1.0, 0.0))
     y = cos(x)
     assert math.isclose(y.tangent.tangent, -math.cos(0.3))
+
+
+def test_close_level_splits_a_constant_as_zero_tangent():
+    assert close_level([2.5, -3]) == ([2.5, -3], [0.0, 0.0])
+
+
+def test_close_level_splits_exactly_one_level():
+    inner, direction = Jet(1.0, 2.0), Jet(3.0, 4.0)
+    ((primal,), (tangent,)) = close_level([Jet(inner, direction)])
+    assert primal is inner and tangent is direction
+
+
+def test_open_level_round_trips_through_close_level():
+    points = [1.5, Jet(2.0, 0.5), -0.0]
+    directions = [0.0, Jet(1.0, 0.0), 3.0]
+    opened = open_level(points, directions)
+    assert [jet_depth(v) for v in opened] == [1, 2, 1]
+    assert close_level(opened) == (points, directions)
