@@ -32,7 +32,14 @@ from .fields import (
     tangent_lift,
     worst_case,
 )
-from .jets import close_level, jet_depth, open_level, primal_value
+from .jets import (
+    close_level,
+    flatten_levels,
+    jet_depth,
+    open_level,
+    primal_value,
+    unflatten_levels,
+)
 from .kernel import (
     ShapeError,
     SmoothMap,
@@ -272,7 +279,7 @@ def _axpy(y, h, k):
 
 
 def _integrate_scaled(
-    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs=(1.0,)
+    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
 ) -> list:
     """Integrate dy/ds = rhs(y) over s in [0, 1]; the states at ``outputs``.
 
@@ -282,16 +289,21 @@ def _integrate_scaled(
     interpolation.  The FSAL stage, the carried |y| and the step size carry
     across output points; after a clipped step the controller resumes from
     the step it proposed before the clip, so landing on a close output point
-    does not shrink the steps after it.  With the default ``(1.0,)`` this is
-    the plain solve to s = 1.
+    does not shrink the steps after it.  With ``(1.0,)`` this is the plain
+    solve to s = 1.
 
-    ``t_scale`` is the original time value (used only to convert the reached
-    fraction back to time units in errors); the controller reads primal
-    values exclusively, so jets in the state ride along untouched.
+    The loop runs on floats: ``y0`` and every ``rhs`` output are flat lists
+    of jet-tower coefficients, level by level (see
+    :func:`jets.flatten_levels`), whose first ``primals`` entries are the
+    primal values.  Stage sums taken coefficient by coefficient are exactly
+    the jet sums, and the controller reads the primals alone, so derivative
+    coefficients ride along without steering.  ``t_scale`` is the original
+    time value, used only to convert the reached fraction back to time
+    units in errors.
     """
 
     if cfg.method == "rk4":
-        return _rk4_fixed(rhs, y0, cfg, t_scale, outputs)
+        return _rk4_fixed(rhs, y0, cfg, t_scale, outputs, primals)
     if cfg.method != "rk45":
         raise ValueError(f"unknown integrator method {cfg.method!r}")
 
@@ -307,7 +319,7 @@ def _integrate_scaled(
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
 
     y = list(y0)
-    y_abs = [abs(primal_value(v)) for v in y]  # carried with y across steps
+    y_abs = [abs(primal_value(v)) for v in y[:primals]]  # carried with y
     s = 0.0
     h = 0.01
     k1 = rhs(y)
@@ -353,9 +365,9 @@ def _integrate_scaled(
             ]
             k7 = rhs(y_new)
 
-            # Error norm and state norm in one pass over primal parts only
-            # (jets never steer); NaN sticks in both, so h shrinks until it
-            # collapses.
+            # Error norm and state norm in one pass over the primals only (zip
+            # stops with y_abs: derivative coefficients never steer); NaN
+            # sticks in both, so h shrinks until it collapses.
             err = 0.0
             norm = 0.0
             new_abs = []
@@ -393,10 +405,13 @@ def _integrate_scaled(
     return states
 
 
-def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs) -> list:
-    """Classical RK4; each interval between output fractions takes
-    ceil(interval length in time units / cfg.h) equal steps, and the steps
-    of all intervals together must not exceed cfg.max_steps."""
+def _rk4_fixed(
+    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
+) -> list:
+    """Classical RK4 on the same flat lists as :func:`_integrate_scaled`;
+    each interval between output fractions takes ceil(interval length in
+    time units / cfg.h) equal steps, and the steps of all intervals together
+    must not exceed cfg.max_steps."""
     if not (cfg.h > 0.0 and math.isfinite(cfg.h)):
         raise ValueError(f"rk4 step must be finite and positive, got {cfg.h!r}")
     span = abs(primal_value(t_scale))
@@ -420,7 +435,7 @@ def _rk4_fixed(rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs) -> list:
                 yi + (h / 6) * (a + 2 * b + 2 * c + d)
                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
             ]
-            if not gap(y, repeat(0.0)) <= _STATE_NORM_LIMIT:
+            if not gap(y[:primals], repeat(0.0)) <= _STATE_NORM_LIMIT:
                 raise StepSizeCollapse(
                     (s + (i + 1) / steps * width) * primal_value(t_scale)
                 )
@@ -432,19 +447,31 @@ def _trajectory(
     vhat: SmoothMap, t, xs: Sequence, steps: int, cfg: IntegratorConfig
 ) -> list:
     """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
-    k = 0..steps, from one integration pass (t and xs may be jets)."""
+    k = 0..steps, from one integration pass (t and xs may be jets).
+
+    With jets of depth D among t and xs, the integrator steps on the flat
+    coefficients of depth-D towers; the field sees towers (xs itself first)
+    and ``t * vhat`` is taken in jet arithmetic."""
     xs = list(xs)
     if not math.isfinite(primal_value(t)):
         raise ValueError("integration time must be finite")
-    if t == 0.0 and not any(map(jet_depth, [t, *xs])):
+    depth = max(map(jet_depth, [t, *xs]))
+    if t == 0.0 and not depth:
         return [xs] * (steps + 1)
 
     def rhs(y):
         vals = vhat.evaluator(list(y))
         return [t * v for v in vals]
 
+    def flat_rhs(y):
+        return flatten_levels(rhs(unflatten_levels(y, depth)), depth)
+
     outputs = tuple(k / steps for k in range(1, steps + 1))
-    return [xs] + _integrate_scaled(rhs, xs, cfg, t, outputs)
+    y0 = flatten_levels(xs, depth)  # xs itself at depth 0
+    states = _integrate_scaled(
+        flat_rhs if depth else rhs, y0, cfg, t, outputs, len(xs)
+    )
+    return [xs] + [unflatten_levels(y, depth) for y in states]
 
 
 def _integrate_field(vhat: SmoothMap, t, xs: Sequence, cfg: IntegratorConfig) -> list:

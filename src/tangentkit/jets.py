@@ -10,8 +10,10 @@ Plain ``int``/``float`` values mix freely with jets and behave as constants
 (zero derivative in every direction).
 
 Only :func:`open_level` and :func:`close_level` open or close a perturbation
-level: every other module evaluates through them and never builds or takes
-apart a :class:`Jet` itself, so how a level is identified is decided here.
+level, and only the codec beside them, :func:`flatten_levels` and
+:func:`unflatten_levels`, turns towers into flat coefficient lists and back:
+every other module evaluates through these and never builds or takes apart
+a :class:`Jet` itself, so how a level is identified is decided here.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ __all__ = [
     "jet_depth",
     "open_level",
     "close_level",
+    "ABSENT",
+    "flatten_levels",
+    "unflatten_levels",
     "sin",
     "cos",
     "exp",
@@ -136,9 +141,9 @@ def open_level(points, directions) -> list:
     return [Jet(x, d) for x, d in zip(points, directions)]
 
 
-def close_level(values) -> tuple[list, list]:
+def close_level(values, fill=0.0) -> tuple[list, list]:
     """Split the outermost level off: ``(primals, tangents)``.  A value that
-    is not a jet is a constant there, so it splits as ``(v, 0.0)``."""
+    is not a jet is a constant there, so it splits as ``(v, fill)``."""
     primals, tangents = [], []
     for v in values:
         if isinstance(v, Jet):
@@ -146,8 +151,59 @@ def close_level(values) -> tuple[list, list]:
             tangents.append(v.tangent)
         else:
             primals.append(v)
-            tangents.append(0.0)
+            tangents.append(fill)
     return primals, tangents
+
+
+class _Absent:
+    """The coefficient of a level a tower does not reach.  Adding it changes
+    nothing and scaling it leaves it absent, which is exactly how jet
+    arithmetic treats the missing tangent of a value below the level."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # so numpy scalar + ABSENT is that numpy scalar
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __rmul__(self, other):
+        return self
+
+    def __repr__(self):
+        return "ABSENT"
+
+
+ABSENT = _Absent()
+
+
+def flatten_levels(values, depth: int) -> list:
+    """Coefficients of ``depth``-level jet towers as one flat list.
+
+    Each of ``depth`` rounds splits the outermost level off the whole list
+    (:func:`close_level`) and puts the primals ahead of the tangents, so the
+    first ``len(values)`` entries are the innermost primals.  A value with
+    fewer levels fills what it lacks with :data:`ABSENT`, so a sum of scalar
+    multiples of flat lists, taken coefficient by coefficient, is exactly
+    the same sum in jet arithmetic.
+    """
+    for _ in range(depth):
+        primals, tangents = close_level(values, ABSENT)
+        values = primals + tangents
+    return values
+
+
+def unflatten_levels(flat, depth: int) -> list:
+    """The towers whose coefficients :func:`flatten_levels` listed, rebuilt
+    innermost level first; a level whose coefficients are all
+    :data:`ABSENT` is left off again."""
+    for _ in range(depth):
+        half = len(flat) // 2
+        flat = [
+            p if d is ABSENT else Jet(p, d) for p, d in zip(flat[:half], flat[half:])
+        ]
+    return flat
 
 
 def _div(num, den):
@@ -178,8 +234,9 @@ def pow_int(x, k: int):
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return out
 
 

@@ -31,6 +31,7 @@ from tangentkit.dynamics import (
     sigma_flow,
     solve_nth_order,
     sum_flow,
+    time_derivative,
 )
 from tangentkit.fields import (
     FLOW_TOL,
@@ -259,6 +260,65 @@ def test_rk45_bits_are_pinned():
         0.2833162368393652,
         1.5555487488259048,
     ]
+
+
+def _counted(vf):
+    evals = []
+
+    def counted(xs):
+        evals.append(1)
+        return vf.vhat.evaluator(xs)
+
+    vhat = dataclasses.replace(vf.vhat, evaluator=counted)
+    return dataclasses.replace(vf, vhat=vhat), evals
+
+
+# The solver steps on flat jet coefficients; these pin the jet-arithmetic
+# results, and the number of field evaluations, for states and outputs that
+# are not full towers of the solve's depth.
+
+
+def test_float_state_under_a_depth_two_time_is_pinned():
+    lorenz, evals = _counted(
+        VectorField.from_expr("10*(x2-x1); x1*(28-x3)-x2; x1*x2-8/3*x3", 3)
+    )
+    got = flow_of(lorenz)(Jet(Jet(0.5, 1.0), Jet(1.0, 0.0)), [1.0, 1.0, 20.0])
+    assert repr(got) == (
+        "[Jet(Jet(15.641180006136262, -21.01135572288511), "
+        "Jet(-21.01135572288511, -1602.841090464834)), "
+        "Jet(Jet(13.540044435820814, -181.29546470485008), "
+        "Jet(-181.29546470485008, -1290.6547704567008)), "
+        "Jet(Jet(38.725240689503266, 108.5149637914896), "
+        "Jet(108.5149637914896, -3409.542925748087))]"
+    )
+    assert len(evals) == 733
+
+
+def test_time_derivative_over_a_tangent_is_pinned():
+    # the state is the ragged Jet(Jet(a, b), 0.0) under the time Jet(t, 1.0)
+    field, evals = _counted(VectorField.from_expr("x2; -x1*(1+x1*x1)", 2))
+    got = time_derivative(flow_of(field), 0.75, [Jet(1.0, 1.0), Jet(0.5, -0.0)])
+    assert repr(got) == (
+        "([Jet(0.7829299927040847, 0.033726737952773894), "
+        "Jet(-0.9742426649914415, -2.009158766594551)], "
+        "[Jet(-0.9742426650775868, -2.009158766750919), "
+        "Jet(-1.2628499289345565, -0.09574812119646318)])"
+    )
+    assert len(evals) == 235
+
+
+def test_field_output_that_drops_a_level_mid_solve_is_pinned():
+    # x' = x^2 until x = 1.5, then the constant 2.25: a float output, no
+    # tangent, from the step that crosses 1.5 on
+    def drop(xs):
+        x = xs[0]
+        return [x * x] if primal_value(x) < 1.5 else [2.25]
+
+    line = Space(1)
+    field, evals = _counted(VectorField(line, SmoothMap(line, line, drop, name="drop")))
+    got = flow_of(field)(1.0, [Jet(1.0, 1.0)])
+    assert repr(got) == "[Jet(2.9999999886456266, 2.2505126190182354)]"
+    assert len(evals) == 229
 
 
 def test_eta_is_jet_polymorphic():

@@ -1,14 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangentkit.jets import (
+    ABSENT,
     EvaluationDomainError,
     Jet,
     close_level,
     coefficients,
     cos,
     exp,
+    flatten_levels,
     jet_depth,
     ln,
     open_level,
@@ -17,6 +21,7 @@ from tangentkit.jets import (
     sin,
     sqrt,
     tanh,
+    unflatten_levels,
 )
 
 
@@ -128,3 +133,80 @@ def test_open_level_round_trips_through_close_level():
     opened = open_level(points, directions)
     assert [jet_depth(v) for v in opened] == [1, 2, 1]
     assert close_level(opened) == (points, directions)
+
+
+class _CountingFloat(float):
+    """A float that counts the multiplications it takes part in."""
+
+    count = 0
+
+    def __mul__(self, other):
+        _CountingFloat.count += 1
+        return _CountingFloat(float(self) * float(other))
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("k,multiplications", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4)])
+def test_pow_int_squares_only_while_bits_remain(k, multiplications):
+    _CountingFloat.count = 0
+    assert pow_int(_CountingFloat(1.5), k) == 1.5**k
+    assert _CountingFloat.count == multiplications
+
+
+def test_pow_int_of_an_int_is_a_float():
+    assert pow_int(3, 2) == 9.0 and type(pow_int(3, 2)) is float
+    assert type(pow_int(3, 0)) is float
+
+
+# -- the flat codec ------------------------------------------------------------
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan])
+_COEFF = st.one_of(_SPECIAL, st.floats(width=64))
+
+
+def _towers(depth: int, full: bool):
+    """Jet towers of exactly ``depth`` levels everywhere (full) or of at
+    most ``depth`` levels in any branch (ragged)."""
+    if depth == 0:
+        return _COEFF
+    jet = st.builds(Jet, _towers(depth - 1, full), _towers(depth - 1, full))
+    return jet if full else st.one_of(_towers(depth - 1, False), jet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flat_stage_sums_are_the_jet_sums(data):
+    # y + c1*p1 + c2*p2 + ... summed coefficient by coefficient on flat
+    # lists is the same expression chained in jet arithmetic, bit for bit:
+    # repr tells -0.0 from 0.0, so a padded coefficient that is not an
+    # exact additive identity fails here
+    depth = data.draw(st.integers(0, 2), label="depth")
+    n = data.draw(st.integers(1, 3), label="n")
+    state = data.draw(st.lists(_towers(depth, False), min_size=n, max_size=n))
+    term = st.lists(
+        st.one_of(_towers(depth, True), _towers(depth, False)), min_size=n, max_size=n
+    )
+    terms = data.draw(st.lists(st.tuples(_COEFF, term), min_size=1, max_size=6))
+
+    jets = list(state)
+    flat = flatten_levels(state, depth)
+    for c, p in terms:
+        jets = [y + c * v for y, v in zip(jets, p)]
+        flat = [y + c * v for y, v in zip(flat, flatten_levels(p, depth))]
+    assert repr(unflatten_levels(flat, depth)) == repr(jets)
+    assert repr(flat[:n]) == repr([primal_value(v) for v in jets])
+
+
+def test_flatten_lists_innermost_primals_first_and_round_trips():
+    values = [Jet(Jet(1.0, 2.0), Jet(3.0, 4.0)), Jet(5.0, Jet(6.0, 7.0)), 8.0]
+    flat = flatten_levels(values, 2)
+    assert flat[:3] == [1.0, 5.0, 8.0]
+    assert len(flat) == 3 * 4 and flat.count(ABSENT) == 4
+    assert repr(unflatten_levels(flat, 2)) == repr(values)
+
+
+def test_absent_is_the_identity_of_sums_and_stays_absent_when_scaled():
+    assert repr(ABSENT + -0.0) == repr(-0.0 + ABSENT) == "-0.0"
+    assert 2.5 * ABSENT is ABSENT and ABSENT + ABSENT is ABSENT
+    assert repr(Jet(1.0, -0.0) + ABSENT) == "Jet(1.0, -0.0)"
