@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Subcommands: solve, flow, bracket, commute, expm, geodesic, exp, verify.
-Exit codes: 0 success / all laws pass, 1 law failure, 2 usage error,
-3 evaluation or integration error.  Outputs are deterministic for a fixed
-seed: identical argv produce byte-identical bytes.
+Subcommands: solve, flow (``solve`` with CSV output by default), bracket,
+commute, expm, geodesic, exp, verify.  Exit codes: 0 success / all laws
+pass, 1 a law failed (and nothing else), 2 usage error, 3 evaluation or
+integration error.  Outputs are deterministic for a fixed seed: identical
+argv produce byte-identical bytes.
 
 A config file of ``key=value`` lines (keys are the long flag names without
 the leading dashes, ``#`` starts a comment) can stand in for flags via
-``--config``; explicit flags win.
+``--config``.  Each line is parsed exactly like the flag ``--key=value``,
+with the same types and choices; a switch takes ``true`` (on) or ``false``
+(off).  Flags on the command line still win.  An unreadable ``--config``
+and an unwritable ``--out`` are usage errors.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .dynamics import (
     StepSizeCollapse,
     _geodesic_field,
     _trajectory,
+    acceleration_residual,
     augment_time,
     commuting_flows_check,
     expm,
@@ -86,6 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     shared(p)
     p = sub.add_parser("flow", help="integrate a field and emit the trajectory")
     shared(p)
+    p.set_defaults(format="csv")
     p = sub.add_parser("bracket", help="evaluate the bracket of two fields at x0")
     shared(p, vf2=True)
     p.add_argument("--as-matrix", action="store_true",
@@ -114,16 +120,15 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset flags from a key=value file; flags given on argv win."""
-    if not getattr(args, "config", None):
-        return
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+def _config_flags(path: str) -> list[str]:
+    """The ``key=value`` lines of a config file as ``--key=value`` flags;
+    ``key=true`` becomes the bare ``--key`` and ``key=false`` no flag."""
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as e:
-        raise UsageError(f"--config: cannot read {args.config}: {e}") from e
+        raise UsageError(f"--config: cannot read {path}: {e}") from e
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,24 +136,13 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         if "=" not in line:
             raise UsageError(f"--config: line {lineno} is not key=value")
         key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
+        flag = "--" + key.strip().replace("_", "-")
         value = value.strip()
-        if not hasattr(args, key):
-            raise UsageError(f"--config: unknown key {key!r}")
-        if key in explicit:
-            continue
-        current = getattr(args, key)
-        try:
-            if isinstance(current, bool) or value in ("true", "false"):
-                setattr(args, key, value == "true")
-            elif key in ("dim", "seed", "grid"):
-                setattr(args, key, int(value))
-            elif key in ("t", "tol", "rk4_h"):
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
-        except ValueError as e:
-            raise UsageError(f"--config: line {lineno}: {e}") from e
+        if value == "true":
+            flags.append(flag)
+        elif value != "false":
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _require(args, *names):
@@ -201,19 +195,8 @@ def _integrator(args) -> IntegratorConfig:
 def _system(args) -> DynamicalSystem:
     _require(args, "dim", "vf")
     if args.time_dependent:
-        spec = dsl.parse(args.vf, args.dim, time_dependent=True)
-        if spec.n_components != args.dim:
-            raise UsageError(f"--vf needs {args.dim} components")
-        return augment_time(spec)
+        return augment_time(dsl.parse(args.vf, args.dim, time_dependent=True))
     return DynamicalSystem(Space(args.dim), _field(args))
-
-
-def _emit(args, payload: bytes, stdout) -> None:
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        stdout.write(payload.decode("utf-8"))
 
 
 def _json_bytes(obj) -> bytes:
@@ -239,7 +222,7 @@ def _trajectory_csv(t, states) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cmd_solve(args, stdout) -> int:
+def _cmd_solve(args) -> tuple[bytes, int]:
     _require(args, "t", "x0")
     system = _system(args)
     cfg = _integrator(args)
@@ -249,21 +232,12 @@ def _cmd_solve(args, stdout) -> int:
         states = _trajectory(
             system.vector_field.vhat, args.t, y0, _grid(args, 1, default=100), cfg
         )
-        _emit(args, _trajectory_csv(args.t, [y[: args.dim] for y in states]), stdout)
-        return EXIT_OK
+        return _trajectory_csv(args.t, [y[: args.dim] for y in states]), EXIT_OK
     state = integrate(system, args.t, x0, cfg)[: args.dim]
-    payload = _json_bytes({"t": args.t, "state": state})
-    _emit(args, payload, stdout)
-    return EXIT_OK
+    return _json_bytes({"t": args.t, "state": state}), EXIT_OK
 
 
-def _cmd_flow(args, stdout) -> int:
-    if args.format is None:
-        args.format = "csv"
-    return _cmd_solve(args, stdout)
-
-
-def _cmd_bracket(args, stdout) -> int:
+def _cmd_bracket(args) -> tuple[bytes, int]:
     _require(args, "dim", "vf", "vf2")
     v1 = VectorField.from_expr(args.vf, args.dim)
     v2 = VectorField.from_expr(args.vf2, args.dim)
@@ -277,11 +251,10 @@ def _cmd_bracket(args, stdout) -> int:
         out["matrix"] = matrix_of(bracket).tolist()
     if not out:
         raise UsageError("--x0 (or --as-matrix) is required")
-    _emit(args, _json_bytes(out), stdout)
-    return EXIT_OK
+    return _json_bytes(out), EXIT_OK
 
 
-def _cmd_commute(args, stdout) -> int:
+def _cmd_commute(args) -> tuple[bytes, int]:
     _require(args, "dim", "vf", "vf2")
     v1 = VectorField.from_expr(args.vf, args.dim)
     v2 = VectorField.from_expr(args.vf2, args.dim)
@@ -295,20 +268,18 @@ def _cmd_commute(args, stdout) -> int:
         v1, v2, tol=tol, seed=args.seed, cfg=cfg, **kwargs
     )
     payload = emit_report(laws, args.seed, {"tol": tol, **cfg.describe()})
-    _emit(args, payload, stdout)
-    return EXIT_OK if all(c.passed for c in laws) else EXIT_LAW_FAILURE
+    return payload, EXIT_OK if all(c.passed for c in laws) else EXIT_LAW_FAILURE
 
 
-def _cmd_expm(args, stdout) -> int:
+def _cmd_expm(args) -> tuple[bytes, int]:
     _require(args, "matrix")
     A = _parse_matrix(args.matrix)
     if args.t is not None:
         A = args.t * A
-    _emit(args, _json_bytes({"expm": expm(A).tolist()}), stdout)
-    return EXIT_OK
+    return _json_bytes({"expm": expm(A).tolist()}), EXIT_OK
 
 
-def _cmd_geodesic(args, stdout) -> int:
+def _cmd_geodesic(args) -> tuple[bytes, int]:
     _require(args, "dim", "christoffel", "t", "x0")
     n = args.dim
     spec = dsl.parse(args.christoffel, 2 * n)
@@ -321,21 +292,17 @@ def _cmd_geodesic(args, stdout) -> int:
         states = _trajectory(
             _geodesic_field(conn).vhat, args.t, x0, _grid(args, 1, default=100), cfg
         )
-        _emit(args, _trajectory_csv(args.t, states), stdout)
-        return EXIT_OK
+        return _trajectory_csv(args.t, states), EXIT_OK
     flow = geodesic_flow(conn, cfg)
     state = [primal_value(v) for v in flow.evaluate(args.t, x0)]
-    from .dynamics import acceleration_residual
-
     resid = acceleration_residual(flow, [x0], times=(args.t,))
     payload = _json_bytes(
         {"t": args.t, "state": state, "acceleration_residual": resid}
     )
-    _emit(args, payload, stdout)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_exp(args, stdout) -> int:
+def _cmd_exp(args) -> tuple[bytes, int]:
     _require(args, "t")
     cfg = _integrator(args)
     if args.dim:
@@ -343,15 +310,13 @@ def _cmd_exp(args, stdout) -> int:
         x0 = _parse_x0(args.x0, args.dim)
         flow = exp_flow(TrivialBundle(0, args.dim), cfg)
         state = [primal_value(v) for v in flow.evaluate(args.t, x0)]
-        _emit(args, _json_bytes({"t": args.t, "state": state}), stdout)
-        return EXIT_OK
+        return _json_bytes({"t": args.t, "state": state}), EXIT_OK
     e = e_map(cfg)
     value = primal_value(e([args.t])[0])
-    _emit(args, _json_bytes({"t": args.t, "e": value}), stdout)
-    return EXIT_OK
+    return _json_bytes({"t": args.t, "e": value}), EXIT_OK
 
 
-def _cmd_verify(args, stdout) -> int:
+def _cmd_verify(args) -> tuple[bytes, int]:
     cfg = _integrator(args)
     laws = run_suite(args.suite, seed=args.seed, cfg=cfg, quick=args.quick)
     if args.tol is not None:
@@ -362,13 +327,12 @@ def _cmd_verify(args, stdout) -> int:
     payload = emit_report(
         laws, args.seed, {"suite": args.suite, "quick": args.quick, **cfg.describe()}
     )
-    _emit(args, payload, stdout)
-    return EXIT_OK if all(c.passed for c in laws) else EXIT_LAW_FAILURE
+    return payload, EXIT_OK if all(c.passed for c in laws) else EXIT_LAW_FAILURE
 
 
 _COMMANDS = {
     "solve": _cmd_solve,
-    "flow": _cmd_flow,
+    "flow": _cmd_solve,
     "bracket": _cmd_bracket,
     "commute": _cmd_commute,
     "expm": _cmd_expm,
@@ -379,20 +343,31 @@ _COMMANDS = {
 
 
 def dispatch(argv: list[str], stdout=None) -> int:
-    """Run one command; returns the exit code (output goes to ``stdout``)."""
+    """Run one command; returns the exit code (output goes to ``--out`` or
+    ``stdout``).  ``--config`` lines become flags right after the
+    subcommand, so flags given in ``argv`` come later and win."""
     stdout = stdout if stdout is not None else sys.stdout
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
-        _apply_config_file(args, argv)
+        if args.config:
+            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         if args.t is not None and not math.isfinite(args.t):
             raise UsageError("--t must be finite")
         if args.tol is not None and not (0.0 <= args.tol < math.inf):
             raise UsageError("--tol must be finite and non-negative")
-        return _COMMANDS[args.command](args, stdout)
+        payload, code = _COMMANDS[args.command](args)
+        if args.out:
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(payload)
+            except OSError as e:
+                raise UsageError(f"--out: cannot write {args.out}: {e}") from e
+        else:
+            stdout.write(payload.decode("utf-8"))
+        return code
+    except SystemExit as e:
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

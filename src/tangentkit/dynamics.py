@@ -278,6 +278,16 @@ def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
 
 
+def _first_stage(rhs, y: list, primals: int) -> list:
+    """``rhs(y)``, checked once per solve to have one entry per entry of
+    ``y``: a field with the wrong number of components is a ShapeError, not
+    a state that zip silently truncates."""
+    k = rhs(y)
+    if len(k) != len(y):
+        raise ShapeError(f"the field's value does not fit its {primals}-dimensional state")
+    return k
+
+
 def _integrate_scaled(
     rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
 ) -> list:
@@ -322,7 +332,7 @@ def _integrate_scaled(
     y_abs = [abs(primal_value(v)) for v in y[:primals]]  # carried with y
     s = 0.0
     h = 0.01
-    k1 = rhs(y)
+    k1 = _first_stage(rhs, y, primals)
     steps = 0
     states = []
     for target in outputs:
@@ -422,12 +432,14 @@ def _rk4_fixed(
     if sum(counts) > cfg.max_steps:
         raise MaxStepsExceeded(0.0, cfg.max_steps)
     y = list(y0)
+    k1 = _first_stage(rhs, y, primals)  # the first step's k1; later steps take their own
     states = []
     for (s, target), steps in zip(intervals, counts):
         width = target - s
         h = width / steps
         for i in range(steps):
-            k1 = rhs(y)
+            if k1 is None:
+                k1 = rhs(y)
             k2 = rhs(_axpy(y, h / 2, k1))
             k3 = rhs(_axpy(y, h / 2, k2))
             k4 = rhs(_axpy(y, h, k3))
@@ -435,6 +447,7 @@ def _rk4_fixed(
                 yi + (h / 6) * (a + 2 * b + 2 * c + d)
                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
             ]
+            k1 = None
             if not gap(y[:primals], repeat(0.0)) <= _STATE_NORM_LIMIT:
                 raise StepSizeCollapse(
                     (s + (i + 1) / steps * width) * primal_value(t_scale)
@@ -947,6 +960,8 @@ def augment_time(spec: dsl.FieldSpec) -> DynamicalSystem:
     if not spec.time_dependent:
         raise ValueError("augment_time expects a time-dependent field spec")
     n = spec.arity
+    if spec.n_components != n:
+        raise ShapeError(f"a field on R^{n} needs {n} components, got {spec.n_components}")
     compiled = dsl.compile_spec(spec)  # inputs (x1..xn, t)
     aug = Space(n + 1)
 

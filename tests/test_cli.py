@@ -370,11 +370,42 @@ def test_config_file_flag_precedence(tmp_path):
     assert json.loads(out)["state"] == [1.0]
 
 
-@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf", "tol=nan"])
+@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf", "tol=nan", "dim=true"])
 def test_config_file_bad_number_is_a_usage_error(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dim=1\nvf=x1\nt=1\nx0=1\n{line}\n")
     assert run(["solve", "--config", str(cfg)]) == (EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize("line", ["suite=bogus", "format=xml", "quick=yes"])
+def test_config_values_meet_the_flags_choices(tmp_path, line):
+    # each line is parsed as its flag: a choice outside the flag's choices,
+    # or a switch set to anything but true/false, is a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite=kernel\n{line}\n")
+    assert run(["verify", "--config", str(cfg)]) == (EXIT_USAGE, "")
+
+
+def test_config_file_matches_the_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=kernel\nseed=7\nquick=true\n")
+    flags = run(["verify", "--suite", "kernel", "--seed", "7", "--quick"])
+    assert run(["verify", "--config", str(cfg)]) == flags
+
+
+def test_flow_with_json_format_in_config_prints_what_solve_prints(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=2\nvf=x2; -x1\nt=1\nx0=0.6,0.8\nformat=json\n")
+    code, out = run(["flow", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert (code, out) == run(["solve", "--config", str(cfg)])
+    assert list(json.loads(out)) == ["t", "state"]
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert run(["verify", "--suite", "kernel", "--out", str(path)]) == (EXIT_USAGE, "")
+    assert "--out" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key(tmp_path):

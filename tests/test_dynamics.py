@@ -120,6 +120,15 @@ def test_trajectory_lands_on_every_grid_time(method):
         assert max(abs(a - b) for a, b in zip(state, want)) <= FLOW_TOL
 
 
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_field_with_the_wrong_number_of_values_is_a_shape_error(method):
+    cfg = IntegratorConfig(method=method, h=0.01)
+    for values in (lambda xs: [xs[1]], lambda xs: [xs[1], -xs[0], 1.0]):
+        v = VectorField(Space(2), SmoothMap(Space(2), Space(2), values))
+        with pytest.raises(ShapeError):
+            integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], cfg)
+
+
 def test_rk4_step_budget_is_checked_before_stepping():
     cfg = IntegratorConfig(method="rk4", h=1e-3, max_steps=10)
     with pytest.raises(MaxStepsExceeded):
@@ -823,6 +832,15 @@ def test_augment_time_clock_component():
 def test_augment_time_requires_time_dependence():
     with pytest.raises(ValueError):
         augment_time(dsl.parse("x1", 1))
+
+
+@pytest.mark.parametrize("expr, arity", [("x1; 5*x1", 1), ("1", 2)])
+def test_augment_time_requires_one_component_per_coordinate(expr, arity):
+    spec = dsl.parse(expr, arity, time_dependent=True)
+    with pytest.raises(ShapeError):
+        augment_time(spec)
+    with pytest.raises(ShapeError):
+        DynamicalSystem.from_field_spec(spec)
 
 
 def test_from_field_spec_routes_time_dependence():
