@@ -61,7 +61,8 @@ class UsageError(ValueError):
     pass
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     top = argparse.ArgumentParser(
         prog="tangentkit",
         description="define vector fields, solve them, and verify the laws they satisfy",
@@ -117,12 +118,14 @@ def _parser() -> argparse.ArgumentParser:
                    help="smaller sample counts for the flows and action suites "
                         "(same laws, same seeding; kernel, vf, curve and rig "
                         "ignore it)")
-    return top
+    return top, sub.choices
 
 
-def _config_flags(path: str) -> list[str]:
-    """The ``key=value`` lines of a config file as ``--key=value`` flags;
-    ``key=true`` becomes the bare ``--key`` and ``key=false`` no flag."""
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The ``key=value`` lines of a config file as ``--key=value`` flags of
+    ``command``; for a switch (an action that takes no value, such as
+    ``store_true``) ``key=true`` becomes the bare ``--key`` and
+    ``key=false`` no flag."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -138,10 +141,11 @@ def _config_flags(path: str) -> list[str]:
         key, value = line.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
         value = value.strip()
-        if value == "true":
-            flags.append(flag)
-        elif value != "false":
+        action = command._option_string_actions.get(flag)
+        if action is None or action.nargs != 0 or value not in ("true", "false"):
             flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
     return flags
 
 
@@ -282,10 +286,7 @@ def _cmd_expm(args) -> tuple[bytes, int]:
 def _cmd_geodesic(args) -> tuple[bytes, int]:
     _require(args, "dim", "christoffel", "t", "x0")
     n = args.dim
-    spec = dsl.parse(args.christoffel, 2 * n)
-    if spec.n_components != n:
-        raise UsageError(f"--christoffel needs {n} components")
-    conn = Connection(n, dsl.compile_spec(spec))
+    conn = Connection(n, dsl.compile_spec(dsl.parse(args.christoffel, 2 * n)))
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, 2 * n)
     if args.format == "csv":
@@ -347,11 +348,12 @@ def dispatch(argv: list[str], stdout=None) -> int:
     ``stdout``).  ``--config`` lines become flags right after the
     subcommand, so flags given in ``argv`` come later and win."""
     stdout = stdout if stdout is not None else sys.stdout
-    parser = _parser()
+    parser, commands = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
+            flags = _config_flags(args.config, commands[args.command])
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
         if args.t is not None and not math.isfinite(args.t):
             raise UsageError("--t must be finite")
         if args.tol is not None and not (0.0 <= args.tol < math.inf):

@@ -14,7 +14,10 @@ minus sign may be written as ASCII ``-`` or as U+2212; the canonical
 renderer emits ASCII.  Variables are ``x1..xn`` (n = declared arity) plus
 the reserved ``t`` when the spec is time dependent; ``t`` is passed as the
 last input of the compiled map.  Exponents must be integer literals;
-general powers go through ``exp``/``ln``.
+general powers go through ``exp``/``ln``.  Parentheses, unary minus and
+calls nest at most 100 levels deep.  A spec compiles to one straight-line
+function that runs the tree's operations in the tree's order, so ``+ - * /``
+chains have no length limit.
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
@@ -217,6 +220,7 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser -----------------------------------------------------------------
 
 _VAR_RE = re.compile(r"x([1-9]\d*)$")
+_MAX_NESTING = 100  # parentheses, unary minus and calls; bounds the recursion
 
 
 class _Parser:
@@ -241,46 +245,48 @@ class _Parser:
         return self.advance()
 
     def parse_spec(self) -> list[Node]:
-        components = [self.parse_expr()]
+        components = [self.parse_expr(0)]
         while self.peek().kind == "SEMI":
             self.advance()
-            components.append(self.parse_expr())
+            components.append(self.parse_expr(0))
         self.expect("EOF", "end of input")
         return components
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def parse_expr(self, depth: int) -> Node:
+        node = self.parse_term(depth)
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
+            node = BinOp(op, node, self.parse_term(depth))
         return node
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
+    def parse_term(self, depth: int) -> Node:
+        node = self.parse_factor(depth)
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
+            node = BinOp(op, node, self.parse_factor(depth))
         return node
 
-    def parse_factor(self) -> Node:
-        node = self.parse_atom()
+    def parse_factor(self, depth: int) -> Node:
+        node = self.parse_atom(depth)
         if self.peek().kind == "POW":
             self.advance()
             exponent = int(self.expect("INT", "integer exponent").text)
             node = Pow(node, exponent)
         return node
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self, depth: int) -> Node:
         tok = self.peek()
+        if depth > _MAX_NESTING:
+            raise ExprSyntaxError(tok.offset, (f"at most {_MAX_NESTING} nested levels",))
         if tok.kind == "NUMBER":
             self.advance()
             return Num(float(tok.text))
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_atom())
+            return Neg(self.parse_atom(depth + 1))
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.parse_expr()
+            node = self.parse_expr(depth + 1)
             self.expect("RPAREN", ")")
             return node
         if tok.kind == "IDENT":
@@ -289,7 +295,7 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentifier(tok.text, tok.offset)
                 self.advance()
-                arg = self.parse_expr()
+                arg = self.parse_expr(depth + 1)
                 self.expect("RPAREN", ")")
                 return Call(tok.text, arg)
             return self._variable(tok)
@@ -321,37 +327,29 @@ def parse(text: str, arity: int, time_dependent: bool = False) -> FieldSpec:
 # -- compiler ---------------------------------------------------------------
 
 
-def _compile_node(node: Node):
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "div({}, {})"}
+
+
+def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple]:
+    """A node's source over its operands' names, and its operands; objects
+    it names are appended to ``cells``.  TypeError if it cannot be written."""
     if isinstance(node, Num):
-        v = node.value
-        return lambda env: v
-    if isinstance(node, Var):
-        i = node.index - 1
-        return lambda env: env[i]
-    if isinstance(node, TimeVar):
-        return lambda env: env[-1]
+        cells.append(node.value)
+        return f"c{len(cells) - 1}", ()
+    if isinstance(node, Var) and isinstance(node.index, int) and 0 < node.index <= spec.arity:
+        return f"x{int(node.index)}", ()
+    if isinstance(node, TimeVar) and spec.time_dependent:
+        return "t", ()
     if isinstance(node, Neg):
-        inner = _compile_node(node.operand)
-        return lambda env: -inner(env)
-    if isinstance(node, BinOp):
-        left = _compile_node(node.left)
-        right = _compile_node(node.right)
-        if node.op == "+":
-            return lambda env: left(env) + right(env)
-        if node.op == "-":
-            return lambda env: left(env) - right(env)
-        if node.op == "*":
-            return lambda env: left(env) * right(env)
-        return lambda env: jets._div(left(env), right(env))
-    if isinstance(node, Pow):
-        base = _compile_node(node.base)
-        k = node.exponent
-        return lambda env: jets.pow_int(base(env), k)
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.fn]
-        arg = _compile_node(node.arg)
-        return lambda env: fn(arg(env))
-    raise TypeError(f"unknown node {node!r}")
+        return "-{}", (node.operand,)
+    if isinstance(node, BinOp) and node.op in _BINARY:
+        return _BINARY[node.op], (node.left, node.right)
+    if isinstance(node, Pow) and isinstance(node.exponent, int):
+        return f"pow_int({{}}, {int(node.exponent)})", (node.base,)
+    if isinstance(node, Call) and node.fn in FUNCTIONS:
+        cells.append(FUNCTIONS[node.fn])
+        return f"c{len(cells) - 1}({{}})", (node.arg,)
+    raise TypeError(f"cannot compile {node!r}")
 
 
 def compile_spec(spec: FieldSpec) -> SmoothMap:
@@ -360,14 +358,36 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     Inputs are ``(x1, ..., xn)``, with ``t`` appended last when the spec is
     time dependent; outputs are the component values in order.
     """
-    bodies = [_compile_node(c) for c in spec.components]
-    dim_in = spec.arity + (1 if spec.time_dependent else 0)
-    return SmoothMap(
-        Space(dim_in),
-        Space(len(bodies)),
-        lambda xs: [body(xs) for body in bodies],
-        name="field",
+    # Pre-order with the right operand first: reversed, it is post order.
+    cells: list = []
+    preorder, stack = [], list(spec.components)
+    while stack:
+        template, operands = _node(stack.pop(), spec, cells)
+        preorder.append((template, len(operands)))
+        stack.extend(operands)
+    names, lines = [], []
+    for template, n in reversed(preorder):
+        if n:
+            operands = names[-n:]
+            del names[-n:]
+            lines.append(f"    v{len(lines)} = {template.format(*operands)}\n")
+            template = f"v{len(lines) - 1}"
+        names.append(template)
+    inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
+    inputs += ["t"] if spec.time_dependent else []
+    params = ", ".join(["div", "pow_int"] + [f"c{k}" for k in range(len(cells))])
+    source = (
+        f"def make({params}):\n"
+        "  def field(xs):\n"
+        f"    [{', '.join(inputs)}] = xs\n"
+        + "".join(lines)
+        + f"    return [{', '.join(names)}]\n"
+        "  return field\n"
     )
+    namespace: dict = {}
+    exec(compile(source, "<dsl field>", "exec"), namespace)
+    evaluator = namespace["make"](jets._div, jets.pow_int, *cells)
+    return SmoothMap(Space(len(inputs)), Space(len(names)), evaluator, name="field")
 
 
 # -- canonical renderer -------------------------------------------------------

@@ -377,7 +377,7 @@ def test_config_file_bad_number_is_a_usage_error(tmp_path, line):
     assert run(["solve", "--config", str(cfg)]) == (EXIT_USAGE, "")
 
 
-@pytest.mark.parametrize("line", ["suite=bogus", "format=xml", "quick=yes"])
+@pytest.mark.parametrize("line", ["suite=bogus", "format=xml", "quick=yes", "format=false"])
 def test_config_values_meet_the_flags_choices(tmp_path, line):
     # each line is parsed as its flag: a choice outside the flag's choices,
     # or a switch set to anything but true/false, is a usage error
@@ -391,6 +391,12 @@ def test_config_file_matches_the_flags(tmp_path):
     cfg.write_text("suite=kernel\nseed=7\nquick=true\n")
     flags = run(["verify", "--suite", "kernel", "--seed", "7", "--quick"])
     assert run(["verify", "--config", str(cfg)]) == flags
+
+
+def test_config_switch_set_to_false_is_left_off(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=kernel\nquick=false\n")
+    assert run(["verify", "--config", str(cfg)]) == run(["verify", "--suite", "kernel"])
 
 
 def test_flow_with_json_format_in_config_prints_what_solve_prints(tmp_path):
@@ -413,6 +419,21 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("orbit=3\n")
     code, _ = run(["solve", "--config", str(cfg)])
     assert code == EXIT_USAGE
+
+
+def test_geodesic_christoffel_with_too_many_components_is_a_usage_error():
+    argv = ["geodesic", "--dim", "2", "--christoffel", "x1; x2; x3",
+            "--t", "1", "--x0", "0,0,1,0"]
+    assert run(argv) == (EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize(
+    "vf", ["(" * 250 + "x1" + ")" * 250, "-" * 1200 + "x1"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deeply_nested_field_is_a_usage_error(vf):
+    argv = ["solve", "--dim", "1", f"--vf={vf}", "--t", "1", "--x0", "1"]
+    assert run(argv) == (EXIT_USAGE, "")
 
 
 def test_rk4_flag():

@@ -1,10 +1,12 @@
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentkit import dsl
+from tangentkit import dsl, jets
+from tangentkit.cli import EXIT_OK, dispatch
 from tangentkit.dsl import (
     ArityError,
     BinOp,
@@ -224,3 +226,124 @@ def test_compiled_maps_are_jet_polymorphic():
         # level-1 evaluation agrees with the tangent map, bit for bit
         assert [v.primal for v in direct] == via_tangent[:2]
         assert [v.tangent for v in direct] == via_tangent[2:]
+
+
+# -- the generated evaluator against the closure tree it replaced --------------
+
+
+def _closure_tree_node(node):
+    """The recursive closure-tree compiler that ``compile_spec`` replaced,
+    kept as the bit-exact reference for the generated evaluator."""
+    if isinstance(node, Num):
+        v = node.value
+        return lambda env: v
+    if isinstance(node, Var):
+        i = node.index - 1
+        return lambda env: env[i]
+    if isinstance(node, TimeVar):
+        return lambda env: env[-1]
+    if isinstance(node, Neg):
+        inner = _closure_tree_node(node.operand)
+        return lambda env: -inner(env)
+    if isinstance(node, BinOp):
+        left = _closure_tree_node(node.left)
+        right = _closure_tree_node(node.right)
+        if node.op == "+":
+            return lambda env: left(env) + right(env)
+        if node.op == "-":
+            return lambda env: left(env) - right(env)
+        if node.op == "*":
+            return lambda env: left(env) * right(env)
+        return lambda env: jets._div(left(env), right(env))
+    if isinstance(node, Pow):
+        base = _closure_tree_node(node.base)
+        k = node.exponent
+        return lambda env: jets.pow_int(base(env), k)
+    if isinstance(node, Call):
+        fn = dsl.FUNCTIONS[node.fn]
+        arg = _closure_tree_node(node.arg)
+        return lambda env: fn(arg(env))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _outcome(evaluator, env):
+    """``repr`` of the outputs, or the type and message of what was raised."""
+    try:
+        return repr(evaluator(list(env)))
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(_ASTS[n], min_size=1, max_size=3),
+            st.lists(_COORDINATES, min_size=4 * n, max_size=4 * n),
+        )
+    )
+)
+def test_generated_evaluator_is_the_closure_tree_bit_for_bit(case):
+    arity, components, flat = case
+    generated = compile_spec(dsl.FieldSpec(arity, tuple(components))).evaluator
+    bodies = [_closure_tree_node(c) for c in components]
+    for depth in (0, 1, 2):
+        env = jets.unflatten_levels(flat[: arity * 2**depth], depth)
+        want = _outcome(lambda xs: [body(xs) for body in bodies], env)
+        assert _outcome(generated, env) == want, depth
+
+
+def test_time_variable_matches_the_closure_tree():
+    spec = parse("x1 * sin(t) - t^2 / (x2 + t)", 2, time_dependent=True)
+    body = _closure_tree_node(spec.components[0])
+    f = compile_spec(spec)
+    for env in sample_points(3, count=50, seed=102):
+        assert repr(f(env)) == repr([body(env)])
+
+
+def test_a_long_chain_compiles_and_solves():
+    chain = " + ".join(["x1"] * 3000)
+    assert compile_spec(parse(chain, 1))([1.0]) == [3000.0]
+    argv = ["solve", "--dim", "1", "--vf", chain, "--t", "0.001", "--x0", "1"]
+    assert dispatch(argv, stdout=io.StringIO()) == EXIT_OK
+
+
+def test_an_overflowing_literal_evaluates_to_inf():
+    assert compile_spec(parse("1e999", 1))([0.0]) == [math.inf]
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Call("sinh", Var(1)), BinOp("%", Var(1), Num(2.0)), Pow(Var(1), "2"), Var("1")],
+    ids=["function", "operator", "exponent", "index"],
+)
+def test_a_malformed_ast_is_rejected_before_anything_is_compiled(node, monkeypatch):
+    def no_compile(*args):
+        raise AssertionError("compile was called")
+
+    monkeypatch.setattr(dsl, "compile", no_compile, raising=False)
+    spec = dsl.FieldSpec(1, (Var(1), BinOp("+", Num(1.0), node)))
+    with pytest.raises(TypeError, match="cannot compile"):
+        compile_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "opener, closer", [("(", ")"), ("-", ""), ("sin(", ")")],
+    ids=["parentheses", "unary-minus", "calls"],
+)
+def test_nesting_deeper_than_100_levels_is_a_syntax_error(opener, closer):
+    def nested(levels):
+        return opener * levels + "x1" + closer * levels
+
+    assert len(compile_spec(parse(nested(100), 1))([0.5])) == 1
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(nested(101), 1)
+    # the first token more than 100 levels deep
+    assert info.value.offset == len(opener) * 101
