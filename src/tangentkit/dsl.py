@@ -17,13 +17,16 @@ last input of the compiled map.  Exponents must be integer literals;
 general powers go through ``exp``/``ln``.  Parentheses, unary minus and
 calls nest at most 100 levels deep.  A spec compiles to one straight-line
 function that runs the tree's operations in the tree's order, so ``+ - * /``
-chains have no length limit.
+chains have no length limit.  For solves with jet arguments the compiled
+evaluator also writes, per jet depth and on first use, a flat kernel: the
+same operations on flat jet coefficients (see :class:`jets._FlatWriter`).
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -145,7 +148,8 @@ class FieldSpec:
 _MINUS = {"-", "−"}
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"[+\-−]?\d+")
+_INT_RE = re.compile(r"([+\-−]?)\s*(\d+)")
+_SPACE_RE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -172,14 +176,15 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         off = byte_at[i]
         if ch == "^":
-            # The exponent is lexed as a (signed) integer literal.
-            m = _INT_RE.match(text, i + 1)
+            # The exponent is lexed as a (signed) integer literal; whitespace
+            # may come before it and after its sign.
+            j = _SPACE_RE.match(text, i + 1).end()
+            m = _INT_RE.match(text, j)
             if not m:
-                raise ExprSyntaxError(byte_at[i + 1], ("integer exponent",))
+                raise ExprSyntaxError(byte_at[j], ("integer exponent",))
             tokens.append(_Token("POW", "^", off))
-            tokens.append(
-                _Token("INT", m.group().replace("−", "-"), byte_at[m.start()])
-            )
+            sign = m.group(1).replace("−", "-")
+            tokens.append(_Token("INT", sign + m.group(2), byte_at[j]))
             i = m.end()
             continue
         if ch in _MINUS:
@@ -357,16 +362,25 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
 
     Inputs are ``(x1, ..., xn)``, with ``t`` appended last when the spec is
     time dependent; outputs are the component values in order.
+
+    The evaluator also carries ``flat_kernel(depth)``, which the solver looks
+    up: for a jet depth D >= 1 it gives ``kernel(y, s)``, the flat
+    coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
+    ``v``, computed from those of the inputs (``y``) and of a time ``t``
+    (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).
+    Each depth's kernel is written on first use and kept.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
     preorder, stack = [], list(spec.components)
     while stack:
-        template, operands = _node(stack.pop(), spec, cells)
-        preorder.append((template, len(operands)))
+        node = stack.pop()
+        template, operands = _node(node, spec, cells)
+        preorder.append((template, len(operands), node))
         stack.extend(operands)
+    postorder = preorder[::-1]
     names, lines = [], []
-    for template, n in reversed(preorder):
+    for template, n, _ in postorder:
         if n:
             operands = names[-n:]
             del names[-n:]
@@ -387,35 +401,101 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     namespace: dict = {}
     exec(compile(source, "<dsl field>", "exec"), namespace)
     evaluator = namespace["make"](jets._div, jets.pow_int, *cells)
+
+    kernels: dict = {}
+
+    def flat_kernel(depth: int):
+        kernel = kernels.get(depth)
+        if kernel is None:
+            kernel = kernels[depth] = _write_kernel(postorder, inputs, cells, depth)
+        return kernel
+
+    evaluator.flat_kernel = flat_kernel
     return SmoothMap(Space(len(inputs)), Space(len(names)), evaluator, name="field")
+
+
+def _write_kernel(postorder: list, inputs: list[str], cells: list, depth: int):
+    """The depth-``depth`` flat kernel of the nodes :func:`compile_spec`
+    listed in post order: each node becomes its :class:`jets._FlatWriter`
+    rule over its operands' coefficients."""
+    code = jets._FlatWriter(depth, inputs)
+    coefficients = dict(zip(inputs, code.inputs))
+    values: list = []
+    for template, n, node in postorder:
+        operands = values[len(values) - n :]
+        del values[len(values) - n :]
+        if isinstance(node, Num):
+            value = code.constant(template)
+        elif isinstance(node, (Var, TimeVar)):
+            value = coefficients[template]
+        elif isinstance(node, Neg):
+            value = code.neg(*operands)
+        elif isinstance(node, BinOp):
+            rule = {"+": code.add, "-": code.sub, "*": code.mul, "/": code.div}[node.op]
+            value = rule(*operands)
+        elif isinstance(node, Pow):
+            value = code.pow_int(*operands, node.exponent)
+        else:
+            value = getattr(code, node.fn)(*operands)
+        values.append(value)
+    return code.kernel(values, cells)
 
 
 # -- canonical renderer -------------------------------------------------------
 
 
-def format_expr(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, TimeVar):
-        return "t"
-    if isinstance(node, Neg):
-        return f"-({format_expr(node.operand)})"
+# Binding strength: a sum, a product, a power, then an atom (a number, a
+# variable, a call or a unary minus); a node's operand is put in parentheses
+# when it binds less strongly than the grammar allows there.
+_SUM, _PRODUCT, _POWER, _ATOM = range(4)
+
+
+def _strength(node: Node) -> int:
     if isinstance(node, BinOp):
-        return f"({format_expr(node.left)} {node.op} {format_expr(node.right)})"
+        return _SUM if node.op in "+-" else _PRODUCT
+    return _POWER if isinstance(node, Pow) else _ATOM
+
+
+def _parts(node: Node) -> tuple:
+    """The node's text: strings and ``(operand, weakest strength allowed)``."""
+    if isinstance(node, Num):
+        # 1e999 is the literal that parses back to inf
+        return ("1e999" if node.value == math.inf else repr(node.value),)
+    if isinstance(node, Var):
+        return (f"x{node.index}",)
+    if isinstance(node, TimeVar):
+        return ("t",)
+    if isinstance(node, Neg):
+        return ("-", (node.operand, _ATOM))
+    if isinstance(node, BinOp):
+        level = _strength(node)
+        return ((node.left, level), f" {node.op} ", (node.right, level + 1))
     if isinstance(node, Pow):
-        if isinstance(node.base, (Num, Var, TimeVar, Call)):
-            base = format_expr(node.base)
-        else:
-            base = f"({format_expr(node.base)})"
-        return f"{base}^{node.exponent}"
+        return ((node.base, _ATOM), f"^{node.exponent}")
     if isinstance(node, Call):
-        return f"{node.fn}({format_expr(node.arg)})"
+        return (f"{node.fn}(", (node.arg, _SUM), ")")
     raise TypeError(f"unknown node {node!r}")
 
 
+def format_expr(node: Node) -> str:
+    """Render one expression, parenthesised only where precedence or left
+    associativity needs it.  Written with an explicit stack, so any depth
+    renders."""
+    out, stack = [], [(node, _SUM)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, weakest = item
+        parts = _parts(node)
+        if _strength(node) < weakest:
+            parts = ("(", *parts, ")")
+        stack.extend(reversed(parts))
+    return "".join(out)
+
+
 def format_spec(spec: FieldSpec) -> str:
-    """Canonical parenthesized rendering; ``parse(format_spec(s))`` returns
-    components structurally equal to ``s``'s."""
+    """Canonical rendering; ``parse(format_spec(s))`` returns components
+    structurally equal to ``s``'s."""
     return "; ".join(format_expr(c) for c in spec.components)

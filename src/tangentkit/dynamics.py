@@ -462,29 +462,49 @@ def _trajectory(
     """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
     k = 0..steps, from one integration pass (t and xs may be jets).
 
-    With jets of depth D among t and xs, the integrator steps on the flat
-    coefficients of depth-D towers; the field sees towers (xs itself first)
-    and ``t * vhat`` is taken in jet arithmetic."""
+    With jets of depth D >= 1 among t and xs, the integrator steps on the
+    flat coefficients of depth-D towers.  A field compiled by
+    :func:`dsl.compile_spec` gives ``t * vhat`` as its flat kernel for depth
+    D, straight-line float code on those coefficients.  Any other evaluator
+    (hand-written, or a wrapper around a compiled one) sees towers, xs
+    itself first, and ``t * vhat`` is taken in jet arithmetic; both give the
+    same bits."""
     xs = list(xs)
     if not math.isfinite(primal_value(t)):
         raise ValueError("integration time must be finite")
     depth = max(map(jet_depth, [t, *xs]))
     if t == 0.0 and not depth:
         return [xs] * (steps + 1)
+    kernel = _flat_kernel(vhat, depth) if depth else None
 
-    def rhs(y):
-        vals = vhat.evaluator(list(y))
-        return [t * v for v in vals]
+    if kernel is not None:
+        scale = flatten_levels([t], depth)
 
-    def flat_rhs(y):
-        return flatten_levels(rhs(unflatten_levels(y, depth)), depth)
+        def rhs(y):
+            return kernel(y, scale)
+
+    elif depth:
+
+        def rhs(y):
+            vals = vhat.evaluator(unflatten_levels(y, depth))
+            return flatten_levels([t * v for v in vals], depth)
+
+    else:
+
+        def rhs(y):
+            return [t * v for v in vhat.evaluator(list(y))]
 
     outputs = tuple(k / steps for k in range(1, steps + 1))
     y0 = flatten_levels(xs, depth)  # xs itself at depth 0
-    states = _integrate_scaled(
-        flat_rhs if depth else rhs, y0, cfg, t, outputs, len(xs)
-    )
+    states = _integrate_scaled(rhs, y0, cfg, t, outputs, len(xs))
     return [xs] + [unflatten_levels(y, depth) for y in states]
+
+
+def _flat_kernel(vhat: SmoothMap, depth: int):
+    """The field's flat kernel at ``depth``, or None when its evaluator
+    carries none (only :func:`dsl.compile_spec` attaches them)."""
+    kernels = getattr(vhat.evaluator, "flat_kernel", None)
+    return kernels(depth) if kernels is not None else None
 
 
 def _integrate_field(vhat: SmoothMap, t, xs: Sequence, cfg: IntegratorConfig) -> list:

@@ -14,6 +14,14 @@ level, and only the codec beside them, :func:`flatten_levels` and
 :func:`unflatten_levels`, turns towers into flat coefficient lists and back:
 every other module evaluates through these and never builds or takes apart
 a :class:`Jet` itself, so how a level is identified is decided here.
+
+The rules of :class:`Jet` arithmetic are also written out here as flat
+kernels (:class:`_FlatWriter`): straight-line float code that runs the same
+operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
+built.  Only fields compiled by :func:`dsl.compile_spec` get them (one per
+jet depth, written on first use), and the solver runs one in place of the
+codec; a hand-written evaluator, or any wrapper around a compiled one, is
+evaluated on towers through the codec.
 """
 
 from __future__ import annotations
@@ -157,7 +165,8 @@ def close_level(values, fill=0.0) -> tuple[list, list]:
 
 class _Absent:
     """The coefficient of a level a tower does not reach.  Adding it changes
-    nothing and scaling it leaves it absent, which is exactly how jet
+    nothing, subtracting a value from it negates that value, and scaling,
+    negating or dividing it leaves it absent, which is exactly how jet
     arithmetic treats the missing tangent of a value below the level."""
 
     __slots__ = ()
@@ -168,7 +177,21 @@ class _Absent:
 
     __radd__ = __add__
 
-    def __rmul__(self, other):
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
         return self
 
     def __repr__(self):
@@ -285,3 +308,241 @@ def tanh(x):
         t = tanh(x.primal)
         return Jet(t, (1.0 - t * t) * x.tangent)
     return math.tanh(x)
+
+
+# -- flat kernels ---------------------------------------------------------------
+
+_KERNEL_NAMES = {
+    "ABSENT": ABSENT,
+    "domain": EvaluationDomainError,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "tanh": math.tanh,
+}
+
+
+def _interleave(primal: list, tangent: list) -> list:
+    return [c for pair in zip(primal, tangent) for c in pair]
+
+
+class _FlatWriter:
+    """Writes one kernel: straight-line float code for the jet arithmetic of
+    a field, run on the flat coefficients of :func:`flatten_levels`.
+
+    A value is the list of its ``2**depth`` coefficient names in flat order:
+    the even entries are the outermost primal's coefficients and the odd
+    entries the outermost tangent's, each again in flat order one level down.
+    ``None`` stands for a coefficient known to be absent when the code is
+    written (a constant's tangents); a name may still hold :data:`ABSENT`
+    when the code runs (a ragged tower), and ``_Absent``'s operators carry
+    it as the jet methods treat a value that is not a jet.
+
+    Each rule runs the float operations of the :class:`Jet` method or scalar
+    function it mirrors, in the order that code runs them, so a kernel gives
+    the jet path's bits and raises its errors.  Where that code takes a
+    different path for an operand that is not a jet and the difference shows
+    in the bits (``_div`` with a numerator of two or more levels), the
+    kernel tests whether that operand's tangent is absent.  An expression
+    written twice is computed once: every operation here is pure.
+    """
+
+    def __init__(self, depth: int, inputs: list[str]):
+        self.size = 2**depth
+        self.inputs = [[f"{name}_{k}" for k in range(self.size)] for name in inputs]
+        self.scale = [f"s_{k}" for k in range(self.size)]
+        self.lines: list[str] = []
+        self.memo: dict[str, str] = {}
+        self.count = 0
+
+    def constant(self, name: str, size: int = 0) -> list:
+        """A value without tangents (``size`` coefficients, default all)."""
+        return [name] + [None] * ((size or self.size) - 1)
+
+    def _fresh(self) -> str:
+        self.count += 1
+        return f"j{self.count}"
+
+    def _let(self, expr: str) -> str:
+        name = self.memo.get(expr)
+        if name is None:
+            name = self.memo[expr] = self._fresh()
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def _branch(self, test: str, then, otherwise) -> list:
+        """``if test:`` ``then()`` ``else:`` ``otherwise()``: each writes its
+        code and returns a value; the value of the arm that ran, under
+        names common to both."""
+        arms = []
+        for write in (then, otherwise):
+            lines, memo = self.lines, self.memo
+            self.lines, self.memo = [], dict(memo)
+            value = write()
+            arms.append((self.lines, value))
+            self.lines, self.memo = lines, memo
+        (_, a), (_, b) = arms
+        merged = [None if p is None and q is None else self._fresh() for p, q in zip(a, b)]
+        for keyword, (body, value) in zip((f"if {test}:", "else:"), arms):
+            body += [f"{m} = {v or 'ABSENT'}" for m, v in zip(merged, value) if m]
+            self.lines.append(keyword)
+            self.lines += ["  " + line for line in body] or ["  pass"]
+        return merged
+
+    # -- ring operations ----------------------------------------------------
+
+    def neg(self, x: list) -> list:
+        return [None if a is None else self._let(f"-{a}") for a in x]
+
+    def add(self, x: list, y: list) -> list:
+        return [
+            b if a is None else a if b is None else self._let(f"{a} + {b}")
+            for a, b in zip(x, y)
+        ]
+
+    def sub(self, x: list, y: list) -> list:
+        return [
+            a if b is None else self._let(f"-{b}") if a is None else self._let(f"{a} - {b}")
+            for a, b in zip(x, y)
+        ]
+
+    def mul(self, x: list, y: list) -> list:
+        if len(x) == 1:
+            a, b = x[0], y[0]
+            return [None if a is None or b is None else self._let(f"{a} * {b}")]
+        xp, xt, yp, yt = x[0::2], x[1::2], y[0::2], y[1::2]
+        primal = self.mul(xp, yp)
+        return _interleave(primal, self.add(self.mul(xp, yt), self.mul(xt, yp)))
+
+    def div(self, x: list, y: list) -> list:
+        """``_div(x, y)``: division-by-zero check on the primal, then the
+        quotient."""
+        self.lines.append(f"if {y[0]} == 0.0: raise domain('division', {y[0]})")
+        return self._quotient(x, y)
+
+    def _quotient(self, x: list, y: list) -> list:
+        if len(x) == 1:
+            return [None if x[0] is None else self._let(f"{x[0]} / {y[0]}")]
+        xp, xt, yp, yt = x[0::2], x[1::2], y[0::2], y[1::2]
+        p = self._quotient(xp, yp)
+        if all(u is None for u in yt):  # a constant denominator: xt / yp
+            rate = xt
+        elif xt[0] is None:  # a constant numerator: -p * yt / yp
+            rate = self.mul(self.neg(p), yt)
+        elif len(xt) == 1:  # (-p)*u is -(p*u) bit for bit
+            rate = self.sub(xt, self.mul(p, yt))
+        else:
+            rate = self._branch(
+                f"{xt[0]} is ABSENT",
+                lambda: self.mul(self.neg(p), yt),
+                lambda: self.sub(xt, self.mul(p, yt)),
+            )
+        return _interleave(p, self._quotient(rate, yp))
+
+    def pow_int(self, x: list, k: int) -> list:
+        if k < 0:
+            self.lines.append(f"if {x[0]} == 0.0: raise domain('negative power', {x[0]})")
+            den = self.pow_int(x, -k)
+            if den[1] is not None:  # 1.0 / den is _div for a jet, float division else
+                self.lines.append(
+                    f"if {den[0]} == 0.0 and {den[1]} is not ABSENT: "
+                    f"raise domain('division', {den[0]})"
+                )
+            return self._quotient(self.constant("1.0"), den)
+        out, base = self.constant("1.0"), x
+        while k:
+            if k & 1:
+                out = self.mul(out, base)
+            k >>= 1
+            if k:
+                base = self.mul(base, base)
+        return out
+
+    # -- scalar functions -----------------------------------------------------
+
+    def _unary(self, fn: str, x: list) -> list:
+        return [None if x[0] is None else self._let(f"{fn}({x[0]})")]
+
+    def sin(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("sin", x)
+        xp, xt = x[0::2], x[1::2]
+        primal = self.sin(xp)
+        return _interleave(primal, self.mul(self.cos(xp), xt))
+
+    def cos(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("cos", x)
+        xp, xt = x[0::2], x[1::2]
+        primal = self.cos(xp)
+        return _interleave(primal, self.mul(self.neg(self.sin(xp)), xt))
+
+    def exp(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("exp", x)
+        e = self.exp(x[0::2])
+        return _interleave(e, self.mul(e, x[1::2]))
+
+    def ln(self, x: list) -> list:
+        self.lines.append(f"if {x[0]} <= 0.0: raise domain('ln', {x[0]})")
+        return self._ln(x)
+
+    def _ln(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("log", x)
+        xp, xt = x[0::2], x[1::2]
+        primal = self._ln(xp)
+        return _interleave(primal, self._quotient(xt, xp))
+
+    def sqrt(self, x: list) -> list:
+        """At a primal of exactly 0 the value is 0.0 when ``x`` has no
+        tangent at all; any other primal <= 0 raises."""
+        tangents = [f"{a} is not ABSENT" for a in x[1:] if a is not None]
+
+        def at_zero():
+            test = " or ".join([f"{x[0]} < 0.0"] + tangents)
+            self.lines.append(f"if {test}: raise domain('sqrt', {x[0]})")
+            return self.constant("0.0")
+
+        return self._branch(f"{x[0]} <= 0.0", at_zero, lambda: self._sqrt(x))
+
+    def _sqrt(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("sqrt", x)
+        xp, xt = x[0::2], x[1::2]
+        r = self._sqrt(xp)
+        return _interleave(r, self._quotient(xt, self.mul(self.constant("2.0", len(r)), r)))
+
+    def tanh(self, x: list) -> list:
+        if len(x) == 1:
+            return self._unary("tanh", x)
+        xp, xt = x[0::2], x[1::2]
+        t = self.tanh(xp)
+        one = self.constant("1.0", len(t))
+        return _interleave(t, self.mul(self.sub(one, self.mul(t, t)), xt))
+
+    # -- the kernel -----------------------------------------------------------
+
+    def kernel(self, outputs: list, cells: list):
+        """Compile ``kernel(y, s)``: ``y`` holds the inputs' flat
+        coefficients, ``s`` the time's; the result is the flat
+        coefficients of ``t * v`` for each output ``v``.  Names ``c0..``
+        in the written code are ``cells``."""
+        scaled = [self.mul(self.scale, v) for v in outputs]
+        flat_in = [v[k] for k in range(self.size) for v in self.inputs]
+        flat_out = [v[k] or "ABSENT" for k in range(self.size) for v in scaled]
+        params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(cells))])
+        source = (
+            f"def make({params}):\n"
+            "  def kernel(y, s):\n"
+            f"    [{', '.join(flat_in)}] = y\n"
+            f"    [{', '.join(self.scale)}] = s\n"
+            + "".join(f"    {line}\n" for line in self.lines)
+            + f"    return [{', '.join(flat_out)}]\n"
+            "  return kernel\n"
+        )
+        namespace: dict = {}
+        exec(compile(source, "<jet kernel>", "exec"), namespace)
+        return namespace["make"](*_KERNEL_NAMES.values(), *cells)

@@ -12,6 +12,7 @@ from tangentkit.cli import (
     EXIT_USAGE,
     dispatch,
 )
+from tangentkit import dynamics
 from tangentkit.dynamics import commuting_flows_check
 from tangentkit.fields import (
     FLOW_TOL,
@@ -352,6 +353,26 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
         else:
             assert now["passed"] == (now["max_residual"] <= 1e-300), now["law_id"]
     assert code == EXIT_LAW_FAILURE
+
+
+@pytest.mark.parametrize("seed", ["1729", "7"])
+def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
+    # dsl fields solved at jet depth >= 1 run their flat kernels; with the
+    # lookup switched off the same solves run the jet codec, bit for bit
+    argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
+    lookup, found = dynamics._flat_kernel, []
+
+    def recorded(vhat, depth):
+        kernel = lookup(vhat, depth)
+        found.append(kernel is not None)
+        return kernel
+
+    monkeypatch.setattr(dynamics, "_flat_kernel", recorded)
+    _, with_kernels = run(argv)
+    assert any(found)
+    monkeypatch.setattr(dynamics, "_flat_kernel", lambda vhat, depth: None)
+    _, without = run(argv)
+    assert without == with_kernels
 
 
 def test_config_file_supplies_flags(tmp_path):

@@ -86,6 +86,20 @@ def test_power_requires_integer_literal():
         parse("x1^1.5", 1)
 
 
+@pytest.mark.parametrize(
+    "text, exponent",
+    [("x1 ^ 2", 2), ("x1^ -2", -2), ("x1 ^ − 2", -2), ("x1 ^\t+3", 3), ("x1 ^2", 2)],
+)
+def test_whitespace_around_an_exponent_is_insignificant(text, exponent):
+    assert parse(text, 1).components[0] == Pow(Var(1), exponent)
+
+
+def test_a_missing_exponent_is_reported_where_it_should_start():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("x1 ^  x1", 1)
+    assert info.value.offset == 6 and info.value.expected == ("integer exponent",)
+
+
 def test_empty_input_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("   ", 1)
@@ -119,15 +133,28 @@ def test_time_variable_is_last_input():
 
 
 def test_format_canonical_examples():
-    assert format_spec(parse("x2; −x1", 2)) == "x2; -(x1)"
+    assert format_spec(parse("x2; −x1", 2)) == "x2; -x1"
     assert format_spec(parse("2.5", 1)) == "2.5"
+    assert format_spec(parse("(x1 - (x2 - x1)) * -(x2^2)", 2)) == "(x1 - (x2 - x1)) * -(x2^2)"
 
 
 def test_format_round_trip_examples():
-    for text in ("x1 + x2*x2", "sin(x1)^2 + cos(x1)^2", "-(x1/x2)", "x1^-3"):
+    for text in ("x1 + x2*x2", "sin(x1)^2 + cos(x1)^2", "-(x1/x2)", "x1^-3", "1e999*x1"):
         spec = parse(text, 2)
         again = parse(format_spec(spec), 2)
         assert again.components == spec.components
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" + ".join(["x1"] * 1200), "-" * 60 + "x1", "1e999 * x1"],
+    ids=["long-chain", "deep-minus", "infinity"],
+)
+def test_format_round_trips_what_the_parser_accepts(text):
+    # each text is canonical, so its parse renders back to it, and so
+    # parses back to the same spec (a structural == on a 1200-deep chain
+    # would itself overflow the stack)
+    assert format_spec(parse(text, 1)) == text
 
 
 _FN = st.sampled_from(sorted(dsl.FUNCTIONS))
@@ -298,6 +325,69 @@ def test_generated_evaluator_is_the_closure_tree_bit_for_bit(case):
         env = jets.unflatten_levels(flat[: arity * 2**depth], depth)
         want = _outcome(lambda xs: [body(xs) for body in bodies], env)
         assert _outcome(generated, env) == want, depth
+
+
+# -- the flat kernels against the jet path ------------------------------------
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+
+
+def _towers(depth):
+    """Jet towers of at most ``depth`` levels, ragged: any primal or tangent
+    may stop early as a float."""
+    if depth == 0:
+        return _SCALARS
+    below = _towers(depth - 1)
+    return st.one_of(_SCALARS, st.builds(Jet, below, below))
+
+
+_TOWERS = {depth: _towers(depth) for depth in (1, 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flat_kernel_is_the_jet_path_bit_for_bit(data):
+    arity = data.draw(st.integers(min_value=1, max_value=3))
+    depth = data.draw(st.sampled_from((1, 2)))
+    components = data.draw(st.lists(_ASTS[arity], min_size=1, max_size=3))
+    xs = data.draw(st.lists(_TOWERS[depth], min_size=arity, max_size=arity))
+    # a float time, one of fewer levels than the state's, or a full tower
+    t = data.draw(st.one_of(_SCALARS, _TOWERS[1], _TOWERS[depth]))
+    evaluator = compile_spec(dsl.FieldSpec(arity, tuple(components))).evaluator
+    kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+
+    def jet_path(y):
+        vals = evaluator(jets.unflatten_levels(y, depth))
+        return jets.flatten_levels([t * v for v in vals], depth)
+
+    y = jets.flatten_levels(xs, depth)
+    assert _outcome(lambda y: kernel(y, scale), y) == _outcome(jet_path, y)
+
+
+@pytest.mark.parametrize(
+    "text, depth, xs, t, want",
+    [
+        # a float over a depth-2 jet is (-p) * u; -(p * u) would end in -0.0
+        ("x1/x2", 2, [1.0, Jet(Jet(2.0, -0.0), Jet(1.0, -0.0))], 1.0, "[0.5, -0.25, 0.0, 0.0]"),
+        # sqrt at 0 rejects a jet but gives 0.0 for a float
+        ("sqrt(x1)", 1, [Jet(0.0, 1.0)], 1.0,
+         (EvaluationDomainError, "sqrt undefined at coordinate 0.0")),
+        ("sqrt(x1)", 1, [-0.0], Jet(1.0, 1.0), "[0.0, 0.0]"),
+        # 1.0 / x^k is _div for a jet but float division for a float
+        ("x1^-2", 1, [Jet(1e-200, 1.0)], 1.0,
+         (EvaluationDomainError, "division undefined at coordinate 0.0")),
+        ("x1^-2", 1, [1e-200], Jet(1.0, 1.0), (ZeroDivisionError, "float division by zero")),
+    ],
+)
+def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):
+    evaluator = compile_spec(parse(text, len(xs))).evaluator
+    kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+    assert _outcome(lambda xs: jets.flatten_levels([t * v for v in evaluator(xs)], depth), xs) == want
+    assert _outcome(lambda y: kernel(y, scale), jets.flatten_levels(xs, depth)) == want
 
 
 def test_time_variable_matches_the_closure_tree():

@@ -284,13 +284,14 @@ def _counted(vf):
 
 # The solver steps on flat jet coefficients; these pin the jet-arithmetic
 # results, and the number of field evaluations, for states and outputs that
-# are not full towers of the solve's depth.
+# are not full towers of the solve's depth.  A counting wrapper hides a dsl
+# field's flat kernel, so the pins run the jet codec; the bare-field tests
+# run the same solves through the kernel and must give the same literals.
+
+_LORENZ = "10*(x2-x1); x1*(28-x3)-x2; x1*x2-8/3*x3"
 
 
-def test_float_state_under_a_depth_two_time_is_pinned():
-    lorenz, evals = _counted(
-        VectorField.from_expr("10*(x2-x1); x1*(28-x3)-x2; x1*x2-8/3*x3", 3)
-    )
+def _float_state_under_a_depth_two_time(lorenz):
     got = flow_of(lorenz)(Jet(Jet(0.5, 1.0), Jet(1.0, 0.0)), [1.0, 1.0, 20.0])
     assert repr(got) == (
         "[Jet(Jet(15.641180006136262, -21.01135572288511), "
@@ -300,12 +301,20 @@ def test_float_state_under_a_depth_two_time_is_pinned():
         "Jet(Jet(38.725240689503266, 108.5149637914896), "
         "Jet(108.5149637914896, -3409.542925748087))]"
     )
+
+
+def test_float_state_under_a_depth_two_time_is_pinned():
+    lorenz, evals = _counted(VectorField.from_expr(_LORENZ, 3))
+    _float_state_under_a_depth_two_time(lorenz)
     assert len(evals) == 733
 
 
-def test_time_derivative_over_a_tangent_is_pinned():
+def test_float_state_under_a_depth_two_time_on_the_bare_field():
+    _float_state_under_a_depth_two_time(VectorField.from_expr(_LORENZ, 3))
+
+
+def _time_derivative_over_a_tangent(field):
     # the state is the ragged Jet(Jet(a, b), 0.0) under the time Jet(t, 1.0)
-    field, evals = _counted(VectorField.from_expr("x2; -x1*(1+x1*x1)", 2))
     got = time_derivative(flow_of(field), 0.75, [Jet(1.0, 1.0), Jet(0.5, -0.0)])
     assert repr(got) == (
         "([Jet(0.7829299927040847, 0.033726737952773894), "
@@ -313,7 +322,16 @@ def test_time_derivative_over_a_tangent_is_pinned():
         "[Jet(-0.9742426650775868, -2.009158766750919), "
         "Jet(-1.2628499289345565, -0.09574812119646318)])"
     )
+
+
+def test_time_derivative_over_a_tangent_is_pinned():
+    field, evals = _counted(VectorField.from_expr("x2; -x1*(1+x1*x1)", 2))
+    _time_derivative_over_a_tangent(field)
     assert len(evals) == 235
+
+
+def test_time_derivative_over_a_tangent_on_the_bare_field():
+    _time_derivative_over_a_tangent(VectorField.from_expr("x2; -x1*(1+x1*x1)", 2))
 
 
 def test_field_output_that_drops_a_level_mid_solve_is_pinned():
@@ -328,6 +346,20 @@ def test_field_output_that_drops_a_level_mid_solve_is_pinned():
     got = flow_of(field)(1.0, [Jet(1.0, 1.0)])
     assert repr(got) == "[Jet(2.9999999886456266, 2.2505126190182354)]"
     assert len(evals) == 229
+
+
+def test_a_depth_two_solve_of_a_dsl_field_builds_no_jets_per_step(monkeypatch):
+    # the kernel steps on floats: the jets built are those of the tangent
+    # maps around the solve, as many for a solve twice as long
+    built, init = [], Jet.__init__
+    monkeypatch.setattr(Jet, "__init__", lambda *args: built.append(None) or init(*args))
+    d2 = tangent(tangent(flow_smooth_map(flow_of(VectorField.from_expr(_LORENZ, 3)))))
+    counts = []
+    for t in (0.5, 1.0):
+        built.clear()
+        d2([t, 1.0, 1.0, 20.0] + [1.0, 0.0, 0.0, 0.0] * 3)
+        counts.append(len(built))
+    assert counts[0] == counts[1] < 100
 
 
 def test_eta_is_jet_polymorphic():
