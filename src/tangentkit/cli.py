@@ -6,6 +6,13 @@ pass, 1 a law failed (and nothing else), 2 usage error, 3 evaluation or
 integration error.  Outputs are deterministic for a fixed seed: identical
 argv produce byte-identical bytes.
 
+Each subcommand takes only the flags it reads (listed in ``_COMMANDS``),
+plus ``--out`` and ``--config``; any other flag, or an abbreviated flag, is a
+usage error.  A flag's value check is its argparse type: ``--dim`` >= 0,
+``--t`` finite, ``--tol`` finite and >= 0, ``--rk4-h`` finite and > 0,
+``--grid`` at least 1 (default 100) for trajectories and at least 2 (default:
+the law grid) for ``commute``.
+
 A config file of ``key=value`` lines (keys are the long flag names without
 the leading dashes, ``#`` starts a comment) can stand in for flags via
 ``--config``.  Each line is parsed exactly like the flag ``--key=value``,
@@ -61,6 +68,57 @@ class UsageError(ValueError):
     pass
 
 
+def _checked(convert, ok, message: str):
+    """An argparse ``type``: ``convert`` the text, then a usage error saying
+    ``message`` unless ``ok(value)`` (for flags and ``--config`` lines alike)."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: ..."
+    return parse
+
+
+# The spec of every flag, by long name.  A command's parser takes only the
+# flags its ``_cmd_*`` reads (see ``_COMMANDS``), so any other flag is
+# "unrecognized arguments" (exit 2).
+_FLAGS = {
+    "dim": dict(type=_checked(int, lambda n: n >= 0, "--dim must be non-negative"),
+                help="state dimension n"),
+    "vf": dict(help="field components, e.g. 'x2; -x1'"),
+    "vf2": dict(help="second field components"),
+    "time-dependent": dict(action="store_true",
+                           help="allow t in --vf (solved on the clock-augmented state)"),
+    "t": dict(type=_checked(float, math.isfinite, "--t must be finite"),
+              help="target time"),
+    "x0": dict(help="comma-separated initial state"),
+    "grid": dict(type=_checked(int, lambda n: n >= 1, "--grid must be at least 1"),
+                 default=100, help="trajectory intervals of --format csv"),
+    "tol": dict(type=_checked(float, lambda v: 0.0 <= v < math.inf,
+                              "--tol must be finite and non-negative"),
+                help="law tolerance"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "format": dict(choices=("csv", "json")),
+    "rk4-h": dict(type=_checked(float, lambda h: 0.0 < h < math.inf,
+                                "--rk4-h must be finite and positive"),
+                  help="use fixed-step RK4 with this step instead of RK45"),
+    "as-matrix": dict(action="store_true",
+                      help="print the bracket's matrix when it is linear"),
+    "matrix": dict(help="rows separated by ';', entries by ','"),
+    "christoffel": dict(help="correction components over x1..xn (position) and "
+                             "x{n+1}..x{2n} (velocity)"),
+    "suite": dict(choices=("kernel", "vf", "curve", "flows", "rig", "action", "all"),
+                  default="all"),
+    "quick": dict(action="store_true",
+                  help="smaller sample counts (flows and action suites only)"),
+    "out": dict(help="write output to this path instead of stdout"),
+    "config": dict(help="key=value file supplying defaults for flags"),
+}
+
+
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's parser by name."""
     top = argparse.ArgumentParser(
@@ -68,56 +126,12 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         description="define vector fields, solve them, and verify the laws they satisfy",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def shared(p, vf2=False):
-        p.add_argument("--dim", type=int, help="state dimension n")
-        p.add_argument("--vf", help="field components, e.g. 'x2; -x1'")
-        if vf2:
-            p.add_argument("--vf2", help="second field components")
-        p.add_argument("--time-dependent", action="store_true",
-                       help="allow t in --vf (solved on the clock-augmented state)")
-        p.add_argument("--t", type=float, help="target time")
-        p.add_argument("--x0", help="comma-separated initial state")
-        p.add_argument("--grid", type=int, default=None,
-                       help="trajectory rows / time-grid points per axis")
-        p.add_argument("--tol", type=float, default=None, help="law tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", help="key=value file supplying defaults for flags")
-        p.add_argument("--rk4-h", type=float, default=None,
-                       help="use fixed-step RK4 with this step instead of RK45")
-
-    p = sub.add_parser("solve", help="integrate a field and print the final state")
-    shared(p)
-    p = sub.add_parser("flow", help="integrate a field and emit the trajectory")
-    shared(p)
-    p.set_defaults(format="csv")
-    p = sub.add_parser("bracket", help="evaluate the bracket of two fields at x0")
-    shared(p, vf2=True)
-    p.add_argument("--as-matrix", action="store_true",
-                   help="print the bracket's matrix when it is linear")
-    p = sub.add_parser("commute", help="check the commuting-flows laws for two fields")
-    shared(p, vf2=True)
-    p = sub.add_parser("expm", help="print the matrix exponential of --matrix")
-    shared(p)
-    p.add_argument("--matrix", help="rows separated by ';', entries by ','")
-    p = sub.add_parser("geodesic", help="integrate a geodesic from (x, u)")
-    shared(p)
-    p.add_argument("--christoffel",
-                   help="correction components over x1..xn (position) and "
-                        "x{n+1}..x{2n} (velocity)")
-    p = sub.add_parser("exp", help="evaluate e(t), or the scaling flow with --dim/--x0")
-    shared(p)
-    p = sub.add_parser("verify", help="run a law suite and emit its JSON report")
-    shared(p)
-    p.add_argument("--suite",
-                   choices=("kernel", "vf", "curve", "flows", "rig", "action", "all"),
-                   default="all")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller sample counts for the flows and action suites "
-                        "(same laws, same seeding; kernel, vf, curve and rig "
-                        "ignore it)")
+    for name, (run, help_line, flags, specs) in _COMMANDS.items():
+        # exact names only, so ``--t`` is not taken as ``--tol`` on ``verify``
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        p.set_defaults(run=run)
+        for flag in flags.split() + ["out", "config"]:
+            p.add_argument(f"--{flag}", **specs.get(flag, _FLAGS[flag]))
     return top, sub.choices
 
 
@@ -151,7 +165,7 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
 
 def _require(args, *names):
     for name in names:
-        if getattr(args, name, None) is None:
+        if getattr(args, name) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
@@ -183,37 +197,14 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _field(args) -> VectorField:
-    _require(args, "dim", "vf")
-    return VectorField.from_expr(args.vf, args.dim)
-
-
 def _integrator(args) -> IntegratorConfig:
     if args.rk4_h is None:
         return DEFAULT_CONFIG
-    if not (args.rk4_h > 0.0 and math.isfinite(args.rk4_h)):
-        raise UsageError("--rk4-h must be finite and positive")
     return IntegratorConfig(method="rk4", h=args.rk4_h)
-
-
-def _system(args) -> DynamicalSystem:
-    _require(args, "dim", "vf")
-    if args.time_dependent:
-        return augment_time(dsl.parse(args.vf, args.dim, time_dependent=True))
-    return DynamicalSystem(Space(args.dim), _field(args))
 
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def _grid(args, least: int, default=None):
-    """``--grid`` (``default`` when absent); a usage error below ``least``."""
-    if args.grid is None:
-        return default
-    if args.grid < least:
-        raise UsageError(f"--grid must be at least {least}")
-    return args.grid
 
 
 def _trajectory_csv(t, states) -> bytes:
@@ -227,15 +218,16 @@ def _trajectory_csv(t, states) -> bytes:
 
 
 def _cmd_solve(args) -> tuple[bytes, int]:
-    _require(args, "t", "x0")
-    system = _system(args)
+    _require(args, "t", "x0", "dim", "vf")
+    if args.time_dependent:
+        system = augment_time(dsl.parse(args.vf, args.dim, time_dependent=True))
+    else:
+        system = DynamicalSystem(Space(args.dim), VectorField.from_expr(args.vf, args.dim))
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, args.dim)
     if args.format == "csv":
         y0 = x0 if system.initial_map is None else system.initial_map(x0)
-        states = _trajectory(
-            system.vector_field.vhat, args.t, y0, _grid(args, 1, default=100), cfg
-        )
+        states = _trajectory(system.vector_field.vhat, args.t, y0, args.grid, cfg)
         return _trajectory_csv(args.t, [y[: args.dim] for y in states]), EXIT_OK
     state = integrate(system, args.t, x0, cfg)[: args.dim]
     return _json_bytes({"t": args.t, "state": state}), EXIT_OK
@@ -265,9 +257,8 @@ def _cmd_commute(args) -> tuple[bytes, int]:
     tol = args.tol if args.tol is not None else 1e-6
     cfg = _integrator(args)
     kwargs = {}
-    grid = _grid(args, 2)
-    if grid is not None:
-        kwargs["times"] = tuple(-2.0 + 4.0 * k / (grid - 1) for k in range(grid))
+    if args.grid is not None:
+        kwargs["times"] = tuple(-2.0 + 4.0 * k / (args.grid - 1) for k in range(args.grid))
     laws = commuting_flows_check(
         v1, v2, tol=tol, seed=args.seed, cfg=cfg, **kwargs
     )
@@ -290,9 +281,7 @@ def _cmd_geodesic(args) -> tuple[bytes, int]:
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, 2 * n)
     if args.format == "csv":
-        states = _trajectory(
-            _geodesic_field(conn).vhat, args.t, x0, _grid(args, 1, default=100), cfg
-        )
+        states = _trajectory(_geodesic_field(conn).vhat, args.t, x0, args.grid, cfg)
         return _trajectory_csv(args.t, states), EXIT_OK
     flow = geodesic_flow(conn, cfg)
     state = [primal_value(v) for v in flow.evaluate(args.t, x0)]
@@ -331,15 +320,28 @@ def _cmd_verify(args) -> tuple[bytes, int]:
     return payload, EXIT_OK if all(c.passed for c in laws) else EXIT_LAW_FAILURE
 
 
+# Each command: its function, its help line, the flags it reads besides
+# --out and --config, and the specs that replace a flag's ``_FLAGS`` one.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "flow": _cmd_solve,
-    "bracket": _cmd_bracket,
-    "commute": _cmd_commute,
-    "expm": _cmd_expm,
-    "geodesic": _cmd_geodesic,
-    "exp": _cmd_exp,
-    "verify": _cmd_verify,
+    "solve": (_cmd_solve, "integrate a field and print the final state",
+              "dim vf time-dependent t x0 grid format rk4-h", {}),
+    "flow": (_cmd_solve, "integrate a field and emit the trajectory",
+             "dim vf time-dependent t x0 grid format rk4-h",
+             {"format": dict(_FLAGS["format"], default="csv")}),
+    "bracket": (_cmd_bracket, "evaluate the bracket of two fields at x0",
+                "dim vf vf2 x0 as-matrix", {}),
+    "commute": (_cmd_commute, "check the commuting-flows laws for two fields",
+                "dim vf vf2 grid tol seed rk4-h",
+                {"grid": dict(type=_checked(int, lambda n: n >= 2,
+                                            "--grid must be at least 2"),
+                              help="time-grid points per axis (default: the law grid)")}),
+    "expm": (_cmd_expm, "print the matrix exponential of --matrix", "matrix t", {}),
+    "geodesic": (_cmd_geodesic, "integrate a geodesic from (x, u)",
+                 "dim christoffel t x0 grid format rk4-h", {}),
+    "exp": (_cmd_exp, "evaluate e(t), or the scaling flow with --dim/--x0",
+            "dim x0 t rk4-h", {}),
+    "verify": (_cmd_verify, "run a law suite and emit its JSON report",
+               "suite quick seed tol rk4-h", {}),
 }
 
 
@@ -354,11 +356,7 @@ def dispatch(argv: list[str], stdout=None) -> int:
         if args.config:
             flags = _config_flags(args.config, commands[args.command])
             args = parser.parse_args([argv[0], *flags, *argv[1:]])
-        if args.t is not None and not math.isfinite(args.t):
-            raise UsageError("--t must be finite")
-        if args.tol is not None and not (0.0 <= args.tol < math.inf):
-            raise UsageError("--tol must be finite and non-negative")
-        payload, code = _COMMANDS[args.command](args)
+        payload, code = args.run(args)
         if args.out:
             try:
                 with open(args.out, "wb") as fh:

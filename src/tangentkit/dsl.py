@@ -459,6 +459,9 @@ def _strength(node: Node) -> int:
 def _parts(node: Node) -> tuple:
     """The node's text: strings and ``(operand, weakest strength allowed)``."""
     if isinstance(node, Num):
+        # a parse writes a minus sign as Neg and has no NaN literal
+        if math.isnan(node.value) or math.copysign(1.0, node.value) < 0.0:
+            raise ValueError(f"no literal parses back to Num({node.value!r})")
         # 1e999 is the literal that parses back to inf
         return ("1e999" if node.value == math.inf else repr(node.value),)
     if isinstance(node, Var):

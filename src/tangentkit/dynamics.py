@@ -982,12 +982,9 @@ def augment_time(spec: dsl.FieldSpec) -> DynamicalSystem:
     n = spec.arity
     if spec.n_components != n:
         raise ShapeError(f"a field on R^{n} needs {n} components, got {spec.n_components}")
-    compiled = dsl.compile_spec(spec)  # inputs (x1..xn, t)
+    # the clock is one more compiled component; inputs (x1..xn, t) are the state
+    clocked = dsl.FieldSpec(n, spec.components + (dsl.Num(1.0),), time_dependent=True)
     aug = Space(n + 1)
-
-    def ev(xs):
-        return list(compiled.evaluator(list(xs))) + [1.0]
-
-    vf = VectorField(aug, SmoothMap(aug, aug, ev, name="augmented"))
+    vf = VectorField(aug, dsl.compile_spec(clocked))
     embed = SmoothMap(Space(n), aug, lambda xs: list(xs) + [0.0], name="clock0")
     return DynamicalSystem(aug, vf, initial_map=embed)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from tangentkit import cli
 from tangentkit.cli import (
     EXIT_LAW_FAILURE,
     EXIT_NUMERIC,
@@ -148,6 +149,12 @@ def test_grid_below_one_is_a_usage_error():
     commute = ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"]
     for grid in ("0", "1"):
         assert run(commute + ["--grid", grid]) == (EXIT_USAGE, "")
+
+
+def test_negative_dim_is_a_usage_error(capsys):
+    argv = ["solve", "--dim", "-1", "--vf", "x1", "--t", "1", "--x0", "1"]
+    assert run(argv) == (EXIT_USAGE, "")
+    assert "--dim must be non-negative" in capsys.readouterr().err
 
 
 def test_geodesic_csv_rows_follow_the_grid():
@@ -391,20 +398,33 @@ def test_config_file_flag_precedence(tmp_path):
     assert json.loads(out)["state"] == [1.0]
 
 
-@pytest.mark.parametrize("line", ["t=soon", "dim=two", "t=inf", "tol=nan", "dim=true"])
-def test_config_file_bad_number_is_a_usage_error(tmp_path, line):
+# a config that runs each command, to which a test adds one line read by
+# that command
+_CONFIG = {"solve": "dim=1\nvf=x1\nt=1\nx0=1\n", "verify": "suite=kernel\n"}
+_BAD_NUMBERS = [("solve", "t=soon"), ("solve", "dim=two"), ("solve", "t=inf"),
+                ("verify", "tol=nan"), ("solve", "dim=true")]
+_BAD_CHOICES = [("verify", "suite=bogus"), ("solve", "format=xml"),
+                ("verify", "quick=yes"), ("solve", "format=false")]
+
+
+@pytest.mark.parametrize(
+    "command, line", _BAD_NUMBERS, ids=[line for _, line in _BAD_NUMBERS]
+)
+def test_config_file_bad_number_is_a_usage_error(tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dim=1\nvf=x1\nt=1\nx0=1\n{line}\n")
-    assert run(["solve", "--config", str(cfg)]) == (EXIT_USAGE, "")
+    cfg.write_text(f"{_CONFIG[command]}{line}\n")
+    assert run([command, "--config", str(cfg)]) == (EXIT_USAGE, "")
 
 
-@pytest.mark.parametrize("line", ["suite=bogus", "format=xml", "quick=yes", "format=false"])
-def test_config_values_meet_the_flags_choices(tmp_path, line):
+@pytest.mark.parametrize(
+    "command, line", _BAD_CHOICES, ids=[line for _, line in _BAD_CHOICES]
+)
+def test_config_values_meet_the_flags_choices(tmp_path, command, line):
     # each line is parsed as its flag: a choice outside the flag's choices,
     # or a switch set to anything but true/false, is a usage error
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suite=kernel\n{line}\n")
-    assert run(["verify", "--config", str(cfg)]) == (EXIT_USAGE, "")
+    cfg.write_text(f"{_CONFIG[command]}{line}\n")
+    assert run([command, "--config", str(cfg)]) == (EXIT_USAGE, "")
 
 
 def test_config_file_matches_the_flags(tmp_path):
@@ -455,6 +475,64 @@ def test_geodesic_christoffel_with_too_many_components_is_a_usage_error():
 def test_deeply_nested_field_is_a_usage_error(vf):
     argv = ["solve", "--dim", "1", f"--vf={vf}", "--t", "1", "--x0", "1"]
     assert run(argv) == (EXIT_USAGE, "")
+
+
+# The flags each command reads, besides --out and --config.
+_COMMAND_FLAGS = {
+    "solve": "dim vf time-dependent t x0 grid format rk4-h",
+    "flow": "dim vf time-dependent t x0 grid format rk4-h",
+    "bracket": "dim vf vf2 x0 as-matrix",
+    "commute": "dim vf vf2 grid tol seed rk4-h",
+    "expm": "matrix t",
+    "geodesic": "dim christoffel t x0 grid format rk4-h",
+    "exp": "dim x0 t rk4-h",
+    "verify": "suite quick seed tol rk4-h",
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    _, commands = cli._parser()
+    assert set(commands) == set(_COMMAND_FLAGS)
+    total = 0
+    for name, parser in commands.items():
+        taken = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        want = {f"--{flag}" for flag in _COMMAND_FLAGS[name].split() + ["out", "config"]}
+        assert taken == want, name
+        total += len(taken)
+    assert total == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2", "--x0", "1,2",
+         "--format", "csv"],
+        ["expm", "--matrix", "0,1;-1,0", "--rk4-h", "0"],
+        ["exp", "--t", "1", "--grid", "0"],
+        ["verify", "--suite", "curve", "--x0", "1,2", "--time-dependent"],
+        # --t is no prefix of --tol: neither command reads a time
+        ["verify", "--suite", "kernel", "--t", "0"],
+        ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2", "--t", "1"],
+        ["solve", "--dim", "1", "--vf", "x1", "--time", "--t", "1", "--x0", "1"],
+    ],
+    ids=["bracket-format", "expm-rk4-h", "exp-grid", "verify-x0", "verify-t",
+         "commute-t", "solve-abbreviation"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert run(argv) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_config_key_the_command_does_not_read_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=kernel\nt=1\n")
+    assert run(["verify", "--config", str(cfg)]) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_rk4_flag():

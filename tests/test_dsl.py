@@ -157,6 +157,15 @@ def test_format_round_trips_what_the_parser_accepts(text):
     assert format_spec(parse(text, 1)) == text
 
 
+@pytest.mark.parametrize("value", [-1.0, -0.0, math.nan, -math.inf])
+def test_format_refuses_a_number_no_literal_parses_back_to(value):
+    # a parse writes a minus sign as Neg and has no NaN literal, so these
+    # would render as text that parses to another spec, or to none
+    spec = dsl.FieldSpec(1, (BinOp("+", Var(1), Num(value)),))
+    with pytest.raises(ValueError, match=f"Num\\({value!r}\\)"):
+        format_spec(spec)
+
+
 _FN = st.sampled_from(sorted(dsl.FUNCTIONS))
 
 

@@ -362,6 +362,33 @@ def test_a_depth_two_solve_of_a_dsl_field_builds_no_jets_per_step(monkeypatch):
     assert counts[0] == counts[1] < 100
 
 
+def test_a_time_dependent_field_solves_on_its_flat_kernel(monkeypatch):
+    # the clock is compiled into the field, so the tangent of its flow steps
+    # on floats and builds O(1) jets, with the bits of jet arithmetic
+    built, init = [], Jet.__init__
+    monkeypatch.setattr(Jet, "__init__", lambda *args: built.append(None) or init(*args))
+    vf = augment_time(dsl.parse("x1 + cos(t)", 1, time_dependent=True)).vector_field
+    got = tangent(flow_smooth_map(flow_of(vf)))([2.0, 0.3, 0.0, 1.0, 0.0, 0.0])
+    assert repr(got) == (
+        "[6.573967011184543, 2.0000000000000018, 6.15782017565612, 1.0000000000000009]"
+    )
+    assert len(built) < 20
+
+
+def test_a_field_closing_over_a_jet_is_solved_at_depth_zero():
+    # the state holds floats, so the solve runs at depth 0, but the field
+    # returns jets: the integrator's primals are then jets, never ABSENT
+    line = Space(1)
+
+    def g(xs):
+        field = SmoothMap(line, line, lambda ys: [xs[0] * ys[0]])
+        return flow_of(VectorField(line, field)).evaluate(1.0, [1.0])
+
+    got = tangent(SmoothMap(line, line, g))([0.5, 1.0])
+    assert repr(got) == "[1.6487212707277967, 1.6487212710557269]"
+    assert all(abs(v - math.exp(0.5)) <= 1e-9 for v in got)
+
+
 def test_eta_is_jet_polymorphic():
     out = eta()([Jet(1.5, 1.0)])[0]
     assert abs(out.primal + 1.5) <= 1e-9
