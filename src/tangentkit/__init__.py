@@ -41,6 +41,7 @@ from .dynamics import (
     IntegratorConfig,
     MaxStepsExceeded,
     NonCommutingFields,
+    StateNormExceeded,
     StepSizeCollapse,
     acceleration_residual,
     augment_time,

@@ -295,7 +295,7 @@ def _cmd_geodesic(args) -> tuple[bytes, int]:
 def _cmd_exp(args) -> tuple[bytes, int]:
     _require(args, "t")
     cfg = _integrator(args)
-    if args.dim:
+    if args.dim is not None:
         _require(args, "x0")
         x0 = _parse_x0(args.x0, args.dim)
         flow = exp_flow(TrivialBundle(0, args.dim), cfg)
@@ -374,11 +374,7 @@ def dispatch(argv: list[str], stdout=None) -> int:
     except (dsl.ExprSyntaxError, dsl.UnknownIdentifier, dsl.ArityError, ShapeError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except StepSizeCollapse as e:
-        print(f"integration failed: step size collapse near t={e.t_reached:.3f}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    except MaxStepsExceeded as e:
+    except (StepSizeCollapse, MaxStepsExceeded) as e:
         print(f"integration failed: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (

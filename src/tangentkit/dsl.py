@@ -364,7 +364,7 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     time dependent; outputs are the component values in order.
 
     The evaluator also carries ``flat_kernel(depth)``, which the solver looks
-    up: for a jet depth D >= 1 it gives ``kernel(y, s)``, the flat
+    up: for each jet depth D it gives ``kernel(y, s)``, the flat
     coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
     ``v``, computed from those of the inputs (``y``) and of a time ``t``
     (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).

@@ -8,6 +8,12 @@ system dy/ds = t * vhat(y) over s in [0, 1], so a jet value of t rides
 through the same arithmetic as the state and step-size selection is frozen
 to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
+
+The RK45 loop is written out once per state shape as straight-line code
+(:func:`_dp_loop`): a flat state of at most 64 entries whose field gives
+float primals at the first stage steps in it.  A longer state, or a field
+that closes over a jet (its primals are then jets), steps in the
+hand-written :func:`_rk45_loop`; both give the same bits.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
     "Connection",
     "IntegratorConfig",
     "StepSizeCollapse",
+    "StateNormExceeded",
     "MaxStepsExceeded",
     "NonCommutingFields",
     "integrate",
@@ -85,9 +92,17 @@ class StepSizeCollapse(ArithmeticError):
     """The adaptive step underflowed or the state blew up: the strongest
     finite-time non-existence signal the integrator can give."""
 
-    def __init__(self, t_reached: float):
+    def __init__(self, t_reached: float, cause: str = "step size collapse"):
         self.t_reached = t_reached
-        super().__init__(f"step size collapse near t={t_reached:.3f}")
+        super().__init__(f"{cause} near t={t_reached:.3f}")
+
+
+class StateNormExceeded(StepSizeCollapse):
+    """The state's norm passed the integrator's limit: a blow-up that no
+    collapsed step signalled."""
+
+    def __init__(self, t_reached: float):
+        super().__init__(t_reached, f"state norm above {_STATE_NORM_LIMIT:g}")
 
 
 class MaxStepsExceeded(ArithmeticError):
@@ -274,18 +289,147 @@ _STATE_NORM_LIMIT = 1e12
 _MIN_STEP = 1e-14
 
 
+def _dp_terms(row: tuple, prefix: str) -> list:
+    """``(column, name, value)`` of each nonzero entry of a tableau row,
+    columns counted from 1."""
+    return [(j, f"{prefix}{j}", c) for j, c in enumerate(row, 1) if c]
+
+
+# The nonzero weights of stage states 2..6, of the new state (b) and of the
+# error estimate (e), under the names the generated loop binds them to.
+_DP_STAGES = [_dp_terms(row, f"a{i}") for i, row in enumerate(_DP_A[1:-1], 2)]
+_DP_STAGES.append(_dp_terms(_DP_A[-1], "b"))
+_DP_ERROR = _dp_terms(_DP_E, "e")
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_loop(n: int, primals: int):
+    """:func:`_rk45_loop` written out as straight-line code for a flat state
+    of ``n`` entries, the first ``primals`` of them primal values.
+
+    Each entry of the state, of each stage and of |y| is a local (``y0``,
+    ``k2_0``, ``ay0``, ...), and each stage sum is one expression in the
+    hand-written loop's order of operations, so the two give the same bits.
+    A field value of the wrong length fails its unpacking, and a jet among
+    the primals (floats at the first stage) fails ``abs``; both end in a
+    ShapeError.  Written once per shape; ``n`` is at most
+    ``_GENERATED_MAX_N``."""
+    y = [f"y{i}" for i in range(n)]
+    new = [f"n{i}" for i in range(n)]
+    k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
+    step = []
+    for stage, terms in enumerate(_DP_STAGES, 2):
+        step += [f"c{j} = h_step * {name}" for j, name, _ in terms]
+        sums = [
+            " + ".join([y[i], *(f"c{j} * {k[j - 1][i]}" for j, _, _ in terms)])
+            for i in range(n)
+        ]
+        if stage == 7:  # the 7th stage state is the new state (FSAL)
+            step += [f"{v} = {total}" for v, total in zip(new, sums)]
+            sums = new
+        step += [
+            f"k = rhs([{', '.join(sums)}])",
+            "try:",
+            f"  [{', '.join(k[stage - 1])}] = k",
+            "except ValueError:",
+            f"  raise misfit({primals}) from None",
+        ]
+    norms = []
+    for i in range(primals):
+        e = " + ".join(f"{name} * {k[j - 1][i]}" for j, name, _ in _DP_ERROR)
+        norms += [
+            f"an{i} = abs({new[i]})",
+            f"e = {e}",
+            f"ratio = abs(e * h_step) / (abs_tol + rel_tol * (an{i} if an{i} > ay{i} else ay{i}))",
+            "if ratio > err or ratio != ratio:",
+            "  err = ratio",
+            f"if an{i} > norm or an{i} != an{i}:",
+            f"  norm = an{i}",
+        ]
+    jet_primal = "the field's primal values turned from floats into jets mid-solve"
+    accept = [*zip(y, new), *((f"ay{i}", f"an{i}") for i in range(primals)), *zip(k[0], k[6])]
+    step += [
+        "err = 0.0",
+        "norm = 0.0",
+        "try:",
+        *(f"  {line}" for line in norms or ["pass"]),
+        "except TypeError:",
+        f"  raise ShapeError({jet_primal!r}) from None",
+        "if err <= 1.0:",
+        "  s = target if clipped else s + h_step",
+        *(f"  {a} = {b}" for a, b in accept),
+        "  if not norm <= NORM_LIMIT:",
+        "    raise StateNormExceeded(s * t_unit)",
+        "  if not clipped:",
+        "    h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))",
+        "else:",
+        "  h = h_step * max(0.2, 0.9 * err**-0.2)",
+    ]
+    names = {name: c for terms in (*_DP_STAGES, _DP_ERROR) for _, name, c in terms}
+    names.update(
+        MaxStepsExceeded=MaxStepsExceeded,
+        StepSizeCollapse=StepSizeCollapse,
+        StateNormExceeded=StateNormExceeded,
+        ShapeError=ShapeError,
+        misfit=_misfit,
+        isfinite=math.isfinite,
+        MIN_STEP=_MIN_STEP,
+        NORM_LIMIT=_STATE_NORM_LIMIT,
+    )
+    source = (
+        f"def make({', '.join(names)}):\n"
+        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps):\n"
+        f"    [{', '.join(y)}] = y\n"
+        f"    [{', '.join(k[0])}] = k1\n"
+        + "".join(f"    ay{i} = abs({y[i]})\n" for i in range(primals))
+        + "    s = 0.0\n"
+        "    h = 0.01\n"
+        "    steps = 0\n"
+        "    states = []\n"
+        "    for target in outputs:\n"
+        "      while s < target:\n"
+        "        if steps >= max_steps:\n"
+        "          raise MaxStepsExceeded(s * t_unit, max_steps)\n"
+        "        steps += 1\n"
+        "        if h < MIN_STEP or not isfinite(h):\n"
+        "          raise StepSizeCollapse(s * t_unit)\n"
+        "        clipped = h >= target - s\n"
+        "        h_step = (target - s) if clipped else h\n"
+        + "".join(f"        {line}\n" for line in step)
+        + f"      states.append([{', '.join(y)}])\n"
+        "    return states\n"
+        "  return loop\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<rk45 loop {n}/{primals}>", "exec"), namespace)
+    return namespace["make"](**names)
+
+
 def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
 
 
-def _first_stage(rhs, y: list, primals: int) -> list:
-    """``rhs(y)``, checked once per solve to have one entry per entry of
-    ``y``: a field with the wrong number of components is a ShapeError, not
-    a state that zip silently truncates."""
-    k = rhs(y)
-    if len(k) != len(y):
-        raise ShapeError(f"the field's value does not fit its {primals}-dimensional state")
-    return k
+# A solve whose flat state has at most this many entries steps in the loop
+# _dp_loop writes for its shape; the cap bounds how many loops are kept.
+_GENERATED_MAX_N = 64
+
+
+def _misfit(primals: int) -> ShapeError:
+    return ShapeError(f"the field's value does not fit its {primals}-dimensional state")
+
+
+def _shape_checked(rhs, primals: int):
+    """``rhs`` with each value checked to have one entry per entry of its
+    argument: a field with the wrong number of components is a ShapeError,
+    not a state that zip silently truncates."""
+
+    def stage(y):
+        k = rhs(y)
+        if len(k) != len(y):
+            raise _misfit(primals)
+        return k
+
+    return stage
 
 
 def _integrate_scaled(
@@ -310,13 +454,36 @@ def _integrate_scaled(
     coefficients ride along without steering.  ``t_scale`` is the original
     time value, used only to convert the reached fraction back to time
     units in errors.
+
+    A state of at most ``_GENERATED_MAX_N`` entries whose field gives float
+    primals at the first stage steps in the loop :func:`_dp_loop` writes for
+    its shape.  A longer state, or a field that closes over a jet (its
+    primals are then jets), steps in :func:`_rk45_loop`.  Both run the same
+    float operations in the same order.
     """
 
     if cfg.method == "rk4":
         return _rk4_fixed(rhs, y0, cfg, t_scale, outputs, primals)
     if cfg.method != "rk45":
         raise ValueError(f"unknown integrator method {cfg.method!r}")
+    y = list(y0)
+    checked = _shape_checked(rhs, primals)
+    k1 = checked(y)
+    if len(y) <= _GENERATED_MAX_N and not any(map(jet_depth, k1[:primals])):
+        loop = _dp_loop(len(y), primals)
+        return loop(
+            rhs, y, k1, primal_value(t_scale), outputs,
+            cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+        )
+    return _rk45_loop(checked, y, k1, cfg, t_scale, outputs, primals)
 
+
+def _rk45_loop(
+    rhs, y: list, k1: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
+) -> list:
+    """The Dormand-Prince loop of :func:`_integrate_scaled`, from the state
+    ``y`` and its first stage ``k1``, for a state of any length whose
+    primals may be jets."""
     (
         (a21,),
         (a31, a32),
@@ -328,11 +495,9 @@ def _integrate_scaled(
     e1, _, e3, e4, e5, e6, e7 = _DP_E  # e2 = 0
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
 
-    y = list(y0)
     y_abs = [abs(primal_value(v)) for v in y[:primals]]  # carried with y
     s = 0.0
     h = 0.01
-    k1 = _first_stage(rhs, y, primals)
     steps = 0
     states = []
     for target in outputs:
@@ -404,7 +569,7 @@ def _integrate_scaled(
                 s = target if clipped else s + h_step
                 y, y_abs, k1 = y_new, new_abs, k7
                 if not norm <= _STATE_NORM_LIMIT:
-                    raise StepSizeCollapse(s * primal_value(t_scale))
+                    raise StateNormExceeded(s * primal_value(t_scale))
                 if not clipped:
                     h = h_step * (
                         5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
@@ -431,8 +596,9 @@ def _rk4_fixed(
     counts = [max(1, math.ceil(c)) if c <= cfg.max_steps else c for c in counts]
     if sum(counts) > cfg.max_steps:
         raise MaxStepsExceeded(0.0, cfg.max_steps)
+    rhs = _shape_checked(rhs, primals)
     y = list(y0)
-    k1 = _first_stage(rhs, y, primals)  # the first step's k1; later steps take their own
+    k1 = rhs(y)  # the first step's k1; later steps take their own
     states = []
     for (s, target), steps in zip(intervals, counts):
         width = target - s
@@ -449,7 +615,7 @@ def _rk4_fixed(
             ]
             k1 = None
             if not gap(y[:primals], repeat(0.0)) <= _STATE_NORM_LIMIT:
-                raise StepSizeCollapse(
+                raise StateNormExceeded(
                     (s + (i + 1) / steps * width) * primal_value(t_scale)
                 )
         states.append(y)
@@ -462,10 +628,11 @@ def _trajectory(
     """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
     k = 0..steps, from one integration pass (t and xs may be jets).
 
-    With jets of depth D >= 1 among t and xs, the integrator steps on the
-    flat coefficients of depth-D towers.  A field compiled by
-    :func:`dsl.compile_spec` gives ``t * vhat`` as its flat kernel for depth
-    D, straight-line float code on those coefficients.  Any other evaluator
+    With jets of depth D among t and xs (D = 0 when all are floats), the
+    integrator steps on the flat coefficients of depth-D towers.  A field
+    compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its flat
+    kernel for depth D, straight-line float code on those coefficients (at
+    D = 0 the floats themselves).  Any other evaluator
     (hand-written, or a wrapper around a compiled one) sees towers, xs
     itself first, and ``t * vhat`` is taken in jet arithmetic; both give the
     same bits."""
@@ -475,7 +642,7 @@ def _trajectory(
     depth = max(map(jet_depth, [t, *xs]))
     if t == 0.0 and not depth:
         return [xs] * (steps + 1)
-    kernel = _flat_kernel(vhat, depth) if depth else None
+    kernel = _flat_kernel(vhat, depth)
 
     if kernel is not None:
         scale = flatten_levels([t], depth)

@@ -445,7 +445,7 @@ class _FlatWriter:
         if k < 0:
             self.lines.append(f"if {x[0]} == 0.0: raise domain('negative power', {x[0]})")
             den = self.pow_int(x, -k)
-            if den[1] is not None:  # 1.0 / den is _div for a jet, float division else
+            if len(den) > 1 and den[1] is not None:  # _div for a jet, float division else
                 self.lines.append(
                     f"if {den[0]} == 0.0 and {den[1]} is not ABSENT: "
                     f"raise domain('division', {den[0]})"

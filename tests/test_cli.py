@@ -53,7 +53,7 @@ def test_solve_blow_up_exits_3(capsys):
     code, _ = run(["solve", "--dim", "1", "--vf", "x1^2", "--t", "1", "--x0", "1"])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "step size collapse near t=1.000" in err
+    assert "integration failed: state norm above 1e+12 near t=1.000" in err
 
 
 def test_usage_error_missing_flag(capsys):
@@ -137,6 +137,8 @@ def test_exp_subcommand():
     assert code == EXIT_OK
     state = json.loads(out)["state"]
     assert abs(state[1] - 2.0 * math.e) <= 1e-8
+    # the mode follows whether --dim is given, so --dim 0 reads --x0 too
+    assert run(["exp", "--t", "1", "--dim", "0", "--x0", "5,6,7"])[0] == EXIT_USAGE
 
 
 def test_grid_below_one_is_a_usage_error():
@@ -380,6 +382,20 @@ def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
     monkeypatch.setattr(dynamics, "_flat_kernel", lambda vhat, depth: None)
     _, without = run(argv)
     assert without == with_kernels
+
+
+@pytest.mark.parametrize("seed", ["1729", "7"])
+def test_verify_bytes_do_not_depend_on_the_generated_rk45_loop(seed, monkeypatch):
+    # solves of up to _GENERATED_MAX_N flat entries step in a loop written
+    # for their shape; with it switched off they step in the hand-written one
+    argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
+    writer, shapes = dynamics._dp_loop, []
+    monkeypatch.setattr(dynamics, "_dp_loop", lambda *shape: shapes.append(shape) or writer(*shape))
+    _, generated = run(argv)
+    assert shapes
+    monkeypatch.setattr(dynamics, "_GENERATED_MAX_N", -1)
+    _, hand_written = run(argv)
+    assert hand_written == generated
 
 
 def test_config_file_supplies_flags(tmp_path):

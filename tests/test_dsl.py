@@ -354,22 +354,22 @@ def _towers(depth):
     return st.one_of(_SCALARS, st.builds(Jet, below, below))
 
 
-_TOWERS = {depth: _towers(depth) for depth in (1, 2)}
+_TOWERS = {depth: _towers(depth) for depth in (0, 1, 2)}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_flat_kernel_is_the_jet_path_bit_for_bit(data):
     arity = data.draw(st.integers(min_value=1, max_value=3))
-    depth = data.draw(st.sampled_from((1, 2)))
+    depth = data.draw(st.sampled_from((0, 1, 2)))
     components = data.draw(st.lists(_ASTS[arity], min_size=1, max_size=3))
     xs = data.draw(st.lists(_TOWERS[depth], min_size=arity, max_size=arity))
     # a float time, one of fewer levels than the state's, or a full tower
-    t = data.draw(st.one_of(_SCALARS, _TOWERS[1], _TOWERS[depth]))
+    t = data.draw(st.one_of(_SCALARS, _TOWERS[min(1, depth)], _TOWERS[depth]))
     evaluator = compile_spec(dsl.FieldSpec(arity, tuple(components))).evaluator
     kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
 
-    def jet_path(y):
+    def jet_path(y):  # at depth 0: [t * v for v in evaluator(y)]
         vals = evaluator(jets.unflatten_levels(y, depth))
         return jets.flatten_levels([t * v for v in vals], depth)
 
@@ -390,6 +390,7 @@ def test_flat_kernel_is_the_jet_path_bit_for_bit(data):
         ("x1^-2", 1, [Jet(1e-200, 1.0)], 1.0,
          (EvaluationDomainError, "division undefined at coordinate 0.0")),
         ("x1^-2", 1, [1e-200], Jet(1.0, 1.0), (ZeroDivisionError, "float division by zero")),
+        ("x1^-2", 0, [1e-200], 1.0, (ZeroDivisionError, "float division by zero")),
     ],
 )
 def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tangentkit import dsl
+from tangentkit import dsl, dynamics
 from tangentkit.dynamics import (
     Connection,
     DynamicalSystem,
@@ -12,7 +14,9 @@ from tangentkit.dynamics import (
     IntegratorConfig,
     MaxStepsExceeded,
     NonCommutingFields,
+    StateNormExceeded,
     StepSizeCollapse,
+    _integrate_scaled,
     _trajectory,
     acceleration_residual,
     augment_time,
@@ -43,7 +47,7 @@ from tangentkit.fields import (
     rotation_field,
     zero_field,
 )
-from tangentkit.jets import Jet, coefficients, primal_value
+from tangentkit.jets import ABSENT, Jet, coefficients, primal_value
 from tangentkit.kernel import ShapeError, SmoothMap, Space, tangent
 from tangentkit.sampling import sample_points
 from tangentkit.verify import (
@@ -129,6 +133,57 @@ def test_field_with_the_wrong_number_of_values_is_a_shape_error(method):
             integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], cfg)
 
 
+# The integrator paths: RK45 in the loop written for the state's shape, RK45
+# in the hand-written loop (the generated one switched off), and RK4.
+_PATHS = ["generated", "hand-written", "rk4"]
+
+
+def _on_path(path, monkeypatch) -> IntegratorConfig:
+    if path == "hand-written":
+        monkeypatch.setattr(dynamics, "_GENERATED_MAX_N", -1)
+    return IntegratorConfig(method="rk4" if path == "rk4" else "rk45")
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_a_field_that_grows_after_its_first_value_is_a_shape_error(path, monkeypatch):
+    # every stage is checked, not only the first: zip would cut the third
+    # component off silently
+    calls = []
+
+    def values(xs):
+        calls.append(None)
+        return [xs[1], -xs[0]] + [1.0] * (len(calls) > 1)
+
+    v = VectorField(Space(2), SmoothMap(Space(2), Space(2), values))
+    with pytest.raises(ShapeError, match="does not fit its 2-dimensional state"):
+        integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], _on_path(path, monkeypatch))
+
+
+def test_a_field_whose_primals_turn_into_jets_mid_solve_is_a_shape_error():
+    # floats at the first stage select the generated loop, which reads float
+    # primals only; a jet after that is a typed error, not a bare TypeError
+    calls = []
+
+    def values(xs):
+        calls.append(None)
+        return [xs[0] * (1.0 if len(calls) == 1 else Jet(1.0, 0.5))]
+
+    line = Space(1)
+    flow = flow_of(VectorField(line, SmoothMap(line, line, values)))
+    with pytest.raises(ShapeError, match="turned from floats into jets"):
+        flow.evaluate(1.0, [1.0])
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_a_state_past_the_norm_limit_names_the_limit(path, monkeypatch):
+    # e^30 is finite, but above the integrator's limit: no step collapsed,
+    # and the error says so while still counting as a blow-up
+    cfg = _on_path(path, monkeypatch)
+    with pytest.raises(StateNormExceeded, match=r"^state norm above 1e\+12 near t=27\.6") as e:
+        integrate(euler_system(), 30.0, [1.0], cfg)
+    assert isinstance(e.value, StepSizeCollapse)
+
+
 def test_rk4_step_budget_is_checked_before_stepping():
     cfg = IntegratorConfig(method="rk4", h=1e-3, max_steps=10)
     with pytest.raises(MaxStepsExceeded):
@@ -199,6 +254,84 @@ def test_non_finite_jet_state_raises_step_size_collapse(depth):
     with pytest.raises(StepSizeCollapse) as info:
         fmap(point)
     assert 1.49 <= info.value.t_reached <= 1.51
+
+
+_WEIGHTS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def _flat_solves(draw):
+    """A flat field on n entries, the first p of them primal, with a start,
+    output fractions and a config.  Primal values are nonlinear in the
+    primals and may turn NaN, blow up or pass the state-norm limit; the
+    other entries are linear and
+    may be ABSENT, at the start or in every value (a ragged tower)."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    p = draw(st.integers(min_value=1, max_value=n))
+    primal = st.integers(min_value=0, max_value=p - 1)
+    rows = [
+        (
+            draw(st.sampled_from(
+                ["linear", "sin", "square", "steep", "nan"] if i < p
+                else ["linear", "scaled", "absent"]
+            )),
+            draw(primal if i < p else st.integers(min_value=0, max_value=n - 1)),
+            draw(primal),
+            draw(_WEIGHTS),
+            draw(_WEIGHTS),
+        )
+        for i in range(n)
+    ]
+
+    def rhs(y):
+        out = []
+        for i, (kind, j, q, a, b) in enumerate(rows):
+            if kind == "linear":
+                out.append(a * y[j] + (b if i < p else b * y[i]))
+            elif kind == "sin":
+                out.append(a * math.sin(b * y[j]))
+            elif kind == "square":
+                out.append(a * y[j] * y[j])
+            elif kind == "steep":
+                out.append(a * 1e13 + y[j])
+            elif kind == "nan":
+                out.append(math.nan if y[j] > b else a)
+            elif kind == "scaled":
+                out.append(math.cos(y[q]) * y[j])
+            else:
+                out.append(ABSENT)
+        return out
+
+    y0 = draw(st.lists(_WEIGHTS, min_size=p, max_size=p))
+    y0 += draw(st.lists(st.one_of(_WEIGHTS, st.just(ABSENT)), min_size=n - p, max_size=n - p))
+    outputs = draw(st.one_of(
+        st.just((1.0,)),
+        st.integers(min_value=2, max_value=9).map(lambda m: tuple(k / m for k in range(1, m + 1))),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4).map(
+            lambda fractions: tuple(sorted(fractions))
+        ),
+    ))
+    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    cfg = IntegratorConfig(
+        abs_tol=tol, rel_tol=tol, max_steps=draw(st.integers(min_value=1, max_value=300))
+    )
+    return rhs, y0, cfg, draw(_WEIGHTS), outputs, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flat_solves())
+def test_generated_rk45_loop_is_the_hand_written_one_bit_for_bit(solve):
+    # the same states, or the same error at the same time, down to the bit
+    def outcome():
+        try:
+            return repr(_integrate_scaled(*solve))
+        except (ArithmeticError, ValueError) as e:
+            return type(e), str(e), repr(getattr(e, "t_reached", None))
+
+    generated = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_GENERATED_MAX_N", -1)
+        assert outcome() == generated
 
 
 def _flat(values):

@@ -25,6 +25,7 @@ PUBLIC_NAMES = [
     "ShapeError",
     "SmoothMap",
     "Space",
+    "StateNormExceeded",
     "StepSizeCollapse",
     "TrivialBundle",
     "UnknownIdentifier",
