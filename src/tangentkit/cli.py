@@ -29,8 +29,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import dsl
 from .dynamics import (
     DEFAULT_CONFIG,
@@ -169,11 +167,21 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
+def _floats(text: str, where: str) -> list[float]:
+    """The comma-separated floats of ``text``; an empty or non-numeric entry
+    is a usage error naming ``where`` and the entry's position."""
+    values = []
+    for i, v in enumerate(text.split(","), 1):
+        try:
+            values.append(float(v))
+        except ValueError:
+            problem = "is empty" if v.strip() == "" else f"is not a number: {v!r}"
+            raise UsageError(f"{where} entry {i} {problem}") from None
+    return values
+
+
 def _parse_x0(text: str, expected: int | None = None) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as e:
-        raise UsageError(f"--x0: {e}") from e
+    values = _floats(text, "--x0") if text.strip() != "" else []
     if not all(math.isfinite(v) for v in values):
         raise UsageError("--x0 entries must be finite")
     if expected is not None and len(values) != expected:
@@ -181,16 +189,11 @@ def _parse_x0(text: str, expected: int | None = None) -> list[float]:
     return values
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    try:
-        rows = [
-            [float(v) for v in row.split(",")]
-            for row in text.split(";")
-            if row.strip() != ""
-        ]
-    except ValueError as e:
-        raise UsageError(f"--matrix: {e}") from e
-    if not rows or any(len(r) != len(rows) for r in rows):
+def _parse_matrix(text: str):
+    import numpy as np
+
+    rows = [_floats(row, f"--matrix row {i}") for i, row in enumerate(text.split(";"), 1)]
+    if any(len(r) != len(rows) for r in rows):
         raise UsageError("--matrix must be square")
     if not all(math.isfinite(v) for row in rows for v in row):
         raise UsageError("--matrix entries must be finite")

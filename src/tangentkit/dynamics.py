@@ -22,9 +22,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .fields import (
     FLOW_TOL,
@@ -725,6 +726,8 @@ _PADE13_THETA = 5.371920351148152
 def expm(A) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with the order-13 diagonal
     Pade approximant."""
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("expm needs a square matrix")
@@ -779,6 +782,7 @@ def linear_flow(A) -> Flow:
     time t is split as primal + nilpotent part d; expm(tA) = expm(t0 A) *
     sum_k (dA)^k / k! truncated at the jet depth, which is exact.
     """
+    import numpy as np
 
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

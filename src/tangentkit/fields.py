@@ -8,9 +8,12 @@ the worst witness point, never a bare boolean.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from . import dsl
 from .jets import primal_value
@@ -120,6 +123,8 @@ class LinearVectorField(VectorField):
     """Vector field whose component map is a matrix."""
 
     def __init__(self, matrix):
+        import numpy as np
+
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ShapeError("matrix must be square")
@@ -169,9 +174,12 @@ def gap(a, b) -> float:
 
 
 def _flat(case) -> tuple:
+    # an ndarray part exists only once numpy is loaded, so do not load it here
+    np = sys.modules.get("numpy")
+    sequences = (list, tuple) if np is None else (list, tuple, np.ndarray)
     out = []
     for part in case:
-        if isinstance(part, (list, tuple, np.ndarray)):
+        if isinstance(part, sequences):
             out.extend(part)
         else:
             out.append(part)
@@ -301,6 +309,8 @@ def matrix_of(
     """Extract the matrix of a linear field (columns vhat(e_i) - vhat(0));
     raises :class:`LinearityError` when the sampled linearity residual
     exceeds ``tol``."""
+    import numpy as np
+
     n = v.space.dim
     at_zero = [primal_value(y) for y in v.vhat([0.0] * n)]
     cols = []

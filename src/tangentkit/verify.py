@@ -14,8 +14,6 @@ import random
 from functools import partial
 from itertools import product
 
-import numpy as np
-
 from . import dsl
 from .dynamics import (
     DEFAULT_CONFIG,
@@ -210,6 +208,8 @@ def suite_kernel(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fal
 
 
 def _commuting_pair(rng: random.Random, n: int):
+    import numpy as np
+
     A = np.array(sample_matrix(n, rng))
     B = (
         rng.uniform(-1, 1) * np.eye(n)
@@ -220,6 +220,8 @@ def _commuting_pair(rng: random.Random, n: int):
 
 
 def _noncommuting_pair(rng: random.Random, n: int):
+    import numpy as np
+
     while True:
         A = np.array(sample_matrix(n, rng))
         B = np.array(sample_matrix(n, rng))
@@ -227,7 +229,9 @@ def _noncommuting_pair(rng: random.Random, n: int):
             return A, B
 
 
-def _invertible(rng: random.Random, n: int) -> np.ndarray:
+def _invertible(rng: random.Random, n: int):
+    import numpy as np
+
     while True:
         P = np.array(sample_matrix(n, rng))
         if abs(np.linalg.det(P)) > 0.3:
@@ -322,6 +326,8 @@ def suite_vf(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
         checks.append(law_check(law, pts, residual, law_tol, seed))
 
     def related_brackets(_):
+        import numpy as np
+
         n = rng.choice((2, 3))
         P = _invertible(rng, n)
         Pinv = np.linalg.inv(P)
@@ -436,6 +442,8 @@ def solution_square_residuals(flow_eval, v: VectorField, t: float, x):
 
 
 def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
+    import numpy as np
+
     rng = random.Random(seed)
     checks = []
     times = (-1.0, -0.5, 0.0, 0.5, 1.0)

@@ -2,6 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,28 @@ def test_expm_subcommand():
 def test_expm_usage_error_nonsquare():
     code, _ = run(["expm", "--matrix", "1,2,3;4,5,6"])
     assert code == EXIT_USAGE
+
+
+_ROTATION_SOLVE = ["solve", "--dim", "2", "--vf", "x2; -x1", "--t", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_ROTATION_SOLVE + ["--x0", "1,,0"], "--x0 entry 2 is empty"),
+        (_ROTATION_SOLVE + ["--x0", ",1,0,"], "--x0 entry 1 is empty"),
+        (["expm", "--matrix", "1,2;;3,4"], "--matrix row 2 entry 1 is empty"),
+    ],
+    ids=["x0-inner", "x0-ends", "matrix-row"],
+)
+def test_an_empty_entry_is_a_usage_error_naming_its_position(argv, message, capsys):
+    assert run(argv) == (EXIT_USAGE, "")
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_an_empty_x0_is_the_zero_dimensional_state():
+    code, out = run(["exp", "--t", "1", "--dim", "0", "--x0", ""])
+    assert code == EXIT_OK and json.loads(out)["state"] == []
 
 
 def test_exp_subcommand():
@@ -605,3 +631,66 @@ def test_nan_residual_fails_and_serializes_as_nan():
     text = emit_report([law], seed=1, config={}).decode()
     assert '"max_residual": NaN' in text
     assert '"passed": false' in text
+
+
+_SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _dispatch_in_a_new_process(argv):
+    """Exit code, stdout and whether numpy was imported, for ``dispatch(argv)``
+    in a fresh interpreter (``argv`` None: only ``import tangentkit``)."""
+    script = (
+        "import io, json, sys\n"
+        "import tangentkit, tangentkit.cli\n"
+        "argv, out, code = json.loads(sys.argv[1]), io.StringIO(), None\n"
+        "if argv is not None:\n"
+        "    code = tangentkit.cli.dispatch(argv, stdout=out)\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return tuple(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["flow", "--dim", "2", "--vf", "x2; -x1", "--t", "1", "--x0", "1,0", "--grid", "4"],
+        ["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2", "--t", "1", "--x0", "0,1"],
+        ["solve", "--dim", "1", "--vf", "x1", "--t", "1", "--x0", "1"],
+        ["solve", "--dim", "1", "--vf", "x1 + cos(t)", "--time-dependent", "--t", "1",
+         "--x0", "0"],
+        ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2", "--grid", "3"],
+        ["exp", "--t", "1"],
+        ["verify", "--suite", "kernel", "--quick"],
+        ["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2"],
+    ],
+    ids=["import", "flow", "geodesic", "solve", "solve_td", "commute", "exp",
+         "verify-kernel", "bracket"],
+)
+def test_commands_without_matrices_do_not_import_numpy(argv):
+    code, out, numpy_loaded = _dispatch_in_a_new_process(argv)
+    assert code in (None, EXIT_OK) and (argv is None or out)
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["expm", "--matrix", "0,1;-1,0", "--t", "0.5"],
+         {"expm": [[0.8775825618903726, 0.47942553860420306],
+                   [-0.47942553860420306, 0.8775825618903728]]}),
+        (["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2",
+          "--as-matrix"],
+         {"x0": [1.0, 2.0], "bracket": [4.0, 2.0], "matrix": [[0.0, 2.0], [2.0, 0.0]]}),
+    ],
+    ids=["expm", "bracket-as-matrix"],
+)
+def test_matrix_commands_import_numpy_and_keep_their_bytes(argv, payload):
+    code, out, numpy_loaded = _dispatch_in_a_new_process(argv)
+    assert code == EXIT_OK and numpy_loaded
+    assert out == json.dumps(payload, indent=2) + "\n"

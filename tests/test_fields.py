@@ -15,6 +15,7 @@ from tangentkit.fields import (
     product_vf,
     rotation_field,
     tangent_lift,
+    worst_case,
     zero_field,
 )
 from tangentkit.jets import primal_value
@@ -224,6 +225,13 @@ def test_nan_at_a_later_sample_only_fails_the_law():
     assert not check.passed and math.isnan(check.max_residual)
     assert check.witness == (-1.0, 1.0)
     assert math.isnan(check.to_dict()["max_residual"])
+
+
+def test_worst_case_flattens_an_ndarray_part_of_the_witness():
+    cases = [(0.5, [1.0, 1.0]), (1.5, np.array([2.0, 3.0]))]
+    worst, witness = worst_case(cases, lambda t, x: t)
+    assert worst == 1.5
+    assert witness == (1.5, 2.0, 3.0) and len(witness) == 3
 
 
 def test_matrix_of_rejects_nan_at_some_samples():
