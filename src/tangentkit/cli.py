@@ -8,10 +8,11 @@ argv produce byte-identical bytes.
 
 Each subcommand takes only the flags it reads (listed in ``_COMMANDS``),
 plus ``--out`` and ``--config``; any other flag, or an abbreviated flag, is a
-usage error.  A flag's value check is its argparse type: ``--dim`` >= 0,
-``--t`` finite, ``--tol`` finite and >= 0, ``--rk4-h`` finite and > 0,
-``--grid`` at least 1 (default 100) for trajectories and at least 2 (default:
-the law grid) for ``commute``.
+usage error.  A flag's value check is its argparse type: ``--dim`` >= 1
+(>= 0 for ``exp``, whose scaling flow also runs on R^0), ``--t`` finite,
+``--tol`` finite and >= 0, ``--rk4-h`` finite and > 0, ``--grid`` at least 1
+(default 100) for trajectories and at least 2 (default: the law grid) for
+``commute``.
 
 A config file of ``key=value`` lines (keys are the long flag names without
 the leading dashes, ``#`` starts a comment) can stand in for flags via
@@ -40,7 +41,6 @@ from .dynamics import (
     _geodesic_field,
     _trajectory,
     acceleration_residual,
-    augment_time,
     commuting_flows_check,
     expm,
     geodesic_flow,
@@ -48,7 +48,7 @@ from .dynamics import (
 )
 from .fields import LinearityError, VectorField, lie_bracket, matrix_of
 from .jets import EvaluationDomainError, primal_value
-from .kernel import ShapeError, Space, TrivialBundle, VerticalityViolation
+from .kernel import ShapeError, TrivialBundle, VerticalityViolation
 from .reports import emit_report
 from .rig import e_map, exp_flow
 from .sampling import DEFAULT_SEED
@@ -84,7 +84,7 @@ def _checked(convert, ok, message: str):
 # flags its ``_cmd_*`` reads (see ``_COMMANDS``), so any other flag is
 # "unrecognized arguments" (exit 2).
 _FLAGS = {
-    "dim": dict(type=_checked(int, lambda n: n >= 0, "--dim must be non-negative"),
+    "dim": dict(type=_checked(int, lambda n: n >= 1, "--dim must be at least 1"),
                 help="state dimension n"),
     "vf": dict(help="field components, e.g. 'x2; -x1'"),
     "vf2": dict(help="second field components"),
@@ -222,10 +222,8 @@ def _trajectory_csv(t, states) -> bytes:
 
 def _cmd_solve(args) -> tuple[bytes, int]:
     _require(args, "t", "x0", "dim", "vf")
-    if args.time_dependent:
-        system = augment_time(dsl.parse(args.vf, args.dim, time_dependent=True))
-    else:
-        system = DynamicalSystem(Space(args.dim), VectorField.from_expr(args.vf, args.dim))
+    spec = dsl.parse(args.vf, args.dim, time_dependent=args.time_dependent)
+    system = DynamicalSystem.from_field_spec(spec)
     cfg = _integrator(args)
     x0 = _parse_x0(args.x0, args.dim)
     if args.format == "csv":
@@ -342,7 +340,10 @@ _COMMANDS = {
     "geodesic": (_cmd_geodesic, "integrate a geodesic from (x, u)",
                  "dim christoffel t x0 grid format rk4-h", {}),
     "exp": (_cmd_exp, "evaluate e(t), or the scaling flow with --dim/--x0",
-            "dim x0 t rk4-h", {}),
+            "dim x0 t rk4-h",
+            # the scaling flow also runs on R^0
+            {"dim": dict(_FLAGS["dim"], type=_checked(int, lambda n: n >= 0,
+                                                      "--dim must be non-negative"))}),
     "verify": (_cmd_verify, "run a law suite and emit its JSON report",
                "suite quick seed tol rk4-h", {}),
 }

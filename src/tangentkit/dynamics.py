@@ -33,6 +33,7 @@ from .fields import (
     LawCheck,
     LinearVectorField,
     VectorField,
+    _check_field_spec,
     commutes,
     gap,
     law_check,
@@ -172,7 +173,7 @@ class DynamicalSystem:
         are made autonomous by :func:`augment_time`."""
         if spec.time_dependent:
             return augment_time(spec)
-        vf = VectorField(Space(spec.arity), dsl.compile_spec(spec))
+        vf = VectorField(Space(spec.arity), dsl.compile_spec(_check_field_spec(spec)))
         return cls(vf.space, vf)
 
 
@@ -1150,9 +1151,7 @@ def augment_time(spec: dsl.FieldSpec) -> DynamicalSystem:
     solution recovers the non-autonomous solution; the clock recovers t."""
     if not spec.time_dependent:
         raise ValueError("augment_time expects a time-dependent field spec")
-    n = spec.arity
-    if spec.n_components != n:
-        raise ShapeError(f"a field on R^{n} needs {n} components, got {spec.n_components}")
+    n = _check_field_spec(spec).arity
     # the clock is one more compiled component; inputs (x1..xn, t) are the state
     clocked = dsl.FieldSpec(n, spec.components + (dsl.Num(1.0),), time_dependent=True)
     aug = Space(n + 1)

@@ -91,6 +91,14 @@ class LinearityError(ValueError):
         )
 
 
+def _check_field_spec(spec: dsl.FieldSpec) -> dsl.FieldSpec:
+    """``spec``, or a ShapeError unless it has one component per coordinate."""
+    n = spec.arity
+    if spec.n_components != n:
+        raise ShapeError(f"a field on R^{n} needs {n} components, got {spec.n_components}")
+    return spec
+
+
 @dataclass(frozen=True)
 class VectorField:
     """A section of the tangent projection, stored via its component map."""
@@ -111,11 +119,7 @@ class VectorField:
 
     @classmethod
     def from_expr(cls, text: str, dim: int) -> "VectorField":
-        spec = dsl.parse(text, dim)
-        if spec.n_components != dim:
-            raise ShapeError(
-                f"field on R^{dim} needs {dim} components, got {spec.n_components}"
-            )
+        spec = _check_field_spec(dsl.parse(text, dim))
         return cls(Space(dim), dsl.compile_spec(spec))
 
 

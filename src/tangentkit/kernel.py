@@ -12,10 +12,15 @@ The short version (layout rules 1-6):
   first, so the canonical flip is a pure block swap;
 * a trivial bundle ``R^n x R^m -> R^n`` has total-space elements ``(x, a)``
   and tangent elements ``(x, a, dx, da)``.
+
+Every structural map except ``plus`` and ``neg`` only moves coordinate
+blocks and inserts zero blocks, so each is written as its block layout, one
+table that mirrors rule 8 (with rules 5 and 7), and built by ``_block_map``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -180,19 +185,35 @@ def tangent(f: SmoothMap) -> SmoothMap:
 # -- structural transformations ------------------------------------------
 
 
-def _p_map(space: Space) -> SmoothMap:
-    n = space.dim
-    return SmoothMap(Space(2 * n), space, lambda xs: xs[:n], name="p")
+def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
+    """A map that splits its input into blocks of the given ``sizes`` and
+    concatenates the ``layout``: an int is that input block, a list (a zero
+    block) is inserted as it stands.  A layout of one input block returns
+    that slice of the input."""
+    starts = [0, *itertools.accumulate(sizes)]
+    pieces = [
+        slice(starts[b], starts[b + 1]) if isinstance(b, int) else b for b in layout
+    ]
+    out_dim = sum(sizes[b] if isinstance(b, int) else len(b) for b in layout)
+
+    if len(pieces) == 1:
+        (only,) = pieces
+
+        def ev(xs):
+            return xs[only]
+
+    else:
+
+        def ev(xs):
+            out = []
+            for piece in pieces:
+                out += xs[piece] if piece.__class__ is slice else piece
+            return out
+
+    return SmoothMap(Space(starts[-1]), Space(out_dim), ev, name=name)
 
 
-def _zero_map(space: Space) -> SmoothMap:
-    n = space.dim
-    return SmoothMap(space, Space(2 * n), lambda xs: list(xs) + [0.0] * n, name="zero")
-
-
-def _plus_map(space: Space) -> SmoothMap:
-    n = space.dim
-
+def _plus_map(n: int) -> SmoothMap:
     def ev(xs):
         x, u, w = xs[:n], xs[n : 2 * n], xs[2 * n :]
         return list(x) + [ui + wi for ui, wi in zip(u, w)]
@@ -200,72 +221,28 @@ def _plus_map(space: Space) -> SmoothMap:
     return SmoothMap(Space(3 * n), Space(2 * n), ev, name="plus")
 
 
-def _ell_map(space: Space) -> SmoothMap:
-    n = space.dim
-
-    def ev(xs):
-        x, v = xs[:n], xs[n:]
-        return list(x) + [0.0] * n + [0.0] * n + list(v)
-
-    return SmoothMap(Space(2 * n), Space(4 * n), ev, name="ell")
-
-
-def _flip_map(space: Space) -> SmoothMap:
-    n = space.dim
-
-    def ev(xs):
-        return xs[:n] + xs[2 * n : 3 * n] + xs[n : 2 * n] + xs[3 * n :]
-
-    return SmoothMap(Space(4 * n), Space(4 * n), ev, name="flip")
-
-
-def _neg_map(space: Space) -> SmoothMap:
-    n = space.dim
-
+def _neg_map(n: int) -> SmoothMap:
     def ev(xs):
         return xs[:n] + [-v for v in xs[n:]]
 
     return SmoothMap(Space(2 * n), Space(2 * n), ev, name="neg")
 
 
-def _hat_p_map(bundle: TrivialBundle) -> SmoothMap:
-    m = bundle.fibre_dim
-    return SmoothMap(Space(2 * m), Space(m), lambda xs: xs[m:], name="hat_p")
-
-
-def _bundle_lift_map(bundle: TrivialBundle) -> SmoothMap:
-    n, m = bundle.base_dim, bundle.fibre_dim
-
-    def ev(xs):
-        x, a = xs[:n], xs[n:]
-        return list(x) + [0.0] * m + [0.0] * n + list(a)
-
-    return SmoothMap(Space(n + m), Space(2 * (n + m)), ev, name="lift")
-
-
-def _bundle_mu_map(bundle: TrivialBundle) -> SmoothMap:
-    n, m = bundle.base_dim, bundle.fibre_dim
-
-    def ev(xs):
-        x, a1, a2 = xs[:n], xs[n : n + m], xs[n + m :]
-        return list(x) + list(a1) + [0.0] * n + list(a2)
-
-    return SmoothMap(Space(n + 2 * m), Space(2 * (n + m)), ev, name="mu")
-
-
+# Layout rules 5 and 8 as data: every structural map but plus and neg only
+# moves blocks of its input and inserts zero blocks.
 _SPACE_KINDS = {
-    "p": _p_map,
-    "zero": _zero_map,
+    "p": lambda n: _block_map("p", (n, n), (0,)),
+    "zero": lambda n: _block_map("zero", (n,), (0, [0.0] * n)),
     "plus": _plus_map,
-    "ell": _ell_map,
-    "flip": _flip_map,
+    "ell": lambda n: _block_map("ell", (n, n), (0, [0.0] * n, [0.0] * n, 1)),
+    "flip": lambda n: _block_map("flip", (n, n, n, n), (0, 2, 1, 3)),
     "neg": _neg_map,
 }
 
 _BUNDLE_KINDS = {
-    "hat_p": _hat_p_map,
-    "bundle_lift": _bundle_lift_map,
-    "bundle_mu": _bundle_mu_map,
+    "hat_p": lambda n, m: _block_map("hat_p", (m, m), (1,)),
+    "bundle_lift": lambda n, m: _block_map("lift", (n, m), (0, [0.0] * m, [0.0] * n, 1)),
+    "bundle_mu": lambda n, m: _block_map("mu", (n, m, m), (0, 1, [0.0] * n, 2)),
 }
 
 
@@ -281,7 +258,7 @@ def structural_map(kind: str, shape) -> SmoothMap:
     if kind in _SPACE_KINDS:
         if not isinstance(shape, Space):
             raise ShapeError(f"structural map {kind!r} needs a Space, got {shape!r}")
-        return _SPACE_KINDS[kind](shape)
+        return _SPACE_KINDS[kind](shape.dim)
     if kind in _BUNDLE_KINDS:
         if not isinstance(shape, TrivialBundle):
             raise ShapeError(
@@ -289,7 +266,7 @@ def structural_map(kind: str, shape) -> SmoothMap:
             )
         if kind == "hat_p" and shape.base_dim != 0:
             raise ShapeError("hat_p is only defined over a point base (base_dim 0)")
-        return _BUNDLE_KINDS[kind](shape)
+        return _BUNDLE_KINDS[kind](shape.base_dim, shape.fibre_dim)
     raise ShapeError(f"unknown structural map kind {kind!r}")
 
 
@@ -342,35 +319,13 @@ def product_interleave(s1: Space, s2: Space) -> SmoothMap:
     """The canonical iso T(M1 x M2) -> TM1 x TM2 (layout rule 7):
     (x1, x2, d1, d2) -> (x1, d1, x2, d2)."""
     n1, n2 = s1.dim, s2.dim
-
-    def ev(xs):
-        return (
-            xs[:n1]
-            + xs[n1 + n2 : 2 * n1 + n2]
-            + xs[n1 : n1 + n2]
-            + xs[2 * n1 + n2 :]
-        )
-
-    return SmoothMap(
-        Space(2 * (n1 + n2)), Space(2 * (n1 + n2)), ev, name="interleave"
-    )
+    return _block_map("interleave", (n1, n2, n1, n2), (0, 2, 1, 3))
 
 
 def product_interleave_inv(s1: Space, s2: Space) -> SmoothMap:
     """Inverse of :func:`product_interleave`: (x1, d1, x2, d2) -> (x1, x2, d1, d2)."""
     n1, n2 = s1.dim, s2.dim
-
-    def ev(xs):
-        return (
-            xs[:n1]
-            + xs[2 * n1 : 2 * n1 + n2]
-            + xs[n1 : 2 * n1]
-            + xs[2 * n1 + n2 :]
-        )
-
-    return SmoothMap(
-        Space(2 * (n1 + n2)), Space(2 * (n1 + n2)), ev, name="interleave_inv"
-    )
+    return _block_map("interleave_inv", (n1, n1, n2, n2), (0, 2, 1, 3))
 
 
 def vertical_bracket(

@@ -91,11 +91,9 @@ LAW_ANCHORS = {
 }
 
 
-def report_dict(
-    laws: list[LawCheck], seed: int, config: dict, version: str = REPORT_VERSION
-) -> dict:
+def report_dict(laws: list[LawCheck], seed: int, config: dict) -> dict:
     return {
-        "version": version,
+        "version": REPORT_VERSION,
         "seed": seed,
         "config": config,
         "laws": [
@@ -113,11 +111,8 @@ def report_dict(
     }
 
 
-def emit_report(
-    laws: list[LawCheck], seed: int, config: dict, version: str = REPORT_VERSION
-) -> bytes:
+def emit_report(laws: list[LawCheck], seed: int, config: dict) -> bytes:
     """Serialize with a stable field order; identical runs are byte-identical."""
     return (
-        json.dumps(report_dict(laws, seed, config, version), indent=2, sort_keys=False)
-        + "\n"
+        json.dumps(report_dict(laws, seed, config), indent=2, sort_keys=False) + "\n"
     ).encode("utf-8")

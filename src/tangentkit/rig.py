@@ -29,6 +29,7 @@ from .kernel import (
     SmoothMap,
     Space,
     TrivialBundle,
+    _block_map,
     compose,
     product,
     product_interleave_inv,
@@ -57,16 +58,6 @@ RIG_TOL = 1e-6
 C_BUNDLE = TrivialBundle(0, 1)
 
 
-def _diag_embed(bundle: TrivialBundle) -> SmoothMap:
-    """A -> A_2, (x, a) -> (x, a, a)."""
-    n, m = bundle.base_dim, bundle.fibre_dim
-
-    def ev(xs):
-        return list(xs) + list(xs[n:])
-
-    return SmoothMap(Space(n + m), Space(n + 2 * m), ev, name="diag")
-
-
 def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
     """The fibrewise-scaling field of a trivial bundle (at ``(x, a)`` the
     direction is ``(0, a)``), built structurally as the diagonal into the
@@ -76,7 +67,8 @@ def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
     n, m = bundle.base_dim, bundle.fibre_dim
     total = bundle.total
     mu = structural_map("bundle_mu", bundle)
-    full = compose(_diag_embed(bundle), mu)
+    diag = _block_map("diag", (n, m), (0, 1, 1))  # A -> A_2, (x, a) -> (x, a, a)
+    full = compose(diag, mu)
     vhat = compose(full, structural_map("hat_p", TrivialBundle(0, n + m)))
     field_ = VectorField(total, vhat)
 

@@ -15,15 +15,13 @@ LAW_GRID_SAMPLES = 25
 
 
 def sample_points(
-    dim: int,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    low: float = -2.0,
-    high: float = 2.0,
+    dim: int, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> list[list[float]]:
+    """``count`` points drawn uniformly from the cube [-2, 2]^dim."""
     rng = random.Random(seed)
-    return [[rng.uniform(low, high) for _ in range(dim)] for _ in range(count)]
+    return [[rng.uniform(-2.0, 2.0) for _ in range(dim)] for _ in range(count)]
 
 
-def sample_matrix(n: int, rng: random.Random, scale: float = 1.0) -> list[list[float]]:
-    return [[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(n)]
+def sample_matrix(n: int, rng: random.Random) -> list[list[float]]:
+    """An n x n matrix with entries drawn uniformly from [-1, 1]."""
+    return [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -117,6 +118,26 @@ def test_commute_exit_codes():
     assert any(not law["passed"] for law in payload["laws"])
 
 
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        (["verify", "--suite", "all", "--quick", "--seed", "1729"],
+         "b4b9ffe997cbd9eaf4b035cd69dbdda35bfe487fff07487e43d609bd1b3976aa"),
+        (["verify", "--suite", "all", "--quick", "--seed", "7"],
+         "e522bba7a3f3bc6dd6eb1bcac18894ce1540622e3351aa6f29a4356166ce369c"),
+        (["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"],
+         "465e3315e74fde5b98ed2b6772dd32a49339ae093dde4fcdc3ff679d83ed4c9f"),
+    ],
+    ids=["verify-quick-1729", "verify-quick-7", "commute"],
+)
+def test_report_bytes_are_pinned(argv, sha):
+    # sha256 of the report as Python 3.11.7 computes it: a change that is
+    # meant to keep behaviour must keep every byte
+    code, out = run(argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
 def test_expm_subcommand():
     code, out = run(["expm", "--matrix", "0,1;0,0"])
     assert code == EXIT_OK
@@ -180,9 +201,30 @@ def test_grid_below_one_is_a_usage_error():
 
 
 def test_negative_dim_is_a_usage_error(capsys):
-    argv = ["solve", "--dim", "-1", "--vf", "x1", "--t", "1", "--x0", "1"]
+    argv = ["exp", "--dim", "-1", "--t", "1", "--x0", ""]
     assert run(argv) == (EXIT_USAGE, "")
     assert "--dim must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--vf", "x1", "--t", "1", "--x0", "1"],
+        ["flow", "--vf", "x1", "--t", "1", "--x0", "1"],
+        ["bracket", "--vf", "x1", "--vf2", "x1", "--x0", "1"],
+        ["commute", "--vf", "x1", "--vf2", "x1"],
+        ["geodesic", "--christoffel", "0", "--t", "1", "--x0", "0,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dim_zero_is_a_usage_error_outside_exp(argv, tmp_path, capsys):
+    assert run(argv + ["--dim", "0"]) == (EXIT_USAGE, "")
+    assert "--dim must be at least 1" in capsys.readouterr().err
+    # the rule is the flag's type, so a config line obeys it too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=0\n")
+    assert run(argv + ["--config", str(cfg)]) == (EXIT_USAGE, "")
+    assert "--dim must be at least 1" in capsys.readouterr().err
 
 
 def test_geodesic_csv_rows_follow_the_grid():

@@ -1035,6 +1035,20 @@ def test_augment_time_requires_one_component_per_coordinate(expr, arity):
         DynamicalSystem.from_field_spec(spec)
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_every_field_constructor_says_the_same_about_a_missing_component(time_dependent):
+    spec = dsl.parse("x1", 2, time_dependent=time_dependent)
+    message = "a field on R\\^2 needs 2 components, got 1"
+    with pytest.raises(ShapeError, match=message):
+        DynamicalSystem.from_field_spec(spec)
+    if time_dependent:
+        with pytest.raises(ShapeError, match=message):
+            augment_time(spec)
+    else:
+        with pytest.raises(ShapeError, match=message):
+            VectorField.from_expr("x1", 2)
+
+
 def test_from_field_spec_routes_time_dependence():
     system = DynamicalSystem.from_field_spec(dsl.parse("x1 + cos(t)", 1, time_dependent=True))
     assert system.space == Space(2)

@@ -109,6 +109,73 @@ def test_bundle_lift_and_hat_p():
     assert hat([1.0, 2.0, 3.0, 4.0]) == [3.0, 4.0]
 
 
+def _zeros(block):
+    return [0.0] * len(block)
+
+
+# Each block map's name and its action on blocks, written out by hand from
+# docs/layout.md (rules 2, 5, 7 and 8).
+_LAYOUT_RULES = {
+    "p": ("p", lambda x, dx: [x]),
+    "zero": ("zero", lambda x: [x, _zeros(x)]),
+    "ell": ("ell", lambda x, v: [x, _zeros(x), _zeros(x), v]),
+    "flip": ("flip", lambda x, dx, dlx, dldx: [x, dlx, dx, dldx]),
+    "hat_p": ("hat_p", lambda x, v: [v]),
+    "bundle_lift": ("lift", lambda x, a: [x, _zeros(a), _zeros(x), a]),
+    "bundle_mu": ("mu", lambda x, a1, a2: [x, a1, _zeros(x), a2]),
+    "interleave": ("interleave", lambda x1, x2, d1, d2: [x1, d1, x2, d2]),
+    "interleave_inv": ("interleave_inv", lambda x1, d1, x2, d2: [x1, x2, d1, d2]),
+}
+
+
+def _block_maps():
+    """(rule, map, input block sizes), with blocks of size 0 among them: a
+    zero block of size 0 must not be read as input block 0."""
+    for n in (0, 1, 3):
+        s = Space(n)
+        yield "p", structural_map("p", s), (n, n)
+        yield "zero", structural_map("zero", s), (n,)
+        yield "ell", structural_map("ell", s), (n, n)
+        yield "flip", structural_map("flip", s), (n, n, n, n)
+        yield "hat_p", structural_map("hat_p", TrivialBundle(0, n)), (n, n)
+    for n, m in ((0, 0), (0, 2), (2, 0), (1, 1), (3, 1)):
+        b = TrivialBundle(n, m)
+        yield "bundle_lift", structural_map("bundle_lift", b), (n, m)
+        yield "bundle_mu", structural_map("bundle_mu", b), (n, m, m)
+        yield "interleave", product_interleave(Space(n), Space(m)), (n, m, n, m)
+        yield "interleave_inv", product_interleave_inv(Space(n), Space(m)), (n, n, m, m)
+
+
+_BLOCK_MAPS = list(_block_maps())
+
+
+def _blocks(xs, sizes):
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    return [xs[a:b] for a, b in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize(
+    "rule, f, sizes",
+    _BLOCK_MAPS,
+    ids=[f"{rule}-{'.'.join(map(str, sizes))}" for rule, _, sizes in _BLOCK_MAPS],
+)
+def test_block_maps_follow_the_layout_rules(rule, f, sizes):
+    from tangentkit.kernel import pack_jets, unpack_jets
+
+    name, action = _LAYOUT_RULES[rule]
+    dim = sum(sizes)
+    assert f.name == name and f.domain == Space(dim)
+    # on floats and on depth-2 jets (each row packs into dim jet scalars)
+    for level in (0, 2):
+        for row in sample_points(dim * 2**level, count=3, seed=60 + level):
+            xs = pack_jets(row, level)
+            want = [v for block in action(*_blocks(xs, sizes)) for v in block]
+            assert unpack_jets(f(xs), level) == unpack_jets(want, level)
+    # a block map is linear, so its tangent is the layout on both halves
+    for row in sample_points(2 * dim, count=3, seed=62):
+        assert tangent(f)(row) == f(row[:dim]) + f(row[dim:])
+
+
 def test_structural_shape_validation():
     with pytest.raises(ShapeError):
         structural_map("hat_p", Space(2))
