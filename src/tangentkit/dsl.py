@@ -19,7 +19,8 @@ calls nest at most 100 levels deep.  A spec compiles to one straight-line
 function that runs the tree's operations in the tree's order, so ``+ - * /``
 chains have no length limit.  For solves with jet arguments the compiled
 evaluator also writes, per jet depth and on first use, a flat kernel: the
-same operations on flat jet coefficients (see :class:`jets._FlatWriter`).
+same operations on flat jet coefficients (see :class:`jets._FlatWriter`),
+which the solver inlines in its generated RK45 loop.
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
@@ -368,7 +369,9 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
     ``v``, computed from those of the inputs (``y``) and of a time ``t``
     (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).
-    Each depth's kernel is written on first use and kept.
+    Each depth's kernel is written on first use and kept.  It carries its
+    code as data (``kernel.code``), which the solver's generated RK45 loop
+    writes into each of its stages in place of a call.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []

@@ -11,9 +11,13 @@ of the numerical map actually computed.
 
 The RK45 loop is written out once per state shape as straight-line code
 (:func:`_dp_loop`): a flat state of at most 64 entries whose field gives
-float primals at the first stage steps in it.  A longer state, or a field
-that closes over a jet (its primals are then jets), steps in the
-hand-written :func:`_rk45_loop`; both give the same bits.
+float primals at the first stage steps in it.  For a field compiled by
+:func:`dsl.compile_spec` the loop also inlines the field's flat kernel (of
+at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages make
+no call; any other field is called through ``rhs`` at each stage.  A
+longer state, or a field that closes over a jet (its primals are then
+jets), steps in the hand-written :func:`_rk45_loop`, which calls ``rhs``
+at every stage, as RK4 does; all give the same bits.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .fields import (
     worst_case,
 )
 from .jets import (
+    _KERNEL_NAMES,
+    _FlatCode,
     close_level,
     flatten_levels,
     jet_depth,
@@ -128,6 +134,14 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     max_steps: int = 10**6
     h: float = 1e-3  # fixed step for rk4 (in time units)
+
+    def __post_init__(self):
+        # abs_tol > 0 keeps the error ratio's denominator positive at a zero
+        # state; a negative or infinite tolerance would accept every step.
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and non-negative, got {self.rel_tol!r}")
 
     def describe(self) -> dict:
         if self.method == "rk4":
@@ -303,9 +317,17 @@ _DP_STAGES = [_dp_terms(row, f"a{i}") for i, row in enumerate(_DP_A[1:-1], 2)]
 _DP_STAGES.append(_dp_terms(_DP_A[-1], "b"))
 _DP_ERROR = _dp_terms(_DP_E, "e")
 
+# A solve whose flat state has at most this many entries steps in the loop
+# _dp_loop writes for its shape, and for its field's kernel code when that
+# has at most _FUSED_MAX_LINES lines (the loop repeats them six times); the
+# most recently used _LOOPS_KEPT loops are kept.
+_GENERATED_MAX_N = 64
+_FUSED_MAX_LINES = 256
+_LOOPS_KEPT = 128
 
-@functools.lru_cache(maxsize=None)
-def _dp_loop(n: int, primals: int):
+
+@functools.lru_cache(maxsize=_LOOPS_KEPT)
+def _dp_loop(n: int, primals: int, code: _FlatCode | None = None):
     """:func:`_rk45_loop` written out as straight-line code for a flat state
     of ``n`` entries, the first ``primals`` of them primal values.
 
@@ -315,27 +337,40 @@ def _dp_loop(n: int, primals: int):
     A field value of the wrong length fails its unpacking, and a jet among
     the primals (floats at the first stage) fails ``abs``; both end in a
     ShapeError.  Written once per shape; ``n`` is at most
-    ``_GENERATED_MAX_N``."""
+    ``_GENERATED_MAX_N``.
+
+    With the ``code`` of a flat kernel (:class:`jets._FlatCode`), whose
+    first value has passed the shape check, stages 2 to 7 run the kernel's
+    lines in place of ``rhs``: the stage sums are bound to its input names
+    and its outputs to the stage's locals, so a stage makes no call.  The
+    time's flat coefficients (``scale``) and the kernel's ``cells`` are
+    arguments, bound once on entry: codes are cached by value, and cells
+    that compare equal may still differ (0.0 and -0.0)."""
     y = [f"y{i}" for i in range(n)]
     new = [f"n{i}" for i in range(n)]
     k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
     step = []
     for stage, terms in enumerate(_DP_STAGES, 2):
-        step += [f"c{j} = h_step * {name}" for j, name, _ in terms]
+        step += [f"w{j} = h_step * {name}" for j, name, _ in terms]
         sums = [
-            " + ".join([y[i], *(f"c{j} * {k[j - 1][i]}" for j, _, _ in terms)])
+            " + ".join([y[i], *(f"w{j} * {k[j - 1][i]}" for j, _, _ in terms)])
             for i in range(n)
         ]
         if stage == 7:  # the 7th stage state is the new state (FSAL)
             step += [f"{v} = {total}" for v, total in zip(new, sums)]
             sums = new
-        step += [
-            f"k = rhs([{', '.join(sums)}])",
-            "try:",
-            f"  [{', '.join(k[stage - 1])}] = k",
-            "except ValueError:",
-            f"  raise misfit({primals}) from None",
-        ]
+        if code is None:
+            step += [
+                f"k = rhs([{', '.join(sums)}])",
+                "try:",
+                f"  [{', '.join(k[stage - 1])}] = k",
+                "except ValueError:",
+                f"  raise misfit({primals}) from None",
+            ]
+        else:
+            step += [f"{a} = {b}" for a, b in zip(code.inputs, sums)]
+            step += code.lines
+            step += [f"{a} = {b}" for a, b in zip(k[stage - 1], code.outputs)]
     norms = []
     for i in range(primals):
         e = " + ".join(f"{name} * {k[j - 1][i]}" for j, name, _ in _DP_ERROR)
@@ -378,11 +413,15 @@ def _dp_loop(n: int, primals: int):
         MIN_STEP=_MIN_STEP,
         NORM_LIMIT=_STATE_NORM_LIMIT,
     )
+    entry = [f"[{', '.join(y)}] = y", f"[{', '.join(k[0])}] = k1"]
+    if code is not None:
+        names.update(_KERNEL_NAMES)
+        cells = [f"c{i}" for i in range(len(code.cells))]
+        entry += [f"[{', '.join(code.scale)}] = scale", f"[{', '.join(cells)}] = cells"]
     source = (
         f"def make({', '.join(names)}):\n"
-        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps):\n"
-        f"    [{', '.join(y)}] = y\n"
-        f"    [{', '.join(k[0])}] = k1\n"
+        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale, cells):\n"
+        + "".join(f"    {line}\n" for line in entry)
         + "".join(f"    ay{i} = abs({y[i]})\n" for i in range(primals))
         + "    s = 0.0\n"
         "    h = 0.01\n"
@@ -403,17 +442,13 @@ def _dp_loop(n: int, primals: int):
         "  return loop\n"
     )
     namespace: dict = {}
-    exec(compile(source, f"<rk45 loop {n}/{primals}>", "exec"), namespace)
+    kind = "" if code is None else " fused"
+    exec(compile(source, f"<rk45{kind} loop {n}/{primals}>", "exec"), namespace)
     return namespace["make"](**names)
 
 
 def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
-
-
-# A solve whose flat state has at most this many entries steps in the loop
-# _dp_loop writes for its shape; the cap bounds how many loops are kept.
-_GENERATED_MAX_N = 64
 
 
 def _misfit(primals: int) -> ShapeError:
@@ -435,7 +470,14 @@ def _shape_checked(rhs, primals: int):
 
 
 def _integrate_scaled(
-    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
+    rhs,
+    y0: list,
+    cfg: IntegratorConfig,
+    t_scale,
+    outputs,
+    primals: int,
+    code: _FlatCode | None = None,
+    scale: Sequence = (),
 ) -> list:
     """Integrate dy/ds = rhs(y) over s in [0, 1]; the states at ``outputs``.
 
@@ -459,9 +501,12 @@ def _integrate_scaled(
 
     A state of at most ``_GENERATED_MAX_N`` entries whose field gives float
     primals at the first stage steps in the loop :func:`_dp_loop` writes for
-    its shape.  A longer state, or a field that closes over a jet (its
-    primals are then jets), steps in :func:`_rk45_loop`.  Both run the same
-    float operations in the same order.
+    its shape.  When ``rhs`` is ``kernel(y, scale)`` for a flat kernel with
+    that ``code``, the loop is written with the kernel's lines inlined in
+    stages 2 to 7, and ``rhs`` gives the first stage only.  A longer state,
+    or a field that closes over a jet (its primals are then jets), steps in
+    :func:`_rk45_loop`, which calls ``rhs`` at every stage.  All of them run
+    the same float operations in the same order.
     """
 
     if cfg.method == "rk4":
@@ -472,10 +517,11 @@ def _integrate_scaled(
     checked = _shape_checked(rhs, primals)
     k1 = checked(y)
     if len(y) <= _GENERATED_MAX_N and not any(map(jet_depth, k1[:primals])):
-        loop = _dp_loop(len(y), primals)
+        loop = _dp_loop(len(y), primals, code)
         return loop(
             rhs, y, k1, primal_value(t_scale), outputs,
             cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+            scale, code.cells if code is not None else (),
         )
     return _rk45_loop(checked, y, k1, cfg, t_scale, outputs, primals)
 
@@ -634,10 +680,12 @@ def _trajectory(
     integrator steps on the flat coefficients of depth-D towers.  A field
     compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its flat
     kernel for depth D, straight-line float code on those coefficients (at
-    D = 0 the floats themselves).  Any other evaluator
-    (hand-written, or a wrapper around a compiled one) sees towers, xs
-    itself first, and ``t * vhat`` is taken in jet arithmetic; both give the
-    same bits."""
+    D = 0 the floats themselves), and the kernel's code, unless it is
+    longer than ``_FUSED_MAX_LINES``, is handed to :func:`_integrate_scaled`
+    to be inlined in the generated loop.  Any
+    other evaluator (hand-written, or a wrapper around a compiled one) sees
+    towers, xs itself first, and ``t * vhat`` is taken in jet arithmetic;
+    both give the same bits."""
     xs = list(xs)
     if not math.isfinite(primal_value(t)):
         raise ValueError("integration time must be finite")
@@ -645,9 +693,12 @@ def _trajectory(
     if t == 0.0 and not depth:
         return [xs] * (steps + 1)
     kernel = _flat_kernel(vhat, depth)
+    code, scale = None, ()
 
     if kernel is not None:
         scale = flatten_levels([t], depth)
+        if len(kernel.code.lines) <= _FUSED_MAX_LINES:
+            code = kernel.code
 
         def rhs(y):
             return kernel(y, scale)
@@ -665,7 +716,7 @@ def _trajectory(
 
     outputs = tuple(k / steps for k in range(1, steps + 1))
     y0 = flatten_levels(xs, depth)  # xs itself at depth 0
-    states = _integrate_scaled(rhs, y0, cfg, t, outputs, len(xs))
+    states = _integrate_scaled(rhs, y0, cfg, t, outputs, len(xs), code, scale)
     return [xs] + [unflatten_levels(y, depth) for y in states]
 
 

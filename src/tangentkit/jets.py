@@ -20,13 +20,15 @@ kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
 built.  Only fields compiled by :func:`dsl.compile_spec` get them (one per
 jet depth, written on first use), and the solver runs one in place of the
-codec; a hand-written evaluator, or any wrapper around a compiled one, is
-evaluated on towers through the codec.
+codec, its code (:class:`_FlatCode`) written into the stages of the
+generated RK45 loop; a hand-written evaluator, or any wrapper around a
+compiled one, is evaluated on towers through the codec.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 __all__ = [
     "Jet",
@@ -525,24 +527,51 @@ class _FlatWriter:
 
     # -- the kernel -----------------------------------------------------------
 
+    def code(self, outputs: list, cells: list) -> "_FlatCode":
+        """The code of ``t * v`` for each output ``v``, as data."""
+        scaled = [self.mul(self.scale, v) for v in outputs]
+        return _FlatCode(
+            tuple(v[k] for k in range(self.size) for v in self.inputs),
+            tuple(self.scale),
+            tuple(self.lines),
+            tuple(v[k] or "ABSENT" for k in range(self.size) for v in scaled),
+            tuple(cells),
+        )
+
     def kernel(self, outputs: list, cells: list):
         """Compile ``kernel(y, s)``: ``y`` holds the inputs' flat
         coefficients, ``s`` the time's; the result is the flat
-        coefficients of ``t * v`` for each output ``v``.  Names ``c0..``
-        in the written code are ``cells``."""
-        scaled = [self.mul(self.scale, v) for v in outputs]
-        flat_in = [v[k] for k in range(self.size) for v in self.inputs]
-        flat_out = [v[k] or "ABSENT" for k in range(self.size) for v in scaled]
+        coefficients of ``t * v`` for each output ``v``.  The kernel
+        carries its :meth:`code` as ``kernel.code``."""
+        code = self.code(outputs, cells)
         params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(cells))])
         source = (
             f"def make({params}):\n"
             "  def kernel(y, s):\n"
-            f"    [{', '.join(flat_in)}] = y\n"
-            f"    [{', '.join(self.scale)}] = s\n"
-            + "".join(f"    {line}\n" for line in self.lines)
-            + f"    return [{', '.join(flat_out)}]\n"
+            f"    [{', '.join(code.inputs)}] = y\n"
+            f"    [{', '.join(code.scale)}] = s\n"
+            + "".join(f"    {line}\n" for line in code.lines)
+            + f"    return [{', '.join(code.outputs)}]\n"
             "  return kernel\n"
         )
         namespace: dict = {}
         exec(compile(source, "<jet kernel>", "exec"), namespace)
-        return namespace["make"](*_KERNEL_NAMES.values(), *cells)
+        kernel = namespace["make"](*_KERNEL_NAMES.values(), *code.cells)
+        kernel.code = code
+        return kernel
+
+
+class _FlatCode(NamedTuple):
+    """A flat kernel's code as data, for a caller that writes it into its
+    own straight-line code: bind the flat input coefficients to ``inputs``
+    and the time's to ``scale``, run ``lines``, and read the flat
+    coefficients of the values from ``outputs``.  The lines read names
+    ``c0..`` (the ``cells``) and the names of :data:`_KERNEL_NAMES`, and
+    bind only names ``j1..``; an output is one of those names or
+    ``ABSENT``."""
+
+    inputs: tuple[str, ...]
+    scale: tuple[str, ...]
+    lines: tuple[str, ...]
+    outputs: tuple[str, ...]
+    cells: tuple

@@ -60,17 +60,20 @@ C_BUNDLE = TrivialBundle(0, 1)
 
 def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
     """The fibrewise-scaling field of a trivial bundle (at ``(x, a)`` the
-    direction is ``(0, a)``), built structurally as the diagonal into the
-    fibre square followed by mu; its section, over-zero and linearity
-    properties are verified on seeded samples."""
+    direction is ``(0, a)``).  Its component map is the one layout
+    ``(x, a) -> (0_n, a)``; on seeded samples it is checked against the
+    structural construction it abbreviates (the diagonal into the fibre
+    square, then mu, then hat_p), and the field's section, over-zero and
+    linearity properties are verified."""
 
     n, m = bundle.base_dim, bundle.fibre_dim
     total = bundle.total
+    vhat = _block_map("scaling", (n, m), ([0.0] * n, 1))
+    field_ = VectorField(total, vhat)
     mu = structural_map("bundle_mu", bundle)
     diag = _block_map("diag", (n, m), (0, 1, 1))  # A -> A_2, (x, a) -> (x, a, a)
     full = compose(diag, mu)
-    vhat = compose(full, structural_map("hat_p", TrivialBundle(0, n + m)))
-    field_ = VectorField(total, vhat)
+    hat_p = structural_map("hat_p", TrivialBundle(0, n + m))
 
     pts = sample_points(n + m, count=10, seed=DEFAULT_SEED)
     lift = structural_map("bundle_lift", bundle)
@@ -84,10 +87,12 @@ def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
         resid = gap(base_dir, [0.0] * n)
         sect = gap(y[: n + m], p)
         lin = gap(lhs(p), rhs(p))
-        if not (resid <= check_tol and sect <= check_tol and lin <= check_tol):
+        layout = gap(vhat(p), hat_p(y))
+        if not all(r <= check_tol for r in (resid, sect, lin, layout)):
             raise ShapeError(
                 f"scaling field failed its structural checks at {p}: "
-                f"section {sect:.2e}, base {resid:.2e}, linearity {lin:.2e}"
+                f"section {sect:.2e}, base {resid:.2e}, linearity {lin:.2e}, "
+                f"layout {layout:.2e}"
             )
     return field_
 

@@ -455,12 +455,18 @@ def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
 @pytest.mark.parametrize("seed", ["1729", "7"])
 def test_verify_bytes_do_not_depend_on_the_generated_rk45_loop(seed, monkeypatch):
     # solves of up to _GENERATED_MAX_N flat entries step in a loop written
-    # for their shape; with it switched off they step in the hand-written one
+    # for their shape, with a dsl field's kernel written into its stages;
+    # with the kernel left out the stages call it, and with the generated
+    # loop switched off they step in the hand-written one
     argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
     writer, shapes = dynamics._dp_loop, []
     monkeypatch.setattr(dynamics, "_dp_loop", lambda *shape: shapes.append(shape) or writer(*shape))
     _, generated = run(argv)
-    assert shapes
+    assert any(code is None for _, _, code in shapes)
+    assert any(code is not None for _, _, code in shapes)
+    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code: writer(n, primals))
+    _, called = run(argv)
+    assert called == generated
     monkeypatch.setattr(dynamics, "_GENERATED_MAX_N", -1)
     _, hand_written = run(argv)
     assert hand_written == generated

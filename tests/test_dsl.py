@@ -22,6 +22,7 @@ from tangentkit.dsl import (
     format_spec,
     parse,
 )
+from tangentkit.dynamics import IntegratorConfig, _integrate_scaled
 from tangentkit.jets import EvaluationDomainError, Jet
 from tangentkit.kernel import tangent
 from tangentkit.sampling import sample_points
@@ -169,12 +170,13 @@ def test_format_refuses_a_number_no_literal_parses_back_to(value):
 _FN = st.sampled_from(sorted(dsl.FUNCTIONS))
 
 
-def _ast(max_depth, arity):
+def _ast(max_depth, arity, time_dependent=False):
     leaf = st.one_of(
         st.integers(min_value=1, max_value=arity).map(Var),
         st.floats(
             min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
         ).map(Num),
+        *[st.just(TimeVar())] * time_dependent,
     )
 
     def extend(children):
@@ -345,13 +347,13 @@ _SCALARS = st.one_of(
 )
 
 
-def _towers(depth):
+def _towers(depth, scalars=_SCALARS):
     """Jet towers of at most ``depth`` levels, ragged: any primal or tangent
     may stop early as a float."""
     if depth == 0:
-        return _SCALARS
-    below = _towers(depth - 1)
-    return st.one_of(_SCALARS, st.builds(Jet, below, below))
+        return scalars
+    below = _towers(depth - 1, scalars)
+    return st.one_of(scalars, st.builds(Jet, below, below))
 
 
 _TOWERS = {depth: _towers(depth) for depth in (0, 1, 2)}
@@ -398,6 +400,51 @@ def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):
     kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
     assert _outcome(lambda xs: jets.flatten_levels([t * v for v in evaluator(xs)], depth), xs) == want
     assert _outcome(lambda y: kernel(y, scale), jets.flatten_levels(xs, depth)) == want
+
+
+# -- the fused RK45 loop against the called kernel ------------------------------
+
+
+_START = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_START_TOWERS = {depth: _towers(depth, _START) for depth in (0, 1, 2)}
+_SOLVE_ASTS = {
+    (n, time_dependent): _ast(5, n, time_dependent)
+    for n in range(1, 4)
+    for time_dependent in (False, True)
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_fused_rk45_loop_is_the_called_kernel_bit_for_bit(data):
+    # stages that run the kernel's lines inside the generated loop give the
+    # states of stages that call the kernel, or the same error at the same time
+    arity = data.draw(st.integers(min_value=1, max_value=3))
+    depth = data.draw(st.sampled_from((0, 1, 2)))
+    time_dependent = data.draw(st.booleans())
+    asts = _SOLVE_ASTS[arity, time_dependent]
+    components = tuple(data.draw(st.lists(asts, min_size=arity, max_size=arity)))
+    # a time-dependent field has augment_time's clock as its last input
+    clock = (Num(1.0),) * time_dependent
+    spec = dsl.FieldSpec(arity, components + clock, time_dependent)
+    n = arity + time_dependent
+    kernel = compile_spec(spec).evaluator.flat_kernel(depth)
+    xs = data.draw(st.lists(_START_TOWERS[depth], min_size=n, max_size=n))
+    t = data.draw(st.one_of(_START, _START_TOWERS[depth]))
+    scale, y0 = jets.flatten_levels([t], depth), jets.flatten_levels(xs, depth)
+    outputs = data.draw(st.sampled_from([(1.0,), (0.25, 0.5, 1.0), (0.0, 0.3, 0.3, 1.0)]))
+    tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    steps = data.draw(st.integers(min_value=1, max_value=200))
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, max_steps=steps)
+
+    def outcome(code):
+        try:
+            rhs = lambda y: kernel(y, scale)  # noqa: E731
+            return repr(_integrate_scaled(rhs, y0, cfg, t, outputs, n, code, scale))
+        except (ArithmeticError, ValueError) as e:
+            return type(e), str(e), repr(getattr(e, "t_reached", None))
+
+    assert outcome(kernel.code) == outcome(None)
 
 
 def test_time_variable_matches_the_closure_tree():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentkit import dsl, dynamics
+from tangentkit import dsl, dynamics, jets
 from tangentkit.dynamics import (
     Connection,
     DynamicalSystem,
@@ -47,7 +47,7 @@ from tangentkit.fields import (
     rotation_field,
     zero_field,
 )
-from tangentkit.jets import ABSENT, Jet, coefficients, primal_value
+from tangentkit.jets import ABSENT, EvaluationDomainError, Jet, coefficients, primal_value
 from tangentkit.kernel import ShapeError, SmoothMap, Space, tangent
 from tangentkit.sampling import sample_points
 from tangentkit.verify import (
@@ -506,6 +506,134 @@ def test_a_time_dependent_field_solves_on_its_flat_kernel(monkeypatch):
         "[6.573967011184543, 2.0000000000000018, 6.15782017565612, 1.0000000000000009]"
     )
     assert len(built) < 20
+
+
+# A dsl field's solve runs its flat kernel's lines inside the generated loop
+# (the fused path); with the kernel code dropped, the same loop calls it.
+
+
+def _kernel_called(monkeypatch):
+    writer = dynamics._dp_loop
+    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code: writer(n, primals))
+
+
+def _failure(solve):
+    with pytest.raises((ArithmeticError, ValueError)) as info:
+        solve()
+    return type(info.value), str(info.value), repr(getattr(info.value, "t_reached", None))
+
+
+_FAILING_SOLVES = {
+    # ln's argument reaches 0 in a later stage, not the first
+    "ln": lambda: flow_of(VectorField.from_expr("ln(x1) - 3", 1))(2.0, [1.0]),
+    "sqrt-depth-1": lambda: tangent(
+        flow_smooth_map(flow_of(VectorField.from_expr("-sqrt(x1) - 1", 1)))
+    )([1.0, 1.0, 1.0, 0.0]),
+    "norm": lambda: flow_of(VectorField.from_expr("x1", 1))(30.0, [1.0]),
+    "norm-depth-2": lambda: flow_of(VectorField.from_expr("x1; x2", 2))(
+        Jet(Jet(30.0, 1.0), Jet(1.0, 0.0)), [1.0, 2.0]
+    ),
+    "steps": lambda: flow_of(
+        rotation_field(), IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=3)
+    )(10.0, [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_SOLVES))
+def test_a_fused_solve_fails_as_the_called_kernel_does(case, monkeypatch):
+    # the same error type, message and time reached
+    fused = _failure(_FAILING_SOLVES[case])
+    _kernel_called(monkeypatch)
+    assert _failure(_FAILING_SOLVES[case]) == fused
+    assert fused[0] in (EvaluationDomainError, StateNormExceeded, MaxStepsExceeded)
+
+
+def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch):
+    writer, loops = dynamics._dp_loop, []
+    monkeypatch.setattr(
+        dynamics,
+        "_dp_loop",
+        lambda n, primals, code=None: loops.append(code is not None) or writer(n, primals, code),
+    )
+    line = Space(1)
+    integrate(DynamicalSystem(Space(2), rotation_field()), 1.0, [1.0, 0.0])
+    assert loops == [True]
+    loops.clear()
+    hand_written = VectorField(line, SmoothMap(line, line, lambda xs: [xs[0]], name="hand"))
+    integrate(DynamicalSystem(line, hand_written), 1.0, [1.0])
+    assert loops == [False]
+    loops.clear()
+    wide = VectorField.from_expr("; ".join(f"-x{i}" for i in range(1, 66)), 65)
+    assert integrate(DynamicalSystem(Space(65), wide), 1.0, [1.0] * 65)[0] == pytest.approx(
+        math.exp(-1.0), abs=1e-9
+    )
+    assert loops == []  # 65 entries step in the hand-written loop, calling the kernel
+    long = VectorField.from_expr(" + ".join(["-x1"] * (dynamics._FUSED_MAX_LINES + 1)), 1)
+    integrate(DynamicalSystem(line, long), 1e-3, [1.0])
+    assert loops == [False]  # written six times over, the loop would be too long
+
+
+def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
+    flow = flow_of(VectorField.from_expr("x2 * x3; -x1 / 2; sin(x1 * x2)", 3))
+    dynamics._dp_loop.cache_clear()
+    compiled = []
+    for module in (dynamics, dsl, jets):
+        monkeypatch.setattr(
+            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+            raising=False,
+        )
+    for depth in range(3):
+        t = 1.0
+        for _ in range(depth):
+            t = Jet(t, 1.0)
+        flow(t, [1.0, 0.5, 0.25])
+        assert compiled == ["<jet kernel>", f"<rk45 fused loop {3 * 2**depth}/3>"]
+        compiled.clear()
+        flow(t, [0.5, 1.0, 0.25])
+        assert compiled == []
+
+
+def test_kernels_that_read_the_same_lines_solve_with_their_own_constants():
+    # the loop is cached by the kernel code's value and takes the constants
+    # as arguments; 3^0 leaves a constant no line reads, so these two read
+    # the same lines from two constants and from one
+    fields = [VectorField.from_expr(text, 1) for text in ("3^0 + 2*x1", "x1^0 + 2*x1")]
+    codes = [field.vhat.evaluator.flat_kernel(0).code for field in fields]
+    assert codes[0].lines == codes[1].lines and len(codes[0].cells) == 2 != len(codes[1].cells)
+    fused = [repr(flow_of(field)(0.5, [1.0])) for field in fields]
+    with pytest.MonkeyPatch.context() as patch:
+        _kernel_called(patch)
+        assert [repr(flow_of(field)(0.5, [1.0])) for field in fields] == fused
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"rel_tol": -1.0}, "rel_tol"),
+        ({"rel_tol": math.inf}, "rel_tol"),
+        ({"rel_tol": math.nan}, "rel_tol"),
+        ({"abs_tol": -1.0}, "abs_tol"),
+        ({"abs_tol": 0.0}, "abs_tol"),
+        ({"abs_tol": 0.0, "rel_tol": 0.0}, "abs_tol"),
+        ({"abs_tol": math.inf}, "abs_tol"),
+        ({"abs_tol": math.nan}, "abs_tol"),
+    ],
+)
+def test_a_tolerance_that_cannot_steer_the_solver_is_refused(kwargs, name):
+    # a negative or infinite tolerance accepted every step, so the rotation
+    # from (1, 0) reached [117.9..., 102.7...] at t = 10, and abs_tol = 0
+    # divided by zero at a zero state
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        IntegratorConfig(**kwargs)
+
+
+def test_a_tolerance_that_steers_the_solver_is_accepted():
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=0.0)
+    got = flow_of(rotation_field(), cfg)(10.0, [1.0, 0.0])
+    assert max(abs(a - b) for a, b in zip(got, [math.cos(10.0), -math.sin(10.0)])) <= 1e-9
+    assert cfg.describe() == {
+        "method": "rk45", "abs_tol": 1e-12, "rel_tol": 0.0, "max_steps": 10**6
+    }
 
 
 def test_a_field_closing_over_a_jet_is_solved_at_depth_zero():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from tangentkit import rig
 from tangentkit.jets import exp as jet_exp, primal_value
 from tangentkit.kernel import (
     ShapeError,
@@ -48,6 +49,25 @@ def test_euler_field_coordinates_on_bundle():
 def test_euler_field_vanishes_on_zero_fibre():
     field = euler_field(TrivialBundle(1, 2))
     assert _vals(field.vhat([1.5, 0.0, 0.0])) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (2, 0), (3, 2)])
+def test_euler_field_is_the_zero_block_then_the_fibre(n, m):
+    field = euler_field(TrivialBundle(n, m))
+    for p in sample_points(n + m, count=5, seed=3):
+        assert field.vhat(p) == [0.0] * n + p[n:]
+
+
+def test_euler_field_is_checked_against_its_structural_construction(monkeypatch):
+    # a component map that is not diag, then mu, then hat_p is refused
+    block_map = rig._block_map
+
+    def swapped(name, sizes, layout):
+        return block_map(name, sizes, (1, 0) if name == "scaling" else layout)
+
+    monkeypatch.setattr(rig, "_block_map", swapped)
+    with pytest.raises(ShapeError, match=r"layout [1-9]"):
+        euler_field(TrivialBundle(1, 1))
 
 
 # -- exponential flows --------------------------------------------------------------
