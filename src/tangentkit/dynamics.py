@@ -9,15 +9,16 @@ through the same arithmetic as the state and step-size selection is frozen
 to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
 
-The RK45 loop is written out once per state shape as straight-line code
-(:func:`_dp_loop`): a flat state of at most 64 entries whose field gives
-float primals at the first stage steps in it.  For a field compiled by
-:func:`dsl.compile_spec` the loop also inlines the field's flat kernel (of
+One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
+forms.  A flat state of at most 64 entries whose field gives float primals
+at the first stage steps in the unrolled form, written once per state
+shape as straight-line code.  For a field compiled by
+:func:`dsl.compile_spec` that form also inlines the field's flat kernel (of
 at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages make
 no call; any other field is called through ``rhs`` at each stage.  A
 longer state, or a field that closes over a jet (its primals are then
-jets), steps in the hand-written :func:`_rk45_loop`, which calls ``rhs``
-at every stage, as RK4 does; all give the same bits.
+jets), steps in the list form, whose stage states are comprehensions and
+which calls ``rhs`` at every stage, as RK4 does; both give the same bits.
 """
 
 from __future__ import annotations
@@ -136,6 +137,13 @@ class IntegratorConfig:
     h: float = 1e-3  # fixed step for rk4 (in time units)
 
     def __post_init__(self):
+        if self.method not in ("rk45", "rk4"):
+            raise ValueError(f"method must be 'rk45' or 'rk4', got {self.method!r}")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an int of at least 1, got {self.max_steps!r}")
+        # Checked whatever the method, as the tolerances are.
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"rk4 step h must be finite and positive, got {self.h!r}")
         # abs_tol > 0 keeps the error ratio's denominator positive at a zero
         # state; a negative or infinite tolerance would accept every step.
         if not 0.0 < self.abs_tol < math.inf:
@@ -317,49 +325,87 @@ _DP_STAGES = [_dp_terms(row, f"a{i}") for i, row in enumerate(_DP_A[1:-1], 2)]
 _DP_STAGES.append(_dp_terms(_DP_A[-1], "b"))
 _DP_ERROR = _dp_terms(_DP_E, "e")
 
-# A solve whose flat state has at most this many entries steps in the loop
-# _dp_loop writes for its shape, and for its field's kernel code when that
-# has at most _FUSED_MAX_LINES lines (the loop repeats them six times); the
-# most recently used _LOOPS_KEPT loops are kept.
+# A solve whose flat state has at most this many entries, and whose field
+# gives float primals, steps in the unrolled loop _dp_loop writes for its
+# shape, and for its field's kernel code when that has at most
+# _FUSED_MAX_LINES lines (the loop repeats them six times); any other solve
+# steps in the list form.  The most recently used _LOOPS_KEPT loops are kept.
 _GENERATED_MAX_N = 64
 _FUSED_MAX_LINES = 256
 _LOOPS_KEPT = 128
 
 
-@functools.lru_cache(maxsize=_LOOPS_KEPT)
-def _dp_loop(n: int, primals: int, code: _FlatCode | None = None):
-    """:func:`_rk45_loop` written out as straight-line code for a flat state
-    of ``n`` entries, the first ``primals`` of them primal values.
+def _stage_sum(terms: list, y: str, k) -> str:
+    """An entry of a stage state: ``y`` plus the weighted entries ``k(j)``
+    of the earlier stages, summed left to right."""
+    return " + ".join([y, *(f"w{j} * {k(j)}" for j, _, _ in terms)])
 
-    Each entry of the state, of each stage and of |y| is a local (``y0``,
-    ``k2_0``, ``ay0``, ...), and each stage sum is one expression in the
-    hand-written loop's order of operations, so the two give the same bits.
-    A field value of the wrong length fails its unpacking, and a jet among
-    the primals (floats at the first stage) fails ``abs``; both end in a
-    ShapeError.  Written once per shape; ``n`` is at most
-    ``_GENERATED_MAX_N``.
+
+def _norm_lines(i, new: str, k, read="{}".format) -> list:
+    """Fold one primal's error ratio into ``err`` and its new |y|,
+    ``an{i}``, into ``norm``, reading each value with ``read``.  NaN sticks
+    in both, so h shrinks until it collapses."""
+    e = " + ".join(f"{name} * {read(k(j))}" for j, name, _ in _DP_ERROR)
+    return [
+        f"an{i} = abs({read(new)})",
+        f"e = {e}",
+        f"ratio = abs(e * h_step) / (abs_tol + rel_tol * (an{i} if an{i} > ay{i} else ay{i}))",
+        "if ratio > err or ratio != ratio:",
+        "  err = ratio",
+        f"if an{i} > norm or an{i} != an{i}:",
+        f"  norm = an{i}",
+    ]
+
+
+@functools.lru_cache(maxsize=_LOOPS_KEPT)
+def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
+    """The Dormand-Prince loop of :func:`_integrate_scaled`, written out as
+    code for a flat state whose first ``primals`` entries are primal values.
+    Its two forms write each entry of a stage sum and each primal's error
+    and norm lines from the same templates (:func:`_stage_sum`,
+    :func:`_norm_lines`), around the same controller, so they give the same
+    bits.
+
+    With ``n`` (at most ``_GENERATED_MAX_N``) the loop is unrolled for a
+    state of ``n`` entries with float primals: each entry of the state, of
+    each stage and of |y| is a local (``y0``, ``k2_0``, ``ay0``, ...).  A
+    field value of the wrong length fails its unpacking, and a jet among the
+    primals fails ``abs``; both end in a ShapeError.
 
     With the ``code`` of a flat kernel (:class:`jets._FlatCode`), whose
-    first value has passed the shape check, stages 2 to 7 run the kernel's
-    lines in place of ``rhs``: the stage sums are bound to its input names
-    and its outputs to the stage's locals, so a stage makes no call.  The
-    time's flat coefficients (``scale``) and the kernel's ``cells`` are
-    arguments, bound once on entry: codes are cached by value, and cells
-    that compare equal may still differ (0.0 and -0.0)."""
-    y = [f"y{i}" for i in range(n)]
-    new = [f"n{i}" for i in range(n)]
-    k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
+    first value has passed the shape check, the unrolled stages 2 to 7 run
+    the kernel's lines in place of ``rhs``: the stage sums are bound to its
+    input names and its outputs to the stage's locals, so a stage makes no
+    call.  The time's flat coefficients (``scale``) and the kernel's
+    ``cells`` are arguments, bound once on entry: codes are cached by value,
+    and cells that compare equal may still differ (0.0 and -0.0).
+
+    With ``n`` None the loop is the list form, for a state of any length
+    whose primals may be jets: each stage state is one comprehension over
+    ``zip(y, k1, ...)``, each stage calls ``rhs`` (which must check its
+    value's shape), and the error and norm block loops over the primals,
+    reading each through ``primal_value``."""
+    if n is None:
+        new = ["y_new"]
+    else:
+        y = [f"y{i}" for i in range(n)]
+        new = [f"n{i}" for i in range(n)]
+        k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
     step = []
     for stage, terms in enumerate(_DP_STAGES, 2):
         step += [f"w{j} = h_step * {name}" for j, name, _ in terms]
-        sums = [
-            " + ".join([y[i], *(f"w{j} * {k[j - 1][i]}" for j, _, _ in terms)])
-            for i in range(n)
-        ]
+        if n is None:  # one comprehension over the whole state
+            ps = ", ".join(f"p{j}" for j, _, _ in terms)
+            ks = ", ".join(f"k{j}" for j, _, _ in terms)
+            sums = [f"[{_stage_sum(terms, 'yi', 'p{}'.format)} for yi, {ps} in zip(y, {ks})]"]
+        else:
+            sums = [_stage_sum(terms, y[i], f"k{{}}_{i}".format) for i in range(n)]
         if stage == 7:  # the 7th stage state is the new state (FSAL)
             step += [f"{v} = {total}" for v, total in zip(new, sums)]
             sums = new
-        if code is None:
+        if n is None:
+            step.append(f"k{stage} = rhs({sums[0]})")
+        elif code is None:
             step += [
                 f"k = rhs([{', '.join(sums)}])",
                 "try:",
@@ -371,37 +417,6 @@ def _dp_loop(n: int, primals: int, code: _FlatCode | None = None):
             step += [f"{a} = {b}" for a, b in zip(code.inputs, sums)]
             step += code.lines
             step += [f"{a} = {b}" for a, b in zip(k[stage - 1], code.outputs)]
-    norms = []
-    for i in range(primals):
-        e = " + ".join(f"{name} * {k[j - 1][i]}" for j, name, _ in _DP_ERROR)
-        norms += [
-            f"an{i} = abs({new[i]})",
-            f"e = {e}",
-            f"ratio = abs(e * h_step) / (abs_tol + rel_tol * (an{i} if an{i} > ay{i} else ay{i}))",
-            "if ratio > err or ratio != ratio:",
-            "  err = ratio",
-            f"if an{i} > norm or an{i} != an{i}:",
-            f"  norm = an{i}",
-        ]
-    jet_primal = "the field's primal values turned from floats into jets mid-solve"
-    accept = [*zip(y, new), *((f"ay{i}", f"an{i}") for i in range(primals)), *zip(k[0], k[6])]
-    step += [
-        "err = 0.0",
-        "norm = 0.0",
-        "try:",
-        *(f"  {line}" for line in norms or ["pass"]),
-        "except TypeError:",
-        f"  raise ShapeError({jet_primal!r}) from None",
-        "if err <= 1.0:",
-        "  s = target if clipped else s + h_step",
-        *(f"  {a} = {b}" for a, b in accept),
-        "  if not norm <= NORM_LIMIT:",
-        "    raise StateNormExceeded(s * t_unit)",
-        "  if not clipped:",
-        "    h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))",
-        "else:",
-        "  h = h_step * max(0.2, 0.9 * err**-0.2)",
-    ]
     names = {name: c for terms in (*_DP_STAGES, _DP_ERROR) for _, name, c in terms}
     names.update(
         MaxStepsExceeded=MaxStepsExceeded,
@@ -413,16 +428,55 @@ def _dp_loop(n: int, primals: int, code: _FlatCode | None = None):
         MIN_STEP=_MIN_STEP,
         NORM_LIMIT=_STATE_NORM_LIMIT,
     )
-    entry = [f"[{', '.join(y)}] = y", f"[{', '.join(k[0])}] = k1"]
-    if code is not None:
-        names.update(_KERNEL_NAMES)
-        cells = [f"c{i}" for i in range(len(code.cells))]
-        entry += [f"[{', '.join(code.scale)}] = scale", f"[{', '.join(cells)}] = cells"]
+    if n is None:
+        ps = ", ".join(f"p{j}" for j, _, _ in _DP_ERROR)
+        ks = ", ".join(f"k{j}" for j, _, _ in _DP_ERROR)
+        lines = _norm_lines("", "yn", "p{}".format, "primal_value({})".format)
+        norms = [
+            "new_abs = []",
+            f"for ay, yn, {ps} in zip(y_abs, y_new, {ks}):",
+            *(f"  {line}" for line in [*lines, "new_abs.append(an)"]),
+        ]
+        accept = [("y", "y_new"), ("y_abs", "new_abs"), ("k1", "k7")]
+        entry = [f"y_abs = [abs(primal_value(v)) for v in y[:{primals}]]"]
+        names["primal_value"] = primal_value
+        label, state = f"list loop {primals}", "y"
+    else:
+        lines = [ln for i in range(primals) for ln in _norm_lines(i, new[i], f"k{{}}_{i}".format)]
+        jet_primal = "the field's primal values turned from floats into jets mid-solve"
+        norms = [
+            "try:",
+            *(f"  {line}" for line in lines or ["pass"]),
+            "except TypeError:",
+            f"  raise ShapeError({jet_primal!r}) from None",
+        ]
+        accept = [*zip(y, new), *((f"ay{i}", f"an{i}") for i in range(primals)), *zip(k[0], k[6])]
+        entry = [f"[{', '.join(y)}] = y", f"[{', '.join(k[0])}] = k1"]
+        if code is not None:
+            names.update(_KERNEL_NAMES)
+            cells = [f"c{i}" for i in range(len(code.cells))]
+            entry += [f"[{', '.join(code.scale)}] = scale", f"[{', '.join(cells)}] = cells"]
+        entry += [f"ay{i} = abs({y[i]})" for i in range(primals)]
+        label = f"{'loop' if code is None else 'fused loop'} {n}/{primals}"
+        state = f"[{', '.join(y)}]"
+    step += [
+        "err = 0.0",
+        "norm = 0.0",
+        *norms,
+        "if err <= 1.0:",
+        "  s = target if clipped else s + h_step",
+        *(f"  {a} = {b}" for a, b in accept),
+        "  if not norm <= NORM_LIMIT:",
+        "    raise StateNormExceeded(s * t_unit)",
+        "  if not clipped:",
+        "    h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))",
+        "else:",
+        "  h = h_step * max(0.2, 0.9 * err**-0.2)",
+    ]
     source = (
         f"def make({', '.join(names)}):\n"
         "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale, cells):\n"
         + "".join(f"    {line}\n" for line in entry)
-        + "".join(f"    ay{i} = abs({y[i]})\n" for i in range(primals))
         + "    s = 0.0\n"
         "    h = 0.01\n"
         "    steps = 0\n"
@@ -437,13 +491,12 @@ def _dp_loop(n: int, primals: int, code: _FlatCode | None = None):
         "        clipped = h >= target - s\n"
         "        h_step = (target - s) if clipped else h\n"
         + "".join(f"        {line}\n" for line in step)
-        + f"      states.append([{', '.join(y)}])\n"
+        + f"      states.append({state})\n"
         "    return states\n"
         "  return loop\n"
     )
     namespace: dict = {}
-    kind = "" if code is None else " fused"
-    exec(compile(source, f"<rk45{kind} loop {n}/{primals}>", "exec"), namespace)
+    exec(compile(source, f"<rk45 {label}>", "exec"), namespace)
     return namespace["make"](**names)
 
 
@@ -499,133 +552,31 @@ def _integrate_scaled(
     time value, used only to convert the reached fraction back to time
     units in errors.
 
-    A state of at most ``_GENERATED_MAX_N`` entries whose field gives float
-    primals at the first stage steps in the loop :func:`_dp_loop` writes for
-    its shape.  When ``rhs`` is ``kernel(y, scale)`` for a flat kernel with
-    that ``code``, the loop is written with the kernel's lines inlined in
-    stages 2 to 7, and ``rhs`` gives the first stage only.  A longer state,
-    or a field that closes over a jet (its primals are then jets), steps in
-    :func:`_rk45_loop`, which calls ``rhs`` at every stage.  All of them run
-    the same float operations in the same order.
+    Every RK45 solve steps in a loop that :func:`_dp_loop` writes.  A state
+    of at most ``_GENERATED_MAX_N`` entries whose field gives float primals
+    at the first stage steps in the unrolled form written for its shape.
+    When ``rhs`` is ``kernel(y, scale)`` for a flat kernel with that
+    ``code``, that form is written with the kernel's lines inlined in stages
+    2 to 7, and ``rhs`` gives the first stage only.  A longer state, or a
+    field that closes over a jet (its primals are then jets), steps in the
+    list form, which calls the shape-checked ``rhs`` at every stage.  Both
+    run the same float operations in the same order.
     """
 
     if cfg.method == "rk4":
         return _rk4_fixed(rhs, y0, cfg, t_scale, outputs, primals)
-    if cfg.method != "rk45":
-        raise ValueError(f"unknown integrator method {cfg.method!r}")
     y = list(y0)
     checked = _shape_checked(rhs, primals)
     k1 = checked(y)
     if len(y) <= _GENERATED_MAX_N and not any(map(jet_depth, k1[:primals])):
         loop = _dp_loop(len(y), primals, code)
-        return loop(
-            rhs, y, k1, primal_value(t_scale), outputs,
-            cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
-            scale, code.cells if code is not None else (),
-        )
-    return _rk45_loop(checked, y, k1, cfg, t_scale, outputs, primals)
-
-
-def _rk45_loop(
-    rhs, y: list, k1: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
-) -> list:
-    """The Dormand-Prince loop of :func:`_integrate_scaled`, from the state
-    ``y`` and its first stage ``k1``, for a state of any length whose
-    primals may be jets."""
-    (
-        (a21,),
-        (a31, a32),
-        (a41, a42, a43),
-        (a51, a52, a53, a54),
-        (a61, a62, a63, a64, a65),
-        (b1, _, b3, b4, b5, b6),  # b2 = 0
-    ) = _DP_A[1:]
-    e1, _, e3, e4, e5, e6, e7 = _DP_E  # e2 = 0
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-
-    y_abs = [abs(primal_value(v)) for v in y[:primals]]  # carried with y
-    s = 0.0
-    h = 0.01
-    steps = 0
-    states = []
-    for target in outputs:
-        while s < target:
-            if steps >= cfg.max_steps:
-                raise MaxStepsExceeded(s * primal_value(t_scale), cfg.max_steps)
-            steps += 1
-            if h < _MIN_STEP or not math.isfinite(h):
-                raise StepSizeCollapse(s * primal_value(t_scale))
-            clipped = h >= target - s
-            h_step = (target - s) if clipped else h
-
-            # One pass per stage state, summed left to right with zero
-            # coefficients left out; the 7th stage state is y_new (FSAL).
-            c1 = h_step * a21
-            k2 = rhs([yi + c1 * p1 for yi, p1 in zip(y, k1)])
-            c1, c2 = h_step * a31, h_step * a32
-            k3 = rhs([yi + c1 * p1 + c2 * p2 for yi, p1, p2 in zip(y, k1, k2)])
-            c1, c2, c3 = h_step * a41, h_step * a42, h_step * a43
-            k4 = rhs([
-                yi + c1 * p1 + c2 * p2 + c3 * p3
-                for yi, p1, p2, p3 in zip(y, k1, k2, k3)
-            ])
-            c1, c2, c3, c4 = h_step * a51, h_step * a52, h_step * a53, h_step * a54
-            k5 = rhs([
-                yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
-                for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
-            ])
-            c1, c2, c3 = h_step * a61, h_step * a62, h_step * a63
-            c4, c5 = h_step * a64, h_step * a65
-            k6 = rhs([
-                yi + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
-                for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
-            ])
-            c1, c3, c4 = h_step * b1, h_step * b3, h_step * b4
-            c5, c6 = h_step * b5, h_step * b6
-            y_new = [
-                yi + c1 * p1 + c3 * p3 + c4 * p4 + c5 * p5 + c6 * p6
-                for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = rhs(y_new)
-
-            # Error norm and state norm in one pass over the primals only (zip
-            # stops with y_abs: derivative coefficients never steer); NaN
-            # sticks in both, so h shrinks until it collapses.
-            err = 0.0
-            norm = 0.0
-            new_abs = []
-            for ay, yn, p1, p3, p4, p5, p6, p7 in zip(
-                y_abs, y_new, k1, k3, k4, k5, k6, k7
-            ):
-                an = abs(primal_value(yn))
-                new_abs.append(an)
-                e = (
-                    e1 * primal_value(p1)
-                    + e3 * primal_value(p3)
-                    + e4 * primal_value(p4)
-                    + e5 * primal_value(p5)
-                    + e6 * primal_value(p6)
-                    + e7 * primal_value(p7)
-                )
-                ratio = abs(e * h_step) / (abs_tol + rel_tol * max(ay, an))
-                if ratio > err or ratio != ratio:
-                    err = ratio
-                if an > norm or an != an:
-                    norm = an
-
-            if err <= 1.0:
-                s = target if clipped else s + h_step
-                y, y_abs, k1 = y_new, new_abs, k7
-                if not norm <= _STATE_NORM_LIMIT:
-                    raise StateNormExceeded(s * primal_value(t_scale))
-                if not clipped:
-                    h = h_step * (
-                        5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-                    )
-            else:
-                h = h_step * max(0.2, 0.9 * err**-0.2)
-        states.append(y)
-    return states
+    else:
+        loop, rhs = _dp_loop(None, primals), checked
+    return loop(
+        rhs, y, k1, primal_value(t_scale), outputs,
+        cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+        scale, code.cells if code is not None else (),
+    )
 
 
 def _rk4_fixed(
@@ -635,8 +586,6 @@ def _rk4_fixed(
     each interval between output fractions takes ceil(interval length in
     time units / cfg.h) equal steps, and the steps of all intervals together
     must not exceed cfg.max_steps."""
-    if not (cfg.h > 0.0 and math.isfinite(cfg.h)):
-        raise ValueError(f"rk4 step must be finite and positive, got {cfg.h!r}")
     span = abs(primal_value(t_scale))
     intervals = list(zip((0.0, *outputs), outputs))
     # Compared as floats before ceil: span * width / h may be inf.

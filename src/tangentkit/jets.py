@@ -534,7 +534,7 @@ class _FlatWriter:
             tuple(v[k] for k in range(self.size) for v in self.inputs),
             tuple(self.scale),
             tuple(self.lines),
-            tuple(v[k] or "ABSENT" for k in range(self.size) for v in scaled),
+            tuple(v[k] for k in range(self.size) for v in scaled),
             tuple(cells),
         )
 
@@ -566,9 +566,8 @@ class _FlatCode(NamedTuple):
     own straight-line code: bind the flat input coefficients to ``inputs``
     and the time's to ``scale``, run ``lines``, and read the flat
     coefficients of the values from ``outputs``.  The lines read names
-    ``c0..`` (the ``cells``) and the names of :data:`_KERNEL_NAMES`, and
-    bind only names ``j1..``; an output is one of those names or
-    ``ABSENT``."""
+    ``c0..`` (the ``cells``) and the names of :data:`_KERNEL_NAMES`; they
+    bind only names ``j1..``, and every output is one of those."""
 
     inputs: tuple[str, ...]
     scale: tuple[str, ...]

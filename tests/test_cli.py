@@ -454,22 +454,25 @@ def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", ["1729", "7"])
 def test_verify_bytes_do_not_depend_on_the_generated_rk45_loop(seed, monkeypatch):
-    # solves of up to _GENERATED_MAX_N flat entries step in a loop written
+    # solves of up to _GENERATED_MAX_N flat entries step in the loop unrolled
     # for their shape, with a dsl field's kernel written into its stages;
-    # with the kernel left out the stages call it, and with the generated
-    # loop switched off they step in the hand-written one
+    # with the kernel left out the stages call it, and with the unrolled
+    # form switched off they step in the list form
     argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
-    writer, shapes = dynamics._dp_loop, []
-    monkeypatch.setattr(dynamics, "_dp_loop", lambda *shape: shapes.append(shape) or writer(*shape))
+    writer, codes = dynamics._dp_loop, []
+    monkeypatch.setattr(
+        dynamics, "_dp_loop",
+        lambda n, primals, code=None: codes.append(code) or writer(n, primals, code),
+    )
     _, generated = run(argv)
-    assert any(code is None for _, _, code in shapes)
-    assert any(code is not None for _, _, code in shapes)
-    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code: writer(n, primals))
+    assert any(code is None for code in codes)
+    assert any(code is not None for code in codes)
+    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code=None: writer(n, primals))
     _, called = run(argv)
     assert called == generated
     monkeypatch.setattr(dynamics, "_GENERATED_MAX_N", -1)
-    _, hand_written = run(argv)
-    assert hand_written == generated
+    _, list_form = run(argv)
+    assert list_form == generated
 
 
 def test_config_file_supplies_flags(tmp_path):

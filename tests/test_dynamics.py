@@ -133,13 +133,13 @@ def test_field_with_the_wrong_number_of_values_is_a_shape_error(method):
             integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], cfg)
 
 
-# The integrator paths: RK45 in the loop written for the state's shape, RK45
-# in the hand-written loop (the generated one switched off), and RK4.
-_PATHS = ["generated", "hand-written", "rk4"]
+# The integrator paths: RK45 in the loop unrolled for the state's shape, RK45
+# in the list form (the unrolled one switched off), and RK4.
+_PATHS = ["generated", "list", "rk4"]
 
 
 def _on_path(path, monkeypatch) -> IntegratorConfig:
-    if path == "hand-written":
+    if path == "list":
         monkeypatch.setattr(dynamics, "_GENERATED_MAX_N", -1)
     return IntegratorConfig(method="rk4" if path == "rk4" else "rk45")
 
@@ -320,18 +320,20 @@ def _flat_solves(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_flat_solves())
-def test_generated_rk45_loop_is_the_hand_written_one_bit_for_bit(solve):
-    # the same states, or the same error at the same time, down to the bit
+def test_the_unrolled_rk45_loop_is_the_list_form_bit_for_bit(solve):
+    # the same states, or the same error at the same time, down to the bit;
+    # the two forms write each sum on their own, the unrolled one against
+    # named locals and the list form in zip comprehensions
     def outcome():
         try:
             return repr(_integrate_scaled(*solve))
         except (ArithmeticError, ValueError) as e:
             return type(e), str(e), repr(getattr(e, "t_reached", None))
 
-    generated = outcome()
+    unrolled = outcome()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_GENERATED_MAX_N", -1)
-        assert outcome() == generated
+        assert outcome() == unrolled
 
 
 def _flat(values):
@@ -514,7 +516,7 @@ def test_a_time_dependent_field_solves_on_its_flat_kernel(monkeypatch):
 
 def _kernel_called(monkeypatch):
     writer = dynamics._dp_loop
-    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code: writer(n, primals))
+    monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code=None: writer(n, primals))
 
 
 def _failure(solve):
@@ -550,27 +552,73 @@ def test_a_fused_solve_fails_as_the_called_kernel_does(case, monkeypatch):
 
 def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch):
     writer, loops = dynamics._dp_loop, []
-    monkeypatch.setattr(
-        dynamics,
-        "_dp_loop",
-        lambda n, primals, code=None: loops.append(code is not None) or writer(n, primals, code),
-    )
+
+    def spy(n, primals, code=None):
+        loops.append((n, code is not None))
+        return writer(n, primals, code)
+
+    monkeypatch.setattr(dynamics, "_dp_loop", spy)
     line = Space(1)
     integrate(DynamicalSystem(Space(2), rotation_field()), 1.0, [1.0, 0.0])
-    assert loops == [True]
+    assert loops == [(2, True)]
     loops.clear()
     hand_written = VectorField(line, SmoothMap(line, line, lambda xs: [xs[0]], name="hand"))
     integrate(DynamicalSystem(line, hand_written), 1.0, [1.0])
-    assert loops == [False]
+    assert loops == [(1, False)]
     loops.clear()
     wide = VectorField.from_expr("; ".join(f"-x{i}" for i in range(1, 66)), 65)
     assert integrate(DynamicalSystem(Space(65), wide), 1.0, [1.0] * 65)[0] == pytest.approx(
         math.exp(-1.0), abs=1e-9
     )
-    assert loops == []  # 65 entries step in the hand-written loop, calling the kernel
+    assert loops == [(None, False)]  # 65 entries step in the list form, calling the kernel
+    loops.clear()
     long = VectorField.from_expr(" + ".join(["-x1"] * (dynamics._FUSED_MAX_LINES + 1)), 1)
     integrate(DynamicalSystem(line, long), 1e-3, [1.0])
-    assert loops == [False]  # written six times over, the loop would be too long
+    assert loops == [(1, False)]  # written six times over, the loop would be too long
+
+
+def test_wide_states_and_jet_primals_step_in_the_list_form(monkeypatch):
+    # the list form is written once per number of primals, whatever the
+    # state's length, and a field that closes over a jet steps in it too
+    dynamics._dp_loop.cache_clear()
+    compiled = []
+    monkeypatch.setattr(
+        dynamics, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+        raising=False,
+    )
+    for n in (65, 80):
+        [state] = _integrate_scaled(
+            lambda y: [-v for v in y], [1.0] * n, IntegratorConfig(), 1.0, (1.0,), 5
+        )
+        assert len(state) == n and abs(state[-1] - math.exp(-1.0)) <= 1e-9
+    assert compiled == ["<rk45 list loop 5>"]
+    compiled.clear()
+    line = Space(1)
+
+    def g(xs):
+        field = SmoothMap(line, line, lambda ys: [xs[0] * ys[0]])
+        return flow_of(VectorField(line, field)).evaluate(1.0, [1.0])
+
+    tangent(SmoothMap(line, line, g))([0.5, 1.0])
+    assert compiled == ["<rk45 list loop 1>"]
+
+
+def test_wide_rk45_bits_are_pinned():
+    # 65 flat entries, one past the unrolled loop's cap: the exact states,
+    # and the error type, message and time reached of a step budget and of
+    # the norm limit
+    wide = VectorField.from_expr("; ".join(f"-x{i}" for i in range(1, 66)), 65)
+    got = integrate(DynamicalSystem(Space(65), wide), 1.0, [1.0] * 65)
+    assert repr(got) == "[" + ", ".join(["0.3678794411919316"] * 65) + "]"
+    grow = DynamicalSystem(
+        Space(65), VectorField.from_expr("; ".join(f"x{i}" for i in range(1, 66)), 65)
+    )
+    assert _failure(lambda: integrate(grow, 1.0, [1.0] * 65, IntegratorConfig(max_steps=5))) == (
+        MaxStepsExceeded, "exceeded 5 steps at t=0.182", "0.18221909915259896"
+    )
+    assert _failure(lambda: integrate(grow, 30.0, [1.0] * 65)) == (
+        StateNormExceeded, "state norm above 1e+12 near t=27.633", "27.633390823603328"
+    )
 
 
 def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
@@ -624,6 +672,25 @@ def test_a_tolerance_that_cannot_steer_the_solver_is_refused(kwargs, name):
     # from (1, 0) reached [117.9..., 102.7...] at t = 10, and abs_tol = 0
     # divided by zero at a zero state
     with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"method": "euler"}, "method"),
+        ({"max_steps": -1}, "max_steps"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": 2.5}, "max_steps"),
+        ({"method": "rk4", "h": 0.0}, "rk4 step h"),
+        ({"h": math.inf}, "rk4 step h"),
+    ],
+)
+def test_a_config_that_cannot_run_is_refused_when_made(kwargs, name):
+    # refused when made, not at the first solve: an unknown method would
+    # describe itself as rk45 until then, and max_steps=-1 would fail as
+    # "exceeded -1 steps"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         IntegratorConfig(**kwargs)
 
 
