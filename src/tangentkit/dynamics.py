@@ -9,16 +9,17 @@ through the same arithmetic as the state and step-size selection is frozen
 to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
 
-One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
-forms.  A flat state of at most 64 entries whose field gives float primals
-at the first stage steps in the unrolled form, written once per state
-shape as straight-line code.  For a field compiled by
-:func:`dsl.compile_spec` that form also inlines the field's flat kernel (of
-at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages make
-no call; any other field is called through ``rhs`` at each stage.  A
-longer state, or a field that closes over a jet (its primals are then
-jets), steps in the list form, whose stage states are comprehensions and
-which calls ``rhs`` at every stage, as RK4 does; both give the same bits.
+Every solve steps on floats: jets cross into the solver only as the flat
+coefficient lists of :func:`jets.flatten_levels`, widened by the levels of
+any jet a field closes over.  One writer, :func:`_dp_loop`, writes every
+RK45 loop as code, in one of two forms.  A flat state of at most 64 entries
+steps in the unrolled form, written once per state shape as straight-line
+code.  For a field compiled by :func:`dsl.compile_spec` that form also
+inlines the field's flat kernel (of at most ``_FUSED_MAX_LINES`` lines) in
+stages 2 to 7, so those stages make no call; any other field is called
+through ``rhs`` at each stage.  A longer state steps in the list form, whose
+stage states are comprehensions and which calls ``rhs`` at every stage, as
+RK4 does; both give the same bits.
 """
 
 from __future__ import annotations
@@ -325,11 +326,10 @@ _DP_STAGES = [_dp_terms(row, f"a{i}") for i, row in enumerate(_DP_A[1:-1], 2)]
 _DP_STAGES.append(_dp_terms(_DP_A[-1], "b"))
 _DP_ERROR = _dp_terms(_DP_E, "e")
 
-# A solve whose flat state has at most this many entries, and whose field
-# gives float primals, steps in the unrolled loop _dp_loop writes for its
-# shape, and for its field's kernel code when that has at most
-# _FUSED_MAX_LINES lines (the loop repeats them six times); any other solve
-# steps in the list form.  The most recently used _LOOPS_KEPT loops are kept.
+# A flat state of at most this many entries steps in the unrolled loop
+# _dp_loop writes for its shape (fused with its field's kernel code of at
+# most _FUSED_MAX_LINES lines, which the loop repeats six times), a longer
+# one in the list form.  The most recently used _LOOPS_KEPT loops are kept.
 _GENERATED_MAX_N = 64
 _FUSED_MAX_LINES = 256
 _LOOPS_KEPT = 128
@@ -341,13 +341,13 @@ def _stage_sum(terms: list, y: str, k) -> str:
     return " + ".join([y, *(f"w{j} * {k(j)}" for j, _, _ in terms)])
 
 
-def _norm_lines(i, new: str, k, read="{}".format) -> list:
+def _norm_lines(i, new: str, k) -> list:
     """Fold one primal's error ratio into ``err`` and its new |y|,
-    ``an{i}``, into ``norm``, reading each value with ``read``.  NaN sticks
-    in both, so h shrinks until it collapses."""
-    e = " + ".join(f"{name} * {read(k(j))}" for j, name, _ in _DP_ERROR)
+    ``an{i}``, into ``norm``.  NaN sticks in both, so h shrinks until it
+    collapses."""
+    e = " + ".join(f"{name} * {k(j)}" for j, name, _ in _DP_ERROR)
     return [
-        f"an{i} = abs({read(new)})",
+        f"an{i} = abs({new})",
         f"e = {e}",
         f"ratio = abs(e * h_step) / (abs_tol + rel_tol * (an{i} if an{i} > ay{i} else ay{i}))",
         "if ratio > err or ratio != ratio:",
@@ -360,17 +360,17 @@ def _norm_lines(i, new: str, k, read="{}".format) -> list:
 @functools.lru_cache(maxsize=_LOOPS_KEPT)
 def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
     """The Dormand-Prince loop of :func:`_integrate_scaled`, written out as
-    code for a flat state whose first ``primals`` entries are primal values.
-    Its two forms write each entry of a stage sum and each primal's error
-    and norm lines from the same templates (:func:`_stage_sum`,
+    code for a flat state whose first ``primals`` entries are float primal
+    values.  Its two forms write each entry of a stage sum and each primal's
+    error and norm lines from the same templates (:func:`_stage_sum`,
     :func:`_norm_lines`), around the same controller, so they give the same
-    bits.
+    bits.  In both, a jet among the primals fails ``abs`` in the error and
+    norm block, which ends in a ShapeError.
 
     With ``n`` (at most ``_GENERATED_MAX_N``) the loop is unrolled for a
-    state of ``n`` entries with float primals: each entry of the state, of
-    each stage and of |y| is a local (``y0``, ``k2_0``, ``ay0``, ...).  A
-    field value of the wrong length fails its unpacking, and a jet among the
-    primals fails ``abs``; both end in a ShapeError.
+    state of ``n`` entries: each entry of the state, of each stage and of
+    |y| is a local (``y0``, ``k2_0``, ``ay0``, ...), and a field value of
+    the wrong length fails its unpacking, also a ShapeError.
 
     With the ``code`` of a flat kernel (:class:`jets._FlatCode`), whose
     first value has passed the shape check, the unrolled stages 2 to 7 run
@@ -380,11 +380,10 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
     ``cells`` are arguments, bound once on entry: codes are cached by value,
     and cells that compare equal may still differ (0.0 and -0.0).
 
-    With ``n`` None the loop is the list form, for a state of any length
-    whose primals may be jets: each stage state is one comprehension over
-    ``zip(y, k1, ...)``, each stage calls ``rhs`` (which must check its
-    value's shape), and the error and norm block loops over the primals,
-    reading each through ``primal_value``."""
+    With ``n`` None the loop is the list form, for a state of any length:
+    each stage state is one comprehension over ``zip(y, k1, ...)``, each
+    stage calls ``rhs`` (which must check its value's shape), and the error
+    and norm block loops over the primals."""
     if n is None:
         new = ["y_new"]
     else:
@@ -431,25 +430,16 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
     if n is None:
         ps = ", ".join(f"p{j}" for j, _, _ in _DP_ERROR)
         ks = ", ".join(f"k{j}" for j, _, _ in _DP_ERROR)
-        lines = _norm_lines("", "yn", "p{}".format, "primal_value({})".format)
-        norms = [
+        lines = [
             "new_abs = []",
             f"for ay, yn, {ps} in zip(y_abs, y_new, {ks}):",
-            *(f"  {line}" for line in [*lines, "new_abs.append(an)"]),
+            *(f"  {line}" for line in [*_norm_lines("", "yn", "p{}".format), "new_abs.append(an)"]),
         ]
         accept = [("y", "y_new"), ("y_abs", "new_abs"), ("k1", "k7")]
-        entry = [f"y_abs = [abs(primal_value(v)) for v in y[:{primals}]]"]
-        names["primal_value"] = primal_value
+        entry = [f"y_abs = [abs(v) for v in y[:{primals}]]"]
         label, state = f"list loop {primals}", "y"
     else:
         lines = [ln for i in range(primals) for ln in _norm_lines(i, new[i], f"k{{}}_{i}".format)]
-        jet_primal = "the field's primal values turned from floats into jets mid-solve"
-        norms = [
-            "try:",
-            *(f"  {line}" for line in lines or ["pass"]),
-            "except TypeError:",
-            f"  raise ShapeError({jet_primal!r}) from None",
-        ]
         accept = [*zip(y, new), *((f"ay{i}", f"an{i}") for i in range(primals)), *zip(k[0], k[6])]
         entry = [f"[{', '.join(y)}] = y", f"[{', '.join(k[0])}] = k1"]
         if code is not None:
@@ -459,10 +449,14 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         entry += [f"ay{i} = abs({y[i]})" for i in range(primals)]
         label = f"{'loop' if code is None else 'fused loop'} {n}/{primals}"
         state = f"[{', '.join(y)}]"
+    jet_primal = "the field's primal values turned from floats into jets mid-solve"
     step += [
         "err = 0.0",
         "norm = 0.0",
-        *norms,
+        "try:",
+        *(f"  {line}" for line in lines or ["pass"]),
+        "except TypeError:",
+        f"  raise ShapeError({jet_primal!r}) from None",
         "if err <= 1.0:",
         "  s = target if clipped else s + h_step",
         *(f"  {a} = {b}" for a, b in accept),
@@ -522,6 +516,11 @@ def _shape_checked(rhs, primals: int):
     return stage
 
 
+def _widened(rhs, levels: int, y: list) -> list:
+    """``rhs`` on a flat state that carries ``levels`` more jet levels."""
+    return flatten_levels(rhs(unflatten_levels(y, levels)), levels)
+
+
 def _integrate_scaled(
     rhs,
     y0: list,
@@ -546,46 +545,50 @@ def _integrate_scaled(
     The loop runs on floats: ``y0`` and every ``rhs`` output are flat lists
     of jet-tower coefficients, level by level (see
     :func:`jets.flatten_levels`), whose first ``primals`` entries are the
-    primal values.  Stage sums taken coefficient by coefficient are exactly
-    the jet sums, and the controller reads the primals alone, so derivative
+    primal values.  A field that closes over a jet gives jet primals at the
+    first stage; the levels of the deepest then join the flat state, by
+    position as jet arithmetic joins them, and ``rhs`` sees the rebuilt
+    towers.  Stage sums taken coefficient by coefficient are exactly the jet
+    sums, and the controller reads the primals alone, so derivative
     coefficients ride along without steering.  ``t_scale`` is the original
     time value, used only to convert the reached fraction back to time
     units in errors.
 
-    Every RK45 solve steps in a loop that :func:`_dp_loop` writes.  A state
-    of at most ``_GENERATED_MAX_N`` entries whose field gives float primals
-    at the first stage steps in the unrolled form written for its shape.
-    When ``rhs`` is ``kernel(y, scale)`` for a flat kernel with that
-    ``code``, that form is written with the kernel's lines inlined in stages
-    2 to 7, and ``rhs`` gives the first stage only.  A longer state, or a
-    field that closes over a jet (its primals are then jets), steps in the
-    list form, which calls the shape-checked ``rhs`` at every stage.  Both
-    run the same float operations in the same order.
+    RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
+    writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
+    with the kernel's lines inlined in stages 2 to 7 when ``rhs`` is
+    ``kernel(y, scale)`` for a flat kernel with that ``code`` (``rhs`` then
+    gives the first stage only), or else in the list form, which calls the
+    shape-checked ``rhs`` at every stage.  Both run the same float
+    operations in the same order.
     """
 
-    if cfg.method == "rk4":
-        return _rk4_fixed(rhs, y0, cfg, t_scale, outputs, primals)
     y = list(y0)
     checked = _shape_checked(rhs, primals)
     k1 = checked(y)
-    if len(y) <= _GENERATED_MAX_N and not any(map(jet_depth, k1[:primals])):
-        loop = _dp_loop(len(y), primals, code)
+    levels = max(map(jet_depth, k1[:primals]), default=0)
+    if levels:  # the field closes over a jet: its levels join the flat state
+        rhs = checked = functools.partial(_widened, checked, levels)
+        y, k1 = flatten_levels(y, levels), flatten_levels(k1, levels)
+    if cfg.method == "rk4":
+        states = _rk4_fixed(checked, y, k1, cfg, t_scale, outputs, primals)
     else:
-        loop, rhs = _dp_loop(None, primals), checked
-    return loop(
-        rhs, y, k1, primal_value(t_scale), outputs,
-        cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
-        scale, code.cells if code is not None else (),
-    )
+        unrolled = len(y) <= _GENERATED_MAX_N
+        loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
+        states = loop(
+            rhs if unrolled else checked, y, k1, primal_value(t_scale), outputs,
+            cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+            scale, code.cells if code is not None else (),
+        )
+    return [unflatten_levels(state, levels) for state in states]
 
 
-def _rk4_fixed(
-    rhs, y0: list, cfg: IntegratorConfig, t_scale, outputs, primals: int
-) -> list:
-    """Classical RK4 on the same flat lists as :func:`_integrate_scaled`;
-    each interval between output fractions takes ceil(interval length in
-    time units / cfg.h) equal steps, and the steps of all intervals together
-    must not exceed cfg.max_steps."""
+def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int) -> list:
+    """Classical RK4 on the flat lists of :func:`_integrate_scaled`, from
+    ``y`` and its first stage ``k1``, with the shape-checked ``rhs``; each
+    interval between output fractions takes ceil(interval length in time
+    units / cfg.h) equal steps, and the steps of all intervals together must
+    not exceed cfg.max_steps."""
     span = abs(primal_value(t_scale))
     intervals = list(zip((0.0, *outputs), outputs))
     # Compared as floats before ceil: span * width / h may be inf.
@@ -593,9 +596,6 @@ def _rk4_fixed(
     counts = [max(1, math.ceil(c)) if c <= cfg.max_steps else c for c in counts]
     if sum(counts) > cfg.max_steps:
         raise MaxStepsExceeded(0.0, cfg.max_steps)
-    rhs = _shape_checked(rhs, primals)
-    y = list(y0)
-    k1 = rhs(y)  # the first step's k1; later steps take their own
     states = []
     for (s, target), steps in zip(intervals, counts):
         width = target - s
@@ -612,9 +612,7 @@ def _rk4_fixed(
             ]
             k1 = None
             if not gap(y[:primals], repeat(0.0)) <= _STATE_NORM_LIMIT:
-                raise StateNormExceeded(
-                    (s + (i + 1) / steps * width) * primal_value(t_scale)
-                )
+                raise StateNormExceeded((s + (i + 1) / steps * width) * primal_value(t_scale))
         states.append(y)
     return states
 
@@ -1020,14 +1018,14 @@ def sum_flow(
     v1: VectorField,
     v2: VectorField,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    tol: float = FLOW_TOL,
+    tol: float = JET_TOL,
     seed: int = DEFAULT_SEED,
 ) -> Flow:
     """The flow of the sum of a commuting pair: run one flow, then the other
     for the same time.  Raises :class:`NonCommutingFields` when the
-    commutation precondition fails."""
+    commutation precondition fails at ``tol``."""
 
-    check = commutes(v1, v2, tol=JET_TOL, seed=seed)
+    check = commutes(v1, v2, tol=tol, seed=seed)
     if not check.passed:
         raise NonCommutingFields(check)
     g1 = _flow_for(v1, cfg)

@@ -159,19 +159,23 @@ def test_a_field_that_grows_after_its_first_value_is_a_shape_error(path, monkeyp
         integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], _on_path(path, monkeypatch))
 
 
-def test_a_field_whose_primals_turn_into_jets_mid_solve_is_a_shape_error():
-    # floats at the first stage select the generated loop, which reads float
-    # primals only; a jet after that is a typed error, not a bare TypeError
+@pytest.mark.parametrize(
+    "n, path", [(1, "generated"), (1, "list"), (65, "generated")], ids=["generated", "list", "wide"]
+)
+def test_a_field_whose_primals_turn_into_jets_mid_solve_is_a_shape_error(n, path, monkeypatch):
+    # floats at the first stage make the solve step on floats, in either
+    # loop form, and both read float primals only; a jet after that is a
+    # typed error, not a bare TypeError or a solve that steps on jets
     calls = []
 
     def values(xs):
         calls.append(None)
-        return [xs[0] * (1.0 if len(calls) == 1 else Jet(1.0, 0.5))]
+        return [x * (1.0 if len(calls) == 1 else Jet(1.0, 0.5)) for x in xs]
 
-    line = Space(1)
-    flow = flow_of(VectorField(line, SmoothMap(line, line, values)))
+    space = Space(n)
+    flow = flow_of(VectorField(space, SmoothMap(space, space, values)), _on_path(path, monkeypatch))
     with pytest.raises(ShapeError, match="turned from floats into jets"):
-        flow.evaluate(1.0, [1.0])
+        flow.evaluate(1.0, [1.0] * n)
 
 
 @pytest.mark.parametrize("path", _PATHS)
@@ -577,9 +581,11 @@ def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch
     assert loops == [(1, False)]  # written six times over, the loop would be too long
 
 
-def test_wide_states_and_jet_primals_step_in_the_list_form(monkeypatch):
+def test_wide_states_take_the_list_form_and_captured_jets_widen_the_state(monkeypatch):
     # the list form is written once per number of primals, whatever the
-    # state's length, and a field that closes over a jet steps in it too
+    # state's length; a field that closes over a jet has its level joined to
+    # the flat state, so a 1-entry solve steps on floats in the loop
+    # unrolled for 2 entries
     dynamics._dp_loop.cache_clear()
     compiled = []
     monkeypatch.setattr(
@@ -593,14 +599,8 @@ def test_wide_states_and_jet_primals_step_in_the_list_form(monkeypatch):
         assert len(state) == n and abs(state[-1] - math.exp(-1.0)) <= 1e-9
     assert compiled == ["<rk45 list loop 5>"]
     compiled.clear()
-    line = Space(1)
-
-    def g(xs):
-        field = SmoothMap(line, line, lambda ys: [xs[0] * ys[0]])
-        return flow_of(VectorField(line, field)).evaluate(1.0, [1.0])
-
-    tangent(SmoothMap(line, line, g))([0.5, 1.0])
-    assert compiled == ["<rk45 list loop 1>"]
+    tangent(_closing_over_the_argument())([0.5, 1.0])
+    assert compiled == ["<rk45 loop 2/1>"]
 
 
 def test_wide_rk45_bits_are_pinned():
@@ -703,18 +703,114 @@ def test_a_tolerance_that_steers_the_solver_is_accepted():
     }
 
 
-def test_a_field_closing_over_a_jet_is_solved_at_depth_zero():
-    # the state holds floats, so the solve runs at depth 0, but the field
-    # returns jets: the integrator's primals are then jets, never ABSENT
+def _closing_over_the_argument(t=1.0, cfg=IntegratorConfig()) -> SmoothMap:
+    # x -> the solution of y' = x y from 1, to time t: under a tangent the
+    # field closes over a jet
     line = Space(1)
 
     def g(xs):
         field = SmoothMap(line, line, lambda ys: [xs[0] * ys[0]])
-        return flow_of(VectorField(line, field)).evaluate(1.0, [1.0])
+        return flow_of(VectorField(line, field), cfg).evaluate(t, [1.0])
 
-    got = tangent(SmoothMap(line, line, g))([0.5, 1.0])
+    return SmoothMap(line, line, g)
+
+
+def test_a_field_closing_over_a_jet_is_solved_at_depth_zero():
+    # the state holds floats, so the solve runs at depth 0, but the field
+    # returns jets, whose level joins the flat state
+    got = tangent(_closing_over_the_argument())([0.5, 1.0])
     assert repr(got) == "[1.6487212707277967, 1.6487212710557269]"
     assert all(abs(v - math.exp(0.5)) <= 1e-9 for v in got)
+
+
+def _flow_of_values(values, n, cfg=IntegratorConfig()) -> Flow:
+    return flow_of(VectorField(Space(n), SmoothMap(Space(n), Space(n), values)), cfg)
+
+
+_C1 = Jet(-0.75, 2.0)
+_C2 = Jet(Jet(0.5, 1.0), Jet(0.25, -0.5))
+_RK4 = IntegratorConfig(method="rk4", h=0.05)
+_WIDE = [1.0 + i / 70 for i in range(70)]
+
+# Solves of fields that close over a jet (captured depth 1 or 2) from float
+# and jet starts, besides the depth-0 one above: the exact states, or the
+# error type, message and time.
+_CAPTURED_JET_SOLVES = {
+    "depth-0-captured-2": (
+        lambda: tangent(tangent(_closing_over_the_argument()))([0.5, 1.0, 0.25, 0.0]),
+        "[1.6487212707277967, 1.6487212710557269, 0.4121803177639317, 0.41218031865151045]",
+    ),
+    "depth-1-time-captured-2": (
+        lambda: _flow_of_values(lambda ys: [_C2 * ys[0]], 1)(Jet(1.0, 0.5), [1.0]),
+        "[Jet(Jet(1.6487212707277967, 1.6487212710557269), "
+        "Jet(0.8243606355278634, 0.824360637303021))]",
+    ),
+    "depth-1-state-captured-2": (
+        lambda: _flow_of_values(lambda ys: [_C2 * ys[1], -ys[0]], 2)(1.0, [Jet(1.0, 1.0), 0.5]),
+        "[Jet(Jet(0.9899259395298978, -0.03962019327032515), "
+        "Jet(0.7503395487484714, -0.45835770793222114)), "
+        "Jet(Jet(-0.5386030713223552, -0.07120056964319114), "
+        "Jet(-0.9365255122661796, 0.19996619764628498))]",
+    ),
+    "ragged": (
+        lambda: _flow_of_values(lambda ys: [_C1 * ys[1], -ys[0] * _C2, 0.5], 3)(
+            1.5, [1.0, 0.0, 0.25]
+        ),
+        "[Jet(Jet(1.452385048848713, 0.9675097371232976), "
+        "Jet(-1.0481355485502388, -3.343215995902454)), "
+        "Jet(Jet(-0.8600086550201235, -1.949297441782747), "
+        "Jet(-0.18161751812235363, 2.009137192541621)), 1.0000000000000002]",
+    ),
+    "constant": (
+        lambda: _flow_of_values(lambda ys: [_C2, ys[0]], 2)(1.0, [0.0, 1.0]),
+        "[Jet(Jet(0.5, 1.0), Jet(0.25, -0.5)), Jet(Jet(1.25, 0.5000000000000001), "
+        "Jet(0.12500000000000003, -0.25000000000000006))]",
+    ),
+    "wide": (
+        lambda: (lambda got: [len(got), got[0], got[-1]])(
+            _flow_of_values(lambda ys: [_C1 * y for y in ys], 70)(1.0, _WIDE)
+        ),
+        "[70, Jet(0.4723665527536266, 0.9447331053031162), "
+        "Jet(0.9379850118964866, 1.875970023387616)]",
+    ),
+    "rk4": (
+        lambda: tangent(_closing_over_the_argument(cfg=_RK4))([0.5, 1.0]),
+        "[1.6487212680719732, 1.6487212418998671]",
+    ),
+    "rk4-wide": (
+        lambda: (lambda got: [len(got), got[0], got[-1]])(
+            _flow_of_values(lambda ys: [_C1 * y for y in ys], 70, _RK4)(1.0, _WIDE)
+        ),
+        "[70, Jet(0.472366558764696, 0.944733036711222), "
+        "Jet(0.9379850238327534, 1.8759698871837123)]",
+    ),
+    "norm": (
+        lambda: tangent(_closing_over_the_argument(t=40.0))([1.0, 1.0]),
+        (StateNormExceeded, "state norm above 1e+12 near t=27.634", "27.63353255003085"),
+    ),
+    "blow-up": (
+        lambda: _flow_of_values(lambda ys: [_C1 * ys[0] * ys[0]], 1)(2.0, [-1.0]),
+        (StateNormExceeded, "state norm above 1e+12 near t=1.333", "1.3333333333032478"),
+    ),
+    "nan": (
+        lambda: _flow_of_values(
+            lambda ys: [_C1 * (math.nan if primal_value(ys[0]) < -1.5 else 1.0)], 1
+        )(3.0, [0.0]),
+        (StepSizeCollapse, "step size collapse near t=2.000", "1.999999999999953"),
+    ),
+    "steps": (
+        lambda: _flow_of_values(lambda ys: [_C1 * ys[0]], 1, IntegratorConfig(max_steps=3))(
+            5.0, [1.0]
+        ),
+        (MaxStepsExceeded, "exceeded 3 steps at t=0.164", "0.1643729572931672"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CAPTURED_JET_SOLVES))
+def test_captured_jet_solves_are_pinned(case):
+    solve, want = _CAPTURED_JET_SOLVES[case]
+    assert (repr(solve()) if isinstance(want, str) else _failure(solve)) == want
 
 
 def test_eta_is_jet_polymorphic():
@@ -1060,6 +1156,17 @@ def test_sum_flow_rejects_noncommuting_fields():
     b = LinearVectorField([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NonCommutingFields):
         sum_flow(a, b)
+
+
+def test_sum_flow_judges_commutation_at_its_tol():
+    # the pair fails to commute by about 2e-6: past the default tolerance,
+    # within the one given
+    a = LinearVectorField([[0.0, 1.0], [-1.0, 0.0]])
+    b = LinearVectorField([[1e-6, 0.0], [0.0, 0.0]])
+    with pytest.raises(NonCommutingFields, match=r"residual 1\.996e-06"):
+        sum_flow(a, b)
+    flow = sum_flow(a, b, tol=1e-3)
+    assert flow.provenance["kind"] == "sum"
 
 
 def test_sum_flow_order_independent():
