@@ -2,6 +2,8 @@
 vector fields, flows, exponentials, a field-definition DSL, and law
 verification suites."""
 
+from importlib import import_module as _import_module
+
 from .jets import EvaluationDomainError, Jet
 from .kernel import (
     ShapeError,
@@ -61,17 +63,37 @@ from .dynamics import (
     solve_nth_order,
     sum_flow,
 )
-from .rig import (
-    ActionLinearityReport,
-    action,
-    action_suite,
-    e_map,
-    euler_field,
-    exp_flow,
-    linearity_via_action,
-    multiply,
-    rig_suite,
+
+# Names of the modules most commands never run resolve on first access
+# (PEP 562), so ``import tangentkit`` loads neither ``rig`` nor ``verify``.
+_LAZY = dict.fromkeys(
+    (
+        "ActionLinearityReport",
+        "action",
+        "action_suite",
+        "e_map",
+        "euler_field",
+        "exp_flow",
+        "linearity_via_action",
+        "multiply",
+        "rig_suite",
+    ),
+    "rig",
 )
-from .verify import run_suite
+_LAZY["run_suite"] = "verify"
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -46,13 +46,10 @@ from .dynamics import (
     geodesic_flow,
     integrate,
 )
-from .fields import LinearityError, VectorField, lie_bracket, matrix_of
+from .fields import LinearityError, VectorField, _matrix_rows, lie_bracket
 from .jets import EvaluationDomainError, primal_value
 from .kernel import ShapeError, TrivialBundle, VerticalityViolation
-from .reports import emit_report
-from .rig import e_map, exp_flow
 from .sampling import DEFAULT_SEED
-from .verify import _DETECTOR_ROWS, run_suite
 
 __all__ = ["main", "dispatch"]
 
@@ -245,13 +242,15 @@ def _cmd_bracket(args) -> tuple[bytes, int]:
         out["x0"] = x0
         out["bracket"] = [primal_value(v) for v in bracket.vhat(x0)]
     if args.as_matrix:
-        out["matrix"] = matrix_of(bracket).tolist()
+        out["matrix"] = _matrix_rows(bracket)
     if not out:
         raise UsageError("--x0 (or --as-matrix) is required")
     return _json_bytes(out), EXIT_OK
 
 
 def _cmd_commute(args) -> tuple[bytes, int]:
+    from .reports import emit_report
+
     _require(args, "dim", "vf", "vf2")
     v1 = VectorField.from_expr(args.vf, args.dim)
     v2 = VectorField.from_expr(args.vf2, args.dim)
@@ -294,6 +293,8 @@ def _cmd_geodesic(args) -> tuple[bytes, int]:
 
 
 def _cmd_exp(args) -> tuple[bytes, int]:
+    from .rig import e_map, exp_flow
+
     _require(args, "t")
     cfg = _integrator(args)
     if args.dim is not None:
@@ -308,6 +309,9 @@ def _cmd_exp(args) -> tuple[bytes, int]:
 
 
 def _cmd_verify(args) -> tuple[bytes, int]:
+    from .reports import emit_report
+    from .verify import _DETECTOR_ROWS, run_suite
+
     cfg = _integrator(args)
     laws = run_suite(args.suite, seed=args.seed, cfg=cfg, quick=args.quick)
     if args.tol is not None:

@@ -311,6 +311,7 @@ _DP_E = (
 )
 
 _STATE_NORM_LIMIT = 1e12
+_JET_PRIMAL = "the field's primal values turned from floats into jets mid-solve"
 _MIN_STEP = 1e-14
 
 
@@ -449,14 +450,13 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         entry += [f"ay{i} = abs({y[i]})" for i in range(primals)]
         label = f"{'loop' if code is None else 'fused loop'} {n}/{primals}"
         state = f"[{', '.join(y)}]"
-    jet_primal = "the field's primal values turned from floats into jets mid-solve"
     step += [
         "err = 0.0",
         "norm = 0.0",
         "try:",
         *(f"  {line}" for line in lines or ["pass"]),
         "except TypeError:",
-        f"  raise ShapeError({jet_primal!r}) from None",
+        f"  raise ShapeError({_JET_PRIMAL!r}) from None",
         "if err <= 1.0:",
         "  s = target if clipped else s + h_step",
         *(f"  {a} = {b}" for a, b in accept),
@@ -588,7 +588,8 @@ def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int
     ``y`` and its first stage ``k1``, with the shape-checked ``rhs``; each
     interval between output fractions takes ceil(interval length in time
     units / cfg.h) equal steps, and the steps of all intervals together must
-    not exceed cfg.max_steps."""
+    not exceed cfg.max_steps.  Its state-norm check reads float primals
+    only: a jet among them is a ShapeError, as in the RK45 loops."""
     span = abs(primal_value(t_scale))
     intervals = list(zip((0.0, *outputs), outputs))
     # Compared as floats before ceil: span * width / h may be inf.
@@ -611,7 +612,11 @@ def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int
                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
             ]
             k1 = None
-            if not gap(y[:primals], repeat(0.0)) <= _STATE_NORM_LIMIT:
+            try:
+                norms = [abs(v) for v in y[:primals]]
+            except TypeError:
+                raise ShapeError(_JET_PRIMAL) from None
+            if not all(a <= _STATE_NORM_LIMIT for a in norms):
                 raise StateNormExceeded((s + (i + 1) / steps * width) * primal_value(t_scale))
         states.append(y)
     return states

@@ -316,18 +316,27 @@ def matrix_of(
     import numpy as np
 
     n = v.space.dim
+    return np.array(_matrix_rows(v, tol, seed), dtype=float).reshape(n, n)
+
+
+def _matrix_rows(v: VectorField, tol: float = JET_TOL, seed: int = DEFAULT_SEED) -> list:
+    """The rows of :func:`matrix_of` as lists of floats, without numpy."""
+    n = v.space.dim
     at_zero = [primal_value(y) for y in v.vhat([0.0] * n)]
     cols = []
     for i in range(n):
         e = [0.0] * n
         e[i] = 1.0
-        cols.append([primal_value(y) - z for y, z in zip(v.vhat(e), at_zero)])
-    A = np.array(cols, dtype=float).T if n else np.zeros((0, 0))
+        cols.append([float(primal_value(y) - z) for y, z in zip(v.vhat(e), at_zero)])
+    rows = [list(row) for row in zip(*cols)]
 
     worst, witness = worst_case(
         zip(sample_points(n, count=25, seed=seed)),
-        lambda p: gap([primal_value(y) for y in v.vhat(p)], A @ np.array(p)),
+        lambda p: gap(
+            [primal_value(y) for y in v.vhat(p)],
+            [sum(a * x for a, x in zip(row, p)) for row in rows],
+        ),
     )
     if not worst <= tol:
         raise LinearityError(worst, witness)
-    return A
+    return rows

@@ -688,45 +688,64 @@ _SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def _dispatch_in_a_new_process(argv):
-    """Exit code, stdout and whether numpy was imported, for ``dispatch(argv)``
-    in a fresh interpreter (``argv`` None: only ``import tangentkit``)."""
+    """Exit code, stdout, whether numpy was imported and the loaded
+    ``tangentkit.*`` modules (their names after the dot), for
+    ``dispatch(argv)`` in a fresh interpreter (``argv`` None: only
+    ``import tangentkit``)."""
     script = (
         "import io, json, sys\n"
         "import tangentkit, tangentkit.cli\n"
         "argv, out, code = json.loads(sys.argv[1]), io.StringIO(), None\n"
         "if argv is not None:\n"
         "    code = tangentkit.cli.dispatch(argv, stdout=out)\n"
-        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+        "modules = sorted(m[11:] for m in sys.modules if m.startswith('tangentkit.'))\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules, modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argv)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return tuple(json.loads(done.stdout))
+    code, out, numpy_loaded, modules = json.loads(done.stdout)
+    return code, out, numpy_loaded, set(modules)
+
+
+# The modules that only some commands run.
+_ON_DEMAND = {"reports", "rig", "verify"}
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loaded, payload",
     [
-        None,
-        ["flow", "--dim", "2", "--vf", "x2; -x1", "--t", "1", "--x0", "1,0", "--grid", "4"],
-        ["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2", "--t", "1", "--x0", "0,1"],
-        ["solve", "--dim", "1", "--vf", "x1", "--t", "1", "--x0", "1"],
-        ["solve", "--dim", "1", "--vf", "x1 + cos(t)", "--time-dependent", "--t", "1",
-         "--x0", "0"],
-        ["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2", "--grid", "3"],
-        ["exp", "--t", "1"],
-        ["verify", "--suite", "kernel", "--quick"],
-        ["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2"],
+        (None, set(), None),
+        (["flow", "--dim", "2", "--vf", "x2; -x1", "--t", "1", "--x0", "1,0", "--grid", "4"],
+         set(), None),
+        (["geodesic", "--dim", "1", "--christoffel=0.5*x1*x2*x2", "--t", "1", "--x0", "0,1"],
+         set(), None),
+        (["solve", "--dim", "1", "--vf", "x1", "--t", "1", "--x0", "1"], set(), None),
+        (["solve", "--dim", "1", "--vf", "x1 + cos(t)", "--time-dependent", "--t", "1",
+          "--x0", "0"], set(), None),
+        (["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2", "--grid", "3"],
+         {"reports"}, None),
+        (["exp", "--t", "1"], {"rig"}, None),
+        (["verify", "--suite", "kernel", "--quick"], {"reports", "rig", "verify"}, None),
+        (["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2"],
+         set(), None),
+        (["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2",
+          "--as-matrix"], set(),
+         {"x0": [1.0, 2.0], "bracket": [4.0, 2.0], "matrix": [[0.0, 2.0], [2.0, 0.0]]}),
     ],
     ids=["import", "flow", "geodesic", "solve", "solve_td", "commute", "exp",
-         "verify-kernel", "bracket"],
+         "verify-kernel", "bracket", "bracket-as-matrix"],
 )
-def test_commands_without_matrices_do_not_import_numpy(argv):
-    code, out, numpy_loaded = _dispatch_in_a_new_process(argv)
+def test_commands_without_matrices_do_not_import_numpy(argv, loaded, payload):
+    # nor the modules they never run
+    code, out, numpy_loaded, modules = _dispatch_in_a_new_process(argv)
     assert code in (None, EXIT_OK) and (argv is None or out)
     assert not numpy_loaded
+    assert modules & _ON_DEMAND == loaded
+    if payload is not None:
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -735,13 +754,10 @@ def test_commands_without_matrices_do_not_import_numpy(argv):
         (["expm", "--matrix", "0,1;-1,0", "--t", "0.5"],
          {"expm": [[0.8775825618903726, 0.47942553860420306],
                    [-0.47942553860420306, 0.8775825618903728]]}),
-        (["bracket", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; -x2", "--x0", "1,2",
-          "--as-matrix"],
-         {"x0": [1.0, 2.0], "bracket": [4.0, 2.0], "matrix": [[0.0, 2.0], [2.0, 0.0]]}),
     ],
-    ids=["expm", "bracket-as-matrix"],
+    ids=["expm"],
 )
 def test_matrix_commands_import_numpy_and_keep_their_bytes(argv, payload):
-    code, out, numpy_loaded = _dispatch_in_a_new_process(argv)
+    code, out, numpy_loaded, _ = _dispatch_in_a_new_process(argv)
     assert code == EXIT_OK and numpy_loaded
     assert out == json.dumps(payload, indent=2) + "\n"

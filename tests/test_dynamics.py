@@ -160,12 +160,14 @@ def test_a_field_that_grows_after_its_first_value_is_a_shape_error(path, monkeyp
 
 
 @pytest.mark.parametrize(
-    "n, path", [(1, "generated"), (1, "list"), (65, "generated")], ids=["generated", "list", "wide"]
+    "n, path",
+    [(1, "generated"), (1, "list"), (65, "generated"), (3, "rk4"), (65, "rk4")],
+    ids=["generated", "list", "wide", "rk4", "rk4-wide"],
 )
 def test_a_field_whose_primals_turn_into_jets_mid_solve_is_a_shape_error(n, path, monkeypatch):
     # floats at the first stage make the solve step on floats, in either
-    # loop form, and both read float primals only; a jet after that is a
-    # typed error, not a bare TypeError or a solve that steps on jets
+    # RK45 loop form and in RK4, and all read float primals only; a jet after
+    # that is a typed error, not a bare TypeError or a solve that steps on jets
     calls = []
 
     def values(xs):

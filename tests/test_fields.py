@@ -7,6 +7,7 @@ from tangentkit.fields import (
     LinearityError,
     LinearVectorField,
     VectorField,
+    _matrix_rows,
     commutes,
     euler_space_field,
     is_vf_morphism,
@@ -162,6 +163,21 @@ def test_matrix_of_euler_is_identity():
 
 def test_matrix_of_rotation():
     assert np.allclose(matrix_of(rotation_field()), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_matrix_of_on_r0_is_a_0_by_0_array():
+    got = matrix_of(zero_field(Space(0)))
+    assert isinstance(got, np.ndarray) and got.shape == (0, 0)
+    assert _matrix_rows(zero_field(Space(0))) == []
+
+
+def test_matrix_of_a_3_by_3_field_is_its_numpy_free_rows():
+    v = VectorField.from_expr("2*x1 - x3; 0.5*x2 + x1; -x1 - 3*x2 + x3/7", 3)
+    rows = _matrix_rows(v)
+    assert rows == [[2.0, 0.0, -1.0], [1.0, 0.5, 0.0], [-1.0, -3.0, 1 / 7]]
+    got = matrix_of(v)
+    assert got.shape == (3, 3)
+    assert repr(got.tolist()) == repr(rows)  # the same bits, signed zeros included
 
 
 def test_matrix_of_nonlinear_raises_with_witness():
