@@ -10,16 +10,17 @@ to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
 
 Every solve steps on floats: jets cross into the solver only as the flat
-coefficient lists of :func:`jets.flatten_levels`, widened by the levels of
-any jet a field closes over.  One writer, :func:`_dp_loop`, writes every
-RK45 loop as code, in one of two forms.  A flat state of at most 64 entries
-steps in the unrolled form, written once per state shape as straight-line
-code.  For a field compiled by :func:`dsl.compile_spec` that form also
-inlines the field's flat kernel (of at most ``_FUSED_MAX_LINES`` lines) in
-stages 2 to 7, so those stages make no call; any other field is called
-through ``rhs`` at each stage.  A longer state steps in the list form, whose
-stage states are comprehensions and which calls ``rhs`` at every stage, as
-RK4 does; both give the same bits.
+coefficient lists of :func:`jets.flatten_levels`, which a called field's
+solve makes in one widening of the levels of its state, time and closure.
+One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
+forms.  A flat state of at most 64 entries steps in the unrolled form,
+written once per state shape as straight-line code.  For a field compiled
+by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
+(of at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages
+make no call; any other field is called through ``rhs`` at each stage.  A
+longer state steps in the list form, whose stage states are comprehensions
+and which calls ``rhs`` at every stage, as RK4 does; both give the same
+bits.
 """
 
 from __future__ import annotations
@@ -517,7 +518,8 @@ def _shape_checked(rhs, primals: int):
 
 
 def _widened(rhs, levels: int, y: list) -> list:
-    """``rhs`` on a flat state that carries ``levels`` more jet levels."""
+    """``rhs`` on towers as ``rhs`` on a flat state of ``levels`` levels: a
+    called field's one codec boundary, for its state, time and closure."""
     return flatten_levels(rhs(unflatten_levels(y, levels)), levels)
 
 
@@ -545,14 +547,14 @@ def _integrate_scaled(
     The loop runs on floats: ``y0`` and every ``rhs`` output are flat lists
     of jet-tower coefficients, level by level (see
     :func:`jets.flatten_levels`), whose first ``primals`` entries are the
-    primal values.  A field that closes over a jet gives jet primals at the
-    first stage; the levels of the deepest then join the flat state, by
-    position as jet arithmetic joins them, and ``rhs`` sees the rebuilt
-    towers.  Stage sums taken coefficient by coefficient are exactly the jet
-    sums, and the controller reads the primals alone, so derivative
-    coefficients ride along without steering.  ``t_scale`` is the original
-    time value, used only to convert the reached fraction back to time
-    units in errors.
+    primal values.  A called field's ``y0`` and first stage may be towers
+    instead, of its state, time and closure: the levels of the deepest of
+    their primals then join the flat state in one widening (:func:`_widened`),
+    by position as jet arithmetic joins them, and ``rhs`` sees towers.
+    Stage sums taken coefficient by coefficient are exactly the jet sums,
+    and the controller reads the primals alone, so derivative coefficients
+    ride along without steering.  ``t_scale`` is the original time value,
+    used only to convert the reached fraction back to time units in errors.
 
     RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
     writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
@@ -566,9 +568,10 @@ def _integrate_scaled(
     y = list(y0)
     checked = _shape_checked(rhs, primals)
     k1 = checked(y)
-    levels = max(map(jet_depth, k1[:primals]), default=0)
-    if levels:  # the field closes over a jet: its levels join the flat state
-        rhs = checked = functools.partial(_widened, checked, levels)
+    levels = max(map(jet_depth, [*y[:primals], *k1[:primals]]), default=0)
+    if levels:  # jets of the state, the time or the closure join the flat state
+        rhs = functools.partial(_widened, rhs, levels)  # unpacking checks its shape
+        checked = functools.partial(_widened, checked, levels)
         y, k1 = flatten_levels(y, levels), flatten_levels(k1, levels)
     if cfg.method == "rk4":
         states = _rk4_fixed(checked, y, k1, cfg, t_scale, outputs, primals)
@@ -626,49 +629,44 @@ def _trajectory(
     vhat: SmoothMap, t, xs: Sequence, steps: int, cfg: IntegratorConfig
 ) -> list:
     """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
-    k = 0..steps, from one integration pass (t and xs may be jets).
+    k = 0..steps, from one integration pass (t and xs may be jets); an xs
+    of the wrong length is a ShapeError before any evaluation.
 
-    With jets of depth D among t and xs (D = 0 when all are floats), the
-    integrator steps on the flat coefficients of depth-D towers.  A field
-    compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its flat
-    kernel for depth D, straight-line float code on those coefficients (at
-    D = 0 the floats themselves), and the kernel's code, unless it is
-    longer than ``_FUSED_MAX_LINES``, is handed to :func:`_integrate_scaled`
-    to be inlined in the generated loop.  Any
-    other evaluator (hand-written, or a wrapper around a compiled one) sees
-    towers, xs itself first, and ``t * vhat`` is taken in jet arithmetic;
-    both give the same bits."""
+    A field compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its
+    flat kernel for D, the depth of the deepest jet among t and xs:
+    straight-line float code on the coefficients of depth-D towers (at
+    D = 0 the floats themselves), whose code, unless it is longer than
+    ``_FUSED_MAX_LINES``, is inlined in the generated loop.  Any other
+    evaluator (hand-written, or a wrapper around a compiled one) is called
+    on towers, xs itself first, with ``t * vhat`` taken in jet arithmetic,
+    and :func:`_integrate_scaled`'s one widening flattens the levels of the
+    state, the time and the closure together; both give the same bits."""
     xs = list(xs)
+    n = vhat.domain.dim
+    if len(xs) != n:
+        raise ShapeError(f"a field on R^{n} needs a start state of {n} entries, got {len(xs)}")
     if not math.isfinite(primal_value(t)):
         raise ValueError("integration time must be finite")
     depth = max(map(jet_depth, [t, *xs]))
     if t == 0.0 and not depth:
         return [xs] * (steps + 1)
+    outputs = tuple(k / steps for k in range(1, steps + 1))
     kernel = _flat_kernel(vhat, depth)
-    code, scale = None, ()
-
-    if kernel is not None:
-        scale = flatten_levels([t], depth)
-        if len(kernel.code.lines) <= _FUSED_MAX_LINES:
-            code = kernel.code
-
-        def rhs(y):
-            return kernel(y, scale)
-
-    elif depth:
-
-        def rhs(y):
-            vals = vhat.evaluator(unflatten_levels(y, depth))
-            return flatten_levels([t * v for v in vals], depth)
-
-    else:
+    if kernel is None:
 
         def rhs(y):
             return [t * v for v in vhat.evaluator(list(y))]
 
-    outputs = tuple(k / steps for k in range(1, steps + 1))
+        return [xs] + _integrate_scaled(rhs, xs, cfg, t, outputs, n)
+
+    scale = flatten_levels([t], depth)
+    code = kernel.code if len(kernel.code.lines) <= _FUSED_MAX_LINES else None
+
+    def rhs(y):
+        return kernel(y, scale)
+
     y0 = flatten_levels(xs, depth)  # xs itself at depth 0
-    states = _integrate_scaled(rhs, y0, cfg, t, outputs, len(xs), code, scale)
+    states = _integrate_scaled(rhs, y0, cfg, t, outputs, n, code, scale)
     return [xs] + [unflatten_levels(y, depth) for y in states]
 
 

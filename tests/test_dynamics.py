@@ -133,6 +133,24 @@ def test_field_with_the_wrong_number_of_values_is_a_shape_error(method):
             integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], cfg)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda: VectorField.from_expr("x2; -x1", 2),
+        lambda: LinearVectorField([[0.0, 1.0], [-1.0, 0.0]]),
+        lambda: VectorField(Space(2), SmoothMap(Space(2), Space(2), lambda xs: [xs[1], -xs[0]])),
+    ],
+    ids=["dsl", "linear", "hand-written"],
+)
+@pytest.mark.parametrize("state", [[1.0, 2.0, 3.0], [1.0]], ids=["long", "short"])
+def test_a_start_state_of_the_wrong_length_is_a_shape_error(field, state):
+    # checked before the field is evaluated, whatever the field, and not
+    # blamed on the field's value
+    message = rf"^a field on R\^2 needs a start state of 2 entries, got {len(state)}$"
+    with pytest.raises(ShapeError, match=message):
+        flow_of(field())(1.0, state)
+
+
 # The integrator paths: RK45 in the loop unrolled for the state's shape, RK45
 # in the list form (the unrolled one switched off), and RK4.
 _PATHS = ["generated", "list", "rk4"]
@@ -487,6 +505,25 @@ def test_field_output_that_drops_a_level_mid_solve_is_pinned():
     got = flow_of(field)(1.0, [Jet(1.0, 1.0)])
     assert repr(got) == "[Jet(2.9999999886456266, 2.2505126190182354)]"
     assert len(evals) == 229
+
+
+@pytest.mark.parametrize(
+    "t, state, want",
+    [
+        (1.0, Jet(2.0, 1.0), "[Jet(3.0, 1.0)]"),
+        (Jet(Jet(1.0, 1.0), Jet(1.0, 0.0)), Jet(2.0, 1.0), "[Jet(Jet(3.0, 1.0), Jet(2.0, 0.0))]"),
+        (Jet(1.0, 1.0), Jet(Jet(2.0, 1.0), Jet(1.0, 0.0)), "[Jet(Jet(3.0, 1.0), Jet(2.0, 0.0))]"),
+    ],
+    ids=["float-time", "depth-two-time", "state-deeper-than-time"],
+)
+def test_a_state_deeper_than_the_first_field_value_is_pinned(t, state, want):
+    # the constant field's first value is t * 1.0, shallower than the state
+    # in the first and last cases; the state's levels still join the flat
+    # state, so the solver never steps on a jet primal
+    line = Space(1)
+    field, evals = _counted(VectorField(line, SmoothMap(line, line, lambda xs: [1.0])))
+    assert repr(flow_of(field)(t, [state])) == want
+    assert len(evals) == 25
 
 
 def test_a_depth_two_solve_of_a_dsl_field_builds_no_jets_per_step(monkeypatch):
