@@ -9,9 +9,9 @@ through the same arithmetic as the state and step-size selection is frozen
 to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
 
-Every solve steps on floats: jets cross into the solver only as the flat
-coefficient lists of :func:`jets.flatten_levels`, which a called field's
-solve makes in one widening of the levels of its state, time and closure.
+Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
+flattens its start state and unflattens its states (:mod:`jets`' codec), a
+called field's through one widening of its state, time and closure levels.
 One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
@@ -41,6 +41,7 @@ from .fields import (
     LinearVectorField,
     VectorField,
     _check_field_spec,
+    _matvec,
     commutes,
     gap,
     law_check,
@@ -518,8 +519,8 @@ def _shape_checked(rhs, primals: int):
 
 
 def _widened(rhs, levels: int, y: list) -> list:
-    """``rhs`` on towers as ``rhs`` on a flat state of ``levels`` levels: a
-    called field's one codec boundary, for its state, time and closure."""
+    """``rhs`` on towers as ``rhs`` on a flat state of ``levels`` levels: the
+    one codec boundary :func:`_trajectory` puts round a called field."""
     return flatten_levels(rhs(unflatten_levels(y, levels)), levels)
 
 
@@ -532,8 +533,9 @@ def _integrate_scaled(
     primals: int,
     code: _FlatCode | None = None,
     scale: Sequence = (),
+    k1: list | None = None,
 ) -> list:
-    """Integrate dy/ds = rhs(y) over s in [0, 1]; the states at ``outputs``.
+    """Integrate dy/ds = rhs(y) over s in [0, 1]; the flat states at ``outputs``.
 
     ``outputs`` is a sorted tuple of fractions in [0, 1].  A step that would
     pass the next output fraction is clipped to land on it exactly (as the
@@ -544,17 +546,15 @@ def _integrate_scaled(
     does not shrink the steps after it.  With ``(1.0,)`` this is the plain
     solve to s = 1.
 
-    The loop runs on floats: ``y0`` and every ``rhs`` output are flat lists
-    of jet-tower coefficients, level by level (see
-    :func:`jets.flatten_levels`), whose first ``primals`` entries are the
-    primal values.  A called field's ``y0`` and first stage may be towers
-    instead, of its state, time and closure: the levels of the deepest of
-    their primals then join the flat state in one widening (:func:`_widened`),
-    by position as jet arithmetic joins them, and ``rhs`` sees towers.
-    Stage sums taken coefficient by coefficient are exactly the jet sums,
-    and the controller reads the primals alone, so derivative coefficients
-    ride along without steering.  ``t_scale`` is the original time value,
-    used only to convert the reached fraction back to time units in errors.
+    The loop runs on floats: ``y0``, the first stage ``k1`` (evaluated here
+    when none is given), every ``rhs`` output and every state returned are
+    flat lists of jet-tower coefficients, level by level, whose first
+    ``primals`` entries are the primal values; only :func:`_trajectory`
+    crosses the codec (:func:`jets.flatten_levels`).  Stage sums taken
+    coefficient by coefficient are exactly the jet sums, and the controller
+    reads the primals alone, so derivative coefficients ride along without
+    steering.  ``t_scale`` is the original time value, used only to convert
+    the reached fraction back to time units in errors.
 
     RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
     writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
@@ -567,23 +567,16 @@ def _integrate_scaled(
 
     y = list(y0)
     checked = _shape_checked(rhs, primals)
-    k1 = checked(y)
-    levels = max(map(jet_depth, [*y[:primals], *k1[:primals]]), default=0)
-    if levels:  # jets of the state, the time or the closure join the flat state
-        rhs = functools.partial(_widened, rhs, levels)  # unpacking checks its shape
-        checked = functools.partial(_widened, checked, levels)
-        y, k1 = flatten_levels(y, levels), flatten_levels(k1, levels)
+    k1 = checked(y) if k1 is None else k1
     if cfg.method == "rk4":
-        states = _rk4_fixed(checked, y, k1, cfg, t_scale, outputs, primals)
-    else:
-        unrolled = len(y) <= _GENERATED_MAX_N
-        loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
-        states = loop(
-            rhs if unrolled else checked, y, k1, primal_value(t_scale), outputs,
-            cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
-            scale, code.cells if code is not None else (),
-        )
-    return [unflatten_levels(state, levels) for state in states]
+        return _rk4_fixed(checked, y, k1, cfg, t_scale, outputs, primals)
+    unrolled = len(y) <= _GENERATED_MAX_N
+    loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
+    return loop(
+        rhs if unrolled else checked, y, k1, primal_value(t_scale), outputs,
+        cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+        scale, code.cells if code is not None else (),
+    )
 
 
 def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int) -> list:
@@ -632,15 +625,15 @@ def _trajectory(
     k = 0..steps, from one integration pass (t and xs may be jets); an xs
     of the wrong length is a ShapeError before any evaluation.
 
+    The one owner of a solve's jet levels: it reads them, flattens the start
+    state once for :func:`_integrate_scaled` and unflattens each state once.
     A field compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its
-    flat kernel for D, the depth of the deepest jet among t and xs:
-    straight-line float code on the coefficients of depth-D towers (at
-    D = 0 the floats themselves), whose code, unless it is longer than
-    ``_FUSED_MAX_LINES``, is inlined in the generated loop.  Any other
-    evaluator (hand-written, or a wrapper around a compiled one) is called
-    on towers, xs itself first, with ``t * vhat`` taken in jet arithmetic,
-    and :func:`_integrate_scaled`'s one widening flattens the levels of the
-    state, the time and the closure together; both give the same bits."""
+    flat kernel for D, the depth of the deepest jet among t and xs, whose
+    code, unless it is longer than ``_FUSED_MAX_LINES``, is inlined in the
+    generated loop.  Any other evaluator is called on towers (``t * vhat``
+    in jet arithmetic) through one widening (:func:`_widened`) at D or, when
+    a jet it closes over is deeper, at its first stage's depth; it joins
+    levels by position, as jet arithmetic does.  Both give the same bits."""
     xs = list(xs)
     n = vhat.domain.dim
     if len(xs) != n:
@@ -657,17 +650,21 @@ def _trajectory(
         def rhs(y):
             return [t * v for v in vhat.evaluator(list(y))]
 
-        return [xs] + _integrate_scaled(rhs, xs, cfg, t, outputs, n)
+        k1 = _shape_checked(rhs, n)(xs)
+        levels = max([depth, *map(jet_depth, k1)])
+        if levels:  # jets of the state, the time and the closure join the flat state
+            rhs = functools.partial(_widened, rhs, levels)  # unpacking checks its shape
+        k1, code, scale = flatten_levels(k1, levels), None, ()
+    else:
+        levels, k1, scale = depth, None, flatten_levels([t], depth)
+        code = kernel.code if len(kernel.code.lines) <= _FUSED_MAX_LINES else None
 
-    scale = flatten_levels([t], depth)
-    code = kernel.code if len(kernel.code.lines) <= _FUSED_MAX_LINES else None
+        def rhs(y):
+            return kernel(y, scale)
 
-    def rhs(y):
-        return kernel(y, scale)
-
-    y0 = flatten_levels(xs, depth)  # xs itself at depth 0
-    states = _integrate_scaled(rhs, y0, cfg, t, outputs, n, code, scale)
-    return [xs] + [unflatten_levels(y, depth) for y in states]
+    y0 = flatten_levels(xs, levels)  # xs itself at depth 0
+    states = _integrate_scaled(rhs, y0, cfg, t, outputs, n, code, scale, k1)
+    return [xs] + [unflatten_levels(y, levels) for y in states]
 
 
 def _flat_kernel(vhat: SmoothMap, depth: int):
@@ -773,10 +770,6 @@ def expm(A) -> np.ndarray:
     return R
 
 
-def _jet_matvec(rows, xs):
-    return [sum(a * x for a, x in zip(row, xs)) for row in rows]
-
-
 def linear_flow(A) -> Flow:
     """The exact flow t -> expm(tA) of a linear field.
 
@@ -790,7 +783,6 @@ def linear_flow(A) -> Flow:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("linear_flow needs a square matrix")
     n = A.shape[0]
-    powers = [np.eye(n), A]
 
     @functools.lru_cache(maxsize=1024)
     def expm_at(t0: float) -> np.ndarray:
@@ -801,17 +793,18 @@ def linear_flow(A) -> Flow:
         depth = jet_depth(t)
         E0 = expm_at(primal_value(t))
         if depth == 0:
-            return _jet_matvec(E0.tolist(), xs)
-        while len(powers) <= depth:
-            powers.append(powers[-1] @ A)
+            return _matvec(E0.tolist(), xs)
         d = t - primal_value(t)  # nilpotent at the jet level of t
         # rows of E0 (I + dA + d^2 A^2/2 + ...) with jet-scalar entries
         series_rows = []
         fact = 1.0
         mats = [E0]
+        power = A  # A^k, built per call: the flow keeps no mutable state
         for k in range(1, depth + 1):
             fact *= k
-            mats.append((E0 @ powers[k]) / fact)
+            mats.append((E0 @ power) / fact)
+            if k < depth:
+                power = power @ A
         dk = [1.0]
         for k in range(1, depth + 1):
             dk.append(dk[-1] * d)
@@ -823,7 +816,7 @@ def linear_flow(A) -> Flow:
                     acc = acc + dk[k] * mats[k][i, j]
                 row.append(acc)
             series_rows.append(row)
-        return _jet_matvec(series_rows, xs)
+        return _matvec(series_rows, xs)
 
     return Flow(Space(n), evaluate, {"kind": "matrix exponential"})
 
@@ -1046,10 +1039,14 @@ def sum_flow(
 def holonomic_jet(derivatives: Sequence[Sequence[float]]) -> list:
     """Embed successive curve derivatives (y, y', ..., y^(k)) as an element
     of T^k M: the iterated-jet coordinates of the curve they define.  For
-    k = 1 this is just (y, y'); for k = 2 it is (y, y', y', y'')."""
-    if len(derivatives) == 1:
-        return list(derivatives[0])
-    return holonomic_jet(derivatives[:-1]) + holonomic_jet(derivatives[1:])
+    k = 1 this is just (y, y'); for k = 2 it is (y, y', y', y'').  No
+    blocks, or blocks of unequal length, are a ShapeError."""
+    jets = [list(block) for block in derivatives]
+    if len({len(block) for block in jets}) != 1:
+        raise ShapeError(f"a holonomic jet needs blocks of one length: {[len(b) for b in jets]}")
+    while len(jets) > 1:  # round r leaves the jet of blocks i..i+r at place i
+        jets = [low + high for low, high in zip(jets, jets[1:])]
+    return jets[0]
 
 
 def _check_section_conditions(

@@ -8,6 +8,7 @@ the worst witness point, never a bare boolean.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -134,12 +135,15 @@ class LinearVectorField(VectorField):
             raise ShapeError("matrix must be square")
         n = A.shape[0]
         rows = [tuple(float(a) for a in row) for row in A]
-
-        def ev(xs):
-            return [sum(a * x for a, x in zip(row, xs)) for row in rows]
-
+        ev = functools.partial(_matvec, rows)
         object.__setattr__(self, "matrix", A.copy())
         super().__init__(Space(n), SmoothMap(Space(n), Space(n), ev, name="linear"))
+
+
+def _matvec(rows, xs) -> list:
+    """``rows`` times ``xs``, summed left to right: the one float order of a
+    linear field, its exact flow and :func:`matrix_of`'s residuals."""
+    return [sum(a * x for a, x in zip(row, xs)) for row in rows]
 
 
 def zero_field(space: Space) -> VectorField:
@@ -332,10 +336,7 @@ def _matrix_rows(v: VectorField, tol: float = JET_TOL, seed: int = DEFAULT_SEED)
 
     worst, witness = worst_case(
         zip(sample_points(n, count=25, seed=seed)),
-        lambda p: gap(
-            [primal_value(y) for y in v.vhat(p)],
-            [sum(a * x for a, x in zip(row, p)) for row in rows],
-        ),
+        lambda p: gap([primal_value(y) for y in v.vhat(p)], _matvec(rows, p)),
     )
     if not worst <= tol:
         raise LinearityError(worst, witness)

@@ -21,8 +21,9 @@ operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
 built.  Only fields compiled by :func:`dsl.compile_spec` get them (one per
 jet depth, written on first use), and the solver runs one in place of the
 codec, its code (:class:`_FlatCode`) written into the stages of the
-generated RK45 loop; any other evaluator is called on towers through the
-codec, in one widening that joins the levels of the state, time and closure.
+generated RK45 loop; :func:`dynamics._trajectory` alone reads a solve's
+levels and places the codec, and calls any other evaluator on towers through
+one widening that joins the levels of the state, time and closure.
 """
 
 from __future__ import annotations

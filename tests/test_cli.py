@@ -119,22 +119,26 @@ def test_commute_exit_codes():
 
 
 @pytest.mark.parametrize(
-    "argv, sha",
+    "argv, exit_code, sha",
     [
-        (["verify", "--suite", "all", "--quick", "--seed", "1729"],
+        (["verify", "--suite", "all", "--quick", "--seed", "1729"], EXIT_OK,
          "b4b9ffe997cbd9eaf4b035cd69dbdda35bfe487fff07487e43d609bd1b3976aa"),
-        (["verify", "--suite", "all", "--quick", "--seed", "7"],
+        (["verify", "--suite", "all", "--quick", "--seed", "7"], EXIT_OK,
          "e522bba7a3f3bc6dd6eb1bcac18894ce1540622e3351aa6f29a4356166ce369c"),
-        (["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"],
+        (["commute", "--dim", "2", "--vf", "x2; -x1", "--vf2", "x1; x2"], EXIT_OK,
          "465e3315e74fde5b98ed2b6772dd32a49339ae093dde4fcdc3ff679d83ed4c9f"),
+        # fixed-step RK4 misses the finite-time blow-up law
+        (["verify", "--suite", "all", "--quick", "--seed", "1729", "--rk4-h", "0.01"],
+         EXIT_LAW_FAILURE,
+         "2ff93a8376e646518f5ff044ddc822e24f74c10219bed0d66be4cf79f3faae3b"),
     ],
-    ids=["verify-quick-1729", "verify-quick-7", "commute"],
+    ids=["verify-quick-1729", "verify-quick-7", "commute", "verify-quick-1729-rk4"],
 )
-def test_report_bytes_are_pinned(argv, sha):
+def test_report_bytes_are_pinned(argv, exit_code, sha):
     # sha256 of the report as Python 3.11.7 computes it: a change that is
     # meant to keep behaviour must keep every byte
     code, out = run(argv)
-    assert code == EXIT_OK
+    assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 

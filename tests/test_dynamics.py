@@ -29,6 +29,7 @@ from tangentkit.dynamics import (
     flow_smooth_map,
     generator,
     geodesic_flow,
+    holonomic_jet,
     integrate,
     linear_flow,
     reverse,
@@ -762,6 +763,44 @@ def test_a_field_closing_over_a_jet_is_solved_at_depth_zero():
     assert all(abs(v - math.exp(0.5)) <= 1e-9 for v in got)
 
 
+_SPIED_SOLVES = {
+    "called-under-a-jet-time": lambda cfg: flow_of(euler_space_field(Space(2)), cfg)(
+        Jet(0.5, 1.0), [1.0, 2.0]
+    ),
+    "called-from-a-jet-state": lambda cfg: flow_of(euler_space_field(Space(2)), cfg)(
+        0.5, [Jet(1.0, 1.0), Jet(2.0, 0.0)]
+    ),
+    "closing-over-a-jet": lambda cfg: tangent(_closing_over_the_argument(cfg=cfg))([0.5, 1.0]),
+    "dsl-kernel-at-depth-2": lambda cfg: flow_of(rotation_field(), cfg)(
+        Jet(Jet(1.0, 1.0), Jet(1.0, 0.0)), [1.0, 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("case", list(_SPIED_SOLVES))
+def test_the_solver_driver_takes_and_returns_flat_floats(case, method, monkeypatch):
+    # _trajectory owns every jet level of a solve: the driver gets the start
+    # state and any first stage as flat floats and hands back flat floats,
+    # whatever jets the state, the time or the field's closure hold
+    driver, calls = dynamics._integrate_scaled, []
+
+    def spy(rhs, y0, cfg, t_scale, outputs, primals, code=None, scale=(), k1=None):
+        states = driver(rhs, y0, cfg, t_scale, outputs, primals, code, scale, k1)
+        calls.append((y0, k1 or (), states))
+        return states
+
+    monkeypatch.setattr(dynamics, "_integrate_scaled", spy)
+    _SPIED_SOLVES[case](IntegratorConfig(method=method, h=0.05))
+    assert calls
+
+    def flat(values):
+        return all(isinstance(v, float) or v is ABSENT for v in values)
+
+    for y0, k1, states in calls:
+        assert flat(y0) and flat(k1) and all(flat(state) for state in states)
+
+
 def _flow_of_values(values, n, cfg=IntegratorConfig()) -> Flow:
     return flow_of(VectorField(Space(n), SmoothMap(Space(n), Space(n), values)), cfg)
 
@@ -1289,6 +1328,20 @@ def test_third_order_reduction():
     assert x0 == [0.0, 0.0, 0.0, 2.0]
     got = solve_nth_order(system, 1.5, x0)
     assert abs(got[0] - 2.25) <= 1e-8
+
+
+def test_holonomic_jet_of_vector_blocks_is_the_iterated_jet():
+    d = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+    assert holonomic_jet(d[:2]) == d[0] + d[1]
+    assert holonomic_jet(d) == d[0] + d[1] + d[1] + d[2] + d[1] + d[2] + d[2] + d[3]
+
+
+@pytest.mark.parametrize("blocks", [[], [[1.0, 2.0], [3.0]], [[0.0], [1.0], [2.0, 3.0]]])
+def test_holonomic_jet_refuses_no_blocks_and_blocks_of_unequal_length(blocks):
+    # no blocks recursed until a RecursionError, and blocks of unequal
+    # length were joined into a list that is no jet
+    with pytest.raises(ShapeError, match="^a holonomic jet needs blocks of one length"):
+        holonomic_jet(blocks)
 
 
 def test_section_conditions_rejected_when_violated():
