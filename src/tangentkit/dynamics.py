@@ -12,6 +12,9 @@ of the numerical map actually computed.
 Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
 flattens its start state and unflattens its states (:mod:`jets`' codec), a
 called field's through one widening of its state, time and closure levels.
+A called field is evaluated through one closure, which also checks each
+value's length; a compiled field's flat kernel, whose length its spec
+fixes, is checked once per solve.
 One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
@@ -142,7 +145,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"method must be 'rk45' or 'rk4', got {self.method!r}")
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+        # type, not isinstance: a bool is an int, but True is no step budget
+        if type(self.max_steps) is not int or self.max_steps < 1:
             raise ValueError(f"max_steps must be an int of at least 1, got {self.max_steps!r}")
         # Checked whatever the method, as the tolerances are.
         if not 0.0 < self.h < math.inf:
@@ -372,21 +376,21 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
 
     With ``n`` (at most ``_GENERATED_MAX_N``) the loop is unrolled for a
     state of ``n`` entries: each entry of the state, of each stage and of
-    |y| is a local (``y0``, ``k2_0``, ``ay0``, ...), and a field value of
-    the wrong length fails its unpacking, also a ShapeError.
+    |y| is a local (``y0``, ``k2_0``, ``ay0``, ...), and a stage is one
+    line that unpacks ``rhs``'s value into its locals.
 
-    With the ``code`` of a flat kernel (:class:`jets._FlatCode`), whose
-    first value has passed the shape check, the unrolled stages 2 to 7 run
-    the kernel's lines in place of ``rhs``: the stage sums are bound to its
-    input names and its outputs to the stage's locals, so a stage makes no
-    call.  The time's flat coefficients (``scale``) and the kernel's
-    ``cells`` are arguments, bound once on entry: codes are cached by value,
-    and cells that compare equal may still differ (0.0 and -0.0).
+    With the ``code`` of a flat kernel (:class:`jets._FlatCode`) the
+    unrolled stages 2 to 7 run the kernel's lines in place of ``rhs``: the
+    stage sums are bound to its input names and its outputs to the stage's
+    locals, so a stage makes no call.  The time's flat coefficients
+    (``scale``) and the kernel's ``cells`` are arguments, bound once on
+    entry: codes are cached by value, and cells that compare equal may
+    still differ (0.0 and -0.0).
 
     With ``n`` None the loop is the list form, for a state of any length:
     each stage state is one comprehension over ``zip(y, k1, ...)``, each
-    stage calls ``rhs`` (which must check its value's shape), and the error
-    and norm block loops over the primals."""
+    stage calls ``rhs``, and the error and norm block loops over the
+    primals."""
     if n is None:
         new = ["y_new"]
     else:
@@ -408,13 +412,7 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         if n is None:
             step.append(f"k{stage} = rhs({sums[0]})")
         elif code is None:
-            step += [
-                f"k = rhs([{', '.join(sums)}])",
-                "try:",
-                f"  [{', '.join(k[stage - 1])}] = k",
-                "except ValueError:",
-                f"  raise misfit({primals}) from None",
-            ]
+            step.append(f"[{', '.join(k[stage - 1])}] = rhs([{', '.join(sums)}])")
         else:
             step += [f"{a} = {b}" for a, b in zip(code.inputs, sums)]
             step += code.lines
@@ -425,7 +423,6 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         StepSizeCollapse=StepSizeCollapse,
         StateNormExceeded=StateNormExceeded,
         ShapeError=ShapeError,
-        misfit=_misfit,
         isfinite=math.isfinite,
         MIN_STEP=_MIN_STEP,
         NORM_LIMIT=_STATE_NORM_LIMIT,
@@ -500,22 +497,8 @@ def _axpy(y, h, k):
     return [yi + h * ki for yi, ki in zip(y, k)]
 
 
-def _misfit(primals: int) -> ShapeError:
-    return ShapeError(f"the field's value does not fit its {primals}-dimensional state")
-
-
-def _shape_checked(rhs, primals: int):
-    """``rhs`` with each value checked to have one entry per entry of its
-    argument: a field with the wrong number of components is a ShapeError,
-    not a state that zip silently truncates."""
-
-    def stage(y):
-        k = rhs(y)
-        if len(k) != len(y):
-            raise _misfit(primals)
-        return k
-
-    return stage
+def _misfit(n: int) -> ShapeError:
+    return ShapeError(f"the field's value does not fit its {n}-dimensional state")
 
 
 def _widened(rhs, levels: int, y: list) -> list:
@@ -528,7 +511,7 @@ def _integrate_scaled(
     rhs,
     y0: list,
     cfg: IntegratorConfig,
-    t_scale,
+    t_unit: float,
     outputs,
     primals: int,
     code: _FlatCode | None = None,
@@ -553,40 +536,41 @@ def _integrate_scaled(
     crosses the codec (:func:`jets.flatten_levels`).  Stage sums taken
     coefficient by coefficient are exactly the jet sums, and the controller
     reads the primals alone, so derivative coefficients ride along without
-    steering.  ``t_scale`` is the original time value, used only to convert
-    the reached fraction back to time units in errors.
+    steering.  ``t_unit`` is the primal value of the solve's time, used
+    only to convert the reached fraction back to time units in errors (and
+    by RK4 to size its steps).  ``rhs`` must give one value per entry of
+    its argument: none of the loops checks.
 
     RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
     writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
     with the kernel's lines inlined in stages 2 to 7 when ``rhs`` is
     ``kernel(y, scale)`` for a flat kernel with that ``code`` (``rhs`` then
-    gives the first stage only), or else in the list form, which calls the
-    shape-checked ``rhs`` at every stage.  Both run the same float
-    operations in the same order.
+    gives the first stage only), or else in the list form, which calls
+    ``rhs`` at every stage.  Both run the same float operations in the same
+    order.
     """
 
     y = list(y0)
-    checked = _shape_checked(rhs, primals)
-    k1 = checked(y) if k1 is None else k1
+    k1 = rhs(y) if k1 is None else k1
     if cfg.method == "rk4":
-        return _rk4_fixed(checked, y, k1, cfg, t_scale, outputs, primals)
+        return _rk4_fixed(rhs, y, k1, cfg, t_unit, outputs, primals)
     unrolled = len(y) <= _GENERATED_MAX_N
     loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
     return loop(
-        rhs if unrolled else checked, y, k1, primal_value(t_scale), outputs,
-        cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
+        rhs, y, k1, t_unit, outputs, cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
         scale, code.cells if code is not None else (),
     )
 
 
-def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int) -> list:
+def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_unit: float, outputs, primals: int) -> list:
     """Classical RK4 on the flat lists of :func:`_integrate_scaled`, from
-    ``y`` and its first stage ``k1``, with the shape-checked ``rhs``; each
-    interval between output fractions takes ceil(interval length in time
-    units / cfg.h) equal steps, and the steps of all intervals together must
-    not exceed cfg.max_steps.  Its state-norm check reads float primals
-    only: a jet among them is a ShapeError, as in the RK45 loops."""
-    span = abs(primal_value(t_scale))
+    ``y`` and its first stage ``k1``; each interval between output fractions
+    takes ceil(interval length in time units / cfg.h) equal steps, where
+    ``t_unit`` is one unit of s in time units, and the steps of all
+    intervals together must not exceed cfg.max_steps.  Its state-norm check
+    reads float primals only: a jet among them is a ShapeError, as in the
+    RK45 loops."""
+    span = abs(t_unit)
     intervals = list(zip((0.0, *outputs), outputs))
     # Compared as floats before ceil: span * width / h may be inf.
     counts = [span * (target - s) / cfg.h for s, target in intervals]
@@ -613,7 +597,7 @@ def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_scale, outputs, primals: int
             except TypeError:
                 raise ShapeError(_JET_PRIMAL) from None
             if not all(a <= _STATE_NORM_LIMIT for a in norms):
-                raise StateNormExceeded((s + (i + 1) / steps * width) * primal_value(t_scale))
+                raise StateNormExceeded((s + (i + 1) / steps * width) * t_unit)
         states.append(y)
     return states
 
@@ -623,22 +607,28 @@ def _trajectory(
 ) -> list:
     """The states of y' = vhat(y), y(0) = xs, at the times t * k / steps for
     k = 0..steps, from one integration pass (t and xs may be jets); an xs
-    of the wrong length is a ShapeError before any evaluation.
+    of the wrong length, or a vhat that is not a map R^n -> R^n, is a
+    ShapeError before any evaluation.
 
     The one owner of a solve's jet levels: it reads them, flattens the start
-    state once for :func:`_integrate_scaled` and unflattens each state once.
-    A field compiled by :func:`dsl.compile_spec` gives ``t * vhat`` as its
-    flat kernel for D, the depth of the deepest jet among t and xs, whose
-    code, unless it is longer than ``_FUSED_MAX_LINES``, is inlined in the
-    generated loop.  Any other evaluator is called on towers (``t * vhat``
-    in jet arithmetic) through one widening (:func:`_widened`) at D or, when
-    a jet it closes over is deeper, at its first stage's depth; it joins
-    levels by position, as jet arithmetic does.  Both give the same bits."""
+    state once for :func:`_integrate_scaled`, which it gives the primal
+    value of t, and unflattens each state once.  A field compiled by
+    :func:`dsl.compile_spec` gives ``t * vhat`` as its flat kernel for D,
+    the depth of the deepest jet among t and xs, whose code, unless it is
+    longer than ``_FUSED_MAX_LINES``, is inlined in the generated loop.  Any
+    other evaluator is called on towers (``t * vhat`` in jet arithmetic)
+    through ``rhs``, which checks each value's length, wrapped in one
+    widening (:func:`_widened`) at D or, when a jet it closes over is
+    deeper, at its first stage's depth; it joins levels by position, as jet
+    arithmetic does.  Both give the same bits."""
     xs = list(xs)
     n = vhat.domain.dim
     if len(xs) != n:
         raise ShapeError(f"a field on R^{n} needs a start state of {n} entries, got {len(xs)}")
-    if not math.isfinite(primal_value(t)):
+    if vhat.codomain.dim != n:
+        raise ShapeError(f"a field on R^{n} needs values in R^{n}, not R^{vhat.codomain.dim}")
+    t_unit = primal_value(t)
+    if not math.isfinite(t_unit):
         raise ValueError("integration time must be finite")
     depth = max(map(jet_depth, [t, *xs]))
     if t == 0.0 and not depth:
@@ -648,22 +638,28 @@ def _trajectory(
     if kernel is None:
 
         def rhs(y):
-            return [t * v for v in vhat.evaluator(list(y))]
+            k = [t * v for v in vhat.evaluator(list(y))]
+            if len(k) != n:  # zip would cut the longer of state and value short
+                raise _misfit(n)
+            return k
 
-        k1 = _shape_checked(rhs, n)(xs)
+        k1 = rhs(xs)
         levels = max([depth, *map(jet_depth, k1)])
         if levels:  # jets of the state, the time and the closure join the flat state
-            rhs = functools.partial(_widened, rhs, levels)  # unpacking checks its shape
-        k1, code, scale = flatten_levels(k1, levels), None, ()
+            rhs = functools.partial(_widened, rhs, levels)
+            k1 = flatten_levels(k1, levels)
+        code, scale = None, ()
     else:
         levels, k1, scale = depth, None, flatten_levels([t], depth)
+        if len(kernel.code.outputs) != n * len(scale):  # a map that misstates its codomain
+            raise _misfit(n)
         code = kernel.code if len(kernel.code.lines) <= _FUSED_MAX_LINES else None
 
         def rhs(y):
             return kernel(y, scale)
 
-    y0 = flatten_levels(xs, levels)  # xs itself at depth 0
-    states = _integrate_scaled(rhs, y0, cfg, t, outputs, n, code, scale, k1)
+    y0 = flatten_levels(xs, levels) if levels else xs
+    states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, code, scale, k1)
     return [xs] + [unflatten_levels(y, levels) for y in states]
 
 
@@ -790,6 +786,8 @@ def linear_flow(A) -> Flow:
 
     def evaluate(t, xs):
         xs = list(xs)
+        if len(xs) != n:  # zip in _matvec would cut a longer state short
+            raise ShapeError(f"a field on R^{n} needs a start state of {n} entries, got {len(xs)}")
         depth = jet_depth(t)
         E0 = expm_at(primal_value(t))
         if depth == 0:

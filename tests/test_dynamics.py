@@ -127,10 +127,13 @@ def test_trajectory_lands_on_every_grid_time(method):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_field_with_the_wrong_number_of_values_is_a_shape_error(method):
+    # a compiled evaluator in a map that misstates its codomain too: its flat
+    # kernel gives the values the evaluator does
     cfg = IntegratorConfig(method=method, h=0.01)
-    for values in (lambda xs: [xs[1]], lambda xs: [xs[1], -xs[0], 1.0]):
+    compiled = [dsl.compile_spec(dsl.parse(text, 2)).evaluator for text in ("x2", "x2; -x1; 1")]
+    for values in (lambda xs: [xs[1]], lambda xs: [xs[1], -xs[0], 1.0], *compiled):
         v = VectorField(Space(2), SmoothMap(Space(2), Space(2), values))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="does not fit its 2-dimensional state"):
             integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], cfg)
 
 
@@ -152,6 +155,38 @@ def test_a_start_state_of_the_wrong_length_is_a_shape_error(field, state):
         flow_of(field())(1.0, state)
 
 
+@pytest.mark.parametrize("t", [1.0, Jet(1.0, 1.0)], ids=["float-time", "jet-time"])
+@pytest.mark.parametrize("state", [[1.0, 2.0, 3.0], [1.0]], ids=["long", "short"])
+def test_an_exact_linear_flow_refuses_a_start_state_of_the_wrong_length(t, state):
+    # as the integrator does: zip cut the state to fit the matrix, so the
+    # short state flowed to [0.540..., -0.841...]
+    message = rf"^a field on R\^2 needs a start state of 2 entries, got {len(state)}$"
+    with pytest.raises(ShapeError, match=message):
+        linear_flow([[0.0, 1.0], [-1.0, 0.0]])(t, state)
+
+
+@pytest.mark.parametrize(
+    "vhat",
+    [
+        lambda calls: dsl.compile_spec(dsl.parse("x2; -x1; x1 * x2", 2)),
+        lambda calls: SmoothMap(
+            Space(2), Space(3), lambda xs: calls.append("evaluated") or [xs[1], -xs[0], 1.0]
+        ),
+    ],
+    ids=["dsl", "hand-written"],
+)
+def test_a_map_into_another_space_is_refused_before_any_evaluation(vhat, monkeypatch):
+    # R^2 -> R^3 is no field: refused as a start state of the wrong length
+    # is, before a flat kernel is looked up or the evaluator called
+    calls, lookup = [], dynamics._flat_kernel
+    monkeypatch.setattr(
+        dynamics, "_flat_kernel", lambda v, depth: calls.append("looked up") or lookup(v, depth)
+    )
+    with pytest.raises(ShapeError, match=r"^a field on R\^2 needs values in R\^2, not R\^3$"):
+        _trajectory(vhat(calls), 1.0, [1.0, 2.0], 1, IntegratorConfig())
+    assert calls == []
+
+
 # The integrator paths: RK45 in the loop unrolled for the state's shape, RK45
 # in the list form (the unrolled one switched off), and RK4.
 _PATHS = ["generated", "list", "rk4"]
@@ -163,19 +198,35 @@ def _on_path(path, monkeypatch) -> IntegratorConfig:
     return IntegratorConfig(method="rk4" if path == "rk4" else "rk45")
 
 
-@pytest.mark.parametrize("path", _PATHS)
-def test_a_field_that_grows_after_its_first_value_is_a_shape_error(path, monkeypatch):
-    # every stage is checked, not only the first: zip would cut the third
-    # component off silently
-    calls = []
+@pytest.mark.parametrize(
+    "n, path, captured",
+    [
+        (2, "generated", False),
+        (2, "list", False),
+        (2, "rk4", False),
+        (65, "generated", False),
+        (2, "generated", True),
+    ],
+    ids=["generated", "list", "rk4", "wide", "widened"],
+)
+def test_a_field_that_grows_after_its_first_value_is_a_shape_error(n, path, captured, monkeypatch):
+    # every stage is checked, not only the first: zip would cut the last
+    # component off silently.  65 entries step in the list form; a field
+    # closing over a jet is checked on towers, inside its widening
+    calls, cfg = [], _on_path(path, monkeypatch)
 
-    def values(xs):
-        calls.append(None)
-        return [xs[1], -xs[0]] + [1.0] * (len(calls) > 1)
+    def solve(c):
+        def values(xs):
+            calls.append(None)
+            return [c * x for x in xs] + [1.0] * (len(calls) > 1)
 
-    v = VectorField(Space(2), SmoothMap(Space(2), Space(2), values))
-    with pytest.raises(ShapeError, match="does not fit its 2-dimensional state"):
-        integrate(DynamicalSystem(Space(2), v), 1.0, [1.0, 0.0], _on_path(path, monkeypatch))
+        return _flow_of_values(values, n, cfg)(1.0, [1.0] * n)
+
+    with pytest.raises(ShapeError, match=f"does not fit its {n}-dimensional state"):
+        if captured:
+            tangent(SmoothMap(Space(1), Space(n), lambda cs: solve(cs[0])))([0.5, 1.0])
+        else:
+            solve(-1.0)
 
 
 @pytest.mark.parametrize(
@@ -724,12 +775,13 @@ def test_a_tolerance_that_cannot_steer_the_solver_is_refused(kwargs, name):
         ({"max_steps": 2.5}, "max_steps"),
         ({"method": "rk4", "h": 0.0}, "rk4 step h"),
         ({"h": math.inf}, "rk4 step h"),
+        ({"max_steps": True}, "max_steps"),
     ],
 )
 def test_a_config_that_cannot_run_is_refused_when_made(kwargs, name):
     # refused when made, not at the first solve: an unknown method would
-    # describe itself as rk45 until then, and max_steps=-1 would fail as
-    # "exceeded -1 steps"
+    # describe itself as rk45 until then, max_steps=-1 would fail as
+    # "exceeded -1 steps", and max_steps=True would describe itself as true
     with pytest.raises(ValueError, match=f"^{name} must be"):
         IntegratorConfig(**kwargs)
 
@@ -781,13 +833,13 @@ _SPIED_SOLVES = {
 @pytest.mark.parametrize("case", list(_SPIED_SOLVES))
 def test_the_solver_driver_takes_and_returns_flat_floats(case, method, monkeypatch):
     # _trajectory owns every jet level of a solve: the driver gets the start
-    # state and any first stage as flat floats and hands back flat floats,
-    # whatever jets the state, the time or the field's closure hold
+    # state, any first stage and the time unit as flat floats and hands back
+    # flat floats, whatever jets the state, the time or the field's closure hold
     driver, calls = dynamics._integrate_scaled, []
 
-    def spy(rhs, y0, cfg, t_scale, outputs, primals, code=None, scale=(), k1=None):
-        states = driver(rhs, y0, cfg, t_scale, outputs, primals, code, scale, k1)
-        calls.append((y0, k1 or (), states))
+    def spy(rhs, y0, cfg, t_unit, outputs, primals, code=None, scale=(), k1=None):
+        states = driver(rhs, y0, cfg, t_unit, outputs, primals, code, scale, k1)
+        calls.append((y0, k1 or (), t_unit, states))
         return states
 
     monkeypatch.setattr(dynamics, "_integrate_scaled", spy)
@@ -797,8 +849,9 @@ def test_the_solver_driver_takes_and_returns_flat_floats(case, method, monkeypat
     def flat(values):
         return all(isinstance(v, float) or v is ABSENT for v in values)
 
-    for y0, k1, states in calls:
-        assert flat(y0) and flat(k1) and all(flat(state) for state in states)
+    for y0, k1, t_unit, states in calls:
+        assert isinstance(t_unit, float) and flat(y0) and flat(k1)
+        assert all(flat(state) for state in states)
 
 
 def _flow_of_values(values, n, cfg=IntegratorConfig()) -> Flow:
