@@ -371,7 +371,8 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).
     Each depth's kernel is written on first use and kept.  It carries its
     code as data (``kernel.code``), which the solver's generated RK45 loop
-    writes into each of its stages in place of a call.
+    writes into each of its stages in place of a call; the block maps of
+    :mod:`kernel` also carry flat kernels, but no code, and are called.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []

@@ -13,14 +13,15 @@ Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
 flattens its start state and unflattens its states (:mod:`jets`' codec), a
 called field's through one widening of its state, time and closure levels.
 A called field is evaluated through one closure, which also checks each
-value's length; a compiled field's flat kernel, whose length its spec
-fixes, is checked once per solve.
+value's length; a flat kernel (a dsl field's or a block map's), whose
+length its spec or layout fixes, is checked once per solve.
 One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
 by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
 (of at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages
-make no call; any other field is called through ``rhs`` at each stage.  A
+make no call; any other field, a block map's kernel included, is called
+through ``rhs`` at each stage.  A
 longer state steps in the list form, whose stage states are comprehensions
 and which calls ``rhs`` at every stage, as RK4 does; both give the same
 bits.
@@ -65,6 +66,7 @@ from .kernel import (
     ShapeError,
     SmoothMap,
     Space,
+    _block_map,
     compose,
     structural_map,
     tangent,
@@ -281,9 +283,7 @@ class CurveObject:
 def curve() -> CurveObject:
     """The curve object, validated once on first use."""
     space = Space(1)
-    c1 = VectorField(
-        space, SmoothMap(space, space, lambda xs: [1.0], name="unit_field")
-    )
+    c1 = VectorField(space, _block_map("unit_field", (1,), ([1.0],)))
     obj = CurveObject(space, 0.0, c1)
     for check in obj.self_check():
         if not check.passed:
@@ -613,9 +613,12 @@ def _trajectory(
     The one owner of a solve's jet levels: it reads them, flattens the start
     state once for :func:`_integrate_scaled`, which it gives the primal
     value of t, and unflattens each state once.  A field compiled by
-    :func:`dsl.compile_spec` gives ``t * vhat`` as its flat kernel for D,
-    the depth of the deepest jet among t and xs, whose code, unless it is
-    longer than ``_FUSED_MAX_LINES``, is inlined in the generated loop.  Any
+    :func:`dsl.compile_spec` or built from a block layout
+    (:func:`kernel._block_map`) gives ``t * vhat`` as its flat kernel for
+    D, the depth of the deepest jet among t and xs.  A dsl kernel carries
+    its code, which, unless it is longer than ``_FUSED_MAX_LINES``, is
+    inlined in the generated loop; a block-map kernel carries none and is
+    called at each stage.  Any
     other evaluator is called on towers (``t * vhat`` in jet arithmetic)
     through ``rhs``, which checks each value's length, wrapped in one
     widening (:func:`_widened`) at D or, when a jet it closes over is
@@ -649,23 +652,28 @@ def _trajectory(
             rhs = functools.partial(_widened, rhs, levels)
             k1 = flatten_levels(k1, levels)
         code, scale = None, ()
+        y0 = flatten_levels(xs, levels) if levels else xs
     else:
-        levels, k1, scale = depth, None, flatten_levels([t], depth)
-        if len(kernel.code.outputs) != n * len(scale):  # a map that misstates its codomain
-            raise _misfit(n)
-        code = kernel.code if len(kernel.code.lines) <= _FUSED_MAX_LINES else None
+        levels, scale, y0 = depth, flatten_levels([t], depth), flatten_levels(xs, depth)
+        # only a kernel that carries its code is written into the loop
+        code = getattr(kernel, "code", None)
+        if code is not None and len(code.lines) > _FUSED_MAX_LINES:
+            code = None
 
         def rhs(y):
             return kernel(y, scale)
 
-    y0 = flatten_levels(xs, levels) if levels else xs
+        k1 = rhs(y0)
+        if len(k1) != n * len(scale):  # a map that misstates its codomain
+            raise _misfit(n)
     states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, code, scale, k1)
     return [xs] + [unflatten_levels(y, levels) for y in states]
 
 
 def _flat_kernel(vhat: SmoothMap, depth: int):
     """The field's flat kernel at ``depth``, or None when its evaluator
-    carries none (only :func:`dsl.compile_spec` attaches them)."""
+    carries none (:func:`dsl.compile_spec` and :func:`kernel._block_map`
+    attach them)."""
     kernels = getattr(vhat.evaluator, "flat_kernel", None)
     return kernels(depth) if kernels is not None else None
 
@@ -861,9 +869,7 @@ def eta(cfg: IntegratorConfig = DEFAULT_CONFIG) -> SmoothMap:
     """Time reversal: the solution of the negated unit field from 0,
     numerically t -> -t (computed through the integrator)."""
     space = Space(1)
-    neg_unit = VectorField(
-        space, SmoothMap(space, space, lambda xs: [-1.0], name="neg_unit")
-    )
+    neg_unit = VectorField(space, _block_map("neg_unit", (1,), ([-1.0],)))
 
     def ev(xs):
         return _integrate_field(neg_unit.vhat, xs[0], [0.0], cfg)

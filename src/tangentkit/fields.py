@@ -23,6 +23,7 @@ from .kernel import (
     SmoothMap,
     Space,
     TrivialBundle,
+    _block_map,
     compose,
     identity_map,
     pair,
@@ -148,16 +149,12 @@ def _matvec(rows, xs) -> list:
 
 def zero_field(space: Space) -> VectorField:
     n = space.dim
-    return VectorField(
-        space, SmoothMap(space, space, lambda xs: [0.0] * n, name="zero_field")
-    )
+    return VectorField(space, _block_map("zero_field", (n,), ([0.0] * n,)))
 
 
 def euler_space_field(space: Space) -> VectorField:
     """The field x -> (x, x) on R^n; its flow is e^t scaling."""
-    return VectorField(
-        space, SmoothMap(space, space, lambda xs: list(xs), name="euler")
-    )
+    return VectorField(space, _block_map("euler", (space.dim,), (0,)))
 
 
 def rotation_field() -> VectorField:

@@ -18,16 +18,18 @@ a :class:`Jet` itself, so how a level is identified is decided here.
 The rules of :class:`Jet` arithmetic are also written out here as flat
 kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
-built.  Only fields compiled by :func:`dsl.compile_spec` get them (one per
-jet depth, written on first use), and the solver runs one in place of the
-codec, its code (:class:`_FlatCode`) written into the stages of the
-generated RK45 loop; :func:`dynamics._trajectory` alone reads a solve's
+built.  Fields compiled by :func:`dsl.compile_spec` and maps built from a
+block layout (:func:`kernel._block_map`) get them, one per jet depth,
+written on first use, and the solver runs one in place of the codec; a dsl
+kernel's code (:class:`_FlatCode`) is written into the stages of the
+generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers through
 one widening that joins the levels of the state, time and closure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -540,24 +542,11 @@ class _FlatWriter:
         )
 
     def kernel(self, outputs: list, cells: list):
-        """Compile ``kernel(y, s)``: ``y`` holds the inputs' flat
-        coefficients, ``s`` the time's; the result is the flat
-        coefficients of ``t * v`` for each output ``v``.  The kernel
-        carries its :meth:`code` as ``kernel.code``."""
+        """Compile ``kernel(y, s)`` (see :func:`_kernel_maker`) with the
+        ``cells`` bound.  The kernel carries its :meth:`code` as
+        ``kernel.code``, which the solver writes into its generated loop."""
         code = self.code(outputs, cells)
-        params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(cells))])
-        source = (
-            f"def make({params}):\n"
-            "  def kernel(y, s):\n"
-            f"    [{', '.join(code.inputs)}] = y\n"
-            f"    [{', '.join(code.scale)}] = s\n"
-            + "".join(f"    {line}\n" for line in code.lines)
-            + f"    return [{', '.join(code.outputs)}]\n"
-            "  return kernel\n"
-        )
-        namespace: dict = {}
-        exec(compile(source, "<jet kernel>", "exec"), namespace)
-        kernel = namespace["make"](*_KERNEL_NAMES.values(), *code.cells)
+        kernel = _kernel_maker(code)(*code.cells)
         kernel.code = code
         return kernel
 
@@ -575,3 +564,24 @@ class _FlatCode(NamedTuple):
     lines: tuple[str, ...]
     outputs: tuple[str, ...]
     cells: tuple
+
+
+def _kernel_maker(code: _FlatCode):
+    """Compile ``code`` as ``make(*cells)``, which gives ``kernel(y, s)``
+    with the names ``c0..`` bound to the cells it is given: ``y`` holds the
+    inputs' flat coefficients, ``s`` the time's, and the result is the flat
+    coefficients of ``t * v`` for each output ``v``.  Kernels whose code
+    differs only in their cells' values can share one maker."""
+    params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(code.cells))])
+    source = (
+        f"def make({params}):\n"
+        "  def kernel(y, s):\n"
+        f"    [{', '.join(code.inputs)}] = y\n"
+        f"    [{', '.join(code.scale)}] = s\n"
+        + "".join(f"    {line}\n" for line in code.lines)
+        + f"    return [{', '.join(code.outputs)}]\n"
+        "  return kernel\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<jet kernel>", "exec"), namespace)
+    return functools.partial(namespace["make"], *_KERNEL_NAMES.values())

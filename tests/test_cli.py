@@ -438,19 +438,21 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
 
 @pytest.mark.parametrize("seed", ["1729", "7"])
 def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
-    # dsl fields solved at jet depth >= 1 run their flat kernels; with the
-    # lookup switched off the same solves run the jet codec, bit for bit
+    # dsl fields and block maps (the scaling field behind e, multiply and
+    # the action among them) run their flat kernels; with the lookup
+    # switched off the same solves run the jet codec, bit for bit
     argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
-    lookup, found = dynamics._flat_kernel, []
+    lookup, found = dynamics._flat_kernel, set()
 
     def recorded(vhat, depth):
         kernel = lookup(vhat, depth)
-        found.append(kernel is not None)
+        if kernel is not None:
+            found.add(vhat.name)
         return kernel
 
     monkeypatch.setattr(dynamics, "_flat_kernel", recorded)
     _, with_kernels = run(argv)
-    assert any(found)
+    assert {"field", "scaling"} <= found
     monkeypatch.setattr(dynamics, "_flat_kernel", lambda vhat, depth: None)
     _, without = run(argv)
     assert without == with_kernels

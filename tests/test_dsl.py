@@ -22,9 +22,19 @@ from tangentkit.dsl import (
     format_spec,
     parse,
 )
-from tangentkit.dynamics import IntegratorConfig, _integrate_scaled
+from tangentkit.dynamics import IntegratorConfig, _integrate_scaled, curve
+from tangentkit.fields import euler_space_field, zero_field
 from tangentkit.jets import EvaluationDomainError, Jet
-from tangentkit.kernel import tangent
+from tangentkit.kernel import (
+    Space,
+    TrivialBundle,
+    _block_map,
+    product_interleave,
+    product_interleave_inv,
+    structural_map,
+    tangent,
+)
+from tangentkit.rig import euler_field
 from tangentkit.sampling import sample_points
 
 
@@ -400,6 +410,53 @@ def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):
     kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
     assert _outcome(lambda xs: jets.flatten_levels([t * v for v in evaluator(xs)], depth), xs) == want
     assert _outcome(lambda y: kernel(y, scale), jets.flatten_levels(xs, depth)) == want
+
+
+def _block_maps(n, m):
+    """Every map the library builds from a block layout over ``n`` and
+    ``m``: the structural maps, the interleaves, the scaling field and the
+    constant and identity fields, and constant layouts with -0.0."""
+    return [
+        *(structural_map(kind, Space(n)) for kind in ("p", "zero", "ell", "flip")),
+        *(structural_map(kind, TrivialBundle(n, m)) for kind in ("bundle_lift", "bundle_mu")),
+        structural_map("hat_p", TrivialBundle(0, m)),
+        product_interleave(Space(n), Space(m)),
+        product_interleave_inv(Space(n), Space(m)),
+        euler_field(TrivialBundle(n, m)).vhat,
+        zero_field(Space(n)).vhat,
+        euler_space_field(Space(m)).vhat,
+        curve().c1.vhat,
+        _block_map("signed_zeros", (n, m), ([-0.0] * m, 1, [0.0, -1.0])),
+        _block_map("negative_zero", (m,), ([-0.0],)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_map_kernel_is_the_jet_path_bit_for_bit(data):
+    n, m = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
+    vhat = data.draw(st.sampled_from(_block_maps(n, m)))
+    depth = data.draw(st.sampled_from((0, 1, 2)))
+    xs = data.draw(st.lists(_TOWERS[depth], min_size=vhat.domain.dim, max_size=vhat.domain.dim))
+    # a float time, one of fewer levels than the state's, or a full tower
+    t = data.draw(st.one_of(_SCALARS, _TOWERS[min(1, depth)], _TOWERS[depth]))
+    kernel, scale = vhat.evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+
+    def jet_path(y):
+        vals = vhat.evaluator(jets.unflatten_levels(y, depth))
+        return jets.flatten_levels([t * v for v in vals], depth)
+
+    y = jets.flatten_levels(xs, depth)
+    assert _outcome(lambda y: kernel(y, scale), y) == _outcome(jet_path, y)
+
+
+def test_block_maps_whose_constants_compare_equal_keep_their_own_bits():
+    # one kernel code serves both layouts; each binds its own constant
+    maps = [_block_map("c", (1,), ([c],)) for c in (0.0, -0.0)]
+    for depth in (0, 1):
+        scale = jets.flatten_levels([1.0], depth)
+        got = [repr(f.evaluator.flat_kernel(depth)([2.0] * 2**depth, scale)) for f in maps]
+        assert got == [f"[0.0{', ABSENT' * depth}]", f"[-0.0{', ABSENT' * depth}]"]
 
 
 # -- the fused RK45 loop against the called kernel ------------------------------

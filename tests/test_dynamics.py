@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentkit import dsl, dynamics, jets
+from tangentkit import dsl, dynamics, jets, kernel
 from tangentkit.dynamics import (
     Connection,
     DynamicalSystem,
@@ -49,12 +49,14 @@ from tangentkit.fields import (
     zero_field,
 )
 from tangentkit.jets import ABSENT, EvaluationDomainError, Jet, coefficients, primal_value
-from tangentkit.kernel import ShapeError, SmoothMap, Space, tangent
+from tangentkit.kernel import ShapeError, SmoothMap, Space, TrivialBundle, tangent
+from tangentkit.rig import euler_field
 from tangentkit.sampling import sample_points
 from tangentkit.verify import (
     euler_closed_flow,
     half_plane_connection,
     rotation_closed_flow,
+    run_suite,
     solution_square_residuals,
     tangent_of_solution_residual,
 )
@@ -730,6 +732,35 @@ def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
         compiled.clear()
         flow(t, [0.5, 1.0, 0.25])
         assert compiled == []
+
+
+def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
+    # euler_field builds a new map on every call; its kernels are kept by
+    # layout and depth, in a bounded memo, and called at each stage
+    assert kernel._block_kernel.cache_info().maxsize is not None
+    kernel._block_kernel.cache_clear()
+    dynamics._dp_loop.cache_clear()
+    compiled = []
+    for module in (dynamics, jets):
+        monkeypatch.setattr(
+            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+            raising=False,
+        )
+    for depth in range(3):
+        t = 1.0
+        for _ in range(depth):
+            t = Jet(t, 1.0)
+        flow_of(euler_field(TrivialBundle(2, 3)))(t, [1.0, 0.5, 0.25, -1.0, 2.0])
+        assert compiled == ["<jet kernel>", f"<rk45 loop {5 * 2**depth}/5>"]
+        compiled.clear()
+        flow_of(euler_field(TrivialBundle(2, 3)))(t, [0.5, 1.0, 0.25, 2.0, -1.0])
+        assert compiled == []
+    run_suite("rig", 1729)
+    misses = kernel._block_kernel.cache_info().misses
+    compiled.clear()
+    run_suite("rig", 1729)
+    assert "<jet kernel>" not in compiled
+    assert kernel._block_kernel.cache_info().misses == misses
 
 
 def test_kernels_that_read_the_same_lines_solve_with_their_own_constants():

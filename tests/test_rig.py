@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tangentkit import rig
+from tangentkit import dynamics, rig
 from tangentkit.jets import exp as jet_exp, primal_value
 from tangentkit.kernel import (
     ShapeError,
@@ -185,6 +185,19 @@ def test_rig_suite_rejects_perturbed_exponential():
     deriv_sum = checks["rig-derivative-sum"]
     assert not deriv_sum.passed
     assert deriv_sum.max_residual >= 1e-4
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["flat-kernels", "jet-codec"])
+def test_multiply_and_the_action_give_the_pinned_bits(kernels, monkeypatch):
+    # the scaling field behind e and the action solves on its block-map
+    # kernel; with the lookup switched off it runs the jet codec, bit for bit
+    if not kernels:
+        monkeypatch.setattr(dynamics, "_flat_kernel", lambda vhat, depth: None)
+    assert repr(multiply(2.0, 3.0)) == "6.0"
+    assert repr(multiply(0.3, 0.7)) == "0.21000000000000005"
+    assert repr(action(TrivialBundle(1, 1))([2.0, 1.0, 3.0])) == "[1.0, 6.0]"
+    got = action(TrivialBundle(2, 2))([0.3, -0.5, 1.0, 2.0, 0.7])
+    assert repr(got) == "[-0.5, 1.0, 0.5999999999999999, 0.20999999999999994]"
 
 
 # -- the action ----------------------------------------------------------------------
