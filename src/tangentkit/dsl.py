@@ -17,7 +17,8 @@ last input of the compiled map.  Exponents must be integer literals;
 general powers go through ``exp``/``ln``.  Parentheses, unary minus and
 calls nest at most 100 levels deep.  A spec compiles to one straight-line
 function that runs the tree's operations in the tree's order, so ``+ - * /``
-chains have no length limit.  For solves with jet arguments the compiled
+chains have no length limit; it calls each function by its name and reads
+each number literal from a cell.  For solves with jet arguments the compiled
 evaluator also writes, per jet depth and on first use, a flat kernel: the
 same operations on flat jet coefficients (see :class:`jets._FlatWriter`),
 which the solver inlines in its generated RK45 loop.
@@ -337,8 +338,9 @@ _BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "div({}, {})"}
 
 
 def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple]:
-    """A node's source over its operands' names, and its operands; objects
-    it names are appended to ``cells``.  TypeError if it cannot be written."""
+    """A node's source over its operands' names, and its operands; a
+    number's value is appended to ``cells`` and named ``c{k}``, and a
+    function is called by its name.  TypeError if it cannot be written."""
     if isinstance(node, Num):
         cells.append(node.value)
         return f"c{len(cells) - 1}", ()
@@ -353,8 +355,7 @@ def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple]:
     if isinstance(node, Pow) and isinstance(node.exponent, int):
         return f"pow_int({{}}, {int(node.exponent)})", (node.base,)
     if isinstance(node, Call) and node.fn in FUNCTIONS:
-        cells.append(FUNCTIONS[node.fn])
-        return f"c{len(cells) - 1}({{}})", (node.arg,)
+        return f"{node.fn}({{}})", (node.arg,)
     raise TypeError(f"cannot compile {node!r}")
 
 
@@ -362,7 +363,10 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     """Compile a :class:`FieldSpec` to a :class:`SmoothMap`.
 
     Inputs are ``(x1, ..., xn)``, with ``t`` appended last when the spec is
-    time dependent; outputs are the component values in order.
+    time dependent; outputs are the component values in order.  The
+    generated function calls ``div``, ``pow_int`` and the :data:`FUNCTIONS`
+    by name (``sin(v0)``); its ``cells`` (``c0..``) hold the number literals
+    only, and so do its flat kernels' cells.
 
     The evaluator also carries ``flat_kernel(depth)``, which the solver looks
     up: for each jet depth D it gives ``kernel(y, s)``, the flat
@@ -393,7 +397,7 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
         names.append(template)
     inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
     inputs += ["t"] if spec.time_dependent else []
-    params = ", ".join(["div", "pow_int"] + [f"c{k}" for k in range(len(cells))])
+    params = ", ".join(["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(len(cells))])
     source = (
         f"def make({params}):\n"
         "  def field(xs):\n"
@@ -404,7 +408,7 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     )
     namespace: dict = {}
     exec(compile(source, "<dsl field>", "exec"), namespace)
-    evaluator = namespace["make"](jets._div, jets.pow_int, *cells)
+    evaluator = namespace["make"](jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
 
     kernels: dict = {}
 

@@ -167,15 +167,16 @@ def rotation_field() -> VectorField:
 
 def gap(a, b) -> float:
     """The largest |a_i - b_i| over primal values (0.0 when empty); NaN as
-    soon as any component is NaN, so a non-finite residual never passes."""
+    soon as any component is NaN, so a non-finite residual never passes.
+    Always a Python float, also for numpy inputs."""
     worst = 0.0
     for x, y in zip(a, b):
         r = abs(primal_value(x) - primal_value(y))
         if r > worst:
             worst = r
         elif r != r:
-            return r
-    return worst
+            return float(r)
+    return float(worst)
 
 
 def _flat(case) -> tuple:

@@ -9,6 +9,11 @@ here ever falls back to finite differences.
 Plain ``int``/``float`` values mix freely with jets and behave as constants
 (zero derivative in every direction).
 
+Every scalar function is one chain rule (:func:`_chain`): the function of
+the primal, lifted in turn, and a rate in jet arithmetic for the tangent;
+``ln`` and ``sqrt`` put their domain checks around that lifted core.
+Integer powers square in one loop (:func:`_power`).
+
 Only :func:`open_level` and :func:`close_level` open or close a perturbation
 level, and only the codec beside them, :func:`flatten_levels` and
 :func:`unflatten_levels`, turns towers into flat coefficient lists and back:
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 __all__ = [
@@ -256,43 +262,48 @@ def pow_int(x, k: int):
         if primal_value(x) == 0.0:
             raise EvaluationDomainError("negative power", primal_value(x))
         return 1.0 / pow_int(x, -k)
-    out = 1.0
-    base = x
-    n = k
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
+    return _power(1.0, operator.mul, x, k)
+
+
+def _power(one, mul, base, k: int):
+    """``base**k`` for ``k >= 0`` by repeated squaring, in the arithmetic of
+    ``one`` and ``mul``: jets here, flat coefficients in the writer."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
     return out
 
 
-def sin(x):
-    if isinstance(x, Jet):
-        return Jet(sin(x.primal), cos(x.primal) * x.tangent)
-    return math.sin(x)
+def _chain(f, rate):
+    """Lift the float function ``f`` to jet towers by the chain rule: at
+    each level the value is the lifted function of the primal, and the
+    tangent is ``rate(value, primal, tangent)`` in jet arithmetic."""
+
+    def lifted(x):
+        if isinstance(x, Jet):
+            value = lifted(x.primal)
+            return Jet(value, rate(value, x.primal, x.tangent))
+        return f(x)
+
+    return lifted
 
 
-def cos(x):
-    if isinstance(x, Jet):
-        return Jet(cos(x.primal), -sin(x.primal) * x.tangent)
-    return math.cos(x)
-
-
-def exp(x):
-    if isinstance(x, Jet):
-        e = exp(x.primal)
-        return Jet(e, e * x.tangent)
-    return math.exp(x)
+sin = _chain(math.sin, lambda v, p, d: cos(p) * d)
+cos = _chain(math.cos, lambda v, p, d: -sin(p) * d)
+exp = _chain(math.exp, lambda v, p, d: v * d)
+tanh = _chain(math.tanh, lambda v, p, d: (1.0 - v * v) * d)
+_ln = _chain(math.log, lambda v, p, d: d / p)
+_sqrt = _chain(math.sqrt, lambda v, p, d: d / (2.0 * v))
 
 
 def ln(x):
     if primal_value(x) <= 0.0:
         raise EvaluationDomainError("ln", primal_value(x))
-    if isinstance(x, Jet):
-        return Jet(ln(x.primal), x.tangent / x.primal)
-    return math.log(x)
+    return _ln(x)
 
 
 def sqrt(x):
@@ -302,17 +313,7 @@ def sqrt(x):
         if primal_value(x) < 0.0 or isinstance(x, Jet):
             raise EvaluationDomainError("sqrt", primal_value(x))
         return 0.0
-    if isinstance(x, Jet):
-        r = sqrt(x.primal)
-        return Jet(r, x.tangent / (2.0 * r))
-    return math.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, Jet):
-        t = tanh(x.primal)
-        return Jet(t, (1.0 - t * t) * x.tangent)
-    return math.tanh(x)
+    return _sqrt(x)
 
 
 # -- flat kernels ---------------------------------------------------------------
@@ -347,11 +348,14 @@ class _FlatWriter:
 
     Each rule runs the float operations of the :class:`Jet` method or scalar
     function it mirrors, in the order that code runs them, so a kernel gives
-    the jet path's bits and raises its errors.  Where that code takes a
-    different path for an operand that is not a jet and the difference shows
-    in the bits (``_div`` with a numerator of two or more levels), the
-    kernel tests whether that operand's tangent is absent.  An expression
-    written twice is computed once: every operation here is pure.
+    the jet path's bits and raises its errors: a scalar function is one
+    :meth:`_chain` with the rate of its :func:`_chain` on jets, and
+    :meth:`pow_int` squares in the same :func:`_power` loop.  Where that
+    code takes a different path for an operand that is not a jet and the
+    difference shows in the bits (``_div`` with a numerator of two or more
+    levels), the kernel tests whether that operand's tangent is absent.  An
+    expression written twice is computed once: every operation here is
+    pure.
     """
 
     def __init__(self, depth: int, inputs: list[str]):
@@ -456,50 +460,38 @@ class _FlatWriter:
                     f"raise domain('division', {den[0]})"
                 )
             return self._quotient(self.constant("1.0"), den)
-        out, base = self.constant("1.0"), x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return out
+        return _power(self.constant("1.0"), self.mul, x, k)
 
     # -- scalar functions -----------------------------------------------------
 
-    def _unary(self, fn: str, x: list) -> list:
-        return [None if x[0] is None else self._let(f"{fn}({x[0]})")]
+    def _chain(self, fn: str, x: list, rate) -> list:
+        """:func:`jets._chain` on coefficients: ``fn`` of the innermost
+        primal, then at each level ``rate(value, primal, tangent)`` in the
+        writer's arithmetic."""
+        if len(x) == 1:
+            return [self._let(f"{fn}({x[0]})")]
+        xp, xt = x[0::2], x[1::2]
+        value = self._chain(fn, xp, rate)
+        return _interleave(value, rate(value, xp, xt))
 
     def sin(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("sin", x)
-        xp, xt = x[0::2], x[1::2]
-        primal = self.sin(xp)
-        return _interleave(primal, self.mul(self.cos(xp), xt))
+        return self._chain("sin", x, lambda v, p, d: self.mul(self.cos(p), d))
 
     def cos(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("cos", x)
-        xp, xt = x[0::2], x[1::2]
-        primal = self.cos(xp)
-        return _interleave(primal, self.mul(self.neg(self.sin(xp)), xt))
+        return self._chain("cos", x, lambda v, p, d: self.mul(self.neg(self.sin(p)), d))
 
     def exp(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("exp", x)
-        e = self.exp(x[0::2])
-        return _interleave(e, self.mul(e, x[1::2]))
+        return self._chain("exp", x, lambda v, p, d: self.mul(v, d))
+
+    def tanh(self, x: list) -> list:
+        def rate(v, p, d):
+            return self.mul(self.sub(self.constant("1.0", len(v)), self.mul(v, v)), d)
+
+        return self._chain("tanh", x, rate)
 
     def ln(self, x: list) -> list:
         self.lines.append(f"if {x[0]} <= 0.0: raise domain('ln', {x[0]})")
-        return self._ln(x)
-
-    def _ln(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("log", x)
-        xp, xt = x[0::2], x[1::2]
-        primal = self._ln(xp)
-        return _interleave(primal, self._quotient(xt, xp))
+        return self._chain("log", x, lambda v, p, d: self._quotient(d, p))
 
     def sqrt(self, x: list) -> list:
         """At a primal of exactly 0 the value is 0.0 when ``x`` has no
@@ -511,22 +503,10 @@ class _FlatWriter:
             self.lines.append(f"if {test}: raise domain('sqrt', {x[0]})")
             return self.constant("0.0")
 
-        return self._branch(f"{x[0]} <= 0.0", at_zero, lambda: self._sqrt(x))
+        def rate(v, p, d):
+            return self._quotient(d, self.mul(self.constant("2.0", len(v)), v))
 
-    def _sqrt(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("sqrt", x)
-        xp, xt = x[0::2], x[1::2]
-        r = self._sqrt(xp)
-        return _interleave(r, self._quotient(xt, self.mul(self.constant("2.0", len(r)), r)))
-
-    def tanh(self, x: list) -> list:
-        if len(x) == 1:
-            return self._unary("tanh", x)
-        xp, xt = x[0::2], x[1::2]
-        t = self.tanh(xp)
-        one = self.constant("1.0", len(t))
-        return _interleave(t, self.mul(self.sub(one, self.mul(t, t)), xt))
+        return self._branch(f"{x[0]} <= 0.0", at_zero, lambda: self._chain("sqrt", x, rate))
 
     # -- the kernel -----------------------------------------------------------
 
@@ -556,8 +536,9 @@ class _FlatCode(NamedTuple):
     own straight-line code: bind the flat input coefficients to ``inputs``
     and the time's to ``scale``, run ``lines``, and read the flat
     coefficients of the values from ``outputs``.  The lines read names
-    ``c0..`` (the ``cells``) and the names of :data:`_KERNEL_NAMES`; they
-    bind only names ``j1..``, and every output is one of those."""
+    ``c0..`` (the ``cells``, numbers) and the names of
+    :data:`_KERNEL_NAMES`; they bind only names ``j1..``, and every output
+    is one of those."""
 
     inputs: tuple[str, ...]
     scale: tuple[str, ...]

@@ -241,10 +241,10 @@ def _block_kernel(starts: tuple, layout: tuple, depth: int):
     tangents, so the kernel runs nothing but the writer's ``t * v`` for
     each value ``v``.
 
-    Kept by value, as ``euler_field`` builds a new map on every call.  The
-    code reads the layout's shape only and each map binds its own
-    constants, so layouts whose constants compare equal but differ (0.0
-    and -0.0) share the code, not the bits.
+    Kept by value, as ``zero_field``, ``euler_space_field`` and ``eta``
+    build a new map on every call.  The code reads the layout's shape only
+    and each map binds its own constants, so layouts whose constants
+    compare equal but differ (0.0 and -0.0) share the code, not the bits.
 
     The kernel carries no ``code``, so the solver calls it at each stage
     rather than writing it into a fused loop of its own: inlined, its few

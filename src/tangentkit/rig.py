@@ -11,6 +11,7 @@ evaluating the second-order jet of ``e`` at point ``(0, a)`` with direction
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,13 +59,16 @@ RIG_TOL = 1e-6
 C_BUNDLE = TrivialBundle(0, 1)
 
 
+# The law suites scale five bundles; a field is frozen, so callers share it.
+@functools.lru_cache(maxsize=8)
 def euler_field(bundle: TrivialBundle, check_tol: float = 1e-12) -> VectorField:
     """The fibrewise-scaling field of a trivial bundle (at ``(x, a)`` the
     direction is ``(0, a)``).  Its component map is the one layout
     ``(x, a) -> (0_n, a)``; on seeded samples it is checked against the
     structural construction it abbreviates (the diagonal into the fibre
     square, then mu, then hat_p), and the field's section, over-zero and
-    linearity properties are verified."""
+    linearity properties are verified.  Each bundle's field is built and
+    checked once, then kept in a bounded memo keyed by the arguments."""
 
     n, m = bundle.base_dim, bundle.fibre_dim
     total = bundle.total

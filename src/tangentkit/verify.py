@@ -126,8 +126,9 @@ def _second_map() -> SmoothMap:
 # -- kernel ----------------------------------------------------------------------
 
 
-def suite_kernel(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False,
-                 tol: float = 1e-12, count: int = 100):
+def suite_kernel(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = False):
+    tol = 1e-12
+    count = 100
     f = _test_map()
     g = _second_map()
     space2 = Space(2)

@@ -175,6 +175,32 @@ def test_an_empty_entry_is_a_usage_error_naming_its_position(argv, message, caps
     assert f"usage error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["solve", "--dim", "1", "--vf", "1/x1", "--t", "1", "--x0", "0"], EXIT_NUMERIC,
+         "evaluation failed: division undefined at coordinate 0.0\n"),
+        (["bracket", "--dim", "2", "--vf", "x2*x2; sin(x1)", "--vf2", "x2; x1", "--as-matrix"],
+         EXIT_NUMERIC, "evaluation failed: component map is not linear: residual 7.256e+00 "),
+        (["bracket", "--dim", "2", "--vf", "x2; x1", "--vf2", "x2; x1"], EXIT_USAGE,
+         "usage error: --x0 (or --as-matrix) is required\n"),
+        (["verify", "--config", "{tmp}/missing.cfg"], EXIT_USAGE,
+         "usage error: --config: cannot read "),
+        (["verify", "--config", "{tmp}/bad.cfg"], EXIT_USAGE,
+         "usage error: --config: line 1 is not key=value\n"),
+        # exp overflows; only the exit code is pinned, not the message
+        (["solve", "--dim", "1", "--vf", "exp(x1)", "--t", "1", "--x0", "800"], EXIT_NUMERIC, ""),
+    ],
+    ids=["division", "nonlinear-matrix", "no-x0", "missing-config", "config-line", "overflow"],
+)
+def test_dispatch_failures_exit_with_their_code_and_message(
+    argv, exit_code, message, tmp_path, capsys
+):
+    (tmp_path / "bad.cfg").write_text("suite kernel\n")
+    assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == (exit_code, "")
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_an_empty_x0_is_the_zero_dimensional_state():
     code, out = run(["exp", "--t", "1", "--dim", "0", "--x0", ""])
     assert code == EXIT_OK and json.loads(out)["state"] == []

@@ -147,6 +147,7 @@ def test_format_canonical_examples():
     assert format_spec(parse("x2; −x1", 2)) == "x2; -x1"
     assert format_spec(parse("2.5", 1)) == "2.5"
     assert format_spec(parse("(x1 - (x2 - x1)) * -(x2^2)", 2)) == "(x1 - (x2 - x1)) * -(x2^2)"
+    assert format_spec(parse("x1*t + sin(t)", 1, time_dependent=True)) == "x1 * t + sin(t)"
 
 
 def test_format_round_trip_examples():
@@ -410,6 +411,17 @@ def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):
     kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
     assert _outcome(lambda xs: jets.flatten_levels([t * v for v in evaluator(xs)], depth), xs) == want
     assert _outcome(lambda y: kernel(y, scale), jets.flatten_levels(xs, depth)) == want
+
+
+@pytest.mark.parametrize("depth", (1, 2))
+@pytest.mark.parametrize("fn", sorted(dsl.FUNCTIONS))
+def test_each_function_kernel_is_its_chain_rule_at_every_level(fn, depth):
+    # a full tower, so the rate of every level runs in both representations
+    evaluator = compile_spec(parse(f"{fn}(x1)", 1)).evaluator
+    y, scale = [0.75, 0.5, -0.25, 0.125][: 2**depth], jets.flatten_levels([1.0], depth)
+    vals = evaluator(jets.unflatten_levels(y, depth))
+    want = jets.flatten_levels([1.0 * v for v in vals], depth)
+    assert repr(evaluator.flat_kernel(depth)(y, scale)) == repr(want)
 
 
 def _block_maps(n, m):

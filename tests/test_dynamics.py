@@ -735,8 +735,8 @@ def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
 
 
 def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
-    # euler_field builds a new map on every call; its kernels are kept by
-    # layout and depth, in a bounded memo, and called at each stage
+    # block-map kernels are kept by layout and depth, in a bounded memo,
+    # and called at each stage
     assert kernel._block_kernel.cache_info().maxsize is not None
     kernel._block_kernel.cache_clear()
     dynamics._dp_loop.cache_clear()
@@ -1392,6 +1392,15 @@ def test_second_order_straight_line():
     system = DynamicalSystem(Space(1), vf, order=2)
     got = solve_nth_order(system, 1.75, [0.0, 1.0])
     assert abs(got[0] - 1.75) <= 1e-9
+
+
+def test_second_order_initial_map_sets_the_start_state():
+    vf = VectorField.from_expr("x2; 0", 2)
+    double = SmoothMap(Space(2), Space(2), lambda xs: [xs[0], 2.0 * xs[1]])
+    system = DynamicalSystem(Space(1), vf, initial_map=double, order=2)
+    got = solve_nth_order(system, 1.5, [0.0, 1.0])
+    assert got == solve_nth_order(DynamicalSystem(Space(1), vf, order=2), 1.5, [0.0, 2.0])
+    assert abs(got[0] - 3.0) <= 1e-9
 
 
 def test_second_order_sine():

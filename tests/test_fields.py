@@ -10,6 +10,7 @@ from tangentkit.fields import (
     _matrix_rows,
     commutes,
     euler_space_field,
+    gap,
     is_vf_morphism,
     lie_bracket,
     matrix_of,
@@ -19,6 +20,7 @@ from tangentkit.fields import (
     worst_case,
     zero_field,
 )
+from tangentkit import run_suite
 from tangentkit.jets import primal_value
 from tangentkit.kernel import ShapeError, SmoothMap, Space
 from tangentkit.sampling import sample_points
@@ -199,6 +201,19 @@ def test_law_check_serializes():
     d = check.to_dict()
     assert set(d) == {"law", "passed", "max_residual", "witness", "seed"}
     assert bool(check) == d["passed"]
+
+
+def test_gap_is_a_python_float_for_numpy_inputs():
+    assert type(gap(np.array([1.0, 2.0]), [1.0, 2.5])) is float
+    nan = gap(np.array([1.0, math.nan]), [1.0, 2.0])
+    assert type(nan) is float and math.isnan(nan)
+
+
+def test_every_law_row_carries_python_numbers():
+    # numpy scalars from expm and linear_flow end at gap
+    for check in run_suite("all", seed=1729, quick=True):
+        assert type(check.max_residual) is float, check.law
+        assert type(check.passed) is bool, check.law
 
 
 # -- non-finite residuals ------------------------------------------------------------

@@ -66,8 +66,18 @@ def test_euler_field_is_checked_against_its_structural_construction(monkeypatch)
         return block_map(name, sizes, (1, 0) if name == "scaling" else layout)
 
     monkeypatch.setattr(rig, "_block_map", swapped)
+    euler_field.cache_clear()  # a kept field would skip the check
     with pytest.raises(ShapeError, match=r"layout [1-9]"):
         euler_field(TrivialBundle(1, 1))
+
+
+def test_euler_field_is_built_and_checked_once_per_bundle(monkeypatch):
+    assert euler_field.cache_info().maxsize is not None
+    first = euler_field(TrivialBundle(2, 1))
+    sampled = []
+    monkeypatch.setattr(rig, "sample_points", lambda *args, **kw: sampled.append(args) or [])
+    assert euler_field(TrivialBundle(2, 1)) is first
+    assert sampled == []
 
 
 # -- exponential flows --------------------------------------------------------------
