@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space
+from .kernel import SmoothMap, Space, _carry_kernels
 
 __all__ = [
     "Num",
@@ -375,8 +375,9 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).
     Each depth's kernel is written on first use and kept.  It carries its
     code as data (``kernel.code``), which the solver's generated RK45 loop
-    writes into each of its stages in place of a call; the block maps of
-    :mod:`kernel` also carry flat kernels, but no code, and are called.
+    writes into each of its stages in place of a call; the other maps of
+    :mod:`kernel` that carry flat kernels carry no code, and are called.
+    On float arguments :func:`kernel.tangent` runs the kernel at depth 1.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
@@ -410,15 +411,7 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     exec(compile(source, "<dsl field>", "exec"), namespace)
     evaluator = namespace["make"](jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
 
-    kernels: dict = {}
-
-    def flat_kernel(depth: int):
-        kernel = kernels.get(depth)
-        if kernel is None:
-            kernel = kernels[depth] = _write_kernel(postorder, inputs, cells, depth)
-        return kernel
-
-    evaluator.flat_kernel = flat_kernel
+    _carry_kernels(evaluator, lambda depth: _write_kernel(postorder, inputs, cells, depth))
     return SmoothMap(Space(len(inputs)), Space(len(names)), evaluator, name="field")
 
 

@@ -13,14 +13,15 @@ Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
 flattens its start state and unflattens its states (:mod:`jets`' codec), a
 called field's through one widening of its state, time and closure levels.
 A called field is evaluated through one closure, which also checks each
-value's length; a flat kernel (a dsl field's or a block map's), whose
-length its spec or layout fixes, is checked once per solve.
+value's length; a flat kernel (a dsl field's, a block map's, a linear
+field's or a composite's), whose length its spec, layout or parts fix, is
+checked once per solve.
 One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
 by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
 (of at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages
-make no call; any other field, a block map's kernel included, is called
+make no call; any other field, every other kernel included, is called
 through ``rhs`` at each stage.  A
 longer state steps in the list form, whose stage states are comprehensions
 and which calls ``rhs`` at every stage, as RK4 does; both give the same
@@ -67,6 +68,7 @@ from .kernel import (
     SmoothMap,
     Space,
     _block_map,
+    _flat_kernel,
     compose,
     structural_map,
     tangent,
@@ -612,13 +614,14 @@ def _trajectory(
 
     The one owner of a solve's jet levels: it reads them, flattens the start
     state once for :func:`_integrate_scaled`, which it gives the primal
-    value of t, and unflattens each state once.  A field compiled by
-    :func:`dsl.compile_spec` or built from a block layout
-    (:func:`kernel._block_map`) gives ``t * vhat`` as its flat kernel for
-    D, the depth of the deepest jet among t and xs.  A dsl kernel carries
-    its code, which, unless it is longer than ``_FUSED_MAX_LINES``, is
-    inlined in the generated loop; a block-map kernel carries none and is
-    called at each stage.  Any
+    value of t, and unflattens each state once.  A field that carries flat
+    kernels (see :mod:`kernel`: a dsl field, a block map, a linear field,
+    and their composites and tangents), looked up through
+    ``_flat_kernel``, gives ``t * vhat`` as its flat kernel for D, the
+    depth of the deepest jet among t and xs.  A dsl kernel carries its
+    code, which, unless it is longer than ``_FUSED_MAX_LINES``, is inlined
+    in the generated loop; every other kernel carries none and is called
+    at each stage.  Any
     other evaluator is called on towers (``t * vhat`` in jet arithmetic)
     through ``rhs``, which checks each value's length, wrapped in one
     widening (:func:`_widened`) at D or, when a jet it closes over is
@@ -668,14 +671,6 @@ def _trajectory(
             raise _misfit(n)
     states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, code, scale, k1)
     return [xs] + [unflatten_levels(y, levels) for y in states]
-
-
-def _flat_kernel(vhat: SmoothMap, depth: int):
-    """The field's flat kernel at ``depth``, or None when its evaluator
-    carries none (:func:`dsl.compile_spec` and :func:`kernel._block_map`
-    attach them)."""
-    kernels = getattr(vhat.evaluator, "flat_kernel", None)
-    return kernels(depth) if kernels is not None else None
 
 
 def _integrate_field(vhat: SmoothMap, t, xs: Sequence, cfg: IntegratorConfig) -> list:

@@ -23,11 +23,14 @@ a :class:`Jet` itself, so how a level is identified is decided here.
 The rules of :class:`Jet` arithmetic are also written out here as flat
 kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
-built.  Fields compiled by :func:`dsl.compile_spec` and maps built from a
-block layout (:func:`kernel._block_map`) get them, one per jet depth,
-written on first use, and the solver runs one in place of the codec; a dsl
-kernel's code (:class:`_FlatCode`) is written into the stages of the
-generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
+built.  Fields compiled by :func:`dsl.compile_spec`, maps built from a
+block layout (:func:`kernel._block_map`) and linear fields get them, one per
+jet depth, written on first use, and so do their composites (see
+:mod:`kernel`).  The solver runs one in place of the codec, and
+:func:`kernel.tangent` on floats one level deep in place of
+:func:`open_level` and :func:`close_level`; a dsl kernel's code
+(:class:`_FlatCode`) is written into the stages of the generated RK45
+loop.  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers through
 one widening that joins the levels of the state, time and closure.
 """

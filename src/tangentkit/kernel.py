@@ -1,8 +1,9 @@
 """Tangent-functor kernel on Euclidean spaces.
 
 Everything here is exact: the tangent of a map is computed by evaluating its
-evaluator on jet scalars (see :mod:`tangentkit.jets`), never by symbolic
-rewriting or finite differences.  Coordinate conventions are fixed once and
+evaluator on jet scalars (see :mod:`tangentkit.jets`), or the same jet
+arithmetic written out as a flat kernel, never by symbolic rewriting or
+finite differences.  Coordinate conventions are fixed once and
 for all; see docs/layout.md, whose numbered rules the tests cite.
 
 The short version (layout rules 1-6):
@@ -21,6 +22,16 @@ a flat kernel (:class:`jets._FlatWriter`), which the solver runs in place of
 the jet codec when the map is a field: the scaling field behind ``e``, the
 multiplication and the action, and the library's constant and identity
 fields, are block maps.
+
+How a map is built decides whether it carries flat kernels: a dsl field, a
+block map (the identity among them), a linear field, and ``compose``,
+``pair``, ``product`` and ``tangent`` of maps that carry them.  On float
+arguments ``tangent(f)`` of such an ``f`` runs ``f``'s kernel one level deep
+at unit time in place of opening a level, evaluating on jets and closing
+it, with the same bits.  Every other evaluator (a hand-written one, a
+wrapper, :func:`vertical_bracket`, whose verticality check is a boundary)
+and every other argument (an int, a numpy scalar, a jet) takes the jet
+path.
 """
 
 from __future__ import annotations
@@ -32,10 +43,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .jets import (
+    ABSENT,
     _FlatWriter,
     _kernel_maker,
     close_level,
     coefficients,
+    flatten_levels,
     open_level,
     primal_value,
 )
@@ -152,13 +165,26 @@ class SmoothMap:
 
 
 def identity_map(space: Space) -> SmoothMap:
-    return SmoothMap(space, space, lambda xs: list(xs), name=f"id_{space.dim}")
+    return _block_map(f"id_{space.dim}", (space.dim,), (0,))
+
+
+def _check_level(level) -> None:
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise TypeError(f"a jet level is an int, got {level!r}")
+    if level < 0:
+        raise ValueError(f"a jet level is nonnegative, got {level}")
 
 
 def pack_jets(flat: Sequence, level: int) -> list:
     """Interpret a flat T^level element as base-space jet scalars (rule 3:
-    base half first, recursively)."""
+    base half first, recursively).  A length that is not a multiple of
+    ``2**level`` is a ShapeError."""
     flat = list(flat)
+    _check_level(level)
+    if len(flat) % 2**level:
+        raise ShapeError(
+            f"a T^{level} element has a multiple of {2**level} entries, got {len(flat)}"
+        )
     if level == 0:
         return flat
     half = len(flat) // 2
@@ -170,6 +196,7 @@ def pack_jets(flat: Sequence, level: int) -> list:
 def unpack_jets(jets: Sequence, level: int) -> list:
     """Flatten jet scalars back to the T^level layout; inverse of
     :func:`pack_jets`."""
+    _check_level(level)
     if level == 0:
         return list(jets)
     base, tang = close_level(jets)
@@ -181,18 +208,91 @@ def tangent(f: SmoothMap) -> SmoothMap:
 
     Applies to maps at any level of the tower, so ``tangent(tangent(f))``
     is T^2(f) in the layout of rule 2.
+
+    When every argument is a float and ``f`` carries flat kernels, T(f) runs
+    ``f``'s kernel at depth 1 and unit time (:func:`_opened`), which gives
+    the bits of the jet path below: opening a level, evaluating ``f`` on
+    jets and closing the level.  T(f) of such an ``f`` carries kernels too:
+    at depth d, ``f``'s at depth d + 1 and unit time, then scaled at depth d
+    by the identity layout's.  T's level is the outermost of ``f``'s d + 1,
+    so T's arguments flatten to ``f``'s inputs and ``f``'s values to T's
+    values, in the same order; the time never enters ``f``, whose levels
+    other than T's are the solve's.
     """
 
-    n = f.domain.dim
+    n, m = f.domain.dim, f.codomain.dim
+    kernels = _kernels(f)
 
     def ev(args):
+        if kernels is not None and all(a.__class__ is float for a in args):
+            kernel = _flat_kernel(f, 1)
+            if kernel is not None:
+                return _opened(kernel, args, m, _UNIT_1)
         base, tang = args[:n], args[n:]
         primals, tangents = close_level(f.evaluator(open_level(base, tang)))
         return primals + tangents
 
+    if kernels is not None:
+
+        def write(depth):
+            kernel, unit = kernels(depth + 1), _unit(depth + 1)
+            scale = _block_kernel((0, 2 * m), (0,), depth)()
+            return lambda y, s: scale(_opened(kernel, y, m, unit), s)
+
+        _carry_kernels(ev, write)
     return SmoothMap(
         f.domain.tangent, f.codomain.tangent, ev, name=f"T({f.name or 'f'})"
     )
+
+
+def _kernels(f: SmoothMap):
+    """``f``'s ``flat_kernel(depth)``, or None."""
+    return getattr(f.evaluator, "flat_kernel", None)
+
+
+def _flat_kernel(f: SmoothMap, depth: int):
+    """``f``'s flat kernel at ``depth``, or None when its evaluator carries
+    none: the one lookup of :func:`tangent` on floats (and, under its own
+    name, of the solver, :func:`dynamics._trajectory`)."""
+    kernels = _kernels(f)
+    return kernels(depth) if kernels is not None else None
+
+
+def _carry_kernels(ev, write):
+    """``ev`` carrying ``flat_kernel(depth)``: ``write(depth)``, written on
+    first use and kept, one per depth."""
+    kernels: dict = {}
+
+    def flat_kernel(depth: int):
+        kernel = kernels.get(depth)
+        if kernel is None:
+            kernel = kernels[depth] = write(depth)
+        return kernel
+
+    ev.flat_kernel = flat_kernel
+
+
+def _unit(depth: int) -> tuple:
+    """The flat coefficients of the unit time at ``depth``: the int 1, whose
+    products keep every bit of a float (-0.0, inf and nan among them) and
+    leave an int an int, as the jet path does, where 1.0 would turn it into
+    a float one step early.  Each kernel that runs a part at unit time
+    takes it once, when it is written."""
+    return tuple(flatten_levels([1], depth))
+
+
+_UNIT_1 = _unit(1)
+
+
+def _opened(kernel, y: list, m: int, unit: tuple) -> list:
+    """The ``m`` values of ``kernel`` at the unit time ``unit``, whose
+    outermost level was opened by :func:`tangent`, with that level closed:
+    each value's coefficient of T's direction is absent only where the
+    value is a constant there, which :func:`jets.close_level` splits as
+    ``(v, 0.0)``."""
+    out = kernel(y, unit)
+    out[m : 2 * m] = [0.0 if c is ABSENT else c for c in out[m : 2 * m]]
+    return out
 
 
 # -- structural transformations ------------------------------------------
@@ -204,9 +304,10 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     floats (a constant block) is inserted as it stands.  A layout of one
     input block returns that slice of the input.
 
-    The evaluator carries ``flat_kernel(depth)``, which the solver looks up:
-    the flat kernel of ``t * v`` for each value ``v`` at jet depth ``depth``
-    (see :func:`_block_kernel`), with this map's constants bound."""
+    The evaluator carries ``flat_kernel(depth)``, which the solver and
+    :func:`tangent` look up: the flat kernel of ``t * v`` for each value
+    ``v`` at jet depth ``depth`` (see :func:`_block_kernel`), with this
+    map's constants bound."""
     starts = (0, *itertools.accumulate(sizes))
     pieces = [
         slice(starts[b], starts[b + 1]) if isinstance(b, int) else b for b in layout
@@ -242,7 +343,8 @@ def _block_kernel(starts: tuple, layout: tuple, depth: int):
     each value ``v``.
 
     Kept by value, as ``zero_field``, ``euler_space_field`` and ``eta``
-    build a new map on every call.  The code reads the layout's shape only
+    build a new map on every call, and :func:`tangent` scales its values by
+    the identity layout's kernel.  The code reads the layout's shape only
     and each map binds its own constants, so layouts whose constants
     compare equal but differ (0.0 and -0.0) share the code, not the bits.
 
@@ -326,41 +428,86 @@ def structural_map(kind: str, shape) -> SmoothMap:
 
 
 def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """Diagrammatic-order composite: ``compose(f, g)`` is f followed by g."""
+    """Diagrammatic-order composite: ``compose(f, g)`` is f followed by g.
+
+    Of maps that carry flat kernels: at each depth, ``g``'s kernel on ``f``'s
+    at unit time, so the time scales once, in ``g``."""
     if f.codomain != g.domain:
         raise ShapeError(
             f"cannot compose {f.name or 'f'}: R^{f.codomain.dim} into "
             f"{g.name or 'g'}: R^{g.domain.dim}"
         )
-    return SmoothMap(
-        f.domain,
-        g.codomain,
-        lambda xs: g.evaluator(list(f.evaluator(xs))),
-        name=f"{f.name or 'f'};{g.name or 'g'}",
-    )
+
+    def ev(xs):
+        return g.evaluator(list(f.evaluator(xs)))
+
+    first, then = _kernels(f), _kernels(g)
+    if first and then:
+
+        def write(depth):
+            inner, outer, unit = first(depth), then(depth), _unit(depth)
+            return lambda y, s: outer(inner(y, unit), s)
+
+        _carry_kernels(ev, write)
+    return SmoothMap(f.domain, g.codomain, ev, name=f"{f.name or 'f'};{g.name or 'g'}")
 
 
 def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """The pairing <f, g> into a product (f and g share a domain)."""
+    """The pairing <f, g> into a product (f and g share a domain).
+
+    Of maps that carry flat kernels: at each depth, both kernels, their
+    values joined level block by level block."""
     if f.domain != g.domain:
         raise ShapeError("pair requires a shared domain")
+
+    def ev(xs):
+        return list(f.evaluator(list(xs))) + list(g.evaluator(list(xs)))
+
+    left, right = _kernels(f), _kernels(g)
+    if left and right:
+        m1, m2 = f.codomain.dim, g.codomain.dim
+
+        def write(depth):
+            a, b = left(depth), right(depth)
+            cuts = [
+                (slice(k * m1, (k + 1) * m1), slice(k * m2, (k + 1) * m2))
+                for k in range(2**depth)
+            ]
+
+            def kernel(y, s):
+                u, v, out = a(y, s), b(y, s), []
+                for cu, cv in cuts:
+                    out += u[cu]
+                    out += v[cv]
+                return out
+
+            return kernel
+
+        _carry_kernels(ev, write)
     return SmoothMap(
         f.domain,
         Space(f.codomain.dim + g.codomain.dim),
-        lambda xs: list(f.evaluator(list(xs))) + list(g.evaluator(list(xs))),
+        ev,
         name=f"<{f.name or 'f'},{g.name or 'g'}>",
     )
 
 
 def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """f x g on concatenated inputs."""
-    n1 = f.domain.dim
+    """f x g on concatenated inputs.
+
+    Of maps that carry flat kernels: the kernels of ``<p1; f, p2; g>``, with
+    ``p1`` and ``p2`` the block projections onto the two inputs."""
+    n1, n2 = f.domain.dim, g.domain.dim
 
     def ev(xs):
         return list(f.evaluator(xs[:n1])) + list(g.evaluator(xs[n1:]))
 
+    if _kernels(f) and _kernels(g):
+        first = compose(_block_map("p1", (n1, n2), (0,)), f)
+        second = compose(_block_map("p2", (n1, n2), (1,)), g)
+        ev.flat_kernel = _kernels(pair(first, second))
     return SmoothMap(
-        Space(f.domain.dim + g.domain.dim),
+        Space(n1 + n2),
         Space(f.codomain.dim + g.codomain.dim),
         ev,
         name=f"{f.name or 'f'}x{g.name or 'g'}",

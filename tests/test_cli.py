@@ -18,7 +18,7 @@ from tangentkit.cli import (
     EXIT_USAGE,
     dispatch,
 )
-from tangentkit import dynamics
+from tangentkit import dynamics, kernel
 from tangentkit.dynamics import commuting_flows_check
 from tangentkit.fields import (
     FLOW_TOL,
@@ -464,22 +464,32 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
 
 @pytest.mark.parametrize("seed", ["1729", "7"])
 def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
-    # dsl fields and block maps (the scaling field behind e, multiply and
-    # the action among them) run their flat kernels; with the lookup
-    # switched off the same solves run the jet codec, bit for bit
+    # dsl fields, block maps (the scaling field behind e, multiply and the
+    # action among them) and linear fields run their flat kernels in solves,
+    # and tangent runs the kernels of those and of their pairs on floats;
+    # with both lookups switched off the same solves run the jet codec and
+    # the same tangents open a level, bit for bit
     argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
-    lookup, found = dynamics._flat_kernel, set()
+    found = {dynamics: set(), kernel: set()}
 
-    def recorded(vhat, depth):
-        kernel = lookup(vhat, depth)
-        if kernel is not None:
-            found.add(vhat.name)
-        return kernel
+    def recorded(module):
+        lookup = module._flat_kernel
 
-    monkeypatch.setattr(dynamics, "_flat_kernel", recorded)
+        def spy(vhat, depth):
+            flat = lookup(vhat, depth)
+            if flat is not None:
+                found[module].add(vhat.name)
+            return flat
+
+        return spy
+
+    for module in found:
+        monkeypatch.setattr(module, "_flat_kernel", recorded(module))
     _, with_kernels = run(argv)
-    assert {"field", "scaling"} <= found
-    monkeypatch.setattr(dynamics, "_flat_kernel", lambda vhat, depth: None)
+    assert {"field", "scaling", "linear"} <= found[dynamics]
+    assert {"linear", "<id_2,linear>"} <= found[kernel]
+    for module in found:
+        monkeypatch.setattr(module, "_flat_kernel", lambda vhat, depth: None)
     _, without = run(argv)
     assert without == with_kernels
 

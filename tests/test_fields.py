@@ -8,6 +8,7 @@ from tangentkit.fields import (
     LinearVectorField,
     VectorField,
     _matrix_rows,
+    _matvec,
     commutes,
     euler_space_field,
     gap,
@@ -21,7 +22,7 @@ from tangentkit.fields import (
     zero_field,
 )
 from tangentkit import run_suite
-from tangentkit.jets import primal_value
+from tangentkit.jets import Jet, primal_value
 from tangentkit.kernel import ShapeError, SmoothMap, Space
 from tangentkit.sampling import sample_points
 
@@ -273,3 +274,11 @@ def test_matrix_of_rejects_nan_at_some_samples():
         matrix_of(VectorField(Space(1), _map(ev, dim=1)))
     assert math.isnan(info.value.max_residual)
     assert info.value.witness[0] <= -1.0
+
+
+def test_a_linear_field_sums_left_to_right_on_floats_as_on_jets():
+    # sum() compensates float sums since Python 3.12; a left fold does not,
+    # so a float value is the primal of the same value on jets
+    rows, xs = [(1.0, 1.0, 1.0)], [1e16, 1.0, -1e16]
+    on_jets = _matvec(rows, [Jet(x, 1.0) for x in xs])
+    assert _matvec(rows, xs) == [0.0] == [primal_value(v) for v in on_jets]

@@ -357,6 +357,23 @@ def test_pack_unpack_round_trip():
             assert unpack_jets(jets, level) == list(flat)
 
 
+@pytest.mark.parametrize("flat, level", [([1.0, 2.0, 3.0], 1), ([1.0] * 6, 2)])
+def test_pack_jets_refuses_a_length_that_is_no_multiple_of_its_levels(flat, level):
+    from tangentkit.kernel import pack_jets
+
+    with pytest.raises(ShapeError, match=f"multiple of {2**level} entries, got {len(flat)}"):
+        pack_jets(flat, level)
+
+
+@pytest.mark.parametrize("codec", ["pack_jets", "unpack_jets"])
+@pytest.mark.parametrize("level, error", [(-1, ValueError), (1.5, TypeError)])
+def test_the_jet_codec_refuses_a_level_that_is_no_nonnegative_int(codec, level, error):
+    from tangentkit import kernel
+
+    with pytest.raises(error, match=f"jet level .*{level}"):
+        getattr(kernel, codec)([1.0, 2.0], level)
+
+
 def test_iterated_tangent_equals_jet_tower_evaluation():
     # rule 3: T^k(f) computed by k applications of tangent equals running
     # f's evaluator on a packed level-k tower

@@ -1,0 +1,281 @@
+"""``tangent`` on flat kernels against the jet path.
+
+On float arguments ``tangent(f)`` runs ``f``'s flat kernel at unit time when
+``f`` carries kernels (dsl, block, identity and linear maps, and their pairs,
+composites, products and tangents); every other map and argument opens a
+level and evaluates on jets.  Both give the same bits, and so do solves of
+fields that carry composite kernels against the jet codec.
+"""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tangentkit import dsl, dynamics, kernel
+from tangentkit.dsl import BinOp, Call, Neg, Num, Pow, Var, compile_spec, parse
+from tangentkit.dynamics import IntegratorConfig, flow_of
+from tangentkit.fields import LinearVectorField, VectorField, product_vf, tangent_lift
+from tangentkit.jets import EvaluationDomainError, Jet
+from tangentkit.kernel import (
+    SmoothMap,
+    Space,
+    _block_map,
+    compose,
+    identity_map,
+    pair,
+    product,
+    structural_map,
+    tangent,
+)
+
+_EDGES = [0.0, -0.0, 1.0, -1.5, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+_ARGS = st.one_of(st.sampled_from(_EDGES), st.floats(min_value=-4.0, max_value=4.0))
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308, -2.5])
+
+
+def _outcome(f, args):
+    """``repr`` of the values, or the type and message of what was raised."""
+    try:
+        return repr(f(list(args)))
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _on_jets(f, args):
+    """``_outcome`` with the ``tangent`` kernel lookup switched off."""
+    with mock.patch.object(kernel, "_flat_kernel", lambda f, depth: None):
+        return _outcome(f, args)
+
+
+def _leaf_ast(arity):
+    return st.one_of(
+        st.integers(min_value=1, max_value=arity).map(Var),
+        st.sampled_from([0.0, -0.0, 0.5, 2.0]).map(Num),
+    )
+
+
+def _ast(arity):
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+            children.map(Neg),
+            st.tuples(children, st.integers(min_value=-2, max_value=3)).map(lambda t: Pow(*t)),
+            st.tuples(st.sampled_from(sorted(dsl.FUNCTIONS)), children).map(
+                lambda t: Call(*t)
+            ),
+        )
+
+    return st.recursive(_leaf_ast(arity), extend, max_leaves=6)
+
+
+_ASTS = {n: _ast(n) for n in range(1, 5)}
+
+
+def _draw_map(data, n: int, budget: int) -> SmoothMap:
+    """A map on R^n: a dsl, linear, block or identity map, or a pair,
+    composite, product or tangent of such maps, with at most four values."""
+    kinds = ["dsl", "linear", "block", "identity"]
+    if budget:
+        kinds += ["pair", "compose"] + ["product"] * (n > 1) + ["tangent"] * (n % 2 == 0)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "dsl":
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        components = data.draw(st.lists(_ASTS[n], min_size=m, max_size=m))
+        return compile_spec(dsl.FieldSpec(n, tuple(components)))
+    if kind == "linear":
+        row = st.lists(_ENTRIES, min_size=n, max_size=n)
+        return LinearVectorField(data.draw(st.lists(row, min_size=n, max_size=n))).vhat
+    if kind == "block":
+        part = st.one_of(st.just(0), st.lists(_ENTRIES, min_size=1, max_size=2))
+        return _block_map("block", (n,), data.draw(st.lists(part, min_size=1, max_size=2)))
+    if kind == "identity":
+        return identity_map(Space(n))
+    if kind == "tangent":
+        return tangent(_draw_map(data, n // 2, budget - 1))
+    if kind == "product":
+        n1 = data.draw(st.integers(min_value=1, max_value=n - 1))
+        return product(_draw_map(data, n1, budget - 1), _draw_map(data, n - n1, budget - 1))
+    f = _draw_map(data, n, budget - 1)
+    if kind == "pair":
+        g = _draw_map(data, n, budget - 1)
+        return pair(f, g) if f.codomain.dim + g.codomain.dim <= 4 else f
+    return compose(f, _draw_map(data, f.codomain.dim, budget - 1)) if f.codomain.dim <= 4 else f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tangent_on_kernels_is_the_jet_path_bit_for_bit(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    f = _draw_map(data, n, 2)
+    assert kernel._kernels(f) is not None
+    for tf in (tangent(f), tangent(tangent(f))):
+        args = data.draw(st.lists(_ARGS, min_size=tf.domain.dim, max_size=tf.domain.dim))
+        assert _outcome(tf, args) == _on_jets(tf, args)
+
+
+def test_a_dsl_division_by_zero_through_tangent_is_the_same_error():
+    quotient = compile_spec(parse("x1 / x2", 2))
+    for tf in (tangent(quotient), tangent(tangent(quotient))):
+        args = [1.0, 0.0] + [1.0] * (tf.domain.dim - 2)
+        want = (EvaluationDomainError, "division undefined at coordinate 0.0")
+        assert _outcome(tf, args) == _on_jets(tf, args) == want
+
+
+def _maps():
+    """One map of each kind that carries kernels."""
+    field = compile_spec(parse("x1 * x2; sin(x1)", 2))
+    linear = LinearVectorField([[1.0, -0.0], [2.0, 0.5]]).vhat
+    flip = structural_map("flip", Space(1))
+    return {
+        "dsl": field,
+        "linear": linear,
+        "block": flip,
+        "identity": identity_map(Space(2)),
+        "pair": pair(identity_map(Space(2)), linear),
+        "compose": compose(linear, field),
+        "product": product(field, linear),
+        "tangent": tangent(linear),
+    }
+
+
+def _jets_built(f, args, monkeypatch):
+    built, init = [], Jet.__init__
+    monkeypatch.setattr(Jet, "__init__", lambda *a: built.append(None) or init(*a))
+    try:
+        f(args)
+    finally:
+        monkeypatch.setattr(Jet, "__init__", init)
+    return len(built)
+
+
+@pytest.mark.parametrize("kind", sorted(_maps()))
+def test_these_maps_take_the_kernel_path_on_floats(kind, monkeypatch):
+    f = _maps()[kind]
+    tf = tangent(f)
+    floats = [0.5 * (k + 1) for k in range(tf.domain.dim)]
+    assert _jets_built(tf, floats, monkeypatch) == 0
+    assert _jets_built(tangent(tf), floats * 2, monkeypatch) == 0
+    # ints, numpy scalars and jets take the jet path, and so does a float
+    # argument list once the lookup is switched off
+    for args in ([1] + floats[1:], [np.float64(0.5)] + floats[1:], [Jet(0.5, 1.0)] + floats[1:]):
+        assert _jets_built(tf, args, monkeypatch) > 0
+    monkeypatch.setattr(kernel, "_flat_kernel", lambda f, depth: None)
+    assert _jets_built(tf, floats, monkeypatch) > 0
+
+
+def test_a_user_lambda_and_a_counting_wrapper_take_the_jet_path(monkeypatch):
+    user = SmoothMap(Space(2), Space(1), lambda xs: [xs[0] * xs[1]])
+    field = compile_spec(parse("x1 * x2", 2))
+    counted = dataclasses.replace(field, evaluator=lambda xs: field.evaluator(xs))
+    last = SmoothMap(Space(1), Space(1), lambda xs: xs)
+    for f in (user, counted, pair(field, user), compose(field, last)):
+        assert kernel._kernels(f) is None
+        assert _jets_built(tangent(f), [1.0, 2.0, 0.5, -0.0], monkeypatch) > 0
+
+
+# -- solves of fields that carry composite kernels, against the jet codec --------
+
+
+_START = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(min_value=-2.0, max_value=2.0))
+
+
+def _towers(depth):
+    """Jet towers of at most ``depth`` levels, ragged: any primal or tangent
+    may stop early as a float."""
+    if depth == 0:
+        return _START
+    below = _towers(depth - 1)
+    return st.one_of(_START, st.builds(Jet, below, below))
+
+
+_TOWERS = {depth: _towers(depth) for depth in (0, 1, 2)}
+
+
+def _fields():
+    rotation = LinearVectorField([[0.0, 1.0], [-1.0, -0.0]])
+    shear = LinearVectorField([[0.5, -0.0], [1.0, 0.25]])
+    cubic = VectorField.from_expr("x2; -x1*(1+x1*x1)", 2)
+    p = structural_map("p", Space(2))
+    return {
+        "linear": rotation,
+        "lift-of-linear": tangent_lift(shear),
+        "lift-of-dsl": tangent_lift(cubic),
+        # T(f) last, so the solve's time scales its values
+        "tangent-of-dsl": VectorField(Space(4), tangent(cubic.vhat)),
+        "tangent-of-composite": VectorField(Space(4), tangent(compose(shear.vhat, cubic.vhat))),
+        "product": product_vf(rotation, cubic),
+        "composite": VectorField(Space(2), compose(pair(shear.vhat, identity_map(Space(2))), p)),
+    }
+
+
+def _solve(field, t, xs):
+    cfg = IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6, max_steps=200)
+    try:
+        return repr(flow_of(field, cfg)(t, xs))
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _solves_on_kernels(field, t, xs):
+    kernels = []
+    with mock.patch.object(
+        dynamics, "_flat_kernel",
+        lambda vhat, depth: kernels.append(kernel._flat_kernel(vhat, depth)) or kernels[-1],
+    ):
+        got = _solve(field, t, xs)
+    assert all(k is not None for k in kernels)
+    return got
+
+
+def _solve_on_jets(field, t, xs):
+    # both lookups off: a float state calls the field, whose tangents would
+    # otherwise run their kernels
+    with mock.patch.object(dynamics, "_flat_kernel", lambda vhat, depth: None):
+        with mock.patch.object(kernel, "_flat_kernel", lambda f, depth: None):
+            return _solve(field, t, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solves_on_composite_kernels_are_the_jet_codec_bit_for_bit(data):
+    name = data.draw(st.sampled_from(sorted(_fields())))
+    field = _fields()[name]
+    depth = data.draw(st.sampled_from((0, 1, 2)))
+    xs = data.draw(st.lists(_TOWERS[depth], min_size=field.space.dim, max_size=field.space.dim))
+    t = data.draw(st.one_of(_START, _TOWERS[depth]))
+    assert _solves_on_kernels(field, t, xs) == _solve_on_jets(field, t, xs)
+
+
+@pytest.mark.parametrize("name", sorted(_fields()))
+def test_a_depth_two_solve_of_each_field_is_the_jet_codec(name):
+    # a depth-two time over a ragged state: the solve's two levels sit
+    # under the level a tangent lift opens, and the time scales once
+    field = _fields()[name]
+    t = Jet(Jet(0.75, 1.0), Jet(-0.5, 0.25))
+    xs = [Jet(Jet(1.0, 0.5), 0.25), Jet(-0.5, Jet(1.0, -0.0))]
+    xs += [Jet(0.5, 1.0), 0.25][: field.space.dim - 2]
+    assert _solves_on_kernels(field, t, xs) == _solve_on_jets(field, t, xs)
+
+
+def _int_fields():
+    # x1^4 - (x1^2)^2 is 0 on ints but a rounding gap on floats, so a part
+    # run at unit time must leave an int state's ints as the codec does
+    gap = compile_spec(parse("x1*x1*x1*x1 - (x1*x1)*(x1*x1)", 1))
+    composite = VectorField(Space(1), compose(identity_map(Space(1)), gap))
+    return {
+        "composite": composite,
+        "lift-of-composite": tangent_lift(composite),
+        "product": product_vf(composite, composite),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_int_fields()))
+def test_a_solve_from_an_int_state_is_the_jet_codec(name):
+    field = _int_fields()[name]
+    xs = [2**20 + 5] * field.space.dim
+    assert _solves_on_kernels(field, 0.5, xs) == _solve_on_jets(field, 0.5, xs)
