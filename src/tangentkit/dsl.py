@@ -21,19 +21,21 @@ chains have no length limit; it calls each function by its name and reads
 each number literal from a cell.  For solves with jet arguments the compiled
 evaluator also writes, per jet depth and on first use, a flat kernel: the
 same operations on flat jet coefficients (see :class:`jets._FlatWriter`),
-which the solver inlines in its generated RK45 loop.
+which the solver inlines in its generated RK45 loop, and which composites
+of the field write into their own.
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space, _carry_kernels
+from .kernel import SmoothMap, Space, _carry_rule, _code, _Rule
 
 __all__ = [
     "Num",
@@ -368,16 +370,20 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     by name (``sin(v0)``); its ``cells`` (``c0..``) hold the number literals
     only, and so do its flat kernels' cells.
 
-    The evaluator also carries ``flat_kernel(depth)``, which the solver looks
-    up: for each jet depth D it gives ``kernel(y, s)``, the flat
-    coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
-    ``v``, computed from those of the inputs (``y``) and of a time ``t``
-    (``s``) with no :class:`jets.Jet` built (see :class:`jets._FlatWriter`).
-    Each depth's kernel is written on first use and kept.  It carries its
-    code as data (``kernel.code``), which the solver's generated RK45 loop
-    writes into each of its stages in place of a call; the other maps of
-    :mod:`kernel` that carry flat kernels carry no code, and are called.
-    On float arguments :func:`kernel.tangent` runs the kernel at depth 1.
+    The evaluator also carries a rule (:class:`kernel._Rule`, :func:`_write`):
+    each node's :class:`jets._FlatWriter` rule over its operands'
+    coefficients, keyed by the node templates, which name every input and
+    cell.  A composite of the field writes it into its own kernels, and
+    :func:`kernel.tangent` one level deeper.  The evaluator carries
+    ``flat_kernel(depth)`` too, which the solver looks up: for each jet
+    depth D it gives ``kernel(y, s)``, the flat coefficients
+    (:func:`jets.flatten_levels`) of ``t * v`` for each output ``v``,
+    computed from those of the inputs (``y``) and of a time ``t`` (``s``)
+    with no :class:`jets.Jet` built.  Each depth's kernel is written on
+    first use and kept.  It carries its code as data (``kernel.code``),
+    which the solver's generated RK45 loop writes into each of its stages
+    in place of a call; the other maps of :mod:`kernel` that carry flat
+    kernels carry no code, and are called.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
@@ -411,35 +417,43 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     exec(compile(source, "<dsl field>", "exec"), namespace)
     evaluator = namespace["make"](jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
 
-    _carry_kernels(evaluator, lambda depth: _write_kernel(postorder, inputs, cells, depth))
+    # the templates name every input and cell the code reads
+    key = ("dsl", len(inputs), tuple((template, n) for template, n, _ in postorder))
+    write = functools.partial(_write, postorder, inputs, len(cells))
+    rule = _Rule(key, len(inputs), write, tuple(cells))
+
+    def coded(depth):
+        code = _code(rule, depth)
+        kernel = jets._kernel_maker(code)(*code.cells)
+        kernel.code = code
+        return kernel
+
+    _carry_rule(evaluator, rule, coded)
     return SmoothMap(Space(len(inputs)), Space(len(names)), evaluator, name="field")
 
 
-def _write_kernel(postorder: list, inputs: list[str], cells: list, depth: int):
-    """The depth-``depth`` flat kernel of the nodes :func:`compile_spec`
-    listed in post order: each node becomes its :class:`jets._FlatWriter`
-    rule over its operands' coefficients."""
-    code = jets._FlatWriter(depth, inputs)
-    coefficients = dict(zip(inputs, code.inputs))
+def _write(postorder: list, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:
+    """The dsl rule (see :class:`kernel._Rule`): the nodes
+    :func:`compile_spec` listed in post order, each its
+    :class:`jets._FlatWriter` rule over its operands' coefficients."""
+    leaves = dict(zip(inputs, ins))
+    leaves.update((f"c{k}", w.constant(next(cells), size)) for k in range(n_cells))
     values: list = []
     for template, n, node in postorder:
         operands = values[len(values) - n :]
         del values[len(values) - n :]
-        if isinstance(node, Num):
-            value = code.constant(template)
-        elif isinstance(node, (Var, TimeVar)):
-            value = coefficients[template]
+        if not n:
+            value = leaves[template]
         elif isinstance(node, Neg):
-            value = code.neg(*operands)
+            value = w.neg(*operands)
         elif isinstance(node, BinOp):
-            rule = {"+": code.add, "-": code.sub, "*": code.mul, "/": code.div}[node.op]
-            value = rule(*operands)
+            value = {"+": w.add, "-": w.sub, "*": w.mul, "/": w.div}[node.op](*operands)
         elif isinstance(node, Pow):
-            value = code.pow_int(*operands, node.exponent)
+            value = w.pow_int(*operands, node.exponent)
         else:
-            value = getattr(code, node.fn)(*operands)
+            value = getattr(w, node.fn)(*operands)
         values.append(value)
-    return code.kernel(values, cells)
+    return values
 
 
 # -- canonical renderer -------------------------------------------------------

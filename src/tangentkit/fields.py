@@ -19,14 +19,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 from . import dsl
-from .jets import _FlatWriter, _kernel_maker, primal_value
+from .jets import primal_value
 from .kernel import (
     ShapeError,
     SmoothMap,
     Space,
     TrivialBundle,
     _block_map,
-    _carry_kernels,
+    _carry_rule,
+    _Rule,
     compose,
     identity_map,
     pair,
@@ -140,8 +141,8 @@ class LinearVectorField(VectorField):
         n = A.shape[0]
         rows = [tuple(float(a) for a in row) for row in A]
         ev = functools.partial(_matvec, rows)
-        entries = [a for row in rows for a in row]
-        _carry_kernels(ev, lambda depth: _linear_kernel(n, depth)(*entries))
+        entries = tuple(a for row in rows for a in row)
+        _carry_rule(ev, _Rule(("linear", n), n, functools.partial(_linear_rule, n), entries))
         object.__setattr__(self, "matrix", A.copy())
         super().__init__(Space(n), SmoothMap(Space(n), Space(n), ev, name="linear"))
 
@@ -154,21 +155,13 @@ def _matvec(rows, xs) -> list:
     return [reduce(add, map(mul, row, xs), 0) for row in rows]
 
 
-# The law suites solve linear fields at three (n, depth) keys, (2, 0),
-# (2, 1) and (3, 1); the cli commands at none.
-@functools.lru_cache(maxsize=4)
-def _linear_kernel(n: int, depth: int):
-    """The maker (:func:`jets._kernel_maker`) of the flat kernel of
-    :func:`_matvec` on ``n`` inputs at ``depth``: the same fold, written by
-    :class:`jets._FlatWriter`, with the ``n * n`` entries of the rows, row
-    by row, as its cells.  Kept by ``(n, depth)``, as
-    :func:`kernel._block_kernel` is; each field binds its own rows.  It
-    carries no ``code``, so the solver calls it at each stage."""
-    writer = _FlatWriter(depth, [f"x{i}" for i in range(n)])
-    rows = [[writer.constant(f"c{i * n + j}") for j in range(n)] for i in range(n)]
-    zero = writer.constant("0")
-    values = [reduce(writer.add, map(writer.mul, row, writer.inputs), zero) for row in rows]
-    return _kernel_maker(writer.code(values, [0.0] * (n * n)))
+def _linear_rule(n: int, w, ins, size, cells) -> list:
+    """The rule (see :class:`kernel._Rule`) of :func:`_matvec` on ``n``
+    inputs: the same fold, with the ``n * n`` entries of the rows, row by
+    row, as its cells."""
+    rows = [[w.constant(next(cells), size) for _ in range(n)] for _ in range(n)]
+    zero = w.constant("0", size)
+    return [reduce(w.add, map(w.mul, row, ins), zero) for row in rows]
 
 
 def zero_field(space: Space) -> VectorField:

@@ -23,14 +23,16 @@ a :class:`Jet` itself, so how a level is identified is decided here.
 The rules of :class:`Jet` arithmetic are also written out here as flat
 kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
-built.  Fields compiled by :func:`dsl.compile_spec`, maps built from a
-block layout (:func:`kernel._block_map`) and linear fields get them, one per
-jet depth, written on first use, and so do their composites (see
-:mod:`kernel`).  The solver runs one in place of the codec, and
-:func:`kernel.tangent` on floats one level deep in place of
-:func:`open_level` and :func:`close_level`; a dsl kernel's code
-(:class:`_FlatCode`) is written into the stages of the generated RK45
-loop.  :func:`dynamics._trajectory` alone reads a solve's
+built.  Fields compiled by :func:`dsl.compile_spec` (whose rule is the
+loop of :func:`dsl._write`), maps built from a block layout
+(:func:`kernel._block_map`) and linear fields get them, one per jet depth,
+written on first use, and so do their composites, whose parts write into
+one writer pass (see :mod:`kernel`).  The solver runs one in place of the
+codec, and a float call of :func:`kernel.tangent`, :func:`kernel.compose`,
+:func:`kernel.pair` or :func:`kernel.product` its depth-0 kernel, with
+``tangent``'s part one level deeper in place of :func:`open_level` and
+:func:`close_level`; a dsl kernel's code (:class:`_FlatCode`) is written
+into the stages of the generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers through
 one widening that joins the levels of the state, time and closure.
 """
@@ -369,9 +371,9 @@ class _FlatWriter:
         self.memo: dict[str, str] = {}
         self.count = 0
 
-    def constant(self, name: str, size: int = 0) -> list:
-        """A value without tangents (``size`` coefficients, default all)."""
-        return [name] + [None] * ((size or self.size) - 1)
+    def constant(self, name: str, size: int) -> list:
+        """A value of ``size`` coefficients without tangents."""
+        return [name] + [None] * (size - 1)
 
     def _fresh(self) -> str:
         self.count += 1
@@ -462,8 +464,8 @@ class _FlatWriter:
                     f"if {den[0]} == 0.0 and {den[1]} is not ABSENT: "
                     f"raise domain('division', {den[0]})"
                 )
-            return self._quotient(self.constant("1.0"), den)
-        return _power(self.constant("1.0"), self.mul, x, k)
+            return self._quotient(self.constant("1.0", len(x)), den)
+        return _power(self.constant("1.0", len(x)), self.mul, x, k)
 
     # -- scalar functions -----------------------------------------------------
 
@@ -504,7 +506,7 @@ class _FlatWriter:
         def at_zero():
             test = " or ".join([f"{x[0]} < 0.0"] + tangents)
             self.lines.append(f"if {test}: raise domain('sqrt', {x[0]})")
-            return self.constant("0.0")
+            return self.constant("0.0", len(x))
 
         def rate(v, p, d):
             return self._quotient(d, self.mul(self.constant("2.0", len(v)), v))
@@ -523,15 +525,6 @@ class _FlatWriter:
             tuple(v[k] for k in range(self.size) for v in scaled),
             tuple(cells),
         )
-
-    def kernel(self, outputs: list, cells: list):
-        """Compile ``kernel(y, s)`` (see :func:`_kernel_maker`) with the
-        ``cells`` bound.  The kernel carries its :meth:`code` as
-        ``kernel.code``, which the solver writes into its generated loop."""
-        code = self.code(outputs, cells)
-        kernel = _kernel_maker(code)(*code.cells)
-        kernel.code = code
-        return kernel
 
 
 class _FlatCode(NamedTuple):

@@ -25,13 +25,19 @@ fields, are block maps.
 
 How a map is built decides whether it carries flat kernels: a dsl field, a
 block map (the identity among them), a linear field, and ``compose``,
-``pair``, ``product`` and ``tangent`` of maps that carry them.  On float
-arguments ``tangent(f)`` of such an ``f`` runs ``f``'s kernel one level deep
-at unit time in place of opening a level, evaluating on jets and closing
-it, with the same bits.  Every other evaluator (a hand-written one, a
-wrapper, :func:`vertical_bracket`, whose verticality check is a boundary)
-and every other argument (an int, a numpy scalar, a jet) takes the jet
-path.
+``pair``, ``product`` and ``tangent`` of maps that carry them.  Each such
+map carries a rule (:class:`_Rule`), which writes its values in the
+writer's arithmetic from its inputs' coefficient names; a composite's rule
+runs its parts' rules in turn, ``tangent``'s one level deeper.  So a
+composite's kernel at each depth is one straight-line function of the whole
+tree, written in one writer pass and compiled once per structure and depth
+(:func:`_maker`), and a call of ``tangent``, ``compose``, ``pair`` or
+``product`` whose arguments are all floats runs its depth-0 kernel at unit
+time in place of evaluating the parts (and, in ``tangent``, opening a level,
+evaluating on jets and closing it), with the same bits.  Every other
+evaluator (a hand-written one, a wrapper, :func:`vertical_bracket`, whose
+verticality check is a boundary) and every other argument (an int, a numpy
+scalar, a jet) takes the parts' path.
 """
 
 from __future__ import annotations
@@ -43,12 +49,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .jets import (
-    ABSENT,
+    _FlatCode,
     _FlatWriter,
+    _interleave,
     _kernel_maker,
     close_level,
     coefficients,
-    flatten_levels,
     open_level,
     primal_value,
 )
@@ -209,40 +215,65 @@ def tangent(f: SmoothMap) -> SmoothMap:
     Applies to maps at any level of the tower, so ``tangent(tangent(f))``
     is T^2(f) in the layout of rule 2.
 
-    When every argument is a float and ``f`` carries flat kernels, T(f) runs
-    ``f``'s kernel at depth 1 and unit time (:func:`_opened`), which gives
-    the bits of the jet path below: opening a level, evaluating ``f`` on
-    jets and closing the level.  T(f) of such an ``f`` carries kernels too:
-    at depth d, ``f``'s at depth d + 1 and unit time, then scaled at depth d
-    by the identity layout's.  T's level is the outermost of ``f``'s d + 1,
-    so T's arguments flatten to ``f``'s inputs and ``f``'s values to T's
-    values, in the same order; the time never enters ``f``, whose levels
-    other than T's are the solve's.
+    Of an ``f`` that carries a rule, T(f) carries one too: ``f``'s rule one
+    level deeper.  T's level is the outermost of ``f``'s, so each of
+    ``f``'s inputs is T's base and direction inputs interleaved, and each
+    of ``f``'s values splits into its even coefficients (the primal) and
+    its odd ones (the direction), whose first coefficient, where it is
+    absent, is the 0.0 that :func:`jets.close_level` fills in.  On float
+    arguments T(f) then runs its depth-0 kernel, which gives the bits of
+    the jet path below: opening a level, evaluating ``f`` on jets and
+    closing the level.
     """
 
-    n, m = f.domain.dim, f.codomain.dim
-    kernels = _kernels(f)
+    n = f.domain.dim
 
     def ev(args):
-        if kernels is not None and all(a.__class__ is float for a in args):
-            kernel = _flat_kernel(f, 1)
-            if kernel is not None:
-                return _opened(kernel, args, m, _UNIT_1)
         base, tang = args[:n], args[n:]
         primals, tangents = close_level(f.evaluator(open_level(base, tang)))
         return primals + tangents
 
-    if kernels is not None:
+    inner, rule = _rule(f), None
+    if inner is not None:
 
-        def write(depth):
-            kernel, unit = kernels(depth + 1), _unit(depth + 1)
-            scale = _block_kernel((0, 2 * m), (0,), depth)()
-            return lambda y, s: scale(_opened(kernel, y, m, unit), s)
+        def write(w, ins, size, cells):
+            opened = [_interleave(ins[i], ins[n + i]) for i in range(n)]
+            values = inner.write(w, opened, 2 * size, cells)
+            # a direction's first coefficient reads only the innermost
+            # primals of T's inputs, so it is absent exactly when it is
+            # absent as the code is written: there close_level's 0.0
+            return [v[0::2] for v in values] + [[v[1] or "0.0", *v[3::2]] for v in values]
 
-        _carry_kernels(ev, write)
-    return SmoothMap(
-        f.domain.tangent, f.codomain.tangent, ev, name=f"T({f.name or 'f'})"
-    )
+        rule = _Rule(("T", inner.key), 2 * n, write, inner.cells)
+    return _composite(f.domain.tangent, f.codomain.tangent, ev, f"T({f.name or 'f'})", rule)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How a map that carries flat kernels writes its values in
+    :class:`jets._FlatWriter` arithmetic.  ``write(w, ins, size, cells)``
+    returns the coefficient names of the map's values.  ``ins`` holds the
+    names of the map's ``arity`` inputs, and ``size`` is the number of
+    coefficients of each value: each rule is told its depth, as a composite
+    writes :func:`tangent`'s part one level deeper than itself.  The rule
+    reads its ``cells``, the map's constants, from names it takes in turn
+    from the iterator ``cells``.
+
+    ``key`` determines the code ``write`` writes exactly: the map's kind,
+    its parts' keys and every shape it reads.  A rule compares and hashes
+    by its key alone, so maps of one key share one maker (:func:`_maker`)
+    and each binds its own cells: constants that compare equal but differ
+    (0.0 and -0.0) keep their bits."""
+
+    key: tuple
+    arity: int = field(compare=False)
+    write: Callable = field(compare=False, repr=False)
+    cells: tuple = field(compare=False, repr=False)
+
+
+def _rule(f: SmoothMap):
+    """``f``'s :class:`_Rule`, or None."""
+    return getattr(f.evaluator, "rule", None)
 
 
 def _kernels(f: SmoothMap):
@@ -252,47 +283,88 @@ def _kernels(f: SmoothMap):
 
 def _flat_kernel(f: SmoothMap, depth: int):
     """``f``'s flat kernel at ``depth``, or None when its evaluator carries
-    none: the one lookup of :func:`tangent` on floats (and, under its own
-    name, of the solver, :func:`dynamics._trajectory`)."""
+    none: the one lookup of a float call of :func:`tangent`,
+    :func:`compose`, :func:`pair` and :func:`product` (and, under its own
+    name, of the solver, :func:`dynamics._trajectory`).  With it returning
+    None every float call evaluates its parts, and ``tangent`` on jets."""
     kernels = _kernels(f)
     return kernels(depth) if kernels is not None else None
 
 
-def _carry_kernels(ev, write):
-    """``ev`` carrying ``flat_kernel(depth)``: ``write(depth)``, written on
-    first use and kept, one per depth."""
+def _code(rule: _Rule, depth: int) -> _FlatCode:
+    """The code of ``t * v`` for each of ``rule``'s values ``v`` at jet
+    depth ``depth``: one :class:`jets._FlatWriter` pass, in which the parts
+    of a composite write their values in turn, with no time between them."""
+    w = _FlatWriter(depth, [f"x{i}" for i in range(rule.arity)])
+    cells = (f"c{k}" for k in range(len(rule.cells)))
+    return w.code(rule.write(w, w.inputs, 2**depth, cells), rule.cells)
+
+
+# run_suite("all") compiles makers for 79 keys and depths, the same 79 at
+# seeds 3, 1729 and 7 (60 compose, 5 T, 1 pair, 1 linear and 12 block, all
+# at depth 0 but the block maps' solves at depths 1 and 2); no cli workload
+# command compiles more than 14.
+@functools.lru_cache(maxsize=128)
+def _maker(rule: _Rule, depth: int):
+    """The maker (:func:`jets._kernel_maker`) of ``rule``'s kernel at
+    ``depth``, kept by key and depth: ``zero_field``, ``euler_space_field``
+    and the law suites build new maps of a few shapes on every call, and
+    the code reads the key only.
+
+    The kernel carries no ``code``, so the solver calls it at each stage
+    rather than writing it into a fused loop of its own: inlined, the few
+    products of a block map would save little, and each fused loop is one
+    more compile (for a 20-entry state it peaks at about 2.1 MB under
+    tracemalloc, against 1.8 MB for the unfused loop that every field of
+    that size shares)."""
+    return _kernel_maker(_code(rule, depth))
+
+
+def _carry_rule(ev, rule: _Rule, make=None):
+    """``ev`` carrying ``rule`` and ``flat_kernel(depth)``: ``make(depth)``,
+    by default :func:`_maker`'s kernel with ``rule``'s cells bound, written
+    on first use and kept, one per depth."""
     kernels: dict = {}
 
     def flat_kernel(depth: int):
         kernel = kernels.get(depth)
         if kernel is None:
-            kernel = kernels[depth] = write(depth)
+            kernel = make(depth) if make else _maker(rule, depth)(*rule.cells)
+            kernels[depth] = kernel
         return kernel
 
+    ev.rule = rule
     ev.flat_kernel = flat_kernel
 
 
-def _unit(depth: int) -> tuple:
-    """The flat coefficients of the unit time at ``depth``: the int 1, whose
-    products keep every bit of a float (-0.0, inf and nan among them) and
-    leave an int an int, as the jet path does, where 1.0 would turn it into
-    a float one step early.  Each kernel that runs a part at unit time
-    takes it once, when it is written."""
-    return tuple(flatten_levels([1], depth))
+# The time 1 at depth 0, flatten_levels([1], 0): the int 1, whose products
+# keep every bit of a float (-0.0, inf and nan among them) and leave an int
+# an int, as the parts do.
+_UNIT = (1,)
 
 
-_UNIT_1 = _unit(1)
+def _composite(domain: Space, codomain: Space, parts, name: str, rule) -> SmoothMap:
+    """The map that evaluates ``parts``; with a ``rule``, it carries the
+    rule's kernels, and a call whose arguments are all floats runs its
+    depth-0 kernel at unit time, one straight-line function for the whole
+    composite, looked up through :func:`_flat_kernel`."""
+    if rule is None:
+        return SmoothMap(domain, codomain, parts, name=name)
+    # the lookup is given the map evaluated by its parts, which carries the
+    # same kernels: given the map itself, ev would hold it in a reference
+    # cycle, which only the cyclic collector frees
+    _carry_rule(parts, rule)
+    by_parts = SmoothMap(domain, codomain, parts, name=name)
 
+    def ev(xs):
+        if all(a.__class__ is float for a in xs):
+            kernel = _flat_kernel(by_parts, 0)
+            if kernel is not None:
+                return kernel(xs, _UNIT)
+        return parts(xs)
 
-def _opened(kernel, y: list, m: int, unit: tuple) -> list:
-    """The ``m`` values of ``kernel`` at the unit time ``unit``, whose
-    outermost level was opened by :func:`tangent`, with that level closed:
-    each value's coefficient of T's direction is absent only where the
-    value is a constant there, which :func:`jets.close_level` splits as
-    ``(v, 0.0)``."""
-    out = kernel(y, unit)
-    out[m : 2 * m] = [0.0 if c is ABSENT else c for c in out[m : 2 * m]]
-    return out
+    ev.rule, ev.flat_kernel = rule, parts.flat_kernel
+    return SmoothMap(domain, codomain, ev, name=name)
 
 
 # -- structural transformations ------------------------------------------
@@ -304,10 +376,10 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     floats (a constant block) is inserted as it stands.  A layout of one
     input block returns that slice of the input.
 
-    The evaluator carries ``flat_kernel(depth)``, which the solver and
-    :func:`tangent` look up: the flat kernel of ``t * v`` for each value
-    ``v`` at jet depth ``depth`` (see :func:`_block_kernel`), with this
-    map's constants bound."""
+    Its rule is the layout: each value is an input's coefficient names or a
+    cell without tangents, so its kernel runs nothing but the writer's
+    ``t * v`` for each value ``v``.  The key is the layout's shape, and each
+    map binds its own constants."""
     starts = (0, *itertools.accumulate(sizes))
     pieces = [
         slice(starts[b], starts[b + 1]) if isinstance(b, int) else b for b in layout
@@ -328,43 +400,19 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
                 out += xs[piece] if piece.__class__ is slice else piece
             return out
 
-    key = tuple(b if isinstance(b, int) else tuple(b) for b in layout)
-    constants = [c for b in key if not isinstance(b, int) for c in b]
-    ev.flat_kernel = lambda depth: _block_kernel(starts, key, depth)(*constants)
+    # the input each value reads, or None for a constant
+    sources = tuple(
+        i
+        for b in layout
+        for i in (range(starts[b], starts[b + 1]) if isinstance(b, int) else [None] * len(b))
+    )
+
+    def write(w, ins, size, cells):
+        return [ins[i] if i is not None else w.constant(next(cells), size) for i in sources]
+
+    constants = tuple(c for b in layout if not isinstance(b, int) for c in b)
+    _carry_rule(ev, _Rule(("block", starts[-1], sources), starts[-1], write, constants))
     return SmoothMap(Space(starts[-1]), Space(out_dim), ev, name=name)
-
-
-@functools.lru_cache(maxsize=64)
-def _block_kernel(starts: tuple, layout: tuple, depth: int):
-    """The maker (:func:`jets._kernel_maker`) of a block layout's flat
-    kernel at ``depth``, written by :class:`jets._FlatWriter`: an input
-    block is its coefficients' names and a constant a cell without
-    tangents, so the kernel runs nothing but the writer's ``t * v`` for
-    each value ``v``.
-
-    Kept by value, as ``zero_field``, ``euler_space_field`` and ``eta``
-    build a new map on every call, and :func:`tangent` scales its values by
-    the identity layout's kernel.  The code reads the layout's shape only
-    and each map binds its own constants, so layouts whose constants
-    compare equal but differ (0.0 and -0.0) share the code, not the bits.
-
-    The kernel carries no ``code``, so the solver calls it at each stage
-    rather than writing it into a fused loop of its own: inlined, its few
-    products would save little, and each fused loop is one more compile
-    (for a 20-entry state it peaks at about 2.1 MB under tracemalloc,
-    against 1.8 MB for the unfused loop that every field of that size
-    shares).
-    """
-    writer = _FlatWriter(depth, [f"x{i}" for i in range(starts[-1])])
-    constants = [c for b in layout if not isinstance(b, int) for c in b]
-    cells = (f"c{k}" for k in range(len(constants)))
-    values = []
-    for b in layout:
-        if isinstance(b, int):
-            values += writer.inputs[starts[b] : starts[b + 1]]
-        else:
-            values += [writer.constant(next(cells)) for _ in b]
-    return _kernel_maker(writer.code(values, constants))
 
 
 def _plus_map(n: int) -> SmoothMap:
@@ -430,8 +478,9 @@ def structural_map(kind: str, shape) -> SmoothMap:
 def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """Diagrammatic-order composite: ``compose(f, g)`` is f followed by g.
 
-    Of maps that carry flat kernels: at each depth, ``g``'s kernel on ``f``'s
-    at unit time, so the time scales once, in ``g``."""
+    Of maps that carry rules: ``g``'s rule on ``f``'s values, so each
+    depth's kernel is one straight-line function of both, which float
+    calls run."""
     if f.codomain != g.domain:
         raise ShapeError(
             f"cannot compose {f.name or 'f'}: R^{f.codomain.dim} into "
@@ -441,77 +490,60 @@ def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     def ev(xs):
         return g.evaluator(list(f.evaluator(xs)))
 
-    first, then = _kernels(f), _kernels(g)
+    first, then, rule = _rule(f), _rule(g), None
     if first and then:
 
-        def write(depth):
-            inner, outer, unit = first(depth), then(depth), _unit(depth)
-            return lambda y, s: outer(inner(y, unit), s)
+        def write(w, ins, size, cells):
+            return then.write(w, first.write(w, ins, size, cells), size, cells)
 
-        _carry_kernels(ev, write)
-    return SmoothMap(f.domain, g.codomain, ev, name=f"{f.name or 'f'};{g.name or 'g'}")
+        key = ("compose", first.key, then.key)
+        rule = _Rule(key, first.arity, write, first.cells + then.cells)
+    name = f"{f.name or 'f'};{g.name or 'g'}"
+    return _composite(f.domain, g.codomain, ev, name, rule)
 
 
 def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """The pairing <f, g> into a product (f and g share a domain).
 
-    Of maps that carry flat kernels: at each depth, both kernels, their
-    values joined level block by level block."""
+    Of maps that carry rules: both rules on the same inputs, in one
+    straight-line kernel per depth, which float calls run."""
     if f.domain != g.domain:
         raise ShapeError("pair requires a shared domain")
 
     def ev(xs):
         return list(f.evaluator(list(xs))) + list(g.evaluator(list(xs)))
 
-    left, right = _kernels(f), _kernels(g)
+    left, right, rule = _rule(f), _rule(g), None
     if left and right:
-        m1, m2 = f.codomain.dim, g.codomain.dim
 
-        def write(depth):
-            a, b = left(depth), right(depth)
-            cuts = [
-                (slice(k * m1, (k + 1) * m1), slice(k * m2, (k + 1) * m2))
-                for k in range(2**depth)
-            ]
+        def write(w, ins, size, cells):
+            return left.write(w, ins, size, cells) + right.write(w, ins, size, cells)
 
-            def kernel(y, s):
-                u, v, out = a(y, s), b(y, s), []
-                for cu, cv in cuts:
-                    out += u[cu]
-                    out += v[cv]
-                return out
-
-            return kernel
-
-        _carry_kernels(ev, write)
-    return SmoothMap(
-        f.domain,
-        Space(f.codomain.dim + g.codomain.dim),
-        ev,
-        name=f"<{f.name or 'f'},{g.name or 'g'}>",
-    )
+        rule = _Rule(("pair", left.key, right.key), left.arity, write, left.cells + right.cells)
+    name = f"<{f.name or 'f'},{g.name or 'g'}>"
+    return _composite(f.domain, Space(f.codomain.dim + g.codomain.dim), ev, name, rule)
 
 
 def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """f x g on concatenated inputs.
 
-    Of maps that carry flat kernels: the kernels of ``<p1; f, p2; g>``, with
-    ``p1`` and ``p2`` the block projections onto the two inputs."""
+    Of maps that carry rules: each rule on its slice of the inputs, in one
+    straight-line kernel per depth, which float calls run."""
     n1, n2 = f.domain.dim, g.domain.dim
 
     def ev(xs):
         return list(f.evaluator(xs[:n1])) + list(g.evaluator(xs[n1:]))
 
-    if _kernels(f) and _kernels(g):
-        first = compose(_block_map("p1", (n1, n2), (0,)), f)
-        second = compose(_block_map("p2", (n1, n2), (1,)), g)
-        ev.flat_kernel = _kernels(pair(first, second))
-    return SmoothMap(
-        Space(n1 + n2),
-        Space(f.codomain.dim + g.codomain.dim),
-        ev,
-        name=f"{f.name or 'f'}x{g.name or 'g'}",
-    )
+    left, right, rule = _rule(f), _rule(g), None
+    if left and right:
+
+        def write(w, ins, size, cells):
+            return left.write(w, ins[:n1], size, cells) + right.write(w, ins[n1:], size, cells)
+
+        key = ("product", left.key, right.key)
+        rule = _Rule(key, n1 + n2, write, left.cells + right.cells)
+    name = f"{f.name or 'f'}x{g.name or 'g'}"
+    return _composite(Space(n1 + n2), Space(f.codomain.dim + g.codomain.dim), ev, name, rule)
 
 
 def product_interleave(s1: Space, s2: Space) -> SmoothMap:

@@ -466,9 +466,9 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
 def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
     # dsl fields, block maps (the scaling field behind e, multiply and the
     # action among them) and linear fields run their flat kernels in solves,
-    # and tangent runs the kernels of those and of their pairs on floats;
-    # with both lookups switched off the same solves run the jet codec and
-    # the same tangents open a level, bit for bit
+    # and float calls of tangents and composites of those run their own
+    # kernels; with both lookups switched off the same solves run the jet
+    # codec and the same calls evaluate their parts, bit for bit
     argv = ["verify", "--suite", "all", "--quick", "--seed", seed]
     found = {dynamics: set(), kernel: set()}
 
@@ -487,7 +487,7 @@ def test_verify_bytes_do_not_depend_on_flat_kernels(seed, monkeypatch):
         monkeypatch.setattr(module, "_flat_kernel", recorded(module))
     _, with_kernels = run(argv)
     assert {"field", "scaling", "linear"} <= found[dynamics]
-    assert {"linear", "<id_2,linear>"} <= found[kernel]
+    assert {"T(linear)", "<id_2,linear>;T(<id_2,linear>)"} <= found[kernel]
     for module in found:
         monkeypatch.setattr(module, "_flat_kernel", lambda vhat, depth: None)
     _, without = run(argv)

@@ -49,8 +49,7 @@ from tangentkit.fields import (
     zero_field,
 )
 from tangentkit.jets import ABSENT, EvaluationDomainError, Jet, coefficients, primal_value
-from tangentkit.kernel import ShapeError, SmoothMap, Space, TrivialBundle, tangent
-from tangentkit.rig import euler_field
+from tangentkit.kernel import ShapeError, SmoothMap, Space, tangent
 from tangentkit.sampling import sample_points
 from tangentkit.verify import (
     euler_closed_flow,
@@ -736,9 +735,13 @@ def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
 
 def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
     # block-map kernels are kept by layout and depth, in a bounded memo,
-    # and called at each stage
-    assert kernel._block_kernel.cache_info().maxsize is not None
-    kernel._block_kernel.cache_clear()
+    # and called at each stage; each flow solves a new map of euler_field's
+    # layout, which keeps its own kernels once written
+    def scaling():
+        return VectorField(Space(5), kernel._block_map("scaling", (2, 3), ([0.0] * 2, 1)))
+
+    assert kernel._maker.cache_info().maxsize is not None
+    kernel._maker.cache_clear()
     dynamics._dp_loop.cache_clear()
     compiled = []
     for module in (dynamics, jets):
@@ -750,17 +753,17 @@ def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
         t = 1.0
         for _ in range(depth):
             t = Jet(t, 1.0)
-        flow_of(euler_field(TrivialBundle(2, 3)))(t, [1.0, 0.5, 0.25, -1.0, 2.0])
+        flow_of(scaling())(t, [1.0, 0.5, 0.25, -1.0, 2.0])
         assert compiled == ["<jet kernel>", f"<rk45 loop {5 * 2**depth}/5>"]
         compiled.clear()
-        flow_of(euler_field(TrivialBundle(2, 3)))(t, [0.5, 1.0, 0.25, 2.0, -1.0])
+        flow_of(scaling())(t, [0.5, 1.0, 0.25, 2.0, -1.0])
         assert compiled == []
     run_suite("rig", 1729)
-    misses = kernel._block_kernel.cache_info().misses
+    misses = kernel._maker.cache_info().misses
     compiled.clear()
     run_suite("rig", 1729)
     assert "<jet kernel>" not in compiled
-    assert kernel._block_kernel.cache_info().misses == misses
+    assert kernel._maker.cache_info().misses == misses
 
 
 def test_kernels_that_read_the_same_lines_solve_with_their_own_constants():

@@ -1,10 +1,14 @@
-"""``tangent`` on flat kernels against the jet path.
+"""Float calls of ``tangent``, ``compose``, ``pair`` and ``product`` on flat
+kernels against their parts and the jet path.
 
-On float arguments ``tangent(f)`` runs ``f``'s flat kernel at unit time when
-``f`` carries kernels (dsl, block, identity and linear maps, and their pairs,
-composites, products and tangents); every other map and argument opens a
-level and evaluates on jets.  Both give the same bits, and so do solves of
-fields that carry composite kernels against the jet codec.
+A map that carries kernels (a dsl, block, identity or linear map, or a
+pair, composite, product or tangent of such maps) carries one rule, and a
+composite's kernel is one straight-line function of all its parts.  On
+float arguments a tangent or composite of such maps runs its depth-0 kernel
+at unit time; every other map and argument evaluates its parts, and
+``tangent`` opens a level and evaluates on jets.  Both give the same bits,
+and so do solves of fields that carry composite kernels against the jet
+codec.
 """
 
 import dataclasses
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentkit import dsl, dynamics, kernel
+from tangentkit import dsl, dynamics, jets, kernel
 from tangentkit.dsl import BinOp, Call, Neg, Num, Pow, Var, compile_spec, parse
 from tangentkit.dynamics import IntegratorConfig, flow_of
 from tangentkit.fields import LinearVectorField, VectorField, product_vf, tangent_lift
@@ -32,6 +36,7 @@ from tangentkit.kernel import (
     structural_map,
     tangent,
 )
+from tangentkit.verify import run_suite
 
 _EDGES = [0.0, -0.0, 1.0, -1.5, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
 _ARGS = st.one_of(st.sampled_from(_EDGES), st.floats(min_value=-4.0, max_value=4.0))
@@ -47,7 +52,7 @@ def _outcome(f, args):
 
 
 def _on_jets(f, args):
-    """``_outcome`` with the ``tangent`` kernel lookup switched off."""
+    """``_outcome`` with the kernel lookup of float calls switched off."""
     with mock.patch.object(kernel, "_flat_kernel", lambda f, depth: None):
         return _outcome(f, args)
 
@@ -109,21 +114,52 @@ def _draw_map(data, n: int, budget: int) -> SmoothMap:
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_tangent_on_kernels_is_the_jet_path_bit_for_bit(data):
+def test_float_calls_on_kernels_are_the_jet_path_bit_for_bit(data):
+    # the drawn map itself (a pair, composite or product among them) and its
+    # tangents, each with the lookup on and with it off
     n = data.draw(st.integers(min_value=1, max_value=4))
     f = _draw_map(data, n, 2)
     assert kernel._kernels(f) is not None
-    for tf in (tangent(f), tangent(tangent(f))):
-        args = data.draw(st.lists(_ARGS, min_size=tf.domain.dim, max_size=tf.domain.dim))
-        assert _outcome(tf, args) == _on_jets(tf, args)
+    for g in (f, tangent(f), tangent(tangent(f))):
+        args = data.draw(st.lists(_ARGS, min_size=g.domain.dim, max_size=g.domain.dim))
+        assert _outcome(g, args) == _on_jets(g, args)
 
 
-def test_a_dsl_division_by_zero_through_tangent_is_the_same_error():
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tangent_kernels_on_ragged_towers_are_the_jet_path_bit_for_bit(data):
+    # T's direction is filled where it is absent as the code is written;
+    # ragged towers of the levels below T's reach the kernel as ABSENT
+    n = data.draw(st.integers(min_value=1, max_value=2))
+    tf = tangent(_draw_map(data, n, 1))
+    depth = data.draw(st.sampled_from((1, 2)))
+    xs = data.draw(st.lists(_TOWERS[depth], min_size=tf.domain.dim, max_size=tf.domain.dim))
+    t = data.draw(_TOWERS[depth])
+    scale, y = jets.flatten_levels([t], depth), jets.flatten_levels(xs, depth)
+
+    def jet_path(y):
+        values = tf.evaluator(jets.unflatten_levels(y, depth))
+        return jets.flatten_levels([t * v for v in values], depth)
+
+    want = _on_jets(jet_path, y)
+    assert _outcome(lambda y: tf.evaluator.flat_kernel(depth)(y, scale), y) == want
+
+
+def test_a_dsl_division_by_zero_through_a_kernel_map_is_the_same_error():
     quotient = compile_spec(parse("x1 / x2", 2))
-    for tf in (tangent(quotient), tangent(tangent(quotient))):
-        args = [1.0, 0.0] + [1.0] * (tf.domain.dim - 2)
+    one = identity_map(Space(1))
+    maps = [
+        tangent(quotient),
+        tangent(tangent(quotient)),
+        compose(identity_map(Space(2)), quotient),
+        pair(quotient, compose(quotient, one)),
+        product(quotient, one),
+        product(tangent(quotient), one),
+    ]
+    for f in maps:
+        args = [1.0, 0.0] + [1.0] * (f.domain.dim - 2)
         want = (EvaluationDomainError, "division undefined at coordinate 0.0")
-        assert _outcome(tf, args) == _on_jets(tf, args) == want
+        assert _outcome(f, args) == _on_jets(f, args) == want
 
 
 def _maps():
@@ -166,6 +202,76 @@ def test_these_maps_take_the_kernel_path_on_floats(kind, monkeypatch):
         assert _jets_built(tf, args, monkeypatch) > 0
     monkeypatch.setattr(kernel, "_flat_kernel", lambda f, depth: None)
     assert _jets_built(tf, floats, monkeypatch) > 0
+
+
+def test_float_calls_of_kernel_maps_run_no_absent_operator(monkeypatch):
+    # the parts of a composite write into one kernel with no time between
+    # them, so no coefficient is ABSENT in a float call: a depth-1 tangent
+    # run at a unit time of (1, ABSENT) makes one __rmul__ and one __radd__
+    # per value coefficient
+    calls = []
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+               "__rmul__", "__truediv__"):
+        method = getattr(jets._Absent, op)
+        monkeypatch.setattr(
+            jets._Absent, op, lambda *args, op=op, method=method: calls.append(op) or method(*args)
+        )
+    for f in _maps().values():
+        for g in (f, tangent(f), tangent(tangent(f))):
+            g([0.5 * (k + 1) for k in range(g.domain.dim)])
+    assert calls == []
+
+
+def test_with_the_lookup_off_no_float_call_runs_a_kernel(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(
+        jets, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False
+    )
+    monkeypatch.setattr(kernel, "_flat_kernel", lambda f, depth: None)
+    kernel._maker.cache_clear()
+    for f in _maps().values():
+        for g in (f, tangent(f), tangent(tangent(f))):
+            g([0.5 * (k + 1) for k in range(g.domain.dim)])
+    assert compiled == []
+
+
+def test_composites_of_one_shape_share_a_maker_and_keep_their_own_constants():
+    # 0.0 and -0.0 compare equal: as block constants and as dsl literals they
+    # give one key, so one maker, but each map binds its own cells
+    def composite(zero):
+        block = _block_map("c", (1,), (0, [zero]))
+        field = compile_spec(
+            dsl.FieldSpec(2, (BinOp("+", Var(2), Num(zero)), BinOp("*", Var(1), Num(zero))))
+        )
+        return compose(block, field)
+
+    kernel._maker.cache_clear()
+    maps = [composite(0.0), composite(-0.0)]
+    got = [_outcome(f, [-0.0]) for f in maps]
+    assert got == ["[0.0, -0.0]", "[-0.0, 0.0]"] == [_on_jets(f, [-0.0]) for f in maps]
+    assert kernel._maker.cache_info().misses == 1
+
+
+def test_composites_whose_dsl_parts_differ_in_their_cells_never_share_code():
+    # 3^0 leaves a cell that no line reads, so the two dsl parts write the
+    # same lines from two cells and from one
+    fields = [compile_spec(parse(text, 1)) for text in ("3^0 + 2*x1", "x1^0 + 2*x1")]
+    maps = [compose(identity_map(Space(1)), f) for f in fields]
+    kernel._maker.cache_clear()
+    assert [_outcome(f, [1.5]) for f in maps] == ["[4.0]", "[4.0]"]
+    assert kernel._maker.cache_info().misses == 2
+    assert [len(kernel._rule(f).cells) for f in maps] == [2, 1]
+
+
+def test_the_maker_memo_holds_every_law_suite_key():
+    # the bound covers the keys of a whole run, and the law suites draw new
+    # maps, not new shapes, at a new seed
+    kernel._maker.cache_clear()
+    run_suite("all", 3)
+    info = kernel._maker.cache_info()
+    assert info.currsize == info.misses < info.maxsize
+    run_suite("vf", 11)
+    assert kernel._maker.cache_info().misses == info.misses
 
 
 def test_a_user_lambda_and_a_counting_wrapper_take_the_jet_path(monkeypatch):
