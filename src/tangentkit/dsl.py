@@ -415,7 +415,9 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     )
     namespace: dict = {}
     exec(compile(source, "<dsl field>", "exec"), namespace)
-    evaluator = namespace["make"](jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
+    # popped: left in the namespace that is its globals, make would be a
+    # reference cycle, which only the cyclic collector frees
+    evaluator = namespace.pop("make")(jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
 
     # the templates name every input and cell the code reads
     key = ("dsl", len(inputs), tuple((template, n) for template, n, _ in postorder))

@@ -68,6 +68,7 @@ from .kernel import (
     SmoothMap,
     Space,
     _block_map,
+    _composite,
     _flat_kernel,
     compose,
     structural_map,
@@ -224,6 +225,22 @@ class Flow:
 
     def __call__(self, t, xs):
         return self.evaluate(t, xs)
+
+    @classmethod
+    def from_expr(cls, text: str, dim: int) -> "Flow":
+        """The flow of a closed form: ``text`` gives its ``dim`` components
+        in ``x1..xn`` and ``t``, which the expression takes last (layout
+        rule 9), while the flow takes ``(t, x)``.  Its ``evaluate`` carries
+        the map ``(t, x) -> flow(t, x)`` (``smooth_map``, a block map that
+        puts the time last, then the compiled spec), whose rule makes the
+        flow's :func:`generator` one kernel."""
+        field = dsl.compile_spec(_check_field_spec(dsl.parse(text, dim, time_dependent=True)))
+
+        def evaluate(t, xs):
+            return field([*xs, t])
+
+        evaluate.smooth_map = compose(_block_map("time_last", (1, dim), (1, 0)), field)
+        return cls(Space(dim), evaluate, {"kind": "exact closed form"})
 
 
 @dataclass(frozen=True)
@@ -492,7 +509,8 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
     )
     namespace: dict = {}
     exec(compile(source, f"<rk45 {label}>", "exec"), namespace)
-    return namespace["make"](**names)
+    # popped, as in dsl.compile_spec: no reference cycle through the globals
+    return namespace.pop("make")(**names)
 
 
 def _axpy(y, h, k):
@@ -616,7 +634,8 @@ def _trajectory(
     state once for :func:`_integrate_scaled`, which it gives the primal
     value of t, and unflattens each state once.  A field that carries flat
     kernels (see :mod:`kernel`: a dsl field, a block map, a linear field,
-    and their composites and tangents), looked up through
+    and their composites and tangents, a closed-form flow's generator and
+    the geodesic field of a gamma that carries kernels), looked up through
     ``_flat_kernel``, gives ``t * vhat`` as its flat kernel for D, the
     depth of the deepest jet among t and xs.  A dsl kernel carries its
     code, which, unless it is longer than ``_FUSED_MAX_LINES``, is inlined
@@ -774,7 +793,9 @@ def linear_flow(A) -> Flow:
 
     Float times go through a per-flow, size-bounded memo of expm(tA).  A jet
     time t is split as primal + nilpotent part d; expm(tA) = expm(t0 A) *
-    sum_k (dA)^k / k! truncated at the jet depth, which is exact.
+    sum_k (dA)^k / k! truncated at the jet depth, which is exact.  The
+    series matrices are read as Python floats, with the bits of numpy's: a
+    numpy scalar in jet arithmetic costs several times a float.
     """
     import numpy as np
 
@@ -809,12 +830,13 @@ def linear_flow(A) -> Flow:
         dk = [1.0]
         for k in range(1, depth + 1):
             dk.append(dk[-1] * d)
+        mats = [m.tolist() for m in mats]
         for i in range(n):
             row = []
             for j in range(n):
-                acc = mats[0][i, j]
+                acc = mats[0][i][j]
                 for k in range(1, depth + 1):
-                    acc = acc + dk[k] * mats[k][i, j]
+                    acc = acc + dk[k] * mats[k][i][j]
                 row.append(acc)
             series_rows.append(row)
         return _matvec(series_rows, xs)
@@ -826,7 +848,12 @@ def linear_flow(A) -> Flow:
 
 
 def flow_smooth_map(flow: Flow) -> SmoothMap:
-    """The flow as a map C x M -> M, so the kernel can differentiate it."""
+    """The flow as a map C x M -> M, so the kernel can differentiate it:
+    the map a closed-form flow's ``evaluate`` carries (:meth:`Flow.from_expr`),
+    with its rule, or else one that calls ``evaluate``."""
+    fmap = getattr(flow.evaluate, "smooth_map", None)
+    if fmap is not None:
+        return fmap
     n = flow.space.dim
 
     def ev(xs):
@@ -847,7 +874,23 @@ def time_derivative(evaluate, t, xs):
 
 
 def generator(flow: Flow) -> VectorField:
-    """The derivative of the flow at time 0, by one jet evaluation."""
+    """The derivative of the flow at time 0.
+
+    Of a closed-form flow, whose ``evaluate`` carries its map
+    (:meth:`Flow.from_expr`): the direction block of the map's tangent at
+    ``(0.0, x)`` in the direction ``(1.0, 0.0, ..., 0.0)``, a composite of
+    block maps and that tangent, so the field carries the map's rule one
+    level deeper and solves on one kernel.  The state's directions are the
+    constant 0.0, not absent, as :func:`time_derivative` opens the state
+    with them.  Of any other flow (a hand-written ``evaluate``, or one a
+    wrapper replaced): one jet evaluation (:func:`time_derivative`), with
+    the same bits."""
+    n = flow.space.dim
+    fmap = getattr(flow.evaluate, "smooth_map", None)
+    if fmap is not None:
+        at_time_zero = _block_map("at_time_0", (n,), ([0.0], 0, [1.0], [0.0] * n))
+        rate = _block_map("rate", (n, n), (1,))
+        return VectorField(flow.space, compose(compose(at_time_zero, tangent(fmap)), rate))
 
     def ev(xs):
         return time_derivative(flow.evaluate, 0.0, xs)[1]
@@ -1099,7 +1142,10 @@ def solve_nth_order(
 
 def _geodesic_field(conn: Connection) -> VectorField:
     """The geodesic field (x, u) -> (u, -gamma(x, u)) on TM, once gamma is
-    checked to be quadratic in u."""
+    checked to be quadratic in u.  Of a gamma that carries a rule (a dsl or
+    block map, or a composite of such maps) it carries the rule ``(u,
+    -gamma(x, u))`` and solves on flat kernels; of any other gamma it calls
+    gamma."""
     q = conn.quadratic_check()
     if not q.passed:
         raise ShapeError(
@@ -1113,7 +1159,10 @@ def _geodesic_field(conn: Connection) -> VectorField:
         g = conn.gamma(list(x) + list(u))
         return list(u) + [-gi for gi in g]
 
-    return VectorField(tm, SmoothMap(tm, tm, ev, name="geodesic"))
+    def write(gamma, w, ins, size, cells):
+        return ins[n:] + [w.neg(g) for g in gamma.write(w, ins, size, cells)]
+
+    return VectorField(tm, _composite(tm, tm, ev, "geodesic", "geodesic", (conn.gamma,), write))
 
 
 def geodesic_flow(conn: Connection, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:
@@ -1153,5 +1202,5 @@ def augment_time(spec: dsl.FieldSpec) -> DynamicalSystem:
     clocked = dsl.FieldSpec(n, spec.components + (dsl.Num(1.0),), time_dependent=True)
     aug = Space(n + 1)
     vf = VectorField(aug, dsl.compile_spec(clocked))
-    embed = SmoothMap(Space(n), aug, lambda xs: list(xs) + [0.0], name="clock0")
+    embed = _block_map("clock0", (n,), (0, [0.0]))
     return DynamicalSystem(aug, vf, initial_map=embed)

@@ -561,4 +561,5 @@ def _kernel_maker(code: _FlatCode):
     )
     namespace: dict = {}
     exec(compile(source, "<jet kernel>", "exec"), namespace)
-    return functools.partial(namespace["make"], *_KERNEL_NAMES.values())
+    # popped, as in dsl.compile_spec: no reference cycle through the globals
+    return functools.partial(namespace.pop("make"), *_KERNEL_NAMES.values())

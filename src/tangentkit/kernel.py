@@ -14,18 +14,19 @@ The short version (layout rules 1-6):
 * a trivial bundle ``R^n x R^m -> R^n`` has total-space elements ``(x, a)``
   and tangent elements ``(x, a, dx, da)``.
 
-Every structural map except ``plus`` and ``neg`` only moves coordinate
-blocks and inserts zero blocks, so each is written as its block layout, one
-table that mirrors rule 8 (with rules 5 and 7), and built by ``_block_map``.
-A block layout already is straight-line code, so each such map also carries
-a flat kernel (:class:`jets._FlatWriter`), which the solver runs in place of
-the jet codec when the map is a field: the scaling field behind ``e``, the
-multiplication and the action, and the library's constant and identity
-fields, are block maps.
+Every structural map moves coordinate blocks, inserts zero blocks, or adds
+(``plus``) or negates (``neg``) blocks entry by entry, so each is written as
+its block layout, one table that mirrors rule 8 (with rules 5 and 7), and
+built by ``_block_map``.  A block layout already is straight-line code, so
+each such map also carries a flat kernel (:class:`jets._FlatWriter`), which
+the solver runs in place of the jet codec when the map is a field: the
+scaling field behind ``e``, the multiplication and the action, and the
+library's constant and identity fields, are block maps.
 
 How a map is built decides whether it carries flat kernels: a dsl field, a
-block map (the identity among them), a linear field, and ``compose``,
-``pair``, ``product`` and ``tangent`` of maps that carry them.  Each such
+block map (the identity, ``plus`` and ``neg`` among them), a linear field,
+and ``compose``, ``pair``, ``product`` and ``tangent`` of maps that carry
+them (and so :mod:`dynamics`' geodesic field of such a Christoffel map).  Each such
 map carries a rule (:class:`_Rule`), which writes its values in the
 writer's arithmetic from its inputs' coefficient names; a composite's rule
 runs its parts' rules in turn, ``tangent``'s one level deeper.  So a
@@ -45,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -233,19 +235,16 @@ def tangent(f: SmoothMap) -> SmoothMap:
         primals, tangents = close_level(f.evaluator(open_level(base, tang)))
         return primals + tangents
 
-    inner, rule = _rule(f), None
-    if inner is not None:
+    def write(inner, w, ins, size, cells):
+        opened = [_interleave(ins[i], ins[n + i]) for i in range(n)]
+        values = inner.write(w, opened, 2 * size, cells)
+        # a direction's first coefficient reads only the innermost primals
+        # of T's inputs, so it is absent exactly when it is absent as the
+        # code is written: there close_level's 0.0
+        return [v[0::2] for v in values] + [[v[1] or "0.0", *v[3::2]] for v in values]
 
-        def write(w, ins, size, cells):
-            opened = [_interleave(ins[i], ins[n + i]) for i in range(n)]
-            values = inner.write(w, opened, 2 * size, cells)
-            # a direction's first coefficient reads only the innermost
-            # primals of T's inputs, so it is absent exactly when it is
-            # absent as the code is written: there close_level's 0.0
-            return [v[0::2] for v in values] + [[v[1] or "0.0", *v[3::2]] for v in values]
-
-        rule = _Rule(("T", inner.key), 2 * n, write, inner.cells)
-    return _composite(f.domain.tangent, f.codomain.tangent, ev, f"T({f.name or 'f'})", rule)
+    name = f"T({f.name or 'f'})"
+    return _composite(f.domain.tangent, f.codomain.tangent, ev, name, "T", (f,), write)
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ class _Rule:
 
     ``key`` determines the code ``write`` writes exactly: the map's kind,
     its parts' keys and every shape it reads.  A rule compares and hashes
-    by its key alone, so maps of one key share one maker (:func:`_maker`)
+    by its key alone, so maps of one key share one maker (:func:`_maker_of`)
     and each binds its own cells: constants that compare equal but differ
     (0.0 and -0.0) keep their bits."""
 
@@ -300,16 +299,24 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
     return w.code(rule.write(w, w.inputs, 2**depth, cells), rule.cells)
 
 
-# run_suite("all") compiles makers for 79 keys and depths, the same 79 at
-# seeds 3, 1729 and 7 (60 compose, 5 T, 1 pair, 1 linear and 12 block, all
-# at depth 0 but the block maps' solves at depths 1 and 2); no cli workload
-# command compiles more than 14.
+# run_suite("all") compiles makers for 85 keys and depths, the same 85 at
+# seeds 3, 1729 and 7 (62 compose, 5 T, 4 geodesic, 1 pair, 1 linear and 12
+# block, all at depth 0 but the solves' block maps at depths 1 and 2 and
+# geodesic fields at depth 1); no cli workload command compiles more than
+# 14, and `cli geodesic` compiles 1.
 @functools.lru_cache(maxsize=128)
-def _maker(rule: _Rule, depth: int):
+def _maker(key: tuple, depth: int) -> list:
+    """The slot of the maker of the kernel at ``depth`` of the rules keyed
+    ``key``, which :func:`_maker_of` fills on first use: ``zero_field``,
+    ``euler_space_field`` and the law suites build new maps of a few shapes
+    on every call, and the code reads the key only.  The memo holds keys,
+    not rules, so it keeps no rule's tree of parts and cells alive."""
+    return []
+
+
+def _maker_of(rule: _Rule, depth: int):
     """The maker (:func:`jets._kernel_maker`) of ``rule``'s kernel at
-    ``depth``, kept by key and depth: ``zero_field``, ``euler_space_field``
-    and the law suites build new maps of a few shapes on every call, and
-    the code reads the key only.
+    ``depth``, kept by key and depth (:func:`_maker`).
 
     The kernel carries no ``code``, so the solver calls it at each stage
     rather than writing it into a fused loop of its own: inlined, the few
@@ -317,19 +324,22 @@ def _maker(rule: _Rule, depth: int):
     more compile (for a 20-entry state it peaks at about 2.1 MB under
     tracemalloc, against 1.8 MB for the unfused loop that every field of
     that size shares)."""
-    return _kernel_maker(_code(rule, depth))
+    slot = _maker(rule.key, depth)
+    if not slot:
+        slot.append(_kernel_maker(_code(rule, depth)))
+    return slot[0]
 
 
 def _carry_rule(ev, rule: _Rule, make=None):
     """``ev`` carrying ``rule`` and ``flat_kernel(depth)``: ``make(depth)``,
-    by default :func:`_maker`'s kernel with ``rule``'s cells bound, written
+    by default :func:`_maker_of`'s kernel with ``rule``'s cells bound, written
     on first use and kept, one per depth."""
     kernels: dict = {}
 
     def flat_kernel(depth: int):
         kernel = kernels.get(depth)
         if kernel is None:
-            kernel = make(depth) if make else _maker(rule, depth)(*rule.cells)
+            kernel = make(depth) if make else _maker_of(rule, depth)(*rule.cells)
             kernels[depth] = kernel
         return kernel
 
@@ -343,13 +353,23 @@ def _carry_rule(ev, rule: _Rule, make=None):
 _UNIT = (1,)
 
 
-def _composite(domain: Space, codomain: Space, parts, name: str, rule) -> SmoothMap:
-    """The map that evaluates ``parts``; with a ``rule``, it carries the
-    rule's kernels, and a call whose arguments are all floats runs its
+def _composite(
+    domain: Space, codomain: Space, parts, name: str, kind: str, maps, write
+) -> SmoothMap:
+    """The map that evaluates ``parts``, built of ``maps``.  When each of
+    them carries a rule, it carries one too, keyed by ``kind`` and their
+    keys, that writes ``write(*their rules, w, ins, size, cells)`` on their
+    cells in turn; and a call whose arguments are all floats runs its
     depth-0 kernel at unit time, one straight-line function for the whole
-    composite, looked up through :func:`_flat_kernel`."""
-    if rule is None:
+    composite, looked up through :func:`_flat_kernel`.  The one builder of a
+    map written from other maps' rules: the combinators here and
+    :func:`dynamics._geodesic_field`."""
+    rules = [_rule(f) for f in maps]
+    if not all(rules):
         return SmoothMap(domain, codomain, parts, name=name)
+    cells = tuple(c for rule in rules for c in rule.cells)
+    key = (kind, *(rule.key for rule in rules))
+    rule = _Rule(key, domain.dim, functools.partial(write, *rules), cells)
     # the lookup is given the map evaluated by its parts, which carries the
     # same kernels: given the map itself, ev would hold it in a reference
     # cycle, which only the cyclic collector frees
@@ -373,19 +393,24 @@ def _composite(domain: Space, codomain: Space, parts, name: str, rule) -> Smooth
 def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     """A map that splits its input into blocks of the given ``sizes`` and
     concatenates the ``layout``: an int is that input block, a list of
-    floats (a constant block) is inserted as it stands.  A layout of one
-    input block returns that slice of the input.
+    floats (a constant block) is inserted as it stands, and a tuple
+    ``(op, b, ...)`` is ``op`` (``"add"`` or ``"neg"``) of the input blocks
+    ``b, ...``, entry by entry.  A layout of one input block returns that
+    slice of the input.
 
-    Its rule is the layout: each value is an input's coefficient names or a
-    cell without tangents, so its kernel runs nothing but the writer's
-    ``t * v`` for each value ``v``.  The key is the layout's shape, and each
-    map binds its own constants."""
+    Its rule is the layout: each value is an input's coefficient names, a
+    cell without tangents, or the writer's ``op`` of inputs, so its kernel
+    runs little but the writer's ``t * v`` for each value ``v``.  The key is
+    the layout's shape, and each map binds its own constants."""
     starts = (0, *itertools.accumulate(sizes))
-    pieces = [
-        slice(starts[b], starts[b + 1]) if isinstance(b, int) else b for b in layout
-    ]
-    out_dim = sum(sizes[b] if isinstance(b, int) else len(b) for b in layout)
+    blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
 
+    def piece(b):
+        if isinstance(b, tuple):
+            return (_OPS[b[0]], *[slice(blocks[k].start, blocks[k].stop) for k in b[1:]])
+        return slice(blocks[b].start, blocks[b].stop) if isinstance(b, int) else b
+
+    pieces = [piece(b) for b in layout]
     if len(pieces) == 1 and isinstance(pieces[0], slice):
         (only,) = pieces
 
@@ -397,48 +422,52 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
         def ev(xs):
             out = []
             for piece in pieces:
-                out += xs[piece] if piece.__class__ is slice else piece
+                if piece.__class__ is slice:
+                    out += xs[piece]
+                elif piece.__class__ is list:
+                    out += piece
+                else:
+                    out += map(piece[0], *[xs[part] for part in piece[1:]])
             return out
 
-    # the input each value reads, or None for a constant
-    sources = tuple(
-        i
-        for b in layout
-        for i in (range(starts[b], starts[b + 1]) if isinstance(b, int) else [None] * len(b))
-    )
+    def reads(b):
+        """What each value of ``b`` reads: an input, None for a constant, or
+        ``(op, input, ...)``.  Not recursive: a nested function that calls
+        itself is a reference cycle, which only the cyclic collector frees."""
+        if isinstance(b, int):
+            return blocks[b]
+        if isinstance(b, list):
+            return [None] * len(b)
+        return [(b[0], *inputs) for inputs in zip(*[blocks[k] for k in b[1:]])]
+
+    sources = tuple(i for b in layout for i in reads(b))
 
     def write(w, ins, size, cells):
-        return [ins[i] if i is not None else w.constant(next(cells), size) for i in sources]
+        return [
+            ins[i] if i.__class__ is int
+            else w.constant(next(cells), size) if i is None
+            else getattr(w, i[0])(*[ins[k] for k in i[1:]])
+            for i in sources
+        ]
 
-    constants = tuple(c for b in layout if not isinstance(b, int) for c in b)
+    constants = tuple(c for b in layout if isinstance(b, list) for c in b)
     _carry_rule(ev, _Rule(("block", starts[-1], sources), starts[-1], write, constants))
-    return SmoothMap(Space(starts[-1]), Space(out_dim), ev, name=name)
+    return SmoothMap(Space(starts[-1]), Space(len(sources)), ev, name=name)
 
 
-def _plus_map(n: int) -> SmoothMap:
-    def ev(xs):
-        x, u, w = xs[:n], xs[n : 2 * n], xs[2 * n :]
-        return list(x) + [ui + wi for ui, wi in zip(u, w)]
-
-    return SmoothMap(Space(3 * n), Space(2 * n), ev, name="plus")
+# The entry-by-entry operations of a block layout, as the writer names them.
+_OPS = {"add": operator.add, "neg": operator.neg}
 
 
-def _neg_map(n: int) -> SmoothMap:
-    def ev(xs):
-        return xs[:n] + [-v for v in xs[n:]]
-
-    return SmoothMap(Space(2 * n), Space(2 * n), ev, name="neg")
-
-
-# Layout rules 5 and 8 as data: every structural map but plus and neg only
-# moves blocks of its input and inserts zero blocks.
+# Layout rules 5 and 8 as data: every structural map moves blocks of its
+# input, inserts zero blocks, or adds or negates blocks entry by entry.
 _SPACE_KINDS = {
     "p": lambda n: _block_map("p", (n, n), (0,)),
     "zero": lambda n: _block_map("zero", (n,), (0, [0.0] * n)),
-    "plus": _plus_map,
+    "plus": lambda n: _block_map("plus", (n, n, n), (0, ("add", 1, 2))),
     "ell": lambda n: _block_map("ell", (n, n), (0, [0.0] * n, [0.0] * n, 1)),
     "flip": lambda n: _block_map("flip", (n, n, n, n), (0, 2, 1, 3)),
-    "neg": _neg_map,
+    "neg": lambda n: _block_map("neg", (n, n), (0, ("neg", 1))),
 }
 
 _BUNDLE_KINDS = {
@@ -490,16 +519,11 @@ def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     def ev(xs):
         return g.evaluator(list(f.evaluator(xs)))
 
-    first, then, rule = _rule(f), _rule(g), None
-    if first and then:
+    def write(first, then, w, ins, size, cells):
+        return then.write(w, first.write(w, ins, size, cells), size, cells)
 
-        def write(w, ins, size, cells):
-            return then.write(w, first.write(w, ins, size, cells), size, cells)
-
-        key = ("compose", first.key, then.key)
-        rule = _Rule(key, first.arity, write, first.cells + then.cells)
     name = f"{f.name or 'f'};{g.name or 'g'}"
-    return _composite(f.domain, g.codomain, ev, name, rule)
+    return _composite(f.domain, g.codomain, ev, name, "compose", (f, g), write)
 
 
 def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -513,15 +537,12 @@ def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     def ev(xs):
         return list(f.evaluator(list(xs))) + list(g.evaluator(list(xs)))
 
-    left, right, rule = _rule(f), _rule(g), None
-    if left and right:
+    def write(left, right, w, ins, size, cells):
+        return left.write(w, ins, size, cells) + right.write(w, ins, size, cells)
 
-        def write(w, ins, size, cells):
-            return left.write(w, ins, size, cells) + right.write(w, ins, size, cells)
-
-        rule = _Rule(("pair", left.key, right.key), left.arity, write, left.cells + right.cells)
     name = f"<{f.name or 'f'},{g.name or 'g'}>"
-    return _composite(f.domain, Space(f.codomain.dim + g.codomain.dim), ev, name, rule)
+    codomain = Space(f.codomain.dim + g.codomain.dim)
+    return _composite(f.domain, codomain, ev, name, "pair", (f, g), write)
 
 
 def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -534,16 +555,12 @@ def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     def ev(xs):
         return list(f.evaluator(xs[:n1])) + list(g.evaluator(xs[n1:]))
 
-    left, right, rule = _rule(f), _rule(g), None
-    if left and right:
+    def write(left, right, w, ins, size, cells):
+        return left.write(w, ins[:n1], size, cells) + right.write(w, ins[n1:], size, cells)
 
-        def write(w, ins, size, cells):
-            return left.write(w, ins[:n1], size, cells) + right.write(w, ins[n1:], size, cells)
-
-        key = ("product", left.key, right.key)
-        rule = _Rule(key, n1 + n2, write, left.cells + right.cells)
     name = f"{f.name or 'f'}x{g.name or 'g'}"
-    return _composite(Space(n1 + n2), Space(f.codomain.dim + g.codomain.dim), ev, name, rule)
+    domain, codomain = Space(n1 + n2), Space(f.codomain.dim + g.codomain.dim)
+    return _composite(domain, codomain, ev, name, "product", (f, g), write)
 
 
 def product_interleave(s1: Space, s2: Space) -> SmoothMap:

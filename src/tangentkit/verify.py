@@ -55,11 +55,11 @@ from .fields import (
     zero_field,
 )
 from .jets import primal_value
-from .jets import cos as jcos, exp as jexp, sin as jsin
 from .kernel import (
     SmoothMap,
     Space,
     TrivialBundle,
+    _block_map,
     compose,
     identity_map,
     structural_map,
@@ -402,19 +402,11 @@ def suite_curve(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
 
 
 def rotation_closed_flow() -> Flow:
-    def evaluate(t, xs):
-        c, s = jcos(t), jsin(t)
-        return [c * xs[0] + s * xs[1], -s * xs[0] + c * xs[1]]
-
-    return Flow(Space(2), evaluate, {"kind": "exact closed form"})
+    return Flow.from_expr("cos(t)*x1 + sin(t)*x2; -sin(t)*x1 + cos(t)*x2", 2)
 
 
 def euler_closed_flow(n: int) -> Flow:
-    def evaluate(t, xs):
-        g = jexp(t)
-        return [g * x for x in xs]
-
-    return Flow(Space(n), evaluate, {"kind": "exact closed form"})
+    return Flow.from_expr("; ".join(f"exp(t)*x{i}" for i in range(1, n + 1)), n)
 
 
 def tangent_of_solution_residual(flow: Flow, v: VectorField, g_scale: float, t, x):
@@ -605,9 +597,7 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
         LawCheck("blowup-detection", ok, abs(1.0 - t_reached), (t_reached,), seed)
     )
 
-    flat = Connection(
-        2, SmoothMap(Space(4), Space(2), lambda xs: [0.0, 0.0], name="flat")
-    )
+    flat = Connection(2, _block_map("flat", (4,), ([0.0, 0.0],)))
     gflow = geodesic_flow(flat, cfg)
     worst, _ = worst_case(
         product(sample_points(4, count=5, seed=seed), (0.5, 1.0)),
@@ -655,13 +645,10 @@ def suite_flows(seed: int = DEFAULT_SEED, cfg=DEFAULT_CONFIG, quick: bool = Fals
 
 
 def half_plane_connection() -> Connection:
-    """Christoffel data of the hyperbolic upper half-plane in the flat chart."""
-
-    def ev(xs):
-        y, u1, u2 = xs[1], xs[2], xs[3]
-        return [(-2.0 * u1 * u2) / y, (u1 * u1 - u2 * u2) / y]
-
-    return Connection(2, SmoothMap(Space(4), Space(2), ev, name="half_plane"))
+    """Christoffel data of the hyperbolic upper half-plane in the flat chart,
+    (x, y, u1, u2) -> (-2 u1 u2 / y, (u1^2 - u2^2) / y)."""
+    spec = dsl.parse("(-2.0*x3*x4)/x2; (x3*x3 - x4*x4)/x2", 4)
+    return Connection(2, dsl.compile_spec(spec))
 
 
 # -- rig and action ------------------------------------------------------------------

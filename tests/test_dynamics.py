@@ -1166,6 +1166,87 @@ def test_generator_of_numeric_rotation_flow():
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6
 
 
+def _hand_written_rotation(t, xs):
+    c, s = jets.cos(t), jets.sin(t)
+    return [c * xs[0] + s * xs[1], -s * xs[0] + c * xs[1]]
+
+
+_CLOSED_STARTS = [[0.5, -1.25], [-0.0, 2.0], [Jet(0.5, 1.0), Jet(Jet(-1.0, 0.25), -0.0)]]
+
+
+def test_a_closed_form_flow_evaluates_as_its_hand_written_form():
+    flow = Flow.from_expr("cos(t)*x1 + sin(t)*x2; -sin(t)*x1 + cos(t)*x2", 2)
+    assert flow.provenance == {"kind": "exact closed form"}
+    assert kernel._rule(flow_smooth_map(flow)) is not None
+    for t in (0.0, -0.75, Jet(0.5, 1.0), Jet(Jet(1.5, -1.0), Jet(0.25, 2.0))):
+        for xs in _CLOSED_STARTS:
+            assert repr(flow(t, xs)) == repr(_hand_written_rotation(t, xs))
+
+
+def test_a_closed_form_needs_one_component_per_coordinate():
+    with pytest.raises(ShapeError, match="needs 2 components, got 1"):
+        Flow.from_expr("exp(t)*x1", 2)
+    with pytest.raises(dsl.UnknownIdentifier):
+        Flow.from_expr("x1; y", 2)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        # a wrapper, as a tracer replaces evaluate, and a hand-written form
+        lambda t, xs: rotation_closed_flow().evaluate(t, xs),
+        _hand_written_rotation,
+    ],
+    ids=["wrapped", "hand-written"],
+)
+def test_a_flow_without_its_map_takes_one_jet_evaluation_with_the_same_bits(evaluate):
+    closed = rotation_closed_flow()
+    other = dataclasses.replace(closed, evaluate=evaluate)
+    ruled, plain = generator(closed), generator(other)
+    assert kernel._kernels(ruled.vhat) is not None
+    assert kernel._kernels(plain.vhat) is None
+    assert flow_smooth_map(other).name == "flow"
+    for xs in _CLOSED_STARTS:
+        assert repr(ruled.vhat(xs)) == repr(plain.vhat(xs))
+        for t in (0.75, Jet(-0.5, 1.0)):
+            assert repr(flow_of(ruled)(t, xs)) == repr(flow_of(plain)(t, xs))
+
+
+def test_no_law_suite_solve_goes_through_the_jet_codec(monkeypatch):
+    # every field the suites solve carries kernels: closed-form generators and
+    # geodesic fields too (the parent of this change called 76 on the codec)
+    lookups, real = [], dynamics._flat_kernel
+    monkeypatch.setattr(
+        dynamics, "_flat_kernel",
+        lambda vhat, depth: lookups.append(real(vhat, depth)) or lookups[-1],
+    )
+    run_suite("all", 3)
+    assert len(lookups) > 1000
+    assert [k for k in lookups if k is None] == []
+
+
+def test_linear_flow_jet_time_coefficients_are_pinned():
+    # every coefficient of a depth-1 and a depth-2 time, bit for bit, as
+    # Python floats
+    flow = linear_flow([[0.5, -1.25], [2.0, 0.25]])
+    pins = {
+        Jet(0.75, 1.0): [
+            ["0x1.15db58b3d2b0bp+0", "-0x1.261b181c3e734p+0"],
+            ["0x1.5a6d69f81fd61p+0", "0x1.412905f2d6ab6p+1"],
+        ],
+        Jet(Jet(0.75, 1.0), Jet(0.5, -0.25)): [
+            ["0x1.15db58b3d2b0bp+0", "-0x1.261b181c3e734p+0",
+             "-0x1.261b181c3e734p-1", "-0x1.9173476f8c566p+0"],
+            ["0x1.5a6d69f81fd61p+0", "0x1.412905f2d6ab6p+1",
+             "0x1.412905f2d6ab6p+0", "-0x1.76655998f41e2p+0"],
+        ],
+    }
+    for t, want in pins.items():
+        got = [coefficients(v) for v in flow.evaluate(t, [1.0, -0.5])]
+        assert [[c.hex() for c in row] for row in got] == want
+        assert {type(c) for row in got for c in row} == {float}
+
+
 # -- sigma, eta, reverse --------------------------------------------------------------
 
 
