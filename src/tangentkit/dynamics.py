@@ -874,28 +874,19 @@ def time_derivative(evaluate, t, xs):
 
 
 def generator(flow: Flow) -> VectorField:
-    """The derivative of the flow at time 0.
-
-    Of a closed-form flow, whose ``evaluate`` carries its map
-    (:meth:`Flow.from_expr`): the direction block of the map's tangent at
-    ``(0.0, x)`` in the direction ``(1.0, 0.0, ..., 0.0)``, a composite of
-    block maps and that tangent, so the field carries the map's rule one
-    level deeper and solves on one kernel.  The state's directions are the
-    constant 0.0, not absent, as :func:`time_derivative` opens the state
-    with them.  Of any other flow (a hand-written ``evaluate``, or one a
-    wrapper replaced): one jet evaluation (:func:`time_derivative`), with
-    the same bits."""
+    """The derivative of the flow at time 0: the direction block of the
+    tangent of :func:`flow_smooth_map` at ``(0.0, x)`` in the direction
+    ``(1.0, 0.0, ..., 0.0)``.  The state's directions are the constant 0.0,
+    not absent, as :func:`time_derivative` opens the state with them.  Of a
+    closed-form flow (:meth:`Flow.from_expr`) the field carries the flow
+    map's rule one level deeper and solves on one kernel; of any other flow
+    (a hand-written ``evaluate``, or one a wrapper replaced) it is one jet
+    evaluation, the bits of :func:`time_derivative` at time 0."""
     n = flow.space.dim
-    fmap = getattr(flow.evaluate, "smooth_map", None)
-    if fmap is not None:
-        at_time_zero = _block_map("at_time_0", (n,), ([0.0], 0, [1.0], [0.0] * n))
-        rate = _block_map("rate", (n, n), (1,))
-        return VectorField(flow.space, compose(compose(at_time_zero, tangent(fmap)), rate))
-
-    def ev(xs):
-        return time_derivative(flow.evaluate, 0.0, xs)[1]
-
-    return VectorField(flow.space, SmoothMap(flow.space, flow.space, ev, name="gen"))
+    at_time_zero = _block_map("at_time_0", (n,), ([0.0], 0, [1.0], [0.0] * n))
+    rate = _block_map("rate", (n, n), (1,))
+    fmap = flow_smooth_map(flow)
+    return VectorField(flow.space, compose(compose(at_time_zero, tangent(fmap)), rate))
 
 
 def sigma_flow(cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:

@@ -32,6 +32,7 @@ from tangentkit.dynamics import (
     _geodesic_field,
     flow_of,
     generator,
+    time_derivative,
 )
 from tangentkit.fields import LinearVectorField, VectorField, product_vf, tangent_lift
 from tangentkit.jets import EvaluationDomainError, Jet
@@ -276,6 +277,16 @@ def test_composites_whose_dsl_parts_differ_in_their_cells_never_share_code():
     assert [len(kernel._rule(f).cells) for f in maps] == [2, 1]
 
 
+def test_a_composite_shares_or_concatenates_its_parts_cells():
+    # built from a generator for every composite, the cells tuples raised
+    # the verify workload's resident size pass over pass
+    f = compile_spec(parse("2.5*x1; x2 + 0.75", 2))
+    g = compose(f, _block_map("c", (2,), (0, [0.5])))
+    rules = [kernel._rule(m) for m in (f, tangent(f), g)]
+    assert rules[1].cells is rules[0].cells
+    assert rules[2].cells == rules[0].cells + (0.5,)
+
+
 def test_the_maker_memo_holds_every_law_suite_key():
     # the bound covers the keys of a whole run, and the law suites draw new
     # maps, not new shapes, at a new seed
@@ -443,6 +454,11 @@ def _wrapped(flow):
     return dataclasses.replace(flow, evaluate=lambda t, xs: flow.evaluate(t, xs))
 
 
+def _time_derivative_at_0(flow):
+    """The jet path a generator replaces: d/dt of ``evaluate`` at time 0."""
+    return lambda xs: time_derivative(flow.evaluate, 0.0, xs)[1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_the_generator_of_a_closed_form_flow_is_its_jet_evaluation_bit_for_bit(data):
@@ -456,7 +472,8 @@ def test_the_generator_of_a_closed_form_flow_is_its_jet_evaluation_bit_for_bit(d
     assert kernel._kernels(ruled) is not None and kernel._kernels(plain) is None
     depth = data.draw(st.sampled_from((0, 1, 2)))
     xs = data.draw(st.lists(_TOWERS[depth] if depth else _ARGS, min_size=n, max_size=n))
-    assert _outcome(ruled, xs) == _on_jets(ruled, xs) == _outcome(plain, xs)
+    want = _outcome(_time_derivative_at_0(flow), xs)
+    assert _outcome(ruled, xs) == _on_jets(ruled, xs) == _outcome(plain, xs) == want
     t = data.draw(st.one_of(_START, _TOWERS[depth]))
     starts = data.draw(st.lists(_TOWERS[depth], min_size=n, max_size=n))
     _same_solves(ruled, plain, t, starts)
