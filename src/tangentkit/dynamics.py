@@ -788,14 +788,29 @@ def expm(A) -> np.ndarray:
     return R
 
 
+def _series_rows(E0, A, depth: int) -> list:
+    """The matrices ``E0 A^k / k!`` for ``k = 0..depth``, as rows of Python
+    floats with the bits of numpy's."""
+    mats = [E0]
+    fact = 1.0
+    power = A
+    for k in range(1, depth + 1):
+        fact *= k
+        mats.append((E0 @ power) / fact)
+        if k < depth:
+            power = power @ A
+    return [m.tolist() for m in mats]
+
+
 def linear_flow(A) -> Flow:
     """The exact flow t -> expm(tA) of a linear field.
 
     Float times go through a per-flow, size-bounded memo of expm(tA).  A jet
     time t is split as primal + nilpotent part d; expm(tA) = expm(t0 A) *
     sum_k (dA)^k / k! truncated at the jet depth, which is exact.  The
-    series matrices are read as Python floats, with the bits of numpy's: a
-    numpy scalar in jet arithmetic costs several times a float.
+    series matrices are kept per ``(t0, depth)`` in a second bounded memo,
+    as Python floats: a numpy scalar in jet arithmetic costs several times
+    a float.
     """
     import numpy as np
 
@@ -808,29 +823,24 @@ def linear_flow(A) -> Flow:
     def expm_at(t0: float) -> np.ndarray:
         return expm(t0 * A)
 
+    @functools.lru_cache(maxsize=256)
+    def series_at(t0: float, depth: int) -> list:
+        return _series_rows(expm_at(t0), A, depth)
+
     def evaluate(t, xs):
         xs = list(xs)
         if len(xs) != n:  # zip in _matvec would cut a longer state short
             raise ShapeError(f"a field on R^{n} needs a start state of {n} entries, got {len(xs)}")
         depth = jet_depth(t)
-        E0 = expm_at(primal_value(t))
         if depth == 0:
-            return _matvec(E0.tolist(), xs)
+            return _matvec(expm_at(primal_value(t)).tolist(), xs)
+        mats = series_at(primal_value(t), depth)
         d = t - primal_value(t)  # nilpotent at the jet level of t
-        # rows of E0 (I + dA + d^2 A^2/2 + ...) with jet-scalar entries
-        series_rows = []
-        fact = 1.0
-        mats = [E0]
-        power = A  # A^k, built per call: the flow keeps no mutable state
-        for k in range(1, depth + 1):
-            fact *= k
-            mats.append((E0 @ power) / fact)
-            if k < depth:
-                power = power @ A
         dk = [1.0]
         for k in range(1, depth + 1):
             dk.append(dk[-1] * d)
-        mats = [m.tolist() for m in mats]
+        # rows of E0 (I + dA + d^2 A^2/2 + ...) with jet-scalar entries
+        series_rows = []
         for i in range(n):
             row = []
             for j in range(n):

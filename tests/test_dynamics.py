@@ -1118,6 +1118,26 @@ def test_linear_flow_memoizes_expm_per_float_time(monkeypatch):
     assert len(calls) == 1 + 1024 + 1
 
 
+def test_linear_flow_memoizes_its_series_per_time_and_depth(monkeypatch):
+    from tangentkit import dynamics
+
+    calls = []
+    real = dynamics._series_rows
+    monkeypatch.setattr(
+        dynamics, "_series_rows", lambda E0, A, depth: calls.append(depth) or real(E0, A, depth)
+    )
+    flow = linear_flow([[0.0, 1.0], [-1.0, 0.0]])
+    t1, t2 = Jet(0.7, 1.0), Jet(Jet(0.7, 1.0), Jet(0.5, 0.25))
+    first = [flow.evaluate(t, [1.0, 0.0]) for t in (t1, t2)]
+    assert repr([flow.evaluate(t, [1.0, 0.0]) for t in (t1, t2)]) == repr(first)
+    assert calls == [1, 2]
+    # the memo is bounded: 256 further times evict (0.7, 1)
+    for k in range(256):
+        flow.evaluate(Jet(1.0 + k / 1000.0, 1.0), [1.0, 0.0])
+    flow.evaluate(t1, [1.0, 0.0])
+    assert len(calls) == 2 + 256 + 1
+
+
 def test_linear_flow_jet_time_gives_matrix_derivative():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     flow = linear_flow(A)
