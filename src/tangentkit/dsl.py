@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space, _carry_rule, _code, _Rule
+from .kernel import SmoothMap, Space, _carry_rule, _code, _maker_of, _Rule
 
 __all__ = [
     "Num",
@@ -379,8 +379,11 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     depth D it gives ``kernel(y, s)``, the flat coefficients
     (:func:`jets.flatten_levels`) of ``t * v`` for each output ``v``,
     computed from those of the inputs (``y``) and of a time ``t`` (``s``)
-    with no :class:`jets.Jet` built.  Each depth's kernel is written on
-    first use and kept.  It carries its code as data (``kernel.code``),
+    with no :class:`jets.Jet` built.  The evaluator's source is compiled
+    once per key (:func:`_field_maker`) and each depth's kernel maker once
+    per key and depth (:func:`kernel._maker_of`); each map binds its own
+    cells and keeps its kernels, written on first use.  A kernel carries its
+    code as data, with the map's own cells (``kernel.code``),
     which the solver's generated RK45 loop writes into each of its stages
     in place of a call; the other maps of :mod:`kernel` that carry flat
     kernels carry no code, and are called.
@@ -394,17 +397,44 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
         preorder.append((template, len(operands), node))
         stack.extend(operands)
     postorder = preorder[::-1]
+    inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
+    inputs += ["t"] if spec.time_dependent else []
+    templates = tuple((template, n) for template, n, _ in postorder)
+    make, n_values = _field_maker(tuple(inputs), templates)
+    evaluator = make(jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
+
+    # the templates name every input and cell the code reads
+    key = ("dsl", len(inputs), templates)
+    write = functools.partial(_write, postorder, inputs, len(cells))
+    rule = _Rule(key, len(inputs), write, tuple(cells))
+
+    def coded(depth):
+        kernel = _maker_of(rule, depth)(*rule.cells)
+        kernel.code = _code(rule, depth)
+        return kernel
+
+    _carry_rule(evaluator, rule, coded)
+    return SmoothMap(Space(len(inputs)), Space(n_values), evaluator, name="field")
+
+
+@functools.lru_cache(maxsize=128)
+def _field_maker(inputs: tuple, templates: tuple) -> tuple:
+    """The ``make`` of :func:`compile_spec`'s evaluator for the node
+    templates ``templates`` (in post order, each with its number of
+    operands) over ``inputs``, and the number of values: the templates and
+    the inputs, which are the rule's key with the inputs named, fix the
+    source, so it is compiled once per key, and each field binds its own
+    cells.  The law suites build the same few fields anew on every pass."""
     names, lines = [], []
-    for template, n, _ in postorder:
+    for template, n in templates:
         if n:
             operands = names[-n:]
             del names[-n:]
             lines.append(f"    v{len(lines)} = {template.format(*operands)}\n")
             template = f"v{len(lines) - 1}"
         names.append(template)
-    inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
-    inputs += ["t"] if spec.time_dependent else []
-    params = ", ".join(["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(len(cells))])
+    n_cells = sum(1 for template, n in templates if not n and template[0] == "c")
+    params = ", ".join(["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(n_cells)])
     source = (
         f"def make({params}):\n"
         "  def field(xs):\n"
@@ -417,21 +447,7 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     exec(compile(source, "<dsl field>", "exec"), namespace)
     # popped: left in the namespace that is its globals, make would be a
     # reference cycle, which only the cyclic collector frees
-    evaluator = namespace.pop("make")(jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
-
-    # the templates name every input and cell the code reads
-    key = ("dsl", len(inputs), tuple((template, n) for template, n, _ in postorder))
-    write = functools.partial(_write, postorder, inputs, len(cells))
-    rule = _Rule(key, len(inputs), write, tuple(cells))
-
-    def coded(depth):
-        code = _code(rule, depth)
-        kernel = jets._kernel_maker(code)(*code.cells)
-        kernel.code = code
-        return kernel
-
-    _carry_rule(evaluator, rule, coded)
-    return SmoothMap(Space(len(inputs)), Space(len(names)), evaluator, name="field")
+    return namespace.pop("make"), len(names)
 
 
 def _write(postorder: list, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:

@@ -27,6 +27,7 @@ from .kernel import (
     TrivialBundle,
     _block_map,
     _carry_rule,
+    _composite,
     _Rule,
     compose,
     identity_map,
@@ -245,6 +246,12 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     V2 T(V1) c, subtract in the fibre over TM, and extract the vertical
     component.  The coordinate consequence D(vhat2) vhat1 - D(vhat1) vhat2
     is checked by tests, not assumed here.
+
+    Of fields that carry rules, the difference carries one (both sides
+    written in one pass, as :func:`kernel.pair` does, then the direction
+    blocks subtracted), and so does its vertical component
+    (:func:`kernel.vertical_bracket`, whose check is a guard in the
+    kernel): the bracket, and every map built on it, runs one kernel.
     """
 
     if v1.space != v2.space:
@@ -261,7 +268,13 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
         # Both land over the same point of TM; subtract direction blocks.
         return a[: 2 * n] + [ai - bi for ai, bi in zip(a[2 * n :], b[2 * n :])]
 
-    diff = SmoothMap(space, Space(4 * n), diff_ev, name="bracket_diff")
+    def write(first, second, w, ins, size, cells):
+        a = first.write(w, ins, size, cells)
+        b = second.write(w, ins, size, cells)
+        return a[: 2 * n] + [w.sub(ai, bi) for ai, bi in zip(a[2 * n :], b[2 * n :])]
+
+    name = "bracket_diff"
+    diff = _composite(space, Space(4 * n), diff_ev, name, name, (z1, z2), write)
     full = vertical_bracket(diff, TrivialBundle(n, n))
     vhat = compose(full, _component_of(space))
     return VectorField(space, vhat)

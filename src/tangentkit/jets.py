@@ -28,11 +28,13 @@ loop of :func:`dsl._write`), maps built from a block layout
 (:func:`kernel._block_map`) and linear fields get them, one per jet depth,
 written on first use, and so do their composites, whose parts write into
 one writer pass (see :mod:`kernel`).  The solver runs one in place of the
-codec, and a float call of :func:`kernel.tangent`, :func:`kernel.compose`,
-:func:`kernel.pair` or :func:`kernel.product` its depth-0 kernel, with
-``tangent``'s part one level deeper in place of :func:`open_level` and
+codec, and a float call of a composite (:func:`kernel.tangent`,
+:func:`kernel.compose`, :func:`kernel.pair`, :func:`kernel.product`,
+:func:`kernel.vertical_bracket`) its depth-0 kernel, with ``tangent``'s
+part one level deeper in place of :func:`open_level` and
 :func:`close_level`; a dsl kernel's code (:class:`_FlatCode`) is written
-into the stages of the generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
+into the stages of the generated RK45 loop.  A long kernel is compiled in
+pieces (:func:`_kernel_maker`).  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers through
 one widening that joins the levels of the state, time and closure.
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from typing import NamedTuple
 
 __all__ = [
@@ -516,15 +519,54 @@ class _FlatWriter:
     # -- the kernel -----------------------------------------------------------
 
     def code(self, outputs: list, cells: list) -> "_FlatCode":
-        """The code of ``t * v`` for each output ``v``, as data."""
+        """The code of ``t * v`` for each output ``v``, as data, with each
+        name read once inlined where it is read (:func:`_inlined`)."""
         scaled = [self.mul(self.scale, v) for v in outputs]
+        outputs = tuple(v[k] for k in range(self.size) for v in scaled)
         return _FlatCode(
             tuple(v[k] for k in range(self.size) for v in self.inputs),
             tuple(self.scale),
-            tuple(self.lines),
-            tuple(v[k] for k in range(self.size) for v in scaled),
+            tuple(_inlined(self.lines, outputs)),
+            outputs,
             tuple(cells),
         )
+
+
+_NAME = re.compile(r"\bj\d+\b")
+# one sum, difference, product or negation of names and numbers: the one
+# kind of line a kernel may run later than written, since on floats and
+# ABSENT it raises nothing
+_SIMPLE = re.compile(r"-?[\w.]+(?: [-+*] [\w.]+)?")
+
+
+def _inlined(lines: list, outputs: tuple) -> list:
+    """``lines`` with each name that one line binds to a simple operation
+    (:data:`_SIMPLE`) and one later line reads once written into that line,
+    in parentheses: ``j1 = c0 * x0_0`` and ``j2 = 0 + j1`` become ``j2 = 0 +
+    (c0 * x0_0)``.  The same operations run on the same operands, and an
+    operation is held back only past other simple ones, never past a line
+    that may raise (a call, a division, a guard) or a branch, so the bits
+    and the errors stay.  A kernel binds fewer names and its source is
+    shorter; only an operation on names and numbers is written in, so no
+    expression nests more than one level."""
+    reads: dict = {}
+    for line in [*(line.split(" = ", 1)[-1] for line in lines), *outputs]:
+        for name in _NAME.findall(line):
+            reads[name] = reads.get(name, 0) + 1
+    held: dict = {}
+    out = []
+    for line in lines:
+        name, _, value = line.partition(" = ")
+        if not (_NAME.fullmatch(name) and _SIMPLE.fullmatch(value)):
+            out += [f"{n} = {v}" for n, v in held.items()]  # they run first
+            held.clear()
+        line = _NAME.sub(lambda m: f"({held.pop(m[0])})" if m[0] in held else m[0], line)
+        name, _, value = line.partition(" = ")
+        if reads.get(name) == 1 and name not in outputs and _SIMPLE.fullmatch(value):
+            held[name] = value
+        else:
+            out.append(line)
+    return out
 
 
 class _FlatCode(NamedTuple):
@@ -543,23 +585,100 @@ class _FlatCode(NamedTuple):
     cells: tuple
 
 
+# A kernel is compiled in pieces of at most this many lines.  The parser
+# takes memory in proportion to the source while it runs: compiled whole,
+# the kernel of a morphism side of a 3 x 3 Lie bracket (148 operations)
+# peaked at 440 KB under tracemalloc and raised the `verify` workload's
+# peak resident size by 384 KB, where no kernel before the bracket had one
+# raised it by more than 128 KB.
+_PIECE_LINES = 64
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
 def _kernel_maker(code: _FlatCode):
     """Compile ``code`` as ``make(*cells)``, which gives ``kernel(y, s)``
     with the names ``c0..`` bound to the cells it is given: ``y`` holds the
     inputs' flat coefficients, ``s`` the time's, and the result is the flat
     coefficients of ``t * v`` for each output ``v``.  Kernels whose code
-    differs only in their cells' values can share one maker."""
-    params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(code.cells))])
+    differs only in their cells' values can share one maker.
+
+    Code longer than ``_PIECE_LINES`` lines is compiled piece by piece
+    (:func:`_pieces`), each piece a function of the values it reads that
+    returns the values read after it, and the kernel calls them in turn:
+    the same operations in the same order, with a compile's memory bounded
+    by a piece."""
+    params = [*_KERNEL_NAMES, *(f"c{k}" for k in range(len(code.cells)))]
+    body = [f"[{', '.join(code.inputs)}] = y", f"[{', '.join(code.scale)}] = s"]
+    pieces = _pieces(code)
+    if len(pieces) == 1:
+        made = _compiled(params, "y, s", body + list(code.lines), code.outputs)
+        return functools.partial(made, *_KERNEL_NAMES.values())
+    makers = []
+    for k, (lines, reads, binds) in enumerate(pieces):
+        used = {name for line in lines for name in _IDENT.findall(line)}
+        uses = [i for i, name in enumerate(params) if name in used]
+        made = _compiled([params[i] for i in uses], ", ".join(reads), lines, binds)
+        makers.append((made, uses))
+        body.append(f"[{', '.join(binds)}] = p{k}({', '.join(reads)})")
+    top = _compiled([f"p{k}" for k in range(len(pieces))], "y, s", body, code.outputs)
+    names = tuple(_KERNEL_NAMES.values())
+
+    def make(*cells):
+        bound = names + cells
+        return top(*[made(*[bound[i] for i in uses]) for made, uses in makers])
+
+    return make
+
+
+def _compiled(params: list, signature: str, lines: list, results):
+    """``make(*params)``, which returns ``kernel(signature)``: ``lines``,
+    then the list of ``results``."""
     source = (
-        f"def make({params}):\n"
-        "  def kernel(y, s):\n"
-        f"    [{', '.join(code.inputs)}] = y\n"
-        f"    [{', '.join(code.scale)}] = s\n"
-        + "".join(f"    {line}\n" for line in code.lines)
-        + f"    return [{', '.join(code.outputs)}]\n"
+        f"def make({', '.join(params)}):\n"
+        f"  def kernel({signature}):\n"
+        + "".join(f"    {line}\n" for line in lines)
+        + f"    return [{', '.join(results)}]\n"
         "  return kernel\n"
     )
     namespace: dict = {}
     exec(compile(source, "<jet kernel>", "exec"), namespace)
     # popped, as in dsl.compile_spec: no reference cycle through the globals
-    return functools.partial(namespace.pop("make"), *_KERNEL_NAMES.values())
+    return namespace.pop("make")
+
+
+def _pieces(code: _FlatCode) -> list:
+    """``code``'s lines cut into pieces of at most ``_PIECE_LINES`` lines
+    (a branch is never cut from the lines under it), each as ``(lines,
+    reads, binds)``: the names it reads that are bound before it (inputs,
+    the time's coefficients, earlier pieces' names), and the names it binds
+    that are read after it.  The writer binds each name once, so what a
+    piece must return follows from the pieces after it."""
+    statements: list = []
+    for line in code.lines:
+        if line[0] == " " or line == "else:":
+            statements[-1].append(line)
+        else:
+            statements.append([line])
+    count = -(-len(code.lines) // _PIECE_LINES)  # as many pieces as the cap asks for,
+    size = -(-len(code.lines) // count) if count else 0  # of about equal length
+    pieces: list = [[]]
+    for statement in statements:
+        if pieces[-1] and len(pieces[-1]) + len(statement) > size:
+            pieces.append([])
+        pieces[-1] += statement
+
+    def binds(lines):
+        return dict.fromkeys(line.split(" = ", 1)[0].strip() for line in lines if " = " in line)
+
+    names = binds(code.lines).keys() | {*code.inputs, *code.scale}
+    needed = set(code.outputs)
+    out = []
+    for lines in reversed(pieces):
+        bound = binds(lines)
+        reads = dict.fromkeys(
+            name for line in lines for name in _IDENT.findall(line)
+            if name in names and name not in bound
+        )
+        out.append((lines, list(reads), [name for name in bound if name in needed]))
+        needed = (needed - bound.keys()) | reads.keys()
+    return out[::-1]

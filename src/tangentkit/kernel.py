@@ -25,20 +25,22 @@ library's constant and identity fields, are block maps.
 
 How a map is built decides whether it carries flat kernels: a dsl field, a
 block map (the identity, ``plus`` and ``neg`` among them), a linear field,
-and ``compose``, ``pair``, ``product`` and ``tangent`` of maps that carry
-them (and so :mod:`dynamics`' geodesic field of such a Christoffel map).  Each such
-map carries a rule (:class:`_Rule`), which writes its values in the
-writer's arithmetic from its inputs' coefficient names; a composite's rule
-runs its parts' rules in turn, ``tangent``'s one level deeper.  So a
-composite's kernel at each depth is one straight-line function of the whole
-tree, written in one writer pass and compiled once per structure and depth
-(:func:`_maker`), and a call of ``tangent``, ``compose``, ``pair`` or
-``product`` whose arguments are all floats runs its depth-0 kernel at unit
+and ``compose``, ``pair``, ``product``, ``tangent`` and
+:func:`vertical_bracket` of maps that carry them (and so the Lie bracket of
+such fields and :mod:`dynamics`' geodesic field of such a Christoffel map).
+Each such map carries a rule (:class:`_Rule`), which writes its values in
+the writer's arithmetic from its inputs' coefficient names; a composite's
+rule runs its parts' rules in turn, ``tangent``'s one level deeper, and
+``vertical_bracket``'s writes its verticality check as one guard statement
+after its map's values.  So a composite's kernel at each depth is one
+straight-line function of the whole tree, written in one writer pass and
+compiled once per structure and depth (:func:`_maker`), and a call of such a
+composite whose arguments are all floats runs its depth-0 kernel at unit
 time in place of evaluating the parts (and, in ``tangent``, opening a level,
-evaluating on jets and closing it), with the same bits.  Every other
-evaluator (a hand-written one, a wrapper, :func:`vertical_bracket`, whose
-verticality check is a boundary) and every other argument (an int, a numpy
-scalar, a jet) takes the parts' path.
+evaluating on jets and closing it), with the same bits and the same errors.
+Every other evaluator (a hand-written one, a wrapper, the tangent of an
+integrator flow) and every other argument (an int, a numpy scalar, a jet)
+takes the parts' path.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .jets import (
+    _KERNEL_NAMES,
+    ABSENT,
     _FlatCode,
     _FlatWriter,
     _interleave,
@@ -354,24 +358,34 @@ _UNIT = (1,)
 
 
 def _composite(
-    domain: Space, codomain: Space, parts, name: str, kind: str, maps, write
+    domain: Space,
+    codomain: Space,
+    parts,
+    name: str,
+    kind: str,
+    maps,
+    write,
+    shape: tuple = (),
+    cells: tuple = (),
 ) -> SmoothMap:
     """The map that evaluates ``parts``, built of ``maps``.  When each of
-    them carries a rule, it carries one too, keyed by ``kind`` and their
-    keys, that writes ``write(*their rules, w, ins, size, cells)`` on their
-    cells in turn; and a call whose arguments are all floats runs its
-    depth-0 kernel at unit time, one straight-line function for the whole
+    them carries a rule, it carries one too, keyed by ``kind``, the
+    ``shape`` its ``write`` reads and their keys, that writes ``write(*their
+    rules, w, ins, size, cells)`` on their cells in turn and then its own
+    ``cells``; and a call whose arguments are all floats runs its depth-0
+    kernel at unit time, one straight-line function for the whole
     composite, looked up through :func:`_flat_kernel`.  The one builder of a
-    map written from other maps' rules: the combinators here and
-    :func:`dynamics._geodesic_field`."""
+    map written from other maps' rules: the combinators and
+    :func:`vertical_bracket` here, :func:`fields.lie_bracket`'s difference
+    and :func:`dynamics._geodesic_field`."""
     rules = [_rule(f) for f in maps]
     if not all(rules):
         return SmoothMap(domain, codomain, parts, name=name)
     # one part's cells are shared, two are concatenated: a tuple built from
     # a generator grows by reallocation, and built so for every composite
     # it raised the resident size after 60 `verify` passes by about 0.3 MB
-    cells = functools.reduce(operator.add, [rule.cells for rule in rules])
-    key = (kind, *(rule.key for rule in rules))
+    cells = functools.reduce(operator.add, [*(rule.cells for rule in rules), cells])
+    key = (kind, *shape, *(rule.key for rule in rules))
     rule = _Rule(key, domain.dim, functools.partial(write, *rules), cells)
     # the lookup is given the map evaluated by its parts, which carries the
     # same kernels: given the map itself, ev would hold it in a reference
@@ -586,9 +600,17 @@ def vertical_bracket(
 
     ``f`` must land in ``T(total)`` for the given bundle and be vertical:
     the base-direction block of every value must vanish (inf-norm <= tol,
-    over all jet coefficients).  For a value with point ``(x, a)`` and
-    direction ``(0, w)`` the result is ``(x, w)``.  The tangent-bundle case
-    is the bundle ``TM -> M``, i.e. ``TrivialBundle(n, n)``.
+    over all jet coefficients), or :class:`VerticalityViolation` names the
+    inputs' primals and the residual.  For a value with point ``(x, a)``
+    and direction ``(0, w)`` the result is ``(x, w)``.  The tangent-bundle
+    case is the bundle ``TM -> M``, i.e. ``TrivialBundle(n, n)``.
+
+    Of an ``f`` that carries a rule the result carries one too, keyed by
+    ``n``, ``m`` and ``f``'s key, with ``tol`` as a cell: ``f``'s values,
+    then one guard statement that runs the same check (:func:`_vertical`)
+    on the coefficients of the base-direction block, so the check runs
+    inside every kernel of a composite built on it, at every depth and
+    before the time scales the values.
     """
 
     n, m = bundle.base_dim, bundle.fibre_dim
@@ -599,14 +621,35 @@ def vertical_bracket(
 
     def ev(xs):
         ys = f.evaluator(list(xs))
-        x = ys[:n]
         dx = ys[n + m : 2 * n + m]
-        da = ys[2 * n + m :]
-        # NaN sticks, as in fields.gap: a NaN direction is not vertical
-        coeffs = [abs(c) for v in dx for c in coefficients(v)]
-        residual = math.nan if any(c != c for c in coeffs) else max(coeffs, default=0.0)
-        if not residual <= tol:
-            raise VerticalityViolation([primal_value(v) for v in xs], residual)
-        return list(x) + list(da)
+        _vertical(
+            [c for v in dx for c in coefficients(v)], [primal_value(v) for v in xs], tol
+        )
+        return list(ys[:n]) + list(ys[2 * n + m :])
 
-    return SmoothMap(f.domain, Space(n + m), ev, name=f"{{{f.name or 'f'}}}")
+    def write(inner, w, ins, size, cells):
+        ys = inner.write(w, ins, size, cells)
+        dx = [c for v in ys[n + m : 2 * n + m] for c in v if c is not None]
+        point = [v[0] for v in ins]
+        w.lines.append(f"vertical([{', '.join(dx)}], [{', '.join(point)}], {next(cells)})")
+        return ys[:n] + ys[2 * n + m :]
+
+    name = f"{{{f.name or 'f'}}}"
+    return _composite(
+        f.domain, Space(n + m), ev, name, "vertical", (f,), write, (n, m), (tol,)
+    )
+
+
+def _vertical(direction: list, point: list, tol) -> None:
+    """The verticality test of :func:`vertical_bracket`: the inf-norm of the
+    base-direction coefficients ``direction``, skipping :data:`jets.ABSENT`,
+    must be at most ``tol``; a NaN sticks, as in :func:`fields.gap`, so a
+    NaN direction is not vertical.  Kernels call it by the name
+    ``vertical``."""
+    coeffs = [abs(c) for c in direction if c is not ABSENT]
+    residual = math.nan if any(c != c for c in coeffs) else max(coeffs, default=0.0)
+    if not residual <= tol:
+        raise VerticalityViolation(point, residual)
+
+
+_KERNEL_NAMES["vertical"] = _vertical

@@ -668,7 +668,9 @@ def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch
     )
     assert loops == [(None, False)]  # 65 entries step in the list form, calling the kernel
     loops.clear()
-    long = VectorField.from_expr(" + ".join(["-x1"] * (dynamics._FUSED_MAX_LINES + 1)), 1)
+    # a sum written as one line per term pair: its code is longer than the cap
+    long = VectorField.from_expr(" + ".join(["-x1"] * (3 * dynamics._FUSED_MAX_LINES)), 1)
+    assert len(dynamics._flat_kernel(long.vhat, 0).code.lines) > dynamics._FUSED_MAX_LINES
     integrate(DynamicalSystem(line, long), 1e-3, [1.0])
     assert loops == [(1, False)]  # written six times over, the loop would be too long
 
@@ -731,6 +733,21 @@ def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
         compiled.clear()
         flow(t, [0.5, 1.0, 0.25])
         assert compiled == []
+
+
+def test_a_second_pass_of_the_law_suites_compiles_nothing(monkeypatch):
+    # the suites build the same dsl fields anew on every pass: each key's
+    # evaluator source and kernel makers are compiled once, in bounded memos
+    assert dsl._field_maker.cache_info().maxsize is not None
+    run_suite("all", 3)
+    compiled = []
+    for module in (dynamics, dsl, jets):
+        monkeypatch.setattr(
+            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+            raising=False,
+        )
+    run_suite("all", 3)
+    assert compiled == []
 
 
 def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
