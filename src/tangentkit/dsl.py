@@ -383,10 +383,12 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     once per key (:func:`_field_maker`) and each depth's kernel maker once
     per key and depth (:func:`kernel._maker_of`); each map binds its own
     cells and keeps its kernels, written on first use.  A kernel carries its
-    code as data, with the map's own cells (``kernel.code``),
-    which the solver's generated RK45 loop writes into each of its stages
-    in place of a call; the other maps of :mod:`kernel` that carry flat
-    kernels carry no code, and are called.
+    code as data (``kernel.code``, which names the cells, or None when it
+    holds more than ``dynamics._FUSED_MAX_LINES`` operations) and the map's
+    own cells (``kernel.cells``): the solver's generated RK45 loop, one per
+    code and state shape, writes the code into each of its stages in place
+    of a call and binds the cells on entry.  The other maps of :mod:`kernel`
+    that carry flat kernels carry no code, and are called.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
@@ -409,8 +411,12 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     rule = _Rule(key, len(inputs), write, tuple(cells))
 
     def coded(depth):
+        from .dynamics import _FUSED_MAX_LINES  # dynamics imports this module
+
         kernel = _maker_of(rule, depth)(*rule.cells)
-        kernel.code = _code(rule, depth)
+        code = _code(rule, depth)
+        kernel.code = code if code.operations() <= _FUSED_MAX_LINES else None
+        kernel.cells = rule.cells
         return kernel
 
     _carry_rule(evaluator, rule, coded)

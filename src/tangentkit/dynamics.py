@@ -12,20 +12,23 @@ of the numerical map actually computed.
 Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
 flattens its start state and unflattens its states (:mod:`jets`' codec), a
 called field's through one widening of its state, time and closure levels.
-A called field is evaluated through one closure, which also checks each
-value's length; a flat kernel (a dsl field's, a block map's, a linear
-field's or a composite's), whose length its spec, layout or parts fix, is
-checked once per solve.
+Every loop calls its field as ``rhs(y, scale)``, a flat kernel's own
+signature (``scale`` the time's flat coefficients), so a flat kernel (a dsl
+field's, a block map's, a linear field's or a composite's), whose length
+its spec, layout or parts fix and which is checked once per solve, is
+``rhs`` itself.  A called field is evaluated through one closure, which
+also checks each value's length.
 One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
 forms.  A flat state of at most 64 entries steps in the unrolled form,
 written once per state shape as straight-line code.  For a field compiled
 by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
-(of at most ``_FUSED_MAX_LINES`` operations) in stages 2 to 7, so those stages
-make no call; any other field, every other kernel included, is called
-through ``rhs`` at each stage.  A
-longer state steps in the list form, whose stage states are comprehensions
-and which calls ``rhs`` at every stage, as RK4 does; both give the same
-bits.
+(of at most ``_FUSED_MAX_LINES`` operations) in stages 2 to 7, so those
+stages make no call, and fields that differ only in their constants share
+the loop; any other field, every other kernel included, is called through
+``rhs`` at each stage.  A longer state steps in the list form, whose stage
+states are comprehensions and which calls ``rhs`` at every stage, as RK4
+does; both give the same bits.  The step-size controller of both forms
+makes no call.
 """
 
 from __future__ import annotations
@@ -340,17 +343,17 @@ _JET_PRIMAL = "the field's primal values turned from floats into jets mid-solve"
 _MIN_STEP = 1e-14
 
 
-def _dp_terms(row: tuple, prefix: str) -> list:
-    """``(column, name, value)`` of each nonzero entry of a tableau row,
-    columns counted from 1."""
-    return [(j, f"{prefix}{j}", c) for j, c in enumerate(row, 1) if c]
+def _dp_terms(row: tuple) -> list:
+    """``(column, value)`` of each nonzero entry of a tableau row, columns
+    counted from 1."""
+    return [(j, c) for j, c in enumerate(row, 1) if c]
 
 
 # The nonzero weights of stage states 2..6, of the new state (b) and of the
-# error estimate (e), under the names the generated loop binds them to.
-_DP_STAGES = [_dp_terms(row, f"a{i}") for i, row in enumerate(_DP_A[1:-1], 2)]
-_DP_STAGES.append(_dp_terms(_DP_A[-1], "b"))
-_DP_ERROR = _dp_terms(_DP_E, "e")
+# error estimate (e), which the generated loop writes as literals: repr
+# gives each float back exactly.
+_DP_STAGES = [_dp_terms(row) for row in _DP_A[1:]]
+_DP_ERROR = _dp_terms(_DP_E)
 
 # A flat state of at most this many entries steps in the unrolled loop
 # _dp_loop writes for its shape (fused with its field's kernel code of at
@@ -361,26 +364,31 @@ _GENERATED_MAX_N = 64
 _FUSED_MAX_LINES = 256
 _LOOPS_KEPT = 128
 
+# The step-size factors of the standard controller (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.4) for f = 0.9 * err**-0.2: after an accepted
+# step min(5.0, max(0.2, f)), after a rejected one max(0.2, f), written as
+# conditional expressions with the same value for every f, NaN (0.2)
+# included, and no call.
+_GROW = "f if 0.2 < f < 5.0 else 5.0 if f >= 5.0 else 0.2"
+_SHRINK = "f if f > 0.2 else 0.2"
+
 
 def _stage_sum(terms: list, y: str, k) -> str:
     """An entry of a stage state: ``y`` plus the weighted entries ``k(j)``
     of the earlier stages, summed left to right."""
-    return " + ".join([y, *(f"w{j} * {k(j)}" for j, _, _ in terms)])
+    return " + ".join([y, *(f"w{j} * {k(j)}" for j, _ in terms)])
 
 
-def _norm_lines(i, new: str, k) -> list:
-    """Fold one primal's error ratio into ``err`` and its new |y|,
-    ``an{i}``, into ``norm``.  NaN sticks in both, so h shrinks until it
-    collapses."""
-    e = " + ".join(f"{name} * {k(j)}" for j, name, _ in _DP_ERROR)
+def _error_lines(i, new: str, k) -> list:
+    """Fold one primal's error ratio into ``err``, with its new |y| bound
+    to ``an{i}``.  NaN sticks, so h shrinks until it collapses."""
+    e = " + ".join(f"{c!r} * {k(j)}" for j, c in _DP_ERROR)
     return [
         f"an{i} = abs({new})",
         f"e = {e}",
         f"ratio = abs(e * h_step) / (abs_tol + rel_tol * (an{i} if an{i} > ay{i} else ay{i}))",
         "if ratio > err or ratio != ratio:",
         "  err = ratio",
-        f"if an{i} > norm or an{i} != an{i}:",
-        f"  norm = an{i}",
     ]
 
 
@@ -389,28 +397,32 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
     """The Dormand-Prince loop of :func:`_integrate_scaled`, written out as
     code for a flat state whose first ``primals`` entries are float primal
     values.  Its two forms write each entry of a stage sum and each primal's
-    error and norm lines from the same templates (:func:`_stage_sum`,
-    :func:`_norm_lines`), around the same controller, so they give the same
-    bits.  In both, a jet among the primals fails ``abs`` in the error and
-    norm block, which ends in a ShapeError.
+    error lines from the same templates (:func:`_stage_sum`,
+    :func:`_error_lines`), around the same controller, so they give the same
+    bits.  In both, a jet among the primals fails ``abs`` in the error
+    block, which ends in a ShapeError.  The controller calls nothing: the
+    tableau is written as literals, the step-size factors as conditional
+    expressions (``_GROW``, ``_SHRINK``), and h is finite when ``h - h`` is
+    0.0.  An accepted step whose new state has a primal above
+    ``_STATE_NORM_LIMIT``, or NaN, raises StateNormExceeded.
 
     With ``n`` (at most ``_GENERATED_MAX_N``) the loop is unrolled for a
     state of ``n`` entries: each entry of the state, of each stage and of
     |y| is a local (``y0``, ``k2_0``, ``ay0``, ...), and a stage is one
-    line that unpacks ``rhs``'s value into its locals.
+    line that unpacks ``rhs(stage state, scale)`` into its locals.
 
     With the ``code`` of a flat kernel (:class:`jets._FlatCode`) the
     unrolled stages 2 to 7 run the kernel's lines in place of ``rhs``: the
     stage sums are bound to its input names and its outputs to the stage's
-    locals, so a stage makes no call.  The time's flat coefficients
-    (``scale``) and the kernel's ``cells`` are arguments, bound once on
-    entry: codes are cached by value, and cells that compare equal may
-    still differ (0.0 and -0.0).
+    locals, so a stage makes no call.  ``rhs`` is then the kernel that
+    carries the code: its cells (``rhs.cells``) and the time's flat
+    coefficients (``scale``) are bound once on entry.  The code names the
+    cells and holds no value, so fields that differ only in their constants
+    share one loop.
 
     With ``n`` None the loop is the list form, for a state of any length:
     each stage state is one comprehension over ``zip(y, k1, ...)``, each
-    stage calls ``rhs``, and the error and norm block loops over the
-    primals."""
+    stage calls ``rhs``, and the error block loops over the primals."""
     if n is None:
         new = ["y_new"]
     else:
@@ -419,10 +431,10 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         k = [[f"k{stage}_{i}" for i in range(n)] for stage in range(1, 8)]
     step = []
     for stage, terms in enumerate(_DP_STAGES, 2):
-        step += [f"w{j} = h_step * {name}" for j, name, _ in terms]
+        step += [f"w{j} = h_step * {c!r}" for j, c in terms]
         if n is None:  # one comprehension over the whole state
-            ps = ", ".join(f"p{j}" for j, _, _ in terms)
-            ks = ", ".join(f"k{j}" for j, _, _ in terms)
+            ps = ", ".join(f"p{j}" for j, _ in terms)
+            ks = ", ".join(f"k{j}" for j, _ in terms)
             sums = [f"[{_stage_sum(terms, 'yi', 'p{}'.format)} for yi, {ps} in zip(y, {ks})]"]
         else:
             sums = [_stage_sum(terms, y[i], f"k{{}}_{i}".format) for i in range(n)]
@@ -430,48 +442,50 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
             step += [f"{v} = {total}" for v, total in zip(new, sums)]
             sums = new
         if n is None:
-            step.append(f"k{stage} = rhs({sums[0]})")
+            step.append(f"k{stage} = rhs({sums[0]}, scale)")
         elif code is None:
-            step.append(f"[{', '.join(k[stage - 1])}] = rhs([{', '.join(sums)}])")
+            step.append(f"[{', '.join(k[stage - 1])}] = rhs([{', '.join(sums)}], scale)")
         else:
             step += [f"{a} = {b}" for a, b in zip(code.inputs, sums)]
             step += code.lines
             step += [f"{a} = {b}" for a, b in zip(k[stage - 1], code.outputs)]
-    names = {name: c for terms in (*_DP_STAGES, _DP_ERROR) for _, name, c in terms}
-    names.update(
+    names = dict(
         MaxStepsExceeded=MaxStepsExceeded,
         StepSizeCollapse=StepSizeCollapse,
         StateNormExceeded=StateNormExceeded,
         ShapeError=ShapeError,
-        isfinite=math.isfinite,
-        MIN_STEP=_MIN_STEP,
-        NORM_LIMIT=_STATE_NORM_LIMIT,
     )
+    limit = repr(_STATE_NORM_LIMIT)
     if n is None:
-        ps = ", ".join(f"p{j}" for j, _, _ in _DP_ERROR)
-        ks = ", ".join(f"k{j}" for j, _, _ in _DP_ERROR)
+        ps = ", ".join(f"p{j}" for j, _ in _DP_ERROR)
+        ks = ", ".join(f"k{j}" for j, _ in _DP_ERROR)
         lines = [
+            "norm = 0.0",
             "new_abs = []",
             f"for ay, yn, {ps} in zip(y_abs, y_new, {ks}):",
-            *(f"  {line}" for line in [*_norm_lines("", "yn", "p{}".format), "new_abs.append(an)"]),
+            *(f"  {line}" for line in _error_lines("", "yn", "p{}".format)),
+            "  if an > norm or an != an:",  # NaN sticks
+            "    norm = an",
+            "  new_abs.append(an)",
         ]
         accept = [("y", "y_new"), ("y_abs", "new_abs"), ("k1", "k7")]
+        bounded = f"norm <= {limit}"
         entry = [f"y_abs = [abs(v) for v in y[:{primals}]]"]
         label, state = f"list loop {primals}", "y"
     else:
-        lines = [ln for i in range(primals) for ln in _norm_lines(i, new[i], f"k{{}}_{i}".format)]
+        lines = [ln for i in range(primals) for ln in _error_lines(i, new[i], f"k{{}}_{i}".format)]
         accept = [*zip(y, new), *((f"ay{i}", f"an{i}") for i in range(primals)), *zip(k[0], k[6])]
+        bounded = " and ".join(f"an{i} <= {limit}" for i in range(primals))
         entry = [f"[{', '.join(y)}] = y", f"[{', '.join(k[0])}] = k1"]
         if code is not None:
             names.update(_KERNEL_NAMES)
-            cells = [f"c{i}" for i in range(len(code.cells))]
-            entry += [f"[{', '.join(code.scale)}] = scale", f"[{', '.join(cells)}] = cells"]
+            entry += [f"[{', '.join(code.scale)}] = scale"]
+            entry += [f"[{', '.join(code.cells)}] = rhs.cells"]
         entry += [f"ay{i} = abs({y[i]})" for i in range(primals)]
         label = f"{'loop' if code is None else 'fused loop'} {n}/{primals}"
         state = f"[{', '.join(y)}]"
     step += [
         "err = 0.0",
-        "norm = 0.0",
         "try:",
         *(f"  {line}" for line in lines or ["pass"]),
         "except TypeError:",
@@ -479,16 +493,17 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         "if err <= 1.0:",
         "  s = target if clipped else s + h_step",
         *(f"  {a} = {b}" for a, b in accept),
-        "  if not norm <= NORM_LIMIT:",
-        "    raise StateNormExceeded(s * t_unit)",
+        *([f"  if not ({bounded}):", "    raise StateNormExceeded(s * t_unit)"] if bounded else []),
         "  if not clipped:",
-        "    h = h_step * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))",
+        "    f = 5.0 if err == 0.0 else 0.9 * err**-0.2",
+        f"    h = h_step * ({_GROW})",
         "else:",
-        "  h = h_step * max(0.2, 0.9 * err**-0.2)",
+        "  f = 0.9 * err**-0.2",
+        f"  h = h_step * ({_SHRINK})",
     ]
     source = (
         f"def make({', '.join(names)}):\n"
-        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale, cells):\n"
+        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale):\n"
         + "".join(f"    {line}\n" for line in entry)
         + "    s = 0.0\n"
         "    h = 0.01\n"
@@ -499,7 +514,7 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         "        if steps >= max_steps:\n"
         "          raise MaxStepsExceeded(s * t_unit, max_steps)\n"
         "        steps += 1\n"
-        "        if h < MIN_STEP or not isfinite(h):\n"
+        f"        if h < {_MIN_STEP!r} or h - h != 0.0:  # too small, inf or NaN\n"
         "          raise StepSizeCollapse(s * t_unit)\n"
         "        clipped = h >= target - s\n"
         "        h_step = (target - s) if clipped else h\n"
@@ -522,10 +537,10 @@ def _misfit(n: int) -> ShapeError:
     return ShapeError(f"the field's value does not fit its {n}-dimensional state")
 
 
-def _widened(rhs, levels: int, y: list) -> list:
+def _widened(rhs, levels: int, y: list, scale) -> list:
     """``rhs`` on towers as ``rhs`` on a flat state of ``levels`` levels: the
     one codec boundary :func:`_trajectory` puts round a called field."""
-    return flatten_levels(rhs(unflatten_levels(y, levels)), levels)
+    return flatten_levels(rhs(unflatten_levels(y, levels), scale), levels)
 
 
 def _integrate_scaled(
@@ -539,7 +554,7 @@ def _integrate_scaled(
     scale: Sequence = (),
     k1: list | None = None,
 ) -> list:
-    """Integrate dy/ds = rhs(y) over s in [0, 1]; the flat states at ``outputs``.
+    """Integrate dy/ds = rhs(y, scale) over s in [0, 1]; the flat states at ``outputs``.
 
     ``outputs`` is a sorted tuple of fractions in [0, 1].  A step that would
     pass the next output fraction is clipped to land on it exactly (as the
@@ -559,31 +574,31 @@ def _integrate_scaled(
     reads the primals alone, so derivative coefficients ride along without
     steering.  ``t_unit`` is the primal value of the solve's time, used
     only to convert the reached fraction back to time units in errors (and
-    by RK4 to size its steps).  ``rhs`` must give one value per entry of
-    its argument: none of the loops checks.
+    by RK4 to size its steps).  ``rhs`` is called as ``rhs(y, scale)``,
+    the contract of a flat kernel (``scale`` the time's flat coefficients),
+    so a kernel is passed as ``rhs`` itself; it must give one value per
+    entry of ``y``: none of the loops checks.
 
     RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
     writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
-    with the kernel's lines inlined in stages 2 to 7 when ``rhs`` is
-    ``kernel(y, scale)`` for a flat kernel with that ``code`` (``rhs`` then
-    gives the first stage only), or else in the list form, which calls
-    ``rhs`` at every stage.  Both run the same float operations in the same
-    order.
+    with the kernel's lines inlined in stages 2 to 7 when ``rhs`` is a flat
+    kernel that carries that ``code`` (``rhs`` then gives the first stage
+    and its cells only), or else in the list form, which calls ``rhs`` at
+    every stage.  Both run the same float operations in the same order.
     """
 
     y = list(y0)
-    k1 = rhs(y) if k1 is None else k1
+    k1 = rhs(y, scale) if k1 is None else k1
     if cfg.method == "rk4":
-        return _rk4_fixed(rhs, y, k1, cfg, t_unit, outputs, primals)
+        return _rk4_fixed(rhs, y, k1, cfg, t_unit, outputs, primals, scale)
     unrolled = len(y) <= _GENERATED_MAX_N
     loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
-    return loop(
-        rhs, y, k1, t_unit, outputs, cfg.abs_tol, cfg.rel_tol, cfg.max_steps,
-        scale, code.cells if code is not None else (),
-    )
+    return loop(rhs, y, k1, t_unit, outputs, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, scale)
 
 
-def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_unit: float, outputs, primals: int) -> list:
+def _rk4_fixed(
+    rhs, y, k1, cfg: IntegratorConfig, t_unit: float, outputs, primals: int, scale
+) -> list:
     """Classical RK4 on the flat lists of :func:`_integrate_scaled`, from
     ``y`` and its first stage ``k1``; each interval between output fractions
     takes ceil(interval length in time units / cfg.h) equal steps, where
@@ -604,10 +619,10 @@ def _rk4_fixed(rhs, y, k1, cfg: IntegratorConfig, t_unit: float, outputs, primal
         h = width / steps
         for i in range(steps):
             if k1 is None:
-                k1 = rhs(y)
-            k2 = rhs(_axpy(y, h / 2, k1))
-            k3 = rhs(_axpy(y, h / 2, k2))
-            k4 = rhs(_axpy(y, h, k3))
+                k1 = rhs(y, scale)
+            k2 = rhs(_axpy(y, h / 2, k1), scale)
+            k3 = rhs(_axpy(y, h / 2, k2), scale)
+            k4 = rhs(_axpy(y, h, k3), scale)
             y = [
                 yi + (h / 6) * (a + 2 * b + 2 * c + d)
                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
@@ -638,16 +653,16 @@ def _trajectory(
     and their composites and tangents, a closed-form flow's generator and
     the geodesic field of a gamma that carries kernels), looked up through
     ``_flat_kernel``, gives ``t * vhat`` as its flat kernel for D, the
-    depth of the deepest jet among t and xs.  A dsl kernel carries its
-    code, which, unless it holds more than ``_FUSED_MAX_LINES`` operations
-    (:meth:`jets._FlatCode.operations`), is inlined
-    in the generated loop; every other kernel carries none and is called
-    at each stage.  Any
-    other evaluator is called on towers (``t * vhat`` in jet arithmetic)
-    through ``rhs``, which checks each value's length, wrapped in one
-    widening (:func:`_widened`) at D or, when a jet it closes over is
-    deeper, at its first stage's depth; it joins levels by position, as jet
-    arithmetic does.  Both give the same bits."""
+    depth of the deepest jet among t and xs, which is the loop's ``rhs``
+    itself.  A dsl kernel carries its code, unless it holds more than
+    ``_FUSED_MAX_LINES`` operations (:meth:`jets._FlatCode.operations`),
+    and the code is inlined in the generated loop; every other kernel
+    carries none and is called at each stage.  Any other evaluator is
+    called on towers (``t * vhat`` in jet arithmetic) through the closure
+    ``rhs(y, scale)``, which checks each value's length and has no use for
+    ``scale``, wrapped in one widening (:func:`_widened`) at D or, when a
+    jet it closes over is deeper, at its first stage's depth; it joins
+    levels by position, as jet arithmetic does.  Both give the same bits."""
     xs = list(xs)
     n = vhat.domain.dim
     if len(xs) != n:
@@ -664,30 +679,24 @@ def _trajectory(
     kernel = _flat_kernel(vhat, depth)
     if kernel is None:
 
-        def rhs(y):
+        def rhs(y, scale):
             k = [t * v for v in vhat.evaluator(list(y))]
             if len(k) != n:  # zip would cut the longer of state and value short
                 raise _misfit(n)
             return k
 
-        k1 = rhs(xs)
+        code, scale = None, ()
+        k1 = rhs(xs, scale)
         levels = max([depth, *map(jet_depth, k1)])
         if levels:  # jets of the state, the time and the closure join the flat state
             rhs = functools.partial(_widened, rhs, levels)
             k1 = flatten_levels(k1, levels)
-        code, scale = None, ()
         y0 = flatten_levels(xs, levels) if levels else xs
     else:
         levels, scale, y0 = depth, flatten_levels([t], depth), flatten_levels(xs, depth)
         # only a kernel that carries its code is written into the loop
-        code = getattr(kernel, "code", None)
-        if code is not None and code.operations() > _FUSED_MAX_LINES:
-            code = None
-
-        def rhs(y):
-            return kernel(y, scale)
-
-        k1 = rhs(y0)
+        rhs, code = kernel, getattr(kernel, "code", None)
+        k1 = kernel(y0, scale)
         if len(k1) != n * len(scale):  # a map that misstates its codomain
             raise _misfit(n)
     states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, code, scale, k1)

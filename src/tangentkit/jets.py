@@ -541,9 +541,10 @@ class _FlatWriter:
 
     # -- the kernel -----------------------------------------------------------
 
-    def code(self, outputs: list, cells: list) -> "_FlatCode":
+    def code(self, outputs: list, cells: tuple) -> "_FlatCode":
         """The code of ``t * v`` for each output ``v``, as data, with each
-        name read once inlined where it is read (:func:`_inlined`)."""
+        name read once inlined where it is read (:func:`_inlined`); ``cells``
+        names the constants the lines read."""
         scaled = [self.mul(self.scale, v) for v in outputs]
         outputs = tuple(v[k] for k in range(self.size) for v in scaled)
         return _FlatCode(
@@ -551,7 +552,7 @@ class _FlatWriter:
             tuple(self.scale),
             tuple(_inlined(self.lines, outputs)),
             outputs,
-            tuple(cells),
+            cells,
         )
 
 
@@ -596,16 +597,17 @@ class _FlatCode(NamedTuple):
     """A flat kernel's code as data, for a caller that writes it into its
     own straight-line code: bind the flat input coefficients to ``inputs``
     and the time's to ``scale``, run ``lines``, and read the flat
-    coefficients of the values from ``outputs``.  The lines read names
-    ``c0..`` (the ``cells``, numbers) and the names of
-    :data:`_KERNEL_NAMES`; they bind only names ``j1..``, and every output
-    is one of those."""
+    coefficients of the values from ``outputs``.  The lines read the names
+    ``cells`` (``c0..``, bound to the map's constants by whoever runs the
+    code, so maps that differ only in their constants share one code) and
+    the names of :data:`_KERNEL_NAMES`; they bind only names ``j1..``, and
+    every output is one of those."""
 
     inputs: tuple[str, ...]
     scale: tuple[str, ...]
     lines: tuple[str, ...]
     outputs: tuple[str, ...]
-    cells: tuple
+    cells: tuple[str, ...]
 
     def operations(self) -> int:
         """The number of lines the writer wrote: one for each line, and one
@@ -623,7 +625,7 @@ def _kernel_maker(code: _FlatCode):
     inputs' flat coefficients, ``s`` the time's, and the result is the flat
     coefficients of ``t * v`` for each output ``v``.  Kernels whose code
     differs only in their cells' values can share one maker."""
-    params = ", ".join(list(_KERNEL_NAMES) + [f"c{k}" for k in range(len(code.cells))])
+    params = ", ".join([*_KERNEL_NAMES, *code.cells])
     source = (
         f"def make({params}):\n"
         "  def kernel(y, s):\n"

@@ -287,8 +287,8 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
     depth ``depth``: one :class:`jets._FlatWriter` pass, in which the parts
     of a composite write their values in turn, with no time between them."""
     w = _FlatWriter(depth, [f"x{i}" for i in range(rule.arity)])
-    cells = (f"c{k}" for k in range(len(rule.cells)))
-    return w.code(rule.write(w, w.inputs, 2**depth, cells), rule.cells)
+    cells = tuple(f"c{k}" for k in range(len(rule.cells)))
+    return w.code(rule.write(w, w.inputs, 2**depth, iter(cells)), cells)
 
 
 # run_suite("all") compiles makers for 85 keys and depths, the same 85 at

@@ -508,9 +508,8 @@ def test_the_fused_rk45_loop_is_the_called_kernel_bit_for_bit(data):
 
     def outcome(code):
         try:
-            rhs = lambda y: kernel(y, scale)  # noqa: E731
             unit = jets.primal_value(t)
-            return repr(_integrate_scaled(rhs, y0, cfg, unit, outputs, n, code, scale))
+            return repr(_integrate_scaled(kernel, y0, cfg, unit, outputs, n, code, scale))
         except (ArithmeticError, ValueError) as e:
             return type(e), str(e), repr(getattr(e, "t_reached", None))
 

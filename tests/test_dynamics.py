@@ -360,7 +360,7 @@ def _flat_solves(draw):
         for i in range(n)
     ]
 
-    def rhs(y):
+    def rhs(y, scale):
         out = []
         for i, (kind, j, q, a, b) in enumerate(rows):
             if kind == "linear":
@@ -686,7 +686,7 @@ def test_wide_states_take_the_list_form_and_captured_jets_widen_the_state(monkey
     )
     for n in (65, 80):
         [state] = _integrate_scaled(
-            lambda y: [-v for v in y], [1.0] * n, IntegratorConfig(), 1.0, (1.0,), 5
+            lambda y, scale: [-v for v in y], [1.0] * n, IntegratorConfig(), 1.0, (1.0,), 5
         )
         assert len(state) == n and abs(state[-1] - math.exp(-1.0)) <= 1e-9
     assert compiled == ["<rk45 list loop 5>"]
@@ -792,6 +792,97 @@ def test_kernels_that_read_the_same_lines_solve_with_their_own_constants():
     with pytest.MonkeyPatch.context() as patch:
         _kernel_called(patch)
         assert [repr(flow_of(field)(0.5, [1.0])) for field in fields] == fused
+
+
+def test_a_parameter_sweep_compiles_one_fused_loop(monkeypatch):
+    # the kernel's code names its constants and holds none of their values,
+    # so fields that differ only in a constant share one loop, and each
+    # solve binds its own constants: the states of the called kernel
+    texts = [f"-{a}*x1 + x2; x1" for a in ("2.0", "3.0", "4.5")]
+    dynamics._dp_loop.cache_clear()
+    compiled = []
+    monkeypatch.setattr(
+        dynamics, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+        raising=False,
+    )
+    fused = [repr(flow_of(VectorField.from_expr(text, 2))(1.0, [1.0, 0.5])) for text in texts]
+    assert compiled == ["<rk45 fused loop 2/2>"]
+    assert len(set(fused)) == 3
+    with pytest.MonkeyPatch.context() as patch:
+        _kernel_called(patch)
+        called = [repr(flow_of(VectorField.from_expr(text, 2))(1.0, [1.0, 0.5])) for text in texts]
+    assert called == fused
+
+
+_CLAMP_POINTS = [0.2, 5.0, math.nextafter(0.2, 0.0), math.nextafter(0.2, 1.0)]
+_CLAMP_POINTS += [math.nextafter(5.0, 0.0), math.nextafter(5.0, 6.0)]
+_ERRORS = st.one_of(
+    st.floats(min_value=0.0),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+    st.sampled_from([0.0, 5e-324, (0.9 / 5.0) ** 5, (0.9 / 0.2) ** 5, 1.0, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ERRORS, st.one_of(st.floats(), st.sampled_from(_CLAMP_POINTS)))
+def test_the_controller_clamps_are_min_and_max_with_their_nan(err, f):
+    # the step-size factors the generated loop writes as conditional
+    # expressions, for the factor of an error (0.0 grows by 5.0, as in the
+    # loop) and for any float, NaN and the clamp points included
+    for factor in (5.0 if err == 0.0 else 0.9 * err**-0.2, f):
+        assert repr(eval(dynamics._GROW, {"f": factor})) == repr(min(5.0, max(0.2, factor)))
+        assert repr(eval(dynamics._SHRINK, {"f": factor})) == repr(max(0.2, factor))
+
+
+@given(st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])))
+def test_the_loop_finite_test_is_isfinite(h):
+    assert (h - h != 0.0) == (not math.isfinite(h))
+
+
+_ABOVE = math.nextafter(1e12, math.inf)
+_NORM_STARTS = {
+    "at-the-limit": [1.0, 1e12],
+    "at-minus-the-limit": [-1e12, 1.0],
+    "next-float-up": [1.0, _ABOVE],
+    "next-float-down-negative": [-_ABOVE, 1.0],
+    "nan": [1.0, math.nan],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NORM_STARTS))
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_the_state_norm_limit_is_the_same_in_every_loop(case, method):
+    # a field that keeps its state: a primal of exactly 1e12 passes, the
+    # next float up raises, and NaN raises, with the same error type,
+    # message and time reached in the fused, unrolled-called, list and
+    # codec forms of RK45, and on RK4's kernel and codec paths
+    field = VectorField.from_expr("0*x1; 0*x2", 2)
+    cfg = IntegratorConfig(method=method, h=0.1)
+
+    def outcome():
+        try:
+            return repr(flow_of(field, cfg)(1.0, _NORM_STARTS[case]))
+        except ArithmeticError as e:
+            return type(e), str(e), repr(e.t_reached)
+
+    first = outcome()
+    forms = [
+        ("_dp_loop", lambda n, primals, code=None, writer=dynamics._dp_loop: writer(n, primals)),
+        ("_GENERATED_MAX_N", -1),
+        ("_flat_kernel", lambda vhat, depth: None),
+    ]
+    for name, value in forms:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, name, value)
+            assert outcome() == first, name
+    if case.startswith("at-"):
+        assert first == repr(_NORM_STARTS[case])
+    elif case == "nan" and method == "rk45":
+        # NaN in |y| makes every error ratio NaN: each step is rejected
+        assert first == (StepSizeCollapse, "step size collapse near t=0.000", "0.0")
+    else:
+        t = "0.010" if method == "rk45" else "0.100"
+        assert first[:2] == (StateNormExceeded, f"state norm above 1e+12 near t={t}")
 
 
 @pytest.mark.parametrize(
