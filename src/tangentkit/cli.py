@@ -3,8 +3,11 @@
 Subcommands: solve, flow (``solve`` with CSV output by default), bracket,
 commute, expm, geodesic, exp, verify.  Exit codes: 0 success / all laws
 pass, 1 a law failed (and nothing else), 2 usage error, 3 evaluation or
-integration error.  Outputs are deterministic for a fixed seed: identical
-argv produce byte-identical bytes.
+integration error (any ArithmeticError or ValueError the run raises: a
+point outside a primitive's domain, a math domain error or float division
+by zero in float arithmetic, an overflow, non-finite expm entries, a
+collapsed step or a spent step budget).  Outputs are deterministic for a
+fixed seed: identical argv produce byte-identical bytes.
 
 Each subcommand takes only the flags it reads (listed in ``_COMMANDS``),
 plus ``--out`` and ``--config``; any other flag, or an abbreviated flag, is a
@@ -46,9 +49,9 @@ from .dynamics import (
     geodesic_flow,
     integrate,
 )
-from .fields import LinearityError, VectorField, _matrix_rows, lie_bracket
-from .jets import EvaluationDomainError, primal_value
-from .kernel import ShapeError, TrivialBundle, VerticalityViolation
+from .fields import VectorField, _matrix_rows, lie_bracket
+from .jets import primal_value
+from .kernel import ShapeError, TrivialBundle
 from .sampling import DEFAULT_SEED
 
 __all__ = ["main", "dispatch"]
@@ -138,7 +141,7 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"--config: cannot read {path}: {e}") from e
     flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -385,12 +388,7 @@ def dispatch(argv: list[str], stdout=None) -> int:
     except (StepSizeCollapse, MaxStepsExceeded) as e:
         print(f"integration failed: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        EvaluationDomainError,
-        VerticalityViolation,
-        LinearityError,
-        OverflowError,
-    ) as e:
+    except (ArithmeticError, ValueError) as e:
         print(f"evaluation failed: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -336,28 +336,38 @@ def parse(text: str, arity: int, time_dependent: bool = False) -> FieldSpec:
 # -- compiler ---------------------------------------------------------------
 
 
-_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "div({}, {})"}
+_BINARY = {
+    "+": ("{} + {}", jets._FlatWriter.add),
+    "-": ("{} - {}", jets._FlatWriter.sub),
+    "*": ("{} * {}", jets._FlatWriter.mul),
+    "/": ("div({}, {})", jets._FlatWriter.div),
+}
 
 
-def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple]:
-    """A node's source over its operands' names, and its operands; a
-    number's value is appended to ``cells`` and named ``c{k}``, and a
-    function is called by its name.  TypeError if it cannot be written."""
+def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple, object]:
+    """A node's source over its operands' names, its operands, and its
+    :class:`jets._FlatWriter` rule, called as ``rule(w, *operands)`` (None
+    for a leaf); a number's value is appended to ``cells`` and named
+    ``c{k}``, and a function is called by its name.  TypeError if it cannot
+    be written."""
     if isinstance(node, Num):
         cells.append(node.value)
-        return f"c{len(cells) - 1}", ()
+        return f"c{len(cells) - 1}", (), None
     if isinstance(node, Var) and isinstance(node.index, int) and 0 < node.index <= spec.arity:
-        return f"x{int(node.index)}", ()
+        return f"x{int(node.index)}", (), None
     if isinstance(node, TimeVar) and spec.time_dependent:
-        return "t", ()
+        return "t", (), None
     if isinstance(node, Neg):
-        return "-{}", (node.operand,)
+        return "-{}", (node.operand,), jets._FlatWriter.neg
     if isinstance(node, BinOp) and node.op in _BINARY:
-        return _BINARY[node.op], (node.left, node.right)
+        template, rule = _BINARY[node.op]
+        return template, (node.left, node.right), rule
     if isinstance(node, Pow) and isinstance(node.exponent, int):
-        return f"pow_int({{}}, {int(node.exponent)})", (node.base,)
+        k = int(node.exponent)
+        rule = functools.partial(jets._FlatWriter.pow_int, k=k)
+        return f"pow_int({{}}, {k})", (node.base,), rule
     if isinstance(node, Call) and node.fn in FUNCTIONS:
-        return f"{node.fn}({{}})", (node.arg,)
+        return f"{node.fn}({{}})", (node.arg,), getattr(jets._FlatWriter, node.fn)
     raise TypeError(f"cannot compile {node!r}")
 
 
@@ -383,20 +393,18 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     once per key (:func:`_field_maker`) and each depth's kernel maker once
     per key and depth (:func:`kernel._maker_of`); each map binds its own
     cells and keeps its kernels, written on first use.  A kernel carries its
-    code as data (``kernel.code``, which names the cells, or None when it
-    holds more than ``dynamics._FUSED_MAX_LINES`` operations) and the map's
-    own cells (``kernel.cells``): the solver's generated RK45 loop, one per
-    code and state shape, writes the code into each of its stages in place
-    of a call and binds the cells on entry.  The other maps of :mod:`kernel`
+    code as data (``kernel.code``, which names the cells) and the map's own
+    cells (``kernel.cells``), which the solver writes into its generated
+    RK45 loop when the code is short enough
+    (:func:`dynamics._integrate_scaled`).  The other maps of :mod:`kernel`
     that carry flat kernels carry no code, and are called.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
     preorder, stack = [], list(spec.components)
     while stack:
-        node = stack.pop()
-        template, operands = _node(node, spec, cells)
-        preorder.append((template, len(operands), node))
+        template, operands, rule = _node(stack.pop(), spec, cells)
+        preorder.append((template, len(operands), rule))
         stack.extend(operands)
     postorder = preorder[::-1]
     inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
@@ -411,11 +419,8 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     rule = _Rule(key, len(inputs), write, tuple(cells))
 
     def coded(depth):
-        from .dynamics import _FUSED_MAX_LINES  # dynamics imports this module
-
         kernel = _maker_of(rule, depth)(*rule.cells)
-        code = _code(rule, depth)
-        kernel.code = code if code.operations() <= _FUSED_MAX_LINES else None
+        kernel.code = _code(rule, depth)
         kernel.cells = rule.cells
         return kernel
 
@@ -436,24 +441,13 @@ def _field_maker(inputs: tuple, templates: tuple) -> tuple:
         if n:
             operands = names[-n:]
             del names[-n:]
-            lines.append(f"    v{len(lines)} = {template.format(*operands)}\n")
+            lines.append(f"v{len(lines)} = {template.format(*operands)}")
             template = f"v{len(lines) - 1}"
         names.append(template)
     n_cells = sum(1 for template, n in templates if not n and template[0] == "c")
-    params = ", ".join(["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(n_cells)])
-    source = (
-        f"def make({params}):\n"
-        "  def field(xs):\n"
-        f"    [{', '.join(inputs)}] = xs\n"
-        + "".join(lines)
-        + f"    return [{', '.join(names)}]\n"
-        "  return field\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, "<dsl field>", "exec"), namespace)
-    # popped: left in the namespace that is its globals, make would be a
-    # reference cycle, which only the cyclic collector frees
-    return namespace.pop("make"), len(names)
+    params = ["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(n_cells)]
+    body = [f"[{', '.join(inputs)}] = xs", *lines, f"return [{', '.join(names)}]"]
+    return jets._compiled("<dsl field>", params, "field(xs)", body), len(names)
 
 
 def _write(postorder: list, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:
@@ -463,20 +457,10 @@ def _write(postorder: list, inputs: list[str], n_cells: int, w, ins, size, cells
     leaves = dict(zip(inputs, ins))
     leaves.update((f"c{k}", w.constant(next(cells), size)) for k in range(n_cells))
     values: list = []
-    for template, n, node in postorder:
+    for template, n, rule in postorder:
         operands = values[len(values) - n :]
         del values[len(values) - n :]
-        if not n:
-            value = leaves[template]
-        elif isinstance(node, Neg):
-            value = w.neg(*operands)
-        elif isinstance(node, BinOp):
-            value = {"+": w.add, "-": w.sub, "*": w.mul, "/": w.div}[node.op](*operands)
-        elif isinstance(node, Pow):
-            value = w.pow_int(*operands, node.exponent)
-        else:
-            value = getattr(w, node.fn)(*operands)
-        values.append(value)
+        values.append(rule(w, *operands) if n else leaves[template])
     return values
 
 

@@ -9,26 +9,17 @@ through the same arithmetic as the state and step-size selection is frozen
 to primal values.  The derivative a jet extracts is therefore the derivative
 of the numerical map actually computed.
 
-Every solve steps on floats: only :func:`_trajectory` reads its jet levels,
-flattens its start state and unflattens its states (:mod:`jets`' codec), a
-called field's through one widening of its state, time and closure levels.
-Every loop calls its field as ``rhs(y, scale)``, a flat kernel's own
-signature (``scale`` the time's flat coefficients), so a flat kernel (a dsl
-field's, a block map's, a linear field's or a composite's), whose length
-its spec, layout or parts fix and which is checked once per solve, is
-``rhs`` itself.  A called field is evaluated through one closure, which
-also checks each value's length.
-One writer, :func:`_dp_loop`, writes every RK45 loop as code, in one of two
-forms.  A flat state of at most 64 entries steps in the unrolled form,
-written once per state shape as straight-line code.  For a field compiled
-by :func:`dsl.compile_spec` that form also inlines the field's flat kernel
-(of at most ``_FUSED_MAX_LINES`` operations) in stages 2 to 7, so those
-stages make no call, and fields that differ only in their constants share
-the loop; any other field, every other kernel included, is called through
-``rhs`` at each stage.  A longer state steps in the list form, whose stage
-states are comprehensions and which calls ``rhs`` at every stage, as RK4
-does; both give the same bits.  The step-size controller of both forms
-makes no call.
+Each decision of a solve has one owner.  :func:`_trajectory` alone reads
+a solve's jet levels: it flattens the start state and unflattens the states
+(:mod:`jets`' codec), and passes a field's flat kernel as ``rhs`` itself, or
+else calls the field through one closure, in one widening of its state, time
+and closure levels.  :func:`_integrate_scaled` alone picks the loop: RK4, or
+an RK45 loop in the list form for a state of more than ``_GENERATED_MAX_N``
+entries, else unrolled, fused with a dsl kernel's code of at most
+``_FUSED_MAX_LINES`` operations or calling ``rhs`` at each stage.
+:func:`_dp_loop` alone writes the RK45 loops, every form from the same
+templates, so all give the same bits, and :func:`jets._compiled` compiles
+them.
 """
 
 from __future__ import annotations
@@ -59,6 +50,7 @@ from .fields import (
 from .jets import (
     _KERNEL_NAMES,
     _FlatCode,
+    _compiled,
     close_level,
     flatten_levels,
     jet_depth,
@@ -355,11 +347,11 @@ def _dp_terms(row: tuple) -> list:
 _DP_STAGES = [_dp_terms(row) for row in _DP_A[1:]]
 _DP_ERROR = _dp_terms(_DP_E)
 
-# A flat state of at most this many entries steps in the unrolled loop
-# _dp_loop writes for its shape (fused with its field's kernel code of at
-# most _FUSED_MAX_LINES operations, the lines the writer wrote before any
-# was written into another, which the loop repeats six times), a longer
-# one in the list form.  The most recently used _LOOPS_KEPT loops are kept.
+# The caps _integrate_scaled applies: a flat state of at most
+# _GENERATED_MAX_N entries steps in the unrolled loop, fused with its
+# kernel's code of at most _FUSED_MAX_LINES operations (which the loop
+# repeats six times); a longer one in the list form.  The most recently
+# used _LOOPS_KEPT loops are kept.
 _GENERATED_MAX_N = 64
 _FUSED_MAX_LINES = 256
 _LOOPS_KEPT = 128
@@ -394,35 +386,24 @@ def _error_lines(i, new: str, k) -> list:
 
 @functools.lru_cache(maxsize=_LOOPS_KEPT)
 def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
-    """The Dormand-Prince loop of :func:`_integrate_scaled`, written out as
-    code for a flat state whose first ``primals`` entries are float primal
-    values.  Its two forms write each entry of a stage sum and each primal's
-    error lines from the same templates (:func:`_stage_sum`,
-    :func:`_error_lines`), around the same controller, so they give the same
-    bits.  In both, a jet among the primals fails ``abs`` in the error
-    block, which ends in a ShapeError.  The controller calls nothing: the
-    tableau is written as literals, the step-size factors as conditional
-    expressions (``_GROW``, ``_SHRINK``), and h is finite when ``h - h`` is
-    0.0.  An accepted step whose new state has a primal above
-    ``_STATE_NORM_LIMIT``, or NaN, raises StateNormExceeded.
+    """The Dormand-Prince loop of the form :func:`_integrate_scaled` picks,
+    written out as code for a flat state whose first ``primals`` entries are
+    float primal values.  Every form writes each entry of a stage sum and
+    each primal's error lines from the same templates (:func:`_stage_sum`,
+    :func:`_error_lines`), around the same controller, so all give the same
+    bits; a jet among the primals fails ``abs`` in the error block, which
+    ends in a ShapeError.  The controller calls nothing, and an accepted
+    step whose new state has a primal above ``_STATE_NORM_LIMIT``, or NaN,
+    raises StateNormExceeded.
 
-    With ``n`` (at most ``_GENERATED_MAX_N``) the loop is unrolled for a
-    state of ``n`` entries: each entry of the state, of each stage and of
-    |y| is a local (``y0``, ``k2_0``, ``ay0``, ...), and a stage is one
-    line that unpacks ``rhs(stage state, scale)`` into its locals.
-
-    With the ``code`` of a flat kernel (:class:`jets._FlatCode`) the
-    unrolled stages 2 to 7 run the kernel's lines in place of ``rhs``: the
-    stage sums are bound to its input names and its outputs to the stage's
-    locals, so a stage makes no call.  ``rhs`` is then the kernel that
-    carries the code: its cells (``rhs.cells``) and the time's flat
-    coefficients (``scale``) are bound once on entry.  The code names the
-    cells and holds no value, so fields that differ only in their constants
-    share one loop.
-
-    With ``n`` None the loop is the list form, for a state of any length:
-    each stage state is one comprehension over ``zip(y, k1, ...)``, each
-    stage calls ``rhs``, and the error block loops over the primals."""
+    With ``n`` the loop is unrolled for ``n`` entries, each a local (``y0``,
+    ``k2_0``, ``ay0``, ...), and a stage unpacks ``rhs(stage state,
+    scale)``; given the ``code`` of ``rhs`` (:class:`jets._FlatCode`),
+    stages 2 to 7 run its lines on the stage sums instead, and the loop
+    binds ``rhs.cells`` and ``scale`` on entry.  The code names the cells
+    and holds no value, so fields that differ only in their constants share
+    one loop.  With ``n`` None the loop is the list form, for a state of any
+    length, whose stage states are comprehensions."""
     if n is None:
         new = ["y_new"]
     else:
@@ -501,32 +482,26 @@ def _dp_loop(n: int | None, primals: int, code: _FlatCode | None = None):
         "  f = 0.9 * err**-0.2",
         f"  h = h_step * ({_SHRINK})",
     ]
-    source = (
-        f"def make({', '.join(names)}):\n"
-        "  def loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale):\n"
-        + "".join(f"    {line}\n" for line in entry)
-        + "    s = 0.0\n"
-        "    h = 0.01\n"
-        "    steps = 0\n"
-        "    states = []\n"
-        "    for target in outputs:\n"
-        "      while s < target:\n"
-        "        if steps >= max_steps:\n"
-        "          raise MaxStepsExceeded(s * t_unit, max_steps)\n"
-        "        steps += 1\n"
-        f"        if h < {_MIN_STEP!r} or h - h != 0.0:  # too small, inf or NaN\n"
-        "          raise StepSizeCollapse(s * t_unit)\n"
-        "        clipped = h >= target - s\n"
-        "        h_step = (target - s) if clipped else h\n"
-        + "".join(f"        {line}\n" for line in step)
-        + f"      states.append({state})\n"
-        "    return states\n"
-        "  return loop\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, f"<rk45 {label}>", "exec"), namespace)
-    # popped, as in dsl.compile_spec: no reference cycle through the globals
-    return namespace.pop("make")(**names)
+    head = [
+        "s = 0.0",
+        "h = 0.01",
+        "steps = 0",
+        "states = []",
+        "for target in outputs:",
+        "  while s < target:",
+        "    if steps >= max_steps:",
+        "      raise MaxStepsExceeded(s * t_unit, max_steps)",
+        "    steps += 1",
+        f"    if h < {_MIN_STEP!r} or h - h != 0.0:  # too small, inf or NaN",
+        "      raise StepSizeCollapse(s * t_unit)",
+        "    clipped = h >= target - s",
+        "    h_step = (target - s) if clipped else h",
+    ]
+    # a generator, so no indented copy of the step is alive while it compiles
+    indented = (f"    {line}" for line in step)
+    body = chain(entry, head, indented, [f"  states.append({state})", "return states"])
+    signature = "loop(rhs, y, k1, t_unit, outputs, abs_tol, rel_tol, max_steps, scale)"
+    return _compiled(f"<rk45 {label}>", names, signature, body)(**names)
 
 
 def _axpy(y, h, k):
@@ -550,7 +525,6 @@ def _integrate_scaled(
     t_unit: float,
     outputs,
     primals: int,
-    code: _FlatCode | None = None,
     scale: Sequence = (),
     k1: list | None = None,
 ) -> list:
@@ -579,20 +553,26 @@ def _integrate_scaled(
     so a kernel is passed as ``rhs`` itself; it must give one value per
     entry of ``y``: none of the loops checks.
 
-    RK4 steps in :func:`_rk4_fixed`.  RK45 steps in a loop :func:`_dp_loop`
-    writes: unrolled for a state of at most ``_GENERATED_MAX_N`` entries,
-    with the kernel's lines inlined in stages 2 to 7 when ``rhs`` is a flat
-    kernel that carries that ``code`` (``rhs`` then gives the first stage
-    and its cells only), or else in the list form, which calls ``rhs`` at
-    every stage.  Both run the same float operations in the same order.
+    The one place that picks the loop: RK4 steps in :func:`_rk4_fixed`;
+    RK45 in a loop :func:`_dp_loop` writes, the list form for a state of
+    more than ``_GENERATED_MAX_N`` entries, else the unrolled form, fused
+    with ``rhs.code`` (a dsl kernel's, :class:`jets._FlatCode`) when that
+    holds at most ``_FUSED_MAX_LINES`` operations, and calling ``rhs`` at
+    each stage otherwise.  All run the same float operations in the same
+    order.
     """
 
     y = list(y0)
     k1 = rhs(y, scale) if k1 is None else k1
     if cfg.method == "rk4":
         return _rk4_fixed(rhs, y, k1, cfg, t_unit, outputs, primals, scale)
-    unrolled = len(y) <= _GENERATED_MAX_N
-    loop = _dp_loop(len(y), primals, code) if unrolled else _dp_loop(None, primals)
+    code = getattr(rhs, "code", None)
+    if len(y) > _GENERATED_MAX_N:
+        loop = _dp_loop(None, primals)
+    elif code is not None and code.operations <= _FUSED_MAX_LINES:
+        loop = _dp_loop(len(y), primals, code)
+    else:
+        loop = _dp_loop(len(y), primals)
     return loop(rhs, y, k1, t_unit, outputs, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, scale)
 
 
@@ -654,15 +634,13 @@ def _trajectory(
     the geodesic field of a gamma that carries kernels), looked up through
     ``_flat_kernel``, gives ``t * vhat`` as its flat kernel for D, the
     depth of the deepest jet among t and xs, which is the loop's ``rhs``
-    itself.  A dsl kernel carries its code, unless it holds more than
-    ``_FUSED_MAX_LINES`` operations (:meth:`jets._FlatCode.operations`),
-    and the code is inlined in the generated loop; every other kernel
-    carries none and is called at each stage.  Any other evaluator is
-    called on towers (``t * vhat`` in jet arithmetic) through the closure
-    ``rhs(y, scale)``, which checks each value's length and has no use for
-    ``scale``, wrapped in one widening (:func:`_widened`) at D or, when a
-    jet it closes over is deeper, at its first stage's depth; it joins
-    levels by position, as jet arithmetic does.  Both give the same bits."""
+    itself, whatever loop :func:`_integrate_scaled` picks.  Any other
+    evaluator is called on towers (``t * vhat`` in jet arithmetic) through
+    the closure ``rhs(y, scale)``, which checks each value's length and has
+    no use for ``scale``, wrapped in one widening (:func:`_widened`) at D
+    or, when a jet it closes over is deeper, at its first stage's depth; it
+    joins levels by position, as jet arithmetic does.  Both give the same
+    bits."""
     xs = list(xs)
     n = vhat.domain.dim
     if len(xs) != n:
@@ -685,7 +663,7 @@ def _trajectory(
                 raise _misfit(n)
             return k
 
-        code, scale = None, ()
+        scale = ()
         k1 = rhs(xs, scale)
         levels = max([depth, *map(jet_depth, k1)])
         if levels:  # jets of the state, the time and the closure join the flat state
@@ -694,12 +672,10 @@ def _trajectory(
         y0 = flatten_levels(xs, levels) if levels else xs
     else:
         levels, scale, y0 = depth, flatten_levels([t], depth), flatten_levels(xs, depth)
-        # only a kernel that carries its code is written into the loop
-        rhs, code = kernel, getattr(kernel, "code", None)
-        k1 = kernel(y0, scale)
+        rhs, k1 = kernel, kernel(y0, scale)
         if len(k1) != n * len(scale):  # a map that misstates its codomain
             raise _misfit(n)
-    states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, code, scale, k1)
+    states = _integrate_scaled(rhs, y0, cfg, t_unit, outputs, n, scale, k1)
     return [xs] + [unflatten_levels(y, levels) for y in states]
 
 

@@ -553,6 +553,7 @@ class _FlatWriter:
             tuple(_inlined(self.lines, outputs)),
             outputs,
             cells,
+            len(self.lines),
         )
 
 
@@ -601,22 +602,35 @@ class _FlatCode(NamedTuple):
     ``cells`` (``c0..``, bound to the map's constants by whoever runs the
     code, so maps that differ only in their constants share one code) and
     the names of :data:`_KERNEL_NAMES`; they bind only names ``j1..``, and
-    every output is one of those."""
+    every output is one of those.  ``operations`` is the number of lines
+    the writer wrote before :func:`_inlined` wrote some into others: the
+    size :func:`dynamics._integrate_scaled` caps before it writes the code
+    into a loop."""
 
     inputs: tuple[str, ...]
     scale: tuple[str, ...]
     lines: tuple[str, ...]
     outputs: tuple[str, ...]
     cells: tuple[str, ...]
-
-    def operations(self) -> int:
-        """The number of lines the writer wrote: one for each line, and one
-        for each operation :func:`_inlined` wrote into another, which it
-        alone puts in parentheses not following a name."""
-        return sum(1 + len(_GROUP.findall(line)) for line in self.lines)
+    operations: int
 
 
-_GROUP = re.compile(r"(?<!\w)\(")
+def _compiled(label: str, params, signature: str, body):
+    """``make(*params)``, which defines the function ``signature`` with the
+    lines ``body`` and returns it, compiled under the name ``label``.  Jet
+    kernels (:func:`_kernel_maker`), dsl fields (:func:`dsl._field_maker`)
+    and RK45 loops (:func:`dynamics._dp_loop`) all compile here."""
+    source = (
+        f"def make({', '.join(params)}):\n"
+        f"  def {signature}:\n"
+        + "".join(f"    {line}\n" for line in body)
+        + f"  return {signature.partition('(')[0]}\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, label, "exec"), namespace)
+    # popped: left in the namespace that is its globals, make would be a
+    # reference cycle, which only the cyclic collector frees
+    return namespace.pop("make")
 
 
 def _kernel_maker(code: _FlatCode):
@@ -625,17 +639,11 @@ def _kernel_maker(code: _FlatCode):
     inputs' flat coefficients, ``s`` the time's, and the result is the flat
     coefficients of ``t * v`` for each output ``v``.  Kernels whose code
     differs only in their cells' values can share one maker."""
-    params = ", ".join([*_KERNEL_NAMES, *code.cells])
-    source = (
-        f"def make({params}):\n"
-        "  def kernel(y, s):\n"
-        f"    [{', '.join(code.inputs)}] = y\n"
-        f"    [{', '.join(code.scale)}] = s\n"
-        + "".join(f"    {line}\n" for line in code.lines)
-        + f"    return [{', '.join(code.outputs)}]\n"
-        "  return kernel\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, "<jet kernel>", "exec"), namespace)
-    # popped, as in dsl.compile_spec: no reference cycle through the globals
-    return functools.partial(namespace.pop("make"), *_KERNEL_NAMES.values())
+    body = [
+        f"[{', '.join(code.inputs)}] = y",
+        f"[{', '.join(code.scale)}] = s",
+        *code.lines,
+        f"return [{', '.join(code.outputs)}]",
+    ]
+    make = _compiled("<jet kernel>", [*_KERNEL_NAMES, *code.cells], "kernel(y, s)", body)
+    return functools.partial(make, *_KERNEL_NAMES.values())

@@ -245,7 +245,7 @@ def test_an_inlined_kernel_is_the_written_kernel_bit_for_bit(name, build, monkey
         monkeypatch.setattr(jets, "_inlined", lambda lines, outputs: list(lines))
         written = kernel._code(rule, depth)
         monkeypatch.undo()
-        assert len(written.lines) == code.operations() > len(code.lines)
+        assert len(written.lines) == code.operations > len(code.lines)
         written = jets._kernel_maker(written)(*rule.cells)
         size = 2**depth
         for k in range(40):

@@ -159,6 +159,7 @@ def test_expm_usage_error_nonsquare():
 
 
 _ROTATION_SOLVE = ["solve", "--dim", "2", "--vf", "x2; -x1", "--t", "1"]
+_SIN_OF_INF = "sin(x1*1e308*10)"
 
 
 @pytest.mark.parametrize(
@@ -188,15 +189,35 @@ def test_an_empty_entry_is_a_usage_error_naming_its_position(argv, message, caps
          "usage error: --config: cannot read "),
         (["verify", "--config", "{tmp}/bad.cfg"], EXIT_USAGE,
          "usage error: --config: line 1 is not key=value\n"),
+        (["verify", "--config", "{tmp}/latin1.cfg"], EXIT_USAGE,
+         "usage error: --config: cannot read "),
         # exp overflows; only the exit code is pinned, not the message
         (["solve", "--dim", "1", "--vf", "exp(x1)", "--t", "1", "--x0", "800"], EXIT_NUMERIC, ""),
+        # sin of inf; x1^2 underflows to 0.0, so x1^-2 divides by zero; t * A is inf
+        (["solve", "--dim", "1", "--vf", _SIN_OF_INF, "--t", "1", "--x0", "1"], EXIT_NUMERIC,
+         "evaluation failed: math domain error\n"),
+        (["flow", "--dim", "1", "--vf", _SIN_OF_INF, "--t", "1", "--x0", "1"], EXIT_NUMERIC,
+         "evaluation failed: math domain error\n"),
+        (["bracket", "--dim", "1", "--vf", _SIN_OF_INF, "--vf2", "x1", "--x0", "1"],
+         EXIT_NUMERIC, "evaluation failed: math domain error\n"),
+        (["commute", "--dim", "1", "--vf", _SIN_OF_INF, "--vf2", "x1"], EXIT_NUMERIC,
+         "evaluation failed: math domain error\n"),
+        (["geodesic", "--dim", "1", "--christoffel", _SIN_OF_INF, "--t", "1", "--x0", "0,1"],
+         EXIT_NUMERIC, "evaluation failed: math domain error\n"),
+        (["solve", "--dim", "1", "--vf", "x1^-2", "--t", "1", "--x0", "1e-200"], EXIT_NUMERIC,
+         "evaluation failed: float division by zero\n"),
+        (["expm", "--matrix", "1e308,0;0,0", "--t", "10"], EXIT_NUMERIC,
+         "evaluation failed: expm requires finite entries\n"),
     ],
-    ids=["division", "nonlinear-matrix", "no-x0", "missing-config", "config-line", "overflow"],
+    ids=["division", "nonlinear-matrix", "no-x0", "missing-config", "config-line",
+         "config-not-utf8", "overflow", "solve-domain", "flow-domain", "bracket-domain",
+         "commute-domain", "geodesic-domain", "float-division", "expm-inf"],
 )
 def test_dispatch_failures_exit_with_their_code_and_message(
     argv, exit_code, message, tmp_path, capsys
 ):
     (tmp_path / "bad.cfg").write_text("suite kernel\n")
+    (tmp_path / "latin1.cfg").write_bytes("suite=kernel # é\n".encode("latin-1"))
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == (exit_code, "")
     assert capsys.readouterr().err.startswith(message)
 

@@ -610,6 +610,20 @@ def test_a_time_dependent_field_solves_on_its_flat_kernel(monkeypatch):
 # (the fused path); with the kernel code dropped, the same loop calls it.
 
 
+def _compiles(monkeypatch, *labels):
+    # the labels of the generated code jets._compiled compiles from here on:
+    # all of them, or those that start with one of labels
+    compiled = []
+
+    def spy(source, label, *args):
+        if label.startswith(labels or "<"):
+            compiled.append(label)
+        return compile(source, label, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
+    return compiled
+
+
 def _kernel_called(monkeypatch):
     writer = dynamics._dp_loop
     monkeypatch.setattr(dynamics, "_dp_loop", lambda n, primals, code=None: writer(n, primals))
@@ -671,6 +685,34 @@ def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch
     long = VectorField.from_expr(" + ".join(["-x1"] * (dynamics._FUSED_MAX_LINES + 1)), 1)
     integrate(DynamicalSystem(line, long), 1e-3, [1.0])
     assert loops == [(1, False)]  # written six times over, the loop would be too long
+    # the solver applies the cap: the kernel carries its code, whose size
+    # is the lines the writer wrote before any was written into another
+    code = long.vhat.evaluator.flat_kernel(0).code
+    monkeypatch.setattr(jets, "_inlined", lambda lines, outputs: list(lines))
+    written = kernel._code(kernel._rule(long.vhat), 0)
+    assert code.operations == len(written.lines) > max(dynamics._FUSED_MAX_LINES, len(code.lines))
+
+
+def test_the_fuse_cap_is_read_when_a_solve_picks_its_loop(monkeypatch):
+    # a kernel written under one cap solves under the cap of the solve: at
+    # the cap it is fused, one operation under it the same loop calls it,
+    # with the same bits
+    writer, loops = dynamics._dp_loop, []
+
+    def spy(n, primals, code=None):
+        loops.append((n, code is not None))
+        return writer(n, primals, code)
+
+    monkeypatch.setattr(dynamics, "_dp_loop", spy)
+    field = rotation_field()
+    flow = flow_of(field)
+    fused = repr(flow(1.0, [1.0, 0.5]))
+    operations = field.vhat.evaluator.flat_kernel(0).code.operations
+    monkeypatch.setattr(dynamics, "_FUSED_MAX_LINES", operations)
+    assert repr(flow(1.0, [1.0, 0.5])) == fused
+    monkeypatch.setattr(dynamics, "_FUSED_MAX_LINES", operations - 1)
+    assert repr(flow(1.0, [1.0, 0.5])) == fused
+    assert loops == [(2, True), (2, True), (2, False)]
 
 
 def test_wide_states_take_the_list_form_and_captured_jets_widen_the_state(monkeypatch):
@@ -679,11 +721,7 @@ def test_wide_states_take_the_list_form_and_captured_jets_widen_the_state(monkey
     # the flat state, so a 1-entry solve steps on floats in the loop
     # unrolled for 2 entries
     dynamics._dp_loop.cache_clear()
-    compiled = []
-    monkeypatch.setattr(
-        dynamics, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
-        raising=False,
-    )
+    compiled = _compiles(monkeypatch, "<rk45")
     for n in (65, 80):
         [state] = _integrate_scaled(
             lambda y, scale: [-v for v in y], [1.0] * n, IntegratorConfig(), 1.0, (1.0,), 5
@@ -716,12 +754,7 @@ def test_wide_rk45_bits_are_pinned():
 def test_a_second_solve_of_a_dsl_field_compiles_nothing(monkeypatch):
     flow = flow_of(VectorField.from_expr("x2 * x3; -x1 / 2; sin(x1 * x2)", 3))
     dynamics._dp_loop.cache_clear()
-    compiled = []
-    for module in (dynamics, dsl, jets):
-        monkeypatch.setattr(
-            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
-            raising=False,
-        )
+    compiled = _compiles(monkeypatch)
     for depth in range(3):
         t = 1.0
         for _ in range(depth):
@@ -738,12 +771,7 @@ def test_a_second_pass_of_the_law_suites_compiles_nothing(monkeypatch):
     # evaluator source and kernel makers are compiled once, in bounded memos
     assert dsl._field_maker.cache_info().maxsize is not None
     run_suite("all", 3)
-    compiled = []
-    for module in (dynamics, dsl, jets):
-        monkeypatch.setattr(
-            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
-            raising=False,
-        )
+    compiled = _compiles(monkeypatch)
     run_suite("all", 3)
     assert compiled == []
 
@@ -758,12 +786,7 @@ def test_block_map_kernels_are_compiled_once_per_layout_and_depth(monkeypatch):
     assert kernel._maker.cache_info().maxsize is not None
     kernel._maker.cache_clear()
     dynamics._dp_loop.cache_clear()
-    compiled = []
-    for module in (dynamics, jets):
-        monkeypatch.setattr(
-            module, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
-            raising=False,
-        )
+    compiled = _compiles(monkeypatch, "<jet kernel>", "<rk45")
     for depth in range(3):
         t = 1.0
         for _ in range(depth):
@@ -800,11 +823,7 @@ def test_a_parameter_sweep_compiles_one_fused_loop(monkeypatch):
     # solve binds its own constants: the states of the called kernel
     texts = [f"-{a}*x1 + x2; x1" for a in ("2.0", "3.0", "4.5")]
     dynamics._dp_loop.cache_clear()
-    compiled = []
-    monkeypatch.setattr(
-        dynamics, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
-        raising=False,
-    )
+    compiled = _compiles(monkeypatch, "<rk45")
     fused = [repr(flow_of(VectorField.from_expr(text, 2))(1.0, [1.0, 0.5])) for text in texts]
     assert compiled == ["<rk45 fused loop 2/2>"]
     assert len(set(fused)) == 3
@@ -977,8 +996,8 @@ def test_the_solver_driver_takes_and_returns_flat_floats(case, method, monkeypat
     # flat floats, whatever jets the state, the time or the field's closure hold
     driver, calls = dynamics._integrate_scaled, []
 
-    def spy(rhs, y0, cfg, t_unit, outputs, primals, code=None, scale=(), k1=None):
-        states = driver(rhs, y0, cfg, t_unit, outputs, primals, code, scale, k1)
+    def spy(rhs, y0, cfg, t_unit, outputs, primals, scale=(), k1=None):
+        states = driver(rhs, y0, cfg, t_unit, outputs, primals, scale, k1)
         calls.append((y0, k1 or (), t_unit, states))
         return states
 

@@ -238,9 +238,13 @@ def test_float_calls_of_kernel_maps_run_no_absent_operator(monkeypatch):
 
 def test_with_the_lookup_off_no_float_call_runs_a_kernel(monkeypatch):
     compiled = []
-    monkeypatch.setattr(
-        jets, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False
-    )
+
+    def spy(source, label, *args):
+        if label == "<jet kernel>":  # dsl fields compile through jets too
+            compiled.append(label)
+        return compile(source, label, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
     monkeypatch.setattr(kernel, "_flat_kernel", lambda f, depth: None)
     kernel._maker.cache_clear()
     for f in _maps().values():
