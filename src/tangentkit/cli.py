@@ -273,7 +273,12 @@ def _cmd_expm(args) -> tuple[bytes, int]:
     _require(args, "matrix")
     A = _parse_matrix(args.matrix)
     if args.t is not None:
-        A = args.t * A
+        import numpy as np
+
+        # the entries and t are finite, so only an overflow can occur, to an
+        # inf that expm rejects
+        with np.errstate(over="ignore"):
+            A = args.t * A
     return _json_bytes({"expm": expm(A).tolist()}), EXIT_OK
 
 

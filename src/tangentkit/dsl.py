@@ -15,14 +15,14 @@ renderer emits ASCII.  Variables are ``x1..xn`` (n = declared arity) plus
 the reserved ``t`` when the spec is time dependent; ``t`` is passed as the
 last input of the compiled map.  Exponents must be integer literals;
 general powers go through ``exp``/``ln``.  Parentheses, unary minus and
-calls nest at most 100 levels deep.  A spec compiles to one straight-line
-function that runs the tree's operations in the tree's order, so ``+ - * /``
-chains have no length limit; it calls each function by its name and reads
-each number literal from a cell.  For solves with jet arguments the compiled
-evaluator also writes, per jet depth and on first use, a flat kernel: the
-same operations on flat jet coefficients (see :class:`jets._FlatWriter`),
-which the solver inlines in its generated RK45 loop, and which composites
-of the field write into their own.
+calls nest at most 100 levels deep.  A spec compiles to its nodes in post
+order, walked in a loop in the tree's order, so ``+ - * /`` chains have no
+length limit.  The walk runs in two arithmetics: jet arithmetic, for a call
+on anything but floats, and the writer's (see :class:`jets._FlatWriter`),
+which writes, per jet depth and on first use, a flat kernel: the same
+operations on flat jet coefficients, which a float call runs at depth 0,
+the solver inlines in its generated RK45 loop, and composites of the field
+write into their own.
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space, _carry_rule, _code, _maker_of, _Rule
+from .kernel import SmoothMap, Space, _maker_of, _ruled, _Rule
 
 __all__ = [
     "Num",
@@ -336,38 +336,31 @@ def parse(text: str, arity: int, time_dependent: bool = False) -> FieldSpec:
 # -- compiler ---------------------------------------------------------------
 
 
-_BINARY = {
-    "+": ("{} + {}", jets._FlatWriter.add),
-    "-": ("{} - {}", jets._FlatWriter.sub),
-    "*": ("{} * {}", jets._FlatWriter.mul),
-    "/": ("div({}, {})", jets._FlatWriter.div),
-}
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple, object]:
-    """A node's source over its operands' names, its operands, and its
-    :class:`jets._FlatWriter` rule, called as ``rule(w, *operands)`` (None
-    for a leaf); a number's value is appended to ``cells`` and named
-    ``c{k}``, and a function is called by its name.  TypeError if it cannot
-    be written."""
+def _node(node: Node, spec: FieldSpec, cells: list) -> tuple[str, tuple, tuple]:
+    """A node's name, its operands and its extra arguments.  A variable is
+    named as its input (``x1``, ``t``); a number's value is appended to
+    ``cells``, and the node is named ``c{k}`` after it; any other node is
+    named as its operation in the writer (:class:`jets._FlatWriter`) and in
+    jet arithmetic (:data:`jets._ARITHMETIC`), and ``pow_int`` takes its
+    exponent as an extra argument.  TypeError if it cannot be compiled."""
     if isinstance(node, Num):
         cells.append(node.value)
-        return f"c{len(cells) - 1}", (), None
+        return f"c{len(cells) - 1}", (), ()
     if isinstance(node, Var) and isinstance(node.index, int) and 0 < node.index <= spec.arity:
-        return f"x{int(node.index)}", (), None
+        return f"x{int(node.index)}", (), ()
     if isinstance(node, TimeVar) and spec.time_dependent:
-        return "t", (), None
+        return "t", (), ()
     if isinstance(node, Neg):
-        return "-{}", (node.operand,), jets._FlatWriter.neg
+        return "neg", (node.operand,), ()
     if isinstance(node, BinOp) and node.op in _BINARY:
-        template, rule = _BINARY[node.op]
-        return template, (node.left, node.right), rule
+        return _BINARY[node.op], (node.left, node.right), ()
     if isinstance(node, Pow) and isinstance(node.exponent, int):
-        k = int(node.exponent)
-        rule = functools.partial(jets._FlatWriter.pow_int, k=k)
-        return f"pow_int({{}}, {k})", (node.base,), rule
+        return "pow_int", (node.base,), (int(node.exponent),)
     if isinstance(node, Call) and node.fn in FUNCTIONS:
-        return f"{node.fn}({{}})", (node.arg,), getattr(jets._FlatWriter, node.fn)
+        return node.fn, (node.arg,), ()
     raise TypeError(f"cannot compile {node!r}")
 
 
@@ -375,26 +368,26 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     """Compile a :class:`FieldSpec` to a :class:`SmoothMap`.
 
     Inputs are ``(x1, ..., xn)``, with ``t`` appended last when the spec is
-    time dependent; outputs are the component values in order.  The
-    generated function calls ``div``, ``pow_int`` and the :data:`FUNCTIONS`
-    by name (``sin(v0)``); its ``cells`` (``c0..``) hold the number literals
-    only, and so do its flat kernels' cells.
+    time dependent; outputs are the component values in order.
 
-    The evaluator also carries a rule (:class:`kernel._Rule`, :func:`_write`):
-    each node's :class:`jets._FlatWriter` rule over its operands'
-    coefficients, keyed by the node templates, which name every input and
-    cell.  A composite of the field writes it into its own kernels, and
-    :func:`kernel.tangent` one level deeper.  The evaluator carries
-    ``flat_kernel(depth)`` too, which the solver looks up: for each jet
-    depth D it gives ``kernel(y, s)``, the flat coefficients
-    (:func:`jets.flatten_levels`) of ``t * v`` for each output ``v``,
-    computed from those of the inputs (``y``) and of a time ``t`` (``s``)
-    with no :class:`jets.Jet` built.  The evaluator's source is compiled
-    once per key (:func:`_field_maker`) and each depth's kernel maker once
-    per key and depth (:func:`kernel._maker_of`); each map binds its own
-    cells and keeps its kernels, written on first use.  A kernel carries its
-    code as data (``kernel.code``, which names the cells) and the map's own
-    cells (``kernel.cells``), which the solver writes into its generated
+    The nodes, listed in post order as ``(name, operand count, args)``
+    (:func:`_node`), are the field's one description, and its rule's key
+    (:class:`kernel._Rule`): :func:`_walk` runs them in the writer's
+    arithmetic (:func:`_write`), so a composite of the field writes them
+    into its own kernels and :func:`kernel.tangent` one level deeper, and a
+    call evaluates them in jet arithmetic.  A call whose arguments are all
+    floats runs the depth-0 kernel at unit time instead, through the same
+    lookup as a composite (:func:`kernel._ruled`), with the same bits and
+    errors.  The map carries ``flat_kernel(depth)``, which the solver looks
+    up: for each jet depth D it gives ``kernel(y, s)``, the flat
+    coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
+    ``v``, computed from those of the inputs (``y``) and of a time ``t``
+    (``s``) with no :class:`jets.Jet` built.  Each depth's kernel maker and
+    code are written and compiled once per key and depth
+    (:func:`kernel._maker_of`); each map binds its own cells, the number
+    literals, and keeps its kernels, made on first use.  A kernel carries
+    its code as data (``kernel.code``, which names the cells) and the map's
+    own cells (``kernel.cells``), which the solver writes into its generated
     RK45 loop when the code is short enough
     (:func:`dynamics._integrate_scaled`).  The other maps of :mod:`kernel`
     that carry flat kernels carry no code, and are called.
@@ -403,65 +396,56 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     cells: list = []
     preorder, stack = [], list(spec.components)
     while stack:
-        template, operands, rule = _node(stack.pop(), spec, cells)
-        preorder.append((template, len(operands), rule))
+        name, operands, args = _node(stack.pop(), spec, cells)
+        preorder.append((name, len(operands), args))
         stack.extend(operands)
-    postorder = preorder[::-1]
+    postorder = tuple(preorder[::-1])
     inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
     inputs += ["t"] if spec.time_dependent else []
-    templates = tuple((template, n) for template, n, _ in postorder)
-    make, n_values = _field_maker(tuple(inputs), templates)
-    evaluator = make(jets._div, jets.pow_int, *FUNCTIONS.values(), *cells)
+    cells = tuple(cells)
+    constants = {f"c{k}": c for k, c in enumerate(cells)}
 
-    # the templates name every input and cell the code reads
-    key = ("dsl", len(inputs), templates)
+    def by_nodes(xs):
+        # strict: a call of the wrong length is a ValueError
+        leaves = dict(zip(inputs, xs, strict=True), **constants)
+        return _walk(postorder, leaves, jets._ARITHMETIC)
+
+    # the nodes name every input and cell the code reads
     write = functools.partial(_write, postorder, inputs, len(cells))
-    rule = _Rule(key, len(inputs), write, tuple(cells))
+    rule = _Rule(("dsl", len(inputs), postorder), len(inputs), write, cells)
 
     def coded(depth):
-        kernel = _maker_of(rule, depth)(*rule.cells)
-        kernel.code = _code(rule, depth)
-        kernel.cells = rule.cells
+        make, code = _maker_of(rule, depth, coded=True)
+        kernel = make(*cells)
+        kernel.code, kernel.cells = code, cells
         return kernel
 
-    _carry_rule(evaluator, rule, coded)
-    return SmoothMap(Space(len(inputs)), Space(n_values), evaluator, name="field")
+    domain, codomain = Space(len(inputs)), Space(len(spec.components))
+    return _ruled(domain, codomain, by_nodes, rule, "field", coded)
 
 
-@functools.lru_cache(maxsize=128)
-def _field_maker(inputs: tuple, templates: tuple) -> tuple:
-    """The ``make`` of :func:`compile_spec`'s evaluator for the node
-    templates ``templates`` (in post order, each with its number of
-    operands) over ``inputs``, and the number of values: the templates and
-    the inputs, which are the rule's key with the inputs named, fix the
-    source, so it is compiled once per key, and each field binds its own
-    cells.  The law suites build the same few fields anew on every pass."""
-    names, lines = [], []
-    for template, n in templates:
+def _walk(postorder: tuple, leaves: dict, arithmetic) -> list:
+    """The values of the nodes :func:`compile_spec` listed in post order:
+    a leaf is ``leaves[name]``, any other node ``arithmetic``'s operation of
+    that name on its operands and args.  A loop, not a recursion, so any
+    depth and chain length walks."""
+    values: list = []
+    for name, n, args in postorder:
         if n:
-            operands = names[-n:]
-            del names[-n:]
-            lines.append(f"v{len(lines)} = {template.format(*operands)}")
-            template = f"v{len(lines) - 1}"
-        names.append(template)
-    n_cells = sum(1 for template, n in templates if not n and template[0] == "c")
-    params = ["div", "pow_int", *FUNCTIONS] + [f"c{k}" for k in range(n_cells)]
-    body = [f"[{', '.join(inputs)}] = xs", *lines, f"return [{', '.join(names)}]"]
-    return jets._compiled("<dsl field>", params, "field(xs)", body), len(names)
+            operands = values[-n:]
+            del values[-n:]
+            values.append(getattr(arithmetic, name)(*operands, *args))
+        else:
+            values.append(leaves[name])
+    return values
 
 
-def _write(postorder: list, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:
-    """The dsl rule (see :class:`kernel._Rule`): the nodes
-    :func:`compile_spec` listed in post order, each its
-    :class:`jets._FlatWriter` rule over its operands' coefficients."""
+def _write(postorder: tuple, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:
+    """The dsl rule (see :class:`kernel._Rule`): the nodes walked in the
+    writer's arithmetic over its inputs' and cells' coefficients."""
     leaves = dict(zip(inputs, ins))
     leaves.update((f"c{k}", w.constant(next(cells), size)) for k in range(n_cells))
-    values: list = []
-    for template, n, rule in postorder:
-        operands = values[len(values) - n :]
-        del values[len(values) - n :]
-        values.append(rule(w, *operands) if n else leaves[template])
-    return values
+    return _walk(postorder, leaves, w)
 
 
 # -- canonical renderer -------------------------------------------------------

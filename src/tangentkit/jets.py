@@ -23,13 +23,14 @@ a :class:`Jet` itself, so how a level is identified is decided here.
 The rules of :class:`Jet` arithmetic are also written out here as flat
 kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
-built.  Fields compiled by :func:`dsl.compile_spec` (whose rule is the
-loop of :func:`dsl._write`), maps built from a block layout
-(:func:`kernel._block_map`) and linear fields get them, one per jet depth,
-written on first use, and so do their composites, whose parts write into
-one writer pass (see :mod:`kernel`).  The solver runs one in place of the
-codec, and a float call of a composite (:func:`kernel.tangent`,
-:func:`kernel.compose`, :func:`kernel.pair`, :func:`kernel.product`,
+built.  Fields compiled by :func:`dsl.compile_spec` and maps built from a
+block layout (:func:`kernel._block_map`), whose rules the writer and the jet
+arithmetic :data:`_ARITHMETIC` both run under one set of names, and linear
+fields get them, one per jet depth, written on first use, and so do their
+composites, whose parts write into one writer pass (see :mod:`kernel`).
+The solver runs one in place of the codec, and a float call of a dsl field
+or of a composite (:func:`kernel.tangent`, :func:`kernel.compose`,
+:func:`kernel.pair`, :func:`kernel.product`,
 :func:`kernel.vertical_bracket`) its depth-0 kernel, with ``tangent``'s
 part one level deeper in place of :func:`open_level` and
 :func:`close_level`; a dsl kernel's code (:class:`_FlatCode`) is written
@@ -44,6 +45,7 @@ import functools
 import math
 import operator
 import re
+import types
 from typing import NamedTuple
 
 __all__ = [
@@ -334,6 +336,26 @@ def sqrt(x):
     return _sqrt(x)
 
 
+# Jet arithmetic under the names of the writer's rules (:class:`_FlatWriter`),
+# so a rule written over those names also evaluates on jet towers (and on
+# any scalars the jet operations take): :func:`dsl._walk` and the block maps
+# of :func:`kernel._block_map` run in one or the other.
+_ARITHMETIC = types.SimpleNamespace(
+    neg=operator.neg,
+    add=operator.add,
+    sub=operator.sub,
+    mul=operator.mul,
+    div=_div,
+    pow_int=pow_int,
+    sin=sin,
+    cos=cos,
+    exp=exp,
+    tanh=tanh,
+    ln=ln,
+    sqrt=sqrt,
+)
+
+
 # -- flat kernels ---------------------------------------------------------------
 
 def _vertical(direction: list, point: list, tol) -> None:
@@ -618,8 +640,8 @@ class _FlatCode(NamedTuple):
 def _compiled(label: str, params, signature: str, body):
     """``make(*params)``, which defines the function ``signature`` with the
     lines ``body`` and returns it, compiled under the name ``label``.  Jet
-    kernels (:func:`_kernel_maker`), dsl fields (:func:`dsl._field_maker`)
-    and RK45 loops (:func:`dynamics._dp_loop`) all compile here."""
+    kernels (:func:`_kernel_maker`) and RK45 loops (:func:`dynamics._dp_loop`)
+    both compile here."""
     source = (
         f"def make({', '.join(params)}):\n"
         f"  def {signature}:\n"

@@ -17,9 +17,10 @@ The short version (layout rules 1-6):
 Every structural map moves coordinate blocks, inserts zero blocks, or adds
 (``plus``) or negates (``neg``) blocks entry by entry, so each is written as
 its block layout, one table that mirrors rule 8 (with rules 5 and 7), and
-built by ``_block_map``.  A block layout already is straight-line code, so
-each such map also carries a flat kernel (:class:`jets._FlatWriter`), which
-the solver runs in place of the jet codec when the map is a field: the
+built by ``_block_map``.  The layout is the map's one description: a call
+evaluates it in jet arithmetic and the writer (:class:`jets._FlatWriter`)
+runs it as a flat kernel, which the solver runs in place of the jet codec
+when the map is a field: the
 scaling field behind ``e``, the multiplication and the action, and the
 library's constant and identity fields, are block maps.
 
@@ -35,12 +36,14 @@ rule runs its parts' rules in turn, ``tangent``'s one level deeper, and
 after its map's values.  So a composite's kernel at each depth is one
 straight-line function of the whole tree, written in one writer pass and
 compiled once per structure and depth (:func:`_maker`), and a call of such a
-composite whose arguments are all floats runs its depth-0 kernel at unit
-time in place of evaluating the parts (and, in ``tangent``, opening a level,
-evaluating on jets and closing it), with the same bits and the same errors.
-Every other evaluator (a hand-written one, a wrapper, the tangent of an
-integrator flow) and every other argument (an int, a numpy scalar, a jet)
-takes the parts' path.
+composite, or of a dsl field, whose arguments are all floats runs its
+depth-0 kernel at unit time (:func:`_ruled`) in place of evaluating the
+parts (in ``tangent``, opening a level, evaluating on jets and closing it;
+in a dsl field, walking its nodes in jet arithmetic), with the same bits
+and the same errors.  Every other evaluator (a hand-written one, a wrapper,
+the tangent of an integrator flow) and every other argument (an int, a
+numpy scalar, a jet) takes the parts' path; a block map always evaluates
+its layout.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .jets import (
+    _ARITHMETIC,
     VerticalityViolation,
     _FlatCode,
     _FlatWriter,
@@ -274,10 +278,11 @@ def _kernels(f: SmoothMap):
 
 def _flat_kernel(f: SmoothMap, depth: int):
     """``f``'s flat kernel at ``depth``, or None when its evaluator carries
-    none: the one lookup of a float call of :func:`tangent`,
-    :func:`compose`, :func:`pair` and :func:`product` (and, under its own
-    name, of the solver, :func:`dynamics._trajectory`).  With it returning
-    None every float call evaluates its parts, and ``tangent`` on jets."""
+    none: the one lookup of a float call of a dsl field and of every
+    composite (:func:`_ruled`; and, under its own name, of the solver,
+    :func:`dynamics._trajectory`).  With it returning None every float call
+    evaluates its parts, ``tangent`` on jets and a dsl field by walking its
+    nodes in jet arithmetic."""
     kernels = _kernels(f)
     return kernels(depth) if kernels is not None else None
 
@@ -299,27 +304,35 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
 @functools.lru_cache(maxsize=128)
 def _maker(key: tuple, depth: int) -> list:
     """The slot of the maker of the kernel at ``depth`` of the rules keyed
-    ``key``, which :func:`_maker_of` fills on first use: ``zero_field``,
-    ``euler_space_field`` and the law suites build new maps of a few shapes
-    on every call, and the code reads the key only.  The memo holds keys,
-    not rules, so it keeps no rule's tree of parts and cells alive."""
+    ``key`` and of its code, which :func:`_maker_of` fills on first use:
+    ``zero_field``, ``euler_space_field`` and the law suites build new maps
+    of a few shapes on every call, and the code reads the key only.  The
+    memo holds keys, not rules, so it keeps no rule's tree of parts and
+    cells alive."""
     return []
 
 
-def _maker_of(rule: _Rule, depth: int):
-    """The maker (:func:`jets._kernel_maker`) of ``rule``'s kernel at
-    ``depth``, kept by key and depth (:func:`_maker`).
+def _maker_of(rule: _Rule, depth: int, coded: bool = False) -> list:
+    """``[make, code]``: the maker (:func:`jets._kernel_maker`) of ``rule``'s
+    kernel at ``depth`` and, for the ``coded`` rules of dsl fields, the code
+    (:class:`jets._FlatCode`) it compiled, else None, kept by key and depth
+    (:func:`_maker`), so the writer runs once per key and depth.  Only dsl
+    fields read it again: kept for every key, the codes of a
+    ``run_suite("all")`` pass held about 190 KB, and raised the verify
+    workload's peak resident size by about 0.09 MB.
 
-    The kernel carries no ``code``, so the solver calls it at each stage
-    rather than writing it into a fused loop of its own: inlined, the few
+    Only a dsl field's kernel carries its code (:func:`dsl.compile_spec`);
+    every other kernel the solver calls at each stage rather than writing
+    it into a fused loop of its own: inlined, the few
     products of a block map would save little, and each fused loop is one
     more compile (for a 20-entry state it peaks at about 2.1 MB under
     tracemalloc, against 1.8 MB for the unfused loop that every field of
     that size shares)."""
     slot = _maker(rule.key, depth)
     if not slot:
-        slot.append(_kernel_maker(_code(rule, depth)))
-    return slot[0]
+        code = _code(rule, depth)
+        slot += (_kernel_maker(code), code if coded else None)
+    return slot
 
 
 def _carry_rule(ev, rule: _Rule, make=None):
@@ -331,7 +344,7 @@ def _carry_rule(ev, rule: _Rule, make=None):
     def flat_kernel(depth: int):
         kernel = kernels.get(depth)
         if kernel is None:
-            kernel = make(depth) if make else _maker_of(rule, depth)(*rule.cells)
+            kernel = make(depth) if make else _maker_of(rule, depth)[0](*rule.cells)
             kernels[depth] = kernel
         return kernel
 
@@ -361,8 +374,8 @@ def _composite(
     ``shape`` its ``write`` reads and their keys, that writes ``write(*their
     rules, w, ins, size, cells)`` on their cells in turn and then its own
     ``cells``; and a call whose arguments are all floats runs its depth-0
-    kernel at unit time, one straight-line function for the whole
-    composite, looked up through :func:`_flat_kernel`.  The one builder of a
+    kernel at unit time (:func:`_ruled`), one straight-line function for
+    the whole composite.  The one builder of a
     map written from other maps' rules: the combinators and
     :func:`vertical_bracket` here, :func:`fields.lie_bracket`'s difference
     and :func:`dynamics._geodesic_field`."""
@@ -375,10 +388,19 @@ def _composite(
     cells = functools.reduce(operator.add, [*(rule.cells for rule in rules), cells])
     key = (kind, *shape, *(rule.key for rule in rules))
     rule = _Rule(key, domain.dim, functools.partial(write, *rules), cells)
+    return _ruled(domain, codomain, parts, rule, name)
+
+
+def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str, make=None):
+    """The map that evaluates ``parts`` and carries ``rule`` (with
+    :func:`_carry_rule`'s ``make``), whose call on all floats runs its
+    depth-0 kernel at unit time, looked up through :func:`_flat_kernel`:
+    the float call of every composite (:func:`_composite`) and of a dsl
+    field (:func:`dsl.compile_spec`)."""
     # the lookup is given the map evaluated by its parts, which carries the
     # same kernels: given the map itself, ev would hold it in a reference
     # cycle, which only the cyclic collector frees
-    _carry_rule(parts, rule)
+    _carry_rule(parts, rule, make)
     by_parts = SmoothMap(domain, codomain, parts, name=name)
 
     def ev(xs):
@@ -400,40 +422,15 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     concatenates the ``layout``: an int is that input block, a list of
     floats (a constant block) is inserted as it stands, and a tuple
     ``(op, b, ...)`` is ``op`` (``"add"`` or ``"neg"``) of the input blocks
-    ``b, ...``, entry by entry.  A layout of one input block returns that
-    slice of the input.
+    ``b, ...``, entry by entry.
 
-    Its rule is the layout: each value is an input's coefficient names, a
-    cell without tangents, or the writer's ``op`` of inputs, so its kernel
-    runs little but the writer's ``t * v`` for each value ``v``.  The key is
-    the layout's shape, and each map binds its own constants."""
+    The layout is its rule: each value is an input, a constant, or ``op``
+    of inputs, one comprehension over ``sources`` (:func:`_blocks`) that
+    calls evaluate in jet arithmetic and the writer runs in its own, so its
+    kernel runs little but the writer's ``t * v`` for each value ``v``.
+    The key is the layout's shape, and each map binds its own constants."""
     starts = (0, *itertools.accumulate(sizes))
     blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
-
-    def piece(b):
-        if isinstance(b, tuple):
-            return (_OPS[b[0]], *[slice(blocks[k].start, blocks[k].stop) for k in b[1:]])
-        return slice(blocks[b].start, blocks[b].stop) if isinstance(b, int) else b
-
-    pieces = [piece(b) for b in layout]
-    if len(pieces) == 1 and isinstance(pieces[0], slice):
-        (only,) = pieces
-
-        def ev(xs):
-            return xs[only]
-
-    else:
-
-        def ev(xs):
-            out = []
-            for piece in pieces:
-                if piece.__class__ is slice:
-                    out += xs[piece]
-                elif piece.__class__ is list:
-                    out += piece
-                else:
-                    out += map(piece[0], *[xs[part] for part in piece[1:]])
-            return out
 
     def reads(b):
         """What each value of ``b`` reads: an input, None for a constant, or
@@ -446,22 +443,28 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
         return [(b[0], *inputs) for inputs in zip(*[blocks[k] for k in b[1:]])]
 
     sources = tuple(i for b in layout for i in reads(b))
+    constants = tuple(c for b in layout if isinstance(b, list) for c in b)
+
+    def ev(xs):
+        return _blocks(sources, xs, iter(constants).__next__, _ARITHMETIC)
 
     def write(w, ins, size, cells):
-        return [
-            ins[i] if i.__class__ is int
-            else w.constant(next(cells), size) if i is None
-            else getattr(w, i[0])(*[ins[k] for k in i[1:]])
-            for i in sources
-        ]
+        return _blocks(sources, ins, lambda: w.constant(next(cells), size), w)
 
-    constants = tuple(c for b in layout if isinstance(b, list) for c in b)
     _carry_rule(ev, _Rule(("block", starts[-1], sources), starts[-1], write, constants))
     return SmoothMap(Space(starts[-1]), Space(len(sources)), ev, name=name)
 
 
-# The entry-by-entry operations of a block layout, as the writer names them.
-_OPS = {"add": operator.add, "neg": operator.neg}
+def _blocks(sources: tuple, ins, constant, arithmetic) -> list:
+    """A block map's values in ``arithmetic`` (:data:`jets._ARITHMETIC` or a
+    :class:`jets._FlatWriter`): for each source an input of ``ins``, the
+    next ``constant()``, or the arithmetic's ``op`` of inputs."""
+    return [
+        ins[i] if i.__class__ is int
+        else constant() if i is None
+        else getattr(arithmetic, i[0])(*[ins[k] for k in i[1:]])
+        for i in sources
+    ]
 
 
 # Layout rules 5 and 8 as data: every structural map moves blocks of its

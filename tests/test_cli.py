@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,15 @@ def test_dispatch_failures_exit_with_their_code_and_message(
     (tmp_path / "latin1.cfg").write_bytes("suite=kernel # é\n".encode("latin-1"))
     assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == (exit_code, "")
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_an_overflowing_expm_time_fails_without_a_warning(capsys):
+    # t * A overflowed outside np.errstate: a RuntimeWarning on stderr, and
+    # under -W error an uncaught exception with exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["expm", "--matrix", "1e308,0;0,0", "--t", "10"]) == (EXIT_NUMERIC, "")
+    assert capsys.readouterr().err == "evaluation failed: expm requires finite entries\n"
 
 
 def test_an_empty_x0_is_the_zero_dimensional_state():

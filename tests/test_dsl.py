@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentkit import dsl, jets
+from tangentkit import dsl, jets, kernel
 from tangentkit.cli import EXIT_OK, dispatch
 from tangentkit.dsl import (
     ArityError,
@@ -529,6 +529,53 @@ def test_a_long_chain_compiles_and_solves():
     assert compile_spec(parse(chain, 1))([1.0]) == [3000.0]
     argv = ["solve", "--dim", "1", "--vf", chain, "--t", "0.001", "--x0", "1"]
     assert dispatch(argv, stdout=io.StringIO()) == EXIT_OK
+
+
+def test_a_field_compiles_only_its_kernels(monkeypatch):
+    # a float call runs the depth-0 kernel and a jet call walks the nodes in
+    # jet arithmetic: no evaluator source of its own is compiled
+    compiled = []
+
+    def spy(source, label, *args):
+        compiled.append(label)
+        return compile(source, label, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
+    kernel._maker.cache_clear()
+    f = compile_spec(parse("x1 * x2 - sin(x2) / 3.5; exp(x1)", 2))
+    assert f([0.5, 1.5]) == [0.5 * 1.5 - math.sin(1.5) / 3.5, math.exp(0.5)]
+    f([Jet(0.5, 1.0), Jet(1.5, 0.0)])
+    assert compiled == ["<jet kernel>"]
+
+
+def test_a_float_call_looks_up_the_depth_0_kernel(monkeypatch):
+    looked_up = []
+
+    def counting(f, depth):
+        looked_up.append(depth)
+        return kernels(f, depth)
+
+    kernels = kernel._flat_kernel
+    monkeypatch.setattr(kernel, "_flat_kernel", counting)
+    f = compile_spec(parse("x1 + 2.0 * x2", 2))
+    assert f([1.0, 0.25]) == [1.5]
+    assert f([1, 0.25]) == [1.5]  # an int walks the nodes
+    assert looked_up == [0]
+
+
+def test_maps_of_one_spec_share_one_writer_pass(monkeypatch):
+    # the maker memo keeps each key's code beside its maker, so a map's
+    # kernel reads that code and does not write it again
+    passes = []
+    code = jets._FlatWriter.code
+    monkeypatch.setattr(
+        jets._FlatWriter, "code", lambda *args: passes.append(1) or code(*args)
+    )
+    kernel._maker.cache_clear()
+    spec = parse("x1 * x2 + 0.5; cos(x1)", 2)
+    kernels = [compile_spec(spec).evaluator.flat_kernel(0) for _ in range(2)]
+    assert len(passes) == 1
+    assert kernels[0].code is kernels[1].code
 
 
 def test_an_overflowing_literal_evaluates_to_inf():
