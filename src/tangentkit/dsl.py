@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space, _maker_of, _ruled, _Rule
+from .kernel import SmoothMap, Space, _ruled, _Rule
 
 __all__ = [
     "Num",
@@ -378,19 +378,18 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     call evaluates them in jet arithmetic.  A call whose arguments are all
     floats runs the depth-0 kernel at unit time instead, through the same
     lookup as a composite (:func:`kernel._ruled`), with the same bits and
-    errors.  The map carries ``flat_kernel(depth)``, which the solver looks
-    up: for each jet depth D it gives ``kernel(y, s)``, the flat
-    coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
-    ``v``, computed from those of the inputs (``y``) and of a time ``t``
-    (``s``) with no :class:`jets.Jet` built.  Each depth's kernel maker and
-    code are written and compiled once per key and depth
-    (:func:`kernel._maker_of`); each map binds its own cells, the number
-    literals, and keeps its kernels, made on first use.  A kernel carries
-    its code as data (``kernel.code``, which names the cells) and the map's
-    own cells (``kernel.cells``), which the solver writes into its generated
-    RK45 loop when the code is short enough
-    (:func:`dynamics._integrate_scaled`).  The other maps of :mod:`kernel`
-    that carry flat kernels carry no code, and are called.
+    errors.  The rule carries the map's kernels (:meth:`kernel._Rule.kernel`),
+    which the solver looks up: for each jet depth D it gives
+    ``kernel(y, s)``, the flat coefficients (:func:`jets.flatten_levels`) of
+    ``t * v`` for each output ``v``, computed from those of the inputs
+    (``y``) and of a time ``t`` (``s``) with no :class:`jets.Jet` built.
+    Each depth's kernel maker and code are written and compiled once per key
+    and depth; each map binds its own cells, the number literals.  The rule
+    is ``coded``, so each kernel carries its code as data (``kernel.code``,
+    which names the cells) and the map's own cells (``kernel.cells``), which
+    the solver writes into its generated RK45 loop when the code is short
+    enough (:func:`dynamics._integrate_scaled`).  The other maps of
+    :mod:`kernel` that carry flat kernels carry no code, and are called.
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
@@ -412,16 +411,9 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
 
     # the nodes name every input and cell the code reads
     write = functools.partial(_write, postorder, inputs, len(cells))
-    rule = _Rule(("dsl", len(inputs), postorder), len(inputs), write, cells)
-
-    def coded(depth):
-        make, code = _maker_of(rule, depth, coded=True)
-        kernel = make(*cells)
-        kernel.code, kernel.cells = code, cells
-        return kernel
-
+    rule = _Rule(("dsl", len(inputs), postorder), len(inputs), write, cells, coded=True)
     domain, codomain = Space(len(inputs)), Space(len(spec.components))
-    return _ruled(domain, codomain, by_nodes, rule, "field", coded)
+    return _ruled(domain, codomain, by_nodes, rule, "field")
 
 
 def _walk(postorder: tuple, leaves: dict, arithmetic) -> list:

@@ -26,7 +26,6 @@ from .kernel import (
     Space,
     TrivialBundle,
     _block_map,
-    _carry_rule,
     _composite,
     _Rule,
     compose,
@@ -143,7 +142,7 @@ class LinearVectorField(VectorField):
         rows = [tuple(float(a) for a in row) for row in A]
         ev = functools.partial(_matvec, rows)
         entries = tuple(a for row in rows for a in row)
-        _carry_rule(ev, _Rule(("linear", n), n, functools.partial(_linear_rule, n), entries))
+        ev.rule = _Rule(("linear", n), n, functools.partial(_linear_rule, n), entries)
         object.__setattr__(self, "matrix", A.copy())
         super().__init__(Space(n), SmoothMap(Space(n), Space(n), ev, name="linear"))
 

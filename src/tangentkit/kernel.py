@@ -34,16 +34,16 @@ the writer's arithmetic from its inputs' coefficient names; a composite's
 rule runs its parts' rules in turn, ``tangent``'s one level deeper, and
 ``vertical_bracket``'s writes its verticality check as one guard statement
 after its map's values.  So a composite's kernel at each depth is one
-straight-line function of the whole tree, written in one writer pass and
-compiled once per structure and depth (:func:`_maker`), and a call of such a
-composite, or of a dsl field, whose arguments are all floats runs its
-depth-0 kernel at unit time (:func:`_ruled`) in place of evaluating the
-parts (in ``tangent``, opening a level, evaluating on jets and closing it;
-in a dsl field, walking its nodes in jet arithmetic), with the same bits
-and the same errors.  Every other evaluator (a hand-written one, a wrapper,
-the tangent of an integrator flow) and every other argument (an int, a
-numpy scalar, a jet) takes the parts' path; a block map always evaluates
-its layout.
+straight-line function of the whole tree, written in one writer pass,
+compiled once per structure and depth (:func:`_maker`) and kept on the
+rule (:meth:`_Rule.kernel`), and a call of such a composite, or of a dsl
+field, whose arguments are all floats runs its depth-0 kernel at unit time
+(:func:`_ruled`) in place of evaluating the parts (in ``tangent``, opening
+a level, evaluating on jets and closing it; in a dsl field, walking its
+nodes in jet arithmetic), with the same bits and the same errors.  Every
+other evaluator (a hand-written one, a wrapper, the tangent of an
+integrator flow) and every other argument (an int, a numpy scalar, a jet)
+takes the parts' path; a block map always evaluates its layout.
 """
 
 from __future__ import annotations
@@ -246,24 +246,59 @@ def tangent(f: SmoothMap) -> SmoothMap:
 @dataclass(frozen=True)
 class _Rule:
     """How a map that carries flat kernels writes its values in
-    :class:`jets._FlatWriter` arithmetic.  ``write(w, ins, size, cells)``
-    returns the coefficient names of the map's values.  ``ins`` holds the
-    names of the map's ``arity`` inputs, and ``size`` is the number of
-    coefficients of each value: each rule is told its depth, as a composite
-    writes :func:`tangent`'s part one level deeper than itself.  The rule
-    reads its ``cells``, the map's constants, from names it takes in turn
-    from the iterator ``cells``.
+    :class:`jets._FlatWriter` arithmetic, and the one carrier of those
+    kernels (:meth:`kernel`).  ``write(w, ins, size, cells)`` returns the
+    coefficient names of the map's values.  ``ins`` holds the names of the
+    map's ``arity`` inputs, and ``size`` is the number of coefficients of
+    each value: each rule is told its depth, as a composite writes
+    :func:`tangent`'s part one level deeper than itself.  The rule reads
+    its ``cells``, the map's constants, from names it takes in turn from
+    the iterator ``cells``.
 
     ``key`` determines the code ``write`` writes exactly: the map's kind,
     its parts' keys and every shape it reads.  A rule compares and hashes
-    by its key alone, so maps of one key share one maker (:func:`_maker_of`)
+    by its key alone, so rules of one key share one maker (:func:`_maker`)
     and each binds its own cells: constants that compare equal but differ
-    (0.0 and -0.0) keep their bits."""
+    (0.0 and -0.0) keep their bits.  ``kernels`` is the rule's own memo of
+    its kernels, one per depth, which :func:`dataclasses.replace` never
+    shares.  Only a ``coded`` rule, a dsl field's
+    (:func:`dsl.compile_spec`), gives its kernels their code."""
 
     key: tuple
     arity: int = field(compare=False)
     write: Callable = field(compare=False, repr=False)
     cells: tuple = field(compare=False, repr=False)
+    coded: bool = field(default=False, compare=False)
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def kernel(self, depth: int):
+        """The flat kernel at ``depth``, made on first use and kept: the
+        maker in :func:`_maker`'s slot for the key and depth, which the
+        first rule of that key to ask fills with the maker
+        (:func:`jets._kernel_maker`) of :func:`_code`, called on the cells.
+
+        A ``coded`` rule's kernel carries its code as data (``kernel.code``,
+        which names the cells) and the cells (``kernel.cells``), which the
+        solver writes into its generated RK45 loop when the code is short
+        enough (:func:`dynamics._integrate_scaled`).  Every other kernel the
+        solver calls at each stage: inlined, the few products of a block
+        map would save little, and each fused loop is one more compile (for
+        a 20-entry state it peaks at about 2.1 MB under tracemalloc,
+        against 1.8 MB for the unfused loop that every field of that size
+        shares).  So only a coded slot keeps its code: kept for every key,
+        the codes of a ``run_suite("all")`` pass held about 190 KB, and
+        raised the verify workload's peak resident size by about 0.09 MB."""
+        kernel = self.kernels.get(depth)
+        if kernel is None:
+            slot = _maker(self.key, depth)
+            if not slot:
+                code = _code(self, depth)
+                slot += (_kernel_maker(code), code if self.coded else None)
+            make, code = slot
+            kernel = self.kernels[depth] = make(*self.cells)
+            if self.coded:
+                kernel.code, kernel.cells = code, self.cells
+        return kernel
 
 
 def _rule(f: SmoothMap):
@@ -271,20 +306,15 @@ def _rule(f: SmoothMap):
     return getattr(f.evaluator, "rule", None)
 
 
-def _kernels(f: SmoothMap):
-    """``f``'s ``flat_kernel(depth)``, or None."""
-    return getattr(f.evaluator, "flat_kernel", None)
-
-
 def _flat_kernel(f: SmoothMap, depth: int):
-    """``f``'s flat kernel at ``depth``, or None when its evaluator carries
-    none: the one lookup of a float call of a dsl field and of every
-    composite (:func:`_ruled`; and, under its own name, of the solver,
-    :func:`dynamics._trajectory`).  With it returning None every float call
-    evaluates its parts, ``tangent`` on jets and a dsl field by walking its
-    nodes in jet arithmetic."""
-    kernels = _kernels(f)
-    return kernels(depth) if kernels is not None else None
+    """``f``'s flat kernel at ``depth`` (:meth:`_Rule.kernel`), or None when
+    its evaluator carries no rule: the one lookup of a float call of a dsl
+    field and of every composite (:func:`_ruled`; and, under its own name,
+    of the solver, :func:`dynamics._trajectory`).  With it returning None
+    every float call evaluates its parts, ``tangent`` on jets and a dsl
+    field by walking its nodes in jet arithmetic."""
+    rule = getattr(f.evaluator, "rule", None)
+    return rule.kernel(depth) if rule is not None else None
 
 
 def _code(rule: _Rule, depth: int) -> _FlatCode:
@@ -296,60 +326,20 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
     return w.code(rule.write(w, w.inputs, 2**depth, iter(cells)), cells)
 
 
-# run_suite("all") compiles makers for 85 keys and depths, the same 85 at
-# seeds 3, 1729 and 7 (62 compose, 5 T, 4 geodesic, 1 pair, 1 linear and 12
-# block, all at depth 0 but the solves' block maps at depths 1 and 2 and
-# geodesic fields at depth 1); no cli workload command compiles more than
-# 14, and `cli geodesic` compiles 1.
+# A fresh-process run_suite("all") fills 95 slots, the same 95 at seeds 3,
+# 1729 and 7: 65 compose, 3 T, 9 dsl, 4 geodesic, 1 pair, 1 linear and 12
+# block.  Only block, dsl and geodesic keys go deeper than depth 0 (block
+# maps to depths 1 and 2, dsl fields to 1 and 2, geodesic fields to 1).  No
+# cli workload command fills more than 14, and `cli geodesic` fills 2.
 @functools.lru_cache(maxsize=128)
 def _maker(key: tuple, depth: int) -> list:
-    """The slot of the maker of the kernel at ``depth`` of the rules keyed
-    ``key`` and of its code, which :func:`_maker_of` fills on first use:
-    ``zero_field``, ``euler_space_field`` and the law suites build new maps
-    of a few shapes on every call, and the code reads the key only.  The
-    memo holds keys, not rules, so it keeps no rule's tree of parts and
-    cells alive."""
+    """The slot ``[make, code]`` of the rules keyed ``key`` at ``depth``,
+    which :meth:`_Rule.kernel` fills on first use, so the writer runs once
+    per key and depth: ``zero_field``, ``euler_space_field`` and the law
+    suites build new maps of a few shapes on every call, and the code reads
+    the key only.  The memo holds keys, not rules, so it keeps no rule's
+    tree of parts and cells alive."""
     return []
-
-
-def _maker_of(rule: _Rule, depth: int, coded: bool = False) -> list:
-    """``[make, code]``: the maker (:func:`jets._kernel_maker`) of ``rule``'s
-    kernel at ``depth`` and, for the ``coded`` rules of dsl fields, the code
-    (:class:`jets._FlatCode`) it compiled, else None, kept by key and depth
-    (:func:`_maker`), so the writer runs once per key and depth.  Only dsl
-    fields read it again: kept for every key, the codes of a
-    ``run_suite("all")`` pass held about 190 KB, and raised the verify
-    workload's peak resident size by about 0.09 MB.
-
-    Only a dsl field's kernel carries its code (:func:`dsl.compile_spec`);
-    every other kernel the solver calls at each stage rather than writing
-    it into a fused loop of its own: inlined, the few
-    products of a block map would save little, and each fused loop is one
-    more compile (for a 20-entry state it peaks at about 2.1 MB under
-    tracemalloc, against 1.8 MB for the unfused loop that every field of
-    that size shares)."""
-    slot = _maker(rule.key, depth)
-    if not slot:
-        code = _code(rule, depth)
-        slot += (_kernel_maker(code), code if coded else None)
-    return slot
-
-
-def _carry_rule(ev, rule: _Rule, make=None):
-    """``ev`` carrying ``rule`` and ``flat_kernel(depth)``: ``make(depth)``,
-    by default :func:`_maker_of`'s kernel with ``rule``'s cells bound, written
-    on first use and kept, one per depth."""
-    kernels: dict = {}
-
-    def flat_kernel(depth: int):
-        kernel = kernels.get(depth)
-        if kernel is None:
-            kernel = make(depth) if make else _maker_of(rule, depth)[0](*rule.cells)
-            kernels[depth] = kernel
-        return kernel
-
-    ev.rule = rule
-    ev.flat_kernel = flat_kernel
 
 
 # The time 1 at depth 0, flatten_levels([1], 0): the int 1, whose products
@@ -391,16 +381,15 @@ def _composite(
     return _ruled(domain, codomain, parts, rule, name)
 
 
-def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str, make=None):
-    """The map that evaluates ``parts`` and carries ``rule`` (with
-    :func:`_carry_rule`'s ``make``), whose call on all floats runs its
-    depth-0 kernel at unit time, looked up through :func:`_flat_kernel`:
-    the float call of every composite (:func:`_composite`) and of a dsl
-    field (:func:`dsl.compile_spec`)."""
+def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str):
+    """The map that evaluates ``parts`` and carries ``rule``, whose call on
+    all floats runs its depth-0 kernel at unit time, looked up through
+    :func:`_flat_kernel`: the float call of every composite
+    (:func:`_composite`) and of a dsl field (:func:`dsl.compile_spec`)."""
     # the lookup is given the map evaluated by its parts, which carries the
-    # same kernels: given the map itself, ev would hold it in a reference
+    # same rule: given the map itself, ev would hold it in a reference
     # cycle, which only the cyclic collector frees
-    _carry_rule(parts, rule, make)
+    parts.rule = rule
     by_parts = SmoothMap(domain, codomain, parts, name=name)
 
     def ev(xs):
@@ -410,7 +399,7 @@ def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str, make=N
                 return kernel(xs, _UNIT)
         return parts(xs)
 
-    ev.rule, ev.flat_kernel = rule, parts.flat_kernel
+    ev.rule = rule
     return SmoothMap(domain, codomain, ev, name=name)
 
 
@@ -451,7 +440,7 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     def write(w, ins, size, cells):
         return _blocks(sources, ins, lambda: w.constant(next(cells), size), w)
 
-    _carry_rule(ev, _Rule(("block", starts[-1], sources), starts[-1], write, constants))
+    ev.rule = _Rule(("block", starts[-1], sources), starts[-1], write, constants)
     return SmoothMap(Space(starts[-1]), Space(len(sources)), ev, name=name)
 
 

@@ -380,7 +380,7 @@ def test_flat_kernel_is_the_jet_path_bit_for_bit(data):
     # a float time, one of fewer levels than the state's, or a full tower
     t = data.draw(st.one_of(_SCALARS, _TOWERS[min(1, depth)], _TOWERS[depth]))
     evaluator = compile_spec(dsl.FieldSpec(arity, tuple(components))).evaluator
-    kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+    kernel, scale = evaluator.rule.kernel(depth), jets.flatten_levels([t], depth)
 
     def jet_path(y):  # at depth 0: [t * v for v in evaluator(y)]
         vals = evaluator(jets.unflatten_levels(y, depth))
@@ -408,7 +408,7 @@ def test_flat_kernel_is_the_jet_path_bit_for_bit(data):
 )
 def test_flat_kernel_takes_the_jet_methods_branches(text, depth, xs, t, want):
     evaluator = compile_spec(parse(text, len(xs))).evaluator
-    kernel, scale = evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+    kernel, scale = evaluator.rule.kernel(depth), jets.flatten_levels([t], depth)
     assert _outcome(lambda xs: jets.flatten_levels([t * v for v in evaluator(xs)], depth), xs) == want
     assert _outcome(lambda y: kernel(y, scale), jets.flatten_levels(xs, depth)) == want
 
@@ -421,7 +421,7 @@ def test_each_function_kernel_is_its_chain_rule_at_every_level(fn, depth):
     y, scale = [0.75, 0.5, -0.25, 0.125][: 2**depth], jets.flatten_levels([1.0], depth)
     vals = evaluator(jets.unflatten_levels(y, depth))
     want = jets.flatten_levels([1.0 * v for v in vals], depth)
-    assert repr(evaluator.flat_kernel(depth)(y, scale)) == repr(want)
+    assert repr(evaluator.rule.kernel(depth)(y, scale)) == repr(want)
 
 
 def _block_maps(n, m):
@@ -452,7 +452,7 @@ def test_block_map_kernel_is_the_jet_path_bit_for_bit(data):
     xs = data.draw(st.lists(_TOWERS[depth], min_size=vhat.domain.dim, max_size=vhat.domain.dim))
     # a float time, one of fewer levels than the state's, or a full tower
     t = data.draw(st.one_of(_SCALARS, _TOWERS[min(1, depth)], _TOWERS[depth]))
-    kernel, scale = vhat.evaluator.flat_kernel(depth), jets.flatten_levels([t], depth)
+    kernel, scale = vhat.evaluator.rule.kernel(depth), jets.flatten_levels([t], depth)
 
     def jet_path(y):
         vals = vhat.evaluator(jets.unflatten_levels(y, depth))
@@ -467,7 +467,7 @@ def test_block_maps_whose_constants_compare_equal_keep_their_own_bits():
     maps = [_block_map("c", (1,), ([c],)) for c in (0.0, -0.0)]
     for depth in (0, 1):
         scale = jets.flatten_levels([1.0], depth)
-        got = [repr(f.evaluator.flat_kernel(depth)([2.0] * 2**depth, scale)) for f in maps]
+        got = [repr(f.evaluator.rule.kernel(depth)([2.0] * 2**depth, scale)) for f in maps]
         assert got == [f"[0.0{', ABSENT' * depth}]", f"[-0.0{', ABSENT' * depth}]"]
 
 
@@ -497,7 +497,7 @@ def test_the_fused_rk45_loop_is_the_called_kernel_bit_for_bit(data):
     clock = (Num(1.0),) * time_dependent
     spec = dsl.FieldSpec(arity, components + clock, time_dependent)
     n = arity + time_dependent
-    kernel = compile_spec(spec).evaluator.flat_kernel(depth)
+    kernel = compile_spec(spec).evaluator.rule.kernel(depth)
     xs = data.draw(st.lists(_START_TOWERS[depth], min_size=n, max_size=n))
     t = data.draw(st.one_of(_START, _START_TOWERS[depth]))
     scale, y0 = jets.flatten_levels([t], depth), jets.flatten_levels(xs, depth)
@@ -573,7 +573,7 @@ def test_maps_of_one_spec_share_one_writer_pass(monkeypatch):
     )
     kernel._maker.cache_clear()
     spec = parse("x1 * x2 + 0.5; cos(x1)", 2)
-    kernels = [compile_spec(spec).evaluator.flat_kernel(0) for _ in range(2)]
+    kernels = [compile_spec(spec).evaluator.rule.kernel(0) for _ in range(2)]
     assert len(passes) == 1
     assert kernels[0].code is kernels[1].code
 

@@ -687,7 +687,7 @@ def test_only_a_dsl_field_in_the_generated_loop_takes_the_fused_path(monkeypatch
     assert loops == [(1, False)]  # written six times over, the loop would be too long
     # the solver applies the cap: the kernel carries its code, whose size
     # is the lines the writer wrote before any was written into another
-    code = long.vhat.evaluator.flat_kernel(0).code
+    code = long.vhat.evaluator.rule.kernel(0).code
     monkeypatch.setattr(jets, "_inlined", lambda lines, outputs: list(lines))
     written = kernel._code(kernel._rule(long.vhat), 0)
     assert code.operations == len(written.lines) > max(dynamics._FUSED_MAX_LINES, len(code.lines))
@@ -707,7 +707,7 @@ def test_the_fuse_cap_is_read_when_a_solve_picks_its_loop(monkeypatch):
     field = rotation_field()
     flow = flow_of(field)
     fused = repr(flow(1.0, [1.0, 0.5]))
-    operations = field.vhat.evaluator.flat_kernel(0).code.operations
+    operations = field.vhat.evaluator.rule.kernel(0).code.operations
     monkeypatch.setattr(dynamics, "_FUSED_MAX_LINES", operations)
     assert repr(flow(1.0, [1.0, 0.5])) == fused
     monkeypatch.setattr(dynamics, "_FUSED_MAX_LINES", operations - 1)
@@ -809,7 +809,7 @@ def test_kernels_that_read_the_same_lines_solve_with_their_own_constants():
     # as arguments; 3^0 leaves a constant no line reads, so these two read
     # the same lines from two constants and from one
     fields = [VectorField.from_expr(text, 1) for text in ("3^0 + 2*x1", "x1^0 + 2*x1")]
-    codes = [field.vhat.evaluator.flat_kernel(0).code for field in fields]
+    codes = [field.vhat.evaluator.rule.kernel(0).code for field in fields]
     assert codes[0].lines == codes[1].lines and len(codes[0].cells) == 2 != len(codes[1].cells)
     fused = [repr(flow_of(field)(0.5, [1.0])) for field in fields]
     with pytest.MonkeyPatch.context() as patch:
@@ -1348,8 +1348,8 @@ def test_a_flow_without_its_map_takes_one_jet_evaluation_with_the_same_bits(eval
     closed = rotation_closed_flow()
     other = dataclasses.replace(closed, evaluate=evaluate)
     ruled, plain = generator(closed), generator(other)
-    assert kernel._kernels(ruled.vhat) is not None
-    assert kernel._kernels(plain.vhat) is None
+    assert kernel._rule(ruled.vhat) is not None
+    assert kernel._rule(plain.vhat) is None
     assert flow_smooth_map(other).name == "flow"
     for xs in _CLOSED_STARTS:
         want = repr(time_derivative(other.evaluate, 0.0, xs)[1])

@@ -131,7 +131,7 @@ def test_float_calls_on_kernels_are_the_jet_path_bit_for_bit(data):
     # tangents, each with the lookup on and with it off
     n = data.draw(st.integers(min_value=1, max_value=4))
     f = _draw_map(data, n, 2)
-    assert kernel._kernels(f) is not None
+    assert kernel._rule(f) is not None
     for g in (f, tangent(f), tangent(tangent(f))):
         args = data.draw(st.lists(_ARGS, min_size=g.domain.dim, max_size=g.domain.dim))
         assert _outcome(g, args) == _on_jets(g, args)
@@ -154,7 +154,7 @@ def test_tangent_kernels_on_ragged_towers_are_the_jet_path_bit_for_bit(data):
         return jets.flatten_levels([t * v for v in values], depth)
 
     want = _on_jets(jet_path, y)
-    assert _outcome(lambda y: tf.evaluator.flat_kernel(depth)(y, scale), y) == want
+    assert _outcome(lambda y: tf.evaluator.rule.kernel(depth)(y, scale), y) == want
 
 
 def test_a_dsl_division_by_zero_through_a_kernel_map_is_the_same_error():
@@ -291,6 +291,41 @@ def test_a_composite_shares_or_concatenates_its_parts_cells():
     assert rules[2].cells == rules[0].cells + (0.5,)
 
 
+def _carrier(kind: str, c: float) -> SmoothMap:
+    """A map of ``kind`` whose key does not read its one constant ``c``."""
+    field = compile_spec(dsl.FieldSpec(1, (BinOp("+", Var(1), Num(c)),)))
+    block = _block_map("c", (1,), (0, [c]))
+    if kind == "linear":
+        return LinearVectorField([[c]]).vhat
+    return {"dsl": field, "block": block, "compose": compose(field, block)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["dsl", "block", "linear", "compose"])
+def test_a_map_carries_its_kernels_on_its_rule_alone(kind):
+    kernel._maker.cache_clear()
+    maps = [_carrier(kind, 2.0), _carrier(kind, 3.0)]
+    rules = [kernel._rule(f) for f in maps]
+    for f, rule in zip(maps, rules):
+        assert isinstance(rule, kernel._Rule) and not hasattr(f.evaluator, "flat_kernel")
+    assert rules[0] == rules[1] and rules[0] is not rules[1]
+    for depth in (0, 1):
+        kernels = [kernel._flat_kernel(f, depth) for f in maps]
+        assert all(k is rule.kernel(depth) for k, rule in zip(kernels, rules))
+        # one slot per key and depth, one kernel per map, on its own cells
+        assert kernel._maker.cache_info().currsize == depth + 1
+        assert kernels[0] is not kernels[1]
+        y, scale = [1.0] * 2**depth, jets.flatten_levels([1.0], depth)
+        assert kernels[0](y, scale) != kernels[1](y, scale)
+        for k, rule in zip(kernels, rules):
+            assert hasattr(k, "code") == hasattr(k, "cells") == (kind == "dsl")
+            assert kind != "dsl" or (k.code is not None and k.cells is rule.cells)
+    assert [repr(f([1.0])) for f in maps] == [_on_jets(f, [1.0]) for f in maps]
+    fresh = dataclasses.replace(rules[0])
+    assert fresh == rules[0] and fresh.kernels == {} and len(rules[0].kernels) == 2
+    assert fresh.kernel(0) is not rules[0].kernel(0)
+    assert kernel._maker.cache_info().currsize == 2
+
+
 def test_the_maker_memo_holds_every_law_suite_key():
     # the bound covers the keys of a whole run, and the law suites draw new
     # maps, not new shapes, at a new seed
@@ -322,7 +357,7 @@ def test_a_user_lambda_and_a_counting_wrapper_take_the_jet_path(monkeypatch):
     counted = dataclasses.replace(field, evaluator=lambda xs: field.evaluator(xs))
     last = SmoothMap(Space(1), Space(1), lambda xs: xs)
     for f in (user, counted, pair(field, user), compose(field, last)):
-        assert kernel._kernels(f) is None
+        assert kernel._rule(f) is None
         assert _jets_built(tangent(f), [1.0, 2.0, 0.5, -0.0], monkeypatch) > 0
 
 
@@ -473,7 +508,7 @@ def test_the_generator_of_a_closed_form_flow_is_its_jet_evaluation_bit_for_bit(d
     spec = dsl.FieldSpec(n, tuple(data.draw(closed_form)), time_dependent=True)
     flow = Flow.from_expr(dsl.format_spec(spec), n)
     ruled, plain = generator(flow).vhat, generator(_wrapped(flow)).vhat
-    assert kernel._kernels(ruled) is not None and kernel._kernels(plain) is None
+    assert kernel._rule(ruled) is not None and kernel._rule(plain) is None
     depth = data.draw(st.sampled_from((0, 1, 2)))
     xs = data.draw(st.lists(_TOWERS[depth] if depth else _ARGS, min_size=n, max_size=n))
     want = _outcome(_time_derivative_at_0(flow), xs)
@@ -506,7 +541,7 @@ def test_the_geodesic_rule_is_the_field_that_calls_gamma_bit_for_bit(data):
             _geodesic_field(Connection(n, called))
         return
     plain = _geodesic_field(Connection(n, called)).vhat
-    assert kernel._kernels(ruled) is not None and kernel._kernels(plain) is None
+    assert kernel._rule(ruled) is not None and kernel._rule(plain) is None
     depth = data.draw(st.sampled_from((0, 1, 2)))
     xs = data.draw(st.lists(_TOWERS[depth] if depth else _ARGS, min_size=2 * n, max_size=2 * n))
     assert _outcome(ruled, xs) == _on_jets(ruled, xs) == _outcome(plain, xs)
