@@ -17,12 +17,12 @@ last input of the compiled map.  Exponents must be integer literals;
 general powers go through ``exp``/``ln``.  Parentheses, unary minus and
 calls nest at most 100 levels deep.  A spec compiles to its nodes in post
 order, walked in a loop in the tree's order, so ``+ - * /`` chains have no
-length limit.  The walk runs in two arithmetics: jet arithmetic, for a call
-on anything but floats, and the writer's (see :class:`jets._FlatWriter`),
-which writes, per jet depth and on first use, a flat kernel: the same
-operations on flat jet coefficients, which a float call runs at depth 0,
-the solver inlines in its generated RK45 loop, and composites of the field
-write into their own.
+length limit.  The walk is the field's rule, its one description, and
+runs in two arithmetics: jet arithmetic, for a call on anything but floats,
+and the writer's (see :class:`jets._FlatWriter`), which writes, per jet
+depth and on first use, a flat kernel: the same operations on flat jet
+coefficients, which a float call runs at depth 0, the solver inlines in its
+generated RK45 loop, and composites of the field write into their own.
 
 Functions: sin, cos, exp, ln, sqrt, tanh.
 """
@@ -372,24 +372,20 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
 
     The nodes, listed in post order as ``(name, operand count, args)``
     (:func:`_node`), are the field's one description, and its rule's key
-    (:class:`kernel._Rule`): :func:`_walk` runs them in the writer's
-    arithmetic (:func:`_write`), so a composite of the field writes them
-    into its own kernels and :func:`kernel.tangent` one level deeper, and a
-    call evaluates them in jet arithmetic.  A call whose arguments are all
-    floats runs the depth-0 kernel at unit time instead, through the same
-    lookup as a composite (:func:`kernel._ruled`), with the same bits and
-    errors.  The rule carries the map's kernels (:meth:`kernel._Rule.kernel`),
-    which the solver looks up: for each jet depth D it gives
-    ``kernel(y, s)``, the flat coefficients (:func:`jets.flatten_levels`) of
-    ``t * v`` for each output ``v``, computed from those of the inputs
-    (``y``) and of a time ``t`` (``s``) with no :class:`jets.Jet` built.
-    Each depth's kernel maker and code are written and compiled once per key
-    and depth; each map binds its own cells, the number literals.  The rule
-    is ``coded``, so each kernel carries its code as data (``kernel.code``,
-    which names the cells) and the map's own cells (``kernel.cells``), which
-    the solver writes into its generated RK45 loop when the code is short
-    enough (:func:`dynamics._integrate_scaled`).  The other maps of
-    :mod:`kernel` that carry flat kernels carry no code, and are called.
+    (:class:`kernel._Rule`).  The rule (:func:`_write`) walks them
+    (:func:`_walk`) in the arithmetic it is given: a call evaluates them in
+    jet arithmetic, and in the writer's they are the field's kernels, which
+    a composite of the field writes into its own and :func:`kernel.tangent`
+    one level deeper.  A call whose arguments are all floats runs the
+    depth-0 kernel at unit time instead, through the same lookup as a
+    composite (:func:`kernel._ruled`), with the same bits and errors.  For
+    each jet depth D the solver looks up ``kernel(y, s)``, the flat
+    coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
+    ``v``, computed from those of the inputs (``y``) and of a time ``t``
+    (``s``) with no :class:`jets.Jet` built.  The rule is ``coded``: each
+    map binds its own cells, the number literals, and its kernels carry
+    their code, which the solver writes into its generated RK45 loop when
+    it is short enough (:meth:`kernel._Rule.kernel`).
     """
     # Pre-order with the right operand first: reversed, it is post order.
     cells: list = []
@@ -402,18 +398,12 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     inputs = [f"x{i}" for i in range(1, spec.arity + 1)]
     inputs += ["t"] if spec.time_dependent else []
     cells = tuple(cells)
-    constants = {f"c{k}": c for k, c in enumerate(cells)}
-
-    def by_nodes(xs):
-        # strict: a call of the wrong length is a ValueError
-        leaves = dict(zip(inputs, xs, strict=True), **constants)
-        return _walk(postorder, leaves, jets._ARITHMETIC)
-
     # the nodes name every input and cell the code reads
-    write = functools.partial(_write, postorder, inputs, len(cells))
+    leaves = (*inputs, *[f"c{k}" for k in range(len(cells))])
+    write = functools.partial(_write, postorder, leaves, cells)
     rule = _Rule(("dsl", len(inputs), postorder), len(inputs), write, cells, coded=True)
     domain, codomain = Space(len(inputs)), Space(len(spec.components))
-    return _ruled(domain, codomain, by_nodes, rule, "field")
+    return _ruled(domain, codomain, functools.partial(write, jets._ARITHMETIC), rule, "field")
 
 
 def _walk(postorder: tuple, leaves: dict, arithmetic) -> list:
@@ -432,12 +422,12 @@ def _walk(postorder: tuple, leaves: dict, arithmetic) -> list:
     return values
 
 
-def _write(postorder: tuple, inputs: list[str], n_cells: int, w, ins, size, cells) -> list:
-    """The dsl rule (see :class:`kernel._Rule`): the nodes walked in the
-    writer's arithmetic over its inputs' and cells' coefficients."""
-    leaves = dict(zip(inputs, ins))
-    leaves.update((f"c{k}", w.constant(next(cells), size)) for k in range(n_cells))
-    return _walk(postorder, leaves, w)
+def _write(postorder: tuple, leaves: tuple, cells: tuple, w, ins) -> list:
+    """The dsl rule (see :class:`kernel._Rule`): the nodes walked in ``w``'s
+    arithmetic, with the inputs ``ins`` and then the cells of ``cells`` as
+    the ``leaves`` they name."""
+    # strict: a call of the wrong length is a ValueError
+    return _walk(postorder, dict(zip(leaves, [*ins, *w.cells(cells)], strict=True)), w)
 
 
 # -- canonical renderer -------------------------------------------------------

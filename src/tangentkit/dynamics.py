@@ -1142,15 +1142,10 @@ def _geodesic_field(conn: Connection) -> VectorField:
     n = conn.base_dim
     tm = Space(2 * n)
 
-    def ev(xs):
-        x, u = xs[:n], xs[n:]
-        g = conn.gamma(list(x) + list(u))
-        return list(u) + [-gi for gi in g]
+    def combine(gamma, w, ins):
+        return list(ins[n:]) + [w.neg(g) for g in gamma(list(ins))]
 
-    def write(gamma, w, ins, size, cells):
-        return ins[n:] + [w.neg(g) for g in gamma.write(w, ins, size, cells)]
-
-    return VectorField(tm, _composite(tm, tm, ev, "geodesic", "geodesic", (conn.gamma,), write))
+    return VectorField(tm, _composite(tm, tm, "geodesic", "geodesic", (conn.gamma,), combine))
 
 
 def geodesic_flow(conn: Connection, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Flow:

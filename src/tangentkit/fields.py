@@ -142,7 +142,7 @@ class LinearVectorField(VectorField):
         rows = [tuple(float(a) for a in row) for row in A]
         ev = functools.partial(_matvec, rows)
         entries = tuple(a for row in rows for a in row)
-        ev.rule = _Rule(("linear", n), n, functools.partial(_linear_rule, n), entries)
+        ev.rule = _Rule(("linear", n), n, functools.partial(_linear_rule, entries), entries)
         object.__setattr__(self, "matrix", A.copy())
         super().__init__(Space(n), SmoothMap(Space(n), Space(n), ev, name="linear"))
 
@@ -155,13 +155,14 @@ def _matvec(rows, xs) -> list:
     return [reduce(add, map(mul, row, xs), 0) for row in rows]
 
 
-def _linear_rule(n: int, w, ins, size, cells) -> list:
-    """The rule (see :class:`kernel._Rule`) of :func:`_matvec` on ``n``
-    inputs: the same fold, with the ``n * n`` entries of the rows, row by
-    row, as its cells."""
-    rows = [[w.constant(next(cells), size) for _ in range(n)] for _ in range(n)]
-    zero = w.constant("0", size)
-    return [reduce(w.add, map(w.mul, row, ins), zero) for row in rows]
+def _linear_rule(entries: tuple, w, ins) -> list:
+    """The rule (see :class:`kernel._Rule`) of :func:`_matvec`, written in
+    the writer ``w``: the same fold, with the ``entries`` of the rows, row
+    by row, as its cells."""
+    n = len(ins)
+    cells = w.cells(entries)
+    rows = [cells[k : k + n] for k in range(0, n * n, n)]
+    return [reduce(w.add, map(w.mul, row, ins), w.constant("0", w.size)) for row in rows]
 
 
 def zero_field(space: Space) -> VectorField:
@@ -261,19 +262,14 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     z1 = compose(v1.full_map, tangent(v2.full_map))
     z2 = compose(compose(v2.full_map, tangent(v1.full_map)), flip)
 
-    def diff_ev(xs):
-        a = z1.evaluator(list(xs))
-        b = z2.evaluator(list(xs))
+    def combine(first, second, w, ins):
+        a = first(list(ins))
+        b = second(list(ins))
         # Both land over the same point of TM; subtract direction blocks.
-        return a[: 2 * n] + [ai - bi for ai, bi in zip(a[2 * n :], b[2 * n :])]
-
-    def write(first, second, w, ins, size, cells):
-        a = first.write(w, ins, size, cells)
-        b = second.write(w, ins, size, cells)
         return a[: 2 * n] + [w.sub(ai, bi) for ai, bi in zip(a[2 * n :], b[2 * n :])]
 
     name = "bracket_diff"
-    diff = _composite(space, Space(4 * n), diff_ev, name, name, (z1, z2), write)
+    diff = _composite(space, Space(4 * n), name, name, (z1, z2), combine)
     full = vertical_bracket(diff, TrivialBundle(n, n))
     vhat = compose(full, _component_of(space))
     return VectorField(space, vhat)

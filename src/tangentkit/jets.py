@@ -23,20 +23,20 @@ a :class:`Jet` itself, so how a level is identified is decided here.
 The rules of :class:`Jet` arithmetic are also written out here as flat
 kernels (:class:`_FlatWriter`): straight-line float code that runs the same
 operations on the coefficients of :func:`flatten_levels`, with no ``Jet``
-built.  Fields compiled by :func:`dsl.compile_spec` and maps built from a
-block layout (:func:`kernel._block_map`), whose rules the writer and the jet
-arithmetic :data:`_ARITHMETIC` both run under one set of names, and linear
-fields get them, one per jet depth, written on first use, and so do their
-composites, whose parts write into one writer pass (see :mod:`kernel`).
-The solver runs one in place of the codec, and a float call of a dsl field
-or of a composite (:func:`kernel.tangent`, :func:`kernel.compose`,
-:func:`kernel.pair`, :func:`kernel.product`,
-:func:`kernel.vertical_bracket`) its depth-0 kernel, with ``tangent``'s
-part one level deeper in place of :func:`open_level` and
-:func:`close_level`; a dsl kernel's code (:class:`_FlatCode`) is written
-into the stages of the generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
-levels and places the codec, and calls any other evaluator on towers through
-one widening that joins the levels of the state, time and closure.
+built.  The writer and the jet arithmetic :data:`_ARITHMETIC` answer to one
+set of names: the scalar operations, and a map's own ``cells`` (its
+constants), ``open`` and ``close`` (a level, :func:`open_level` and
+:func:`close_level` on jets) and ``vertical`` (the verticality check).  So
+a map's rule (:class:`kernel._Rule`: a dsl field's, a block map's, and that
+of every composite of such maps) is one function that is the map's call in
+jet arithmetic and writes its kernels, one per jet depth, on first use, in
+the writer; a composite's parts write into one writer pass (see
+:mod:`kernel`).  The solver runs a kernel in place of the codec, and a
+float call of a dsl field or of a composite its depth-0 kernel; a dsl
+kernel's code (:class:`_FlatCode`) is written into the stages of the
+generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
+levels and places the codec, and calls any other evaluator on towers
+through one widening that joins the levels of the state, time and closure.
 """
 
 from __future__ import annotations
@@ -336,10 +336,16 @@ def sqrt(x):
     return _sqrt(x)
 
 
+def _vertical_of(direction: list, point: list, tol) -> None:
+    """:func:`_vertical` on values: every coefficient of the jets of
+    ``direction``, at the innermost primals of ``point``."""
+    coeffs = [c for v in direction for c in coefficients(v)]
+    _vertical(coeffs, [primal_value(v) for v in point], tol)
+
+
 # Jet arithmetic under the names of the writer's rules (:class:`_FlatWriter`),
-# so a rule written over those names also evaluates on jet towers (and on
-# any scalars the jet operations take): :func:`dsl._walk` and the block maps
-# of :func:`kernel._block_map` run in one or the other.
+# so a map's rule (:class:`kernel._Rule`) also evaluates on jet towers (and
+# on any scalars the jet operations take); its cells are their values here.
 _ARITHMETIC = types.SimpleNamespace(
     neg=operator.neg,
     add=operator.add,
@@ -353,6 +359,10 @@ _ARITHMETIC = types.SimpleNamespace(
     tanh=tanh,
     ln=ln,
     sqrt=sqrt,
+    cells=tuple,
+    open=open_level,
+    close=close_level,
+    vertical=_vertical_of,
 )
 
 
@@ -409,6 +419,10 @@ class _FlatWriter:
     levels), the kernel tests whether that operand's tangent is absent.  An
     expression written twice is computed once: every operation here is
     pure.
+
+    A map's rule (:class:`kernel._Rule`) runs here as in :data:`_ARITHMETIC`.
+    The writer keeps ``size``, each value's number of coefficients, which
+    :meth:`open` doubles until :meth:`close`, and hands out cell names.
     """
 
     def __init__(self, depth: int, inputs: list[str]):
@@ -418,10 +432,36 @@ class _FlatWriter:
         self.lines: list[str] = []
         self.memo: dict[str, str] = {}
         self.count = 0
+        self.cell_names: list[str] = []
 
     def constant(self, name: str, size: int) -> list:
         """A value of ``size`` coefficients without tangents."""
         return [name] + [None] * (size - 1)
+
+    def cells(self, values) -> list:
+        """The next ``len(values)`` cell names (``c0..``), as constants."""
+        names = [f"c{len(self.cell_names) + k}" for k in range(len(values))]
+        self.cell_names += names
+        return [self.constant(name, self.size) for name in names]
+
+    def open(self, points: list, directions: list) -> list:
+        """:func:`open_level`: each point interleaved with its direction."""
+        self.size *= 2
+        return [_interleave(x, d) for x, d in zip(points, directions)]
+
+    def close(self, values: list) -> tuple[list, list]:
+        """:func:`close_level`: the even coefficients (primals) and the odd
+        ones (tangents).  A tangent's first coefficient reads only the
+        innermost primals, so it is absent exactly when it is absent as the
+        code is written: there ``close_level``'s 0.0."""
+        self.size //= 2
+        return [v[0::2] for v in values], [[v[1] or "0.0", *v[3::2]] for v in values]
+
+    def vertical(self, direction: list, point: list, tol) -> None:
+        """:func:`_vertical_of` as one guard statement, with ``tol`` a cell."""
+        dx = ", ".join(c for v in direction for c in v if c is not None)
+        (tol,) = self.cells((tol,))
+        self.lines.append(f"vertical([{dx}], [{', '.join(v[0] for v in point)}], {tol[0]})")
 
     def _fresh(self) -> str:
         self.count += 1
@@ -563,10 +603,10 @@ class _FlatWriter:
 
     # -- the kernel -----------------------------------------------------------
 
-    def code(self, outputs: list, cells: tuple) -> "_FlatCode":
+    def code(self, outputs: list) -> "_FlatCode":
         """The code of ``t * v`` for each output ``v``, as data, with each
-        name read once inlined where it is read (:func:`_inlined`); ``cells``
-        names the constants the lines read."""
+        name read once inlined where it is read (:func:`_inlined`), reading
+        the cells :meth:`cells` named."""
         scaled = [self.mul(self.scale, v) for v in outputs]
         outputs = tuple(v[k] for k in range(self.size) for v in scaled)
         return _FlatCode(
@@ -574,7 +614,7 @@ class _FlatWriter:
             tuple(self.scale),
             tuple(_inlined(self.lines, outputs)),
             outputs,
-            cells,
+            tuple(self.cell_names),
             len(self.lines),
         )
 

@@ -17,33 +17,25 @@ The short version (layout rules 1-6):
 Every structural map moves coordinate blocks, inserts zero blocks, or adds
 (``plus``) or negates (``neg``) blocks entry by entry, so each is written as
 its block layout, one table that mirrors rule 8 (with rules 5 and 7), and
-built by ``_block_map``.  The layout is the map's one description: a call
-evaluates it in jet arithmetic and the writer (:class:`jets._FlatWriter`)
-runs it as a flat kernel, which the solver runs in place of the jet codec
-when the map is a field: the
-scaling field behind ``e``, the multiplication and the action, and the
-library's constant and identity fields, are block maps.
+built by ``_block_map``: the scaling field behind ``e``, the multiplication
+and the action, and the library's constant and identity fields, are block
+maps.
 
-How a map is built decides whether it carries flat kernels: a dsl field, a
-block map (the identity, ``plus`` and ``neg`` among them), a linear field,
-and ``compose``, ``pair``, ``product``, ``tangent`` and
-:func:`vertical_bracket` of maps that carry them (and so the Lie bracket of
-such fields and :mod:`dynamics`' geodesic field of such a Christoffel map).
-Each such map carries a rule (:class:`_Rule`), which writes its values in
-the writer's arithmetic from its inputs' coefficient names; a composite's
-rule runs its parts' rules in turn, ``tangent``'s one level deeper, and
-``vertical_bracket``'s writes its verticality check as one guard statement
-after its map's values.  So a composite's kernel at each depth is one
-straight-line function of the whole tree, written in one writer pass,
-compiled once per structure and depth (:func:`_maker`) and kept on the
-rule (:meth:`_Rule.kernel`), and a call of such a composite, or of a dsl
-field, whose arguments are all floats runs its depth-0 kernel at unit time
-(:func:`_ruled`) in place of evaluating the parts (in ``tangent``, opening
-a level, evaluating on jets and closing it; in a dsl field, walking its
-nodes in jet arithmetic), with the same bits and the same errors.  Every
-other evaluator (a hand-written one, a wrapper, the tangent of an
-integrator flow) and every other argument (an int, a numpy scalar, a jet)
-takes the parts' path; a block map always evaluates its layout.
+A dsl field, a block map and a composite of maps that carry rules are each
+their rule (:class:`_Rule`): one description ``write(w, ins)`` that is the
+map's call in jet arithmetic (:data:`jets._ARITHMETIC`) and writes its flat
+kernels in the writer (:class:`jets._FlatWriter`), which the solver runs in
+place of the jet codec.  Each combinator (and so the Lie bracket and
+:mod:`dynamics`' geodesic field) is one ``combine(*parts, w, ins)``
+(:func:`_composite`): ``tangent`` opens and closes a level (``w.open``,
+``w.close``) and :func:`vertical_bracket` checks its base direction
+(``w.vertical``), in either arithmetic.  So a composite's kernel at each
+depth is one straight-line function of the whole tree, compiled once per
+structure and depth (:func:`_maker`), and a call of a composite or a dsl
+field whose arguments are all floats runs its depth-0 kernel
+(:func:`_ruled`), with the same bits and the same errors.  A composite of
+any other evaluator (a hand-written one, a wrapper, the tangent of an
+integrator flow) carries no rule and calls its parts on every argument.
 """
 
 from __future__ import annotations
@@ -59,13 +51,9 @@ from .jets import (
     VerticalityViolation,
     _FlatCode,
     _FlatWriter,
-    _interleave,
     _kernel_maker,
-    _vertical,
     close_level,
-    coefficients,
     open_level,
-    primal_value,
 )
 
 __all__ = [
@@ -98,6 +86,21 @@ class ShapeError(ValueError):
     """Domain/codomain dimensions do not line up."""
 
 
+def _check_dimensions(owner, *fields: str) -> None:
+    """A TypeError naming ``owner``'s class and field unless each of ``fields``
+    is an integer (:func:`operator.index`), not a bool; run only for a field
+    that is not an int, since every composite builds spaces."""
+    for name in fields:
+        value = getattr(owner, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            message = f"{type(owner).__name__}.{name} must be an integer, got {value!r}"
+            raise TypeError(message) from None
+
+
 @dataclass(frozen=True)
 class Space:
     """Euclidean space R^dim."""
@@ -105,6 +108,8 @@ class Space:
     dim: int
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            _check_dimensions(self, "dim")
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
 
@@ -128,6 +133,8 @@ class TrivialBundle:
     fibre_dim: int
 
     def __post_init__(self):
+        if type(self.base_dim) is not int or type(self.fibre_dim) is not int:
+            _check_dimensions(self, "base_dim", "fibre_dim")
         if self.base_dim < 0 or self.fibre_dim < 0:
             raise ValueError("bundle dimensions must be nonnegative")
 
@@ -213,47 +220,34 @@ def tangent(f: SmoothMap) -> SmoothMap:
     Applies to maps at any level of the tower, so ``tangent(tangent(f))``
     is T^2(f) in the layout of rule 2.
 
-    Of an ``f`` that carries a rule, T(f) carries one too: ``f``'s rule one
-    level deeper.  T's level is the outermost of ``f``'s, so each of
-    ``f``'s inputs is T's base and direction inputs interleaved, and each
-    of ``f``'s values splits into its even coefficients (the primal) and
-    its odd ones (the direction), whose first coefficient, where it is
-    absent, is the 0.0 that :func:`jets.close_level` fills in.  On float
-    arguments T(f) then runs its depth-0 kernel, which gives the bits of
-    the jet path below: opening a level, evaluating ``f`` on jets and
-    closing the level.
+    T(f) opens a level on its base and direction inputs, evaluates ``f``
+    there and closes the level again, in whichever arithmetic it runs: on
+    jets, or in the writer, where ``f``'s rule is written one level deeper.
+    So of an ``f`` that carries a rule, T(f) carries one too, and on float
+    arguments runs its depth-0 kernel, with the bits of the jet path.
     """
 
     n = f.domain.dim
 
-    def ev(args):
-        base, tang = args[:n], args[n:]
-        primals, tangents = close_level(f.evaluator(open_level(base, tang)))
+    def combine(part, w, ins):
+        primals, tangents = w.close(part(w.open(ins[:n], ins[n:])))
         return primals + tangents
 
-    def write(inner, w, ins, size, cells):
-        opened = [_interleave(ins[i], ins[n + i]) for i in range(n)]
-        values = inner.write(w, opened, 2 * size, cells)
-        # a direction's first coefficient reads only the innermost primals
-        # of T's inputs, so it is absent exactly when it is absent as the
-        # code is written: there close_level's 0.0
-        return [v[0::2] for v in values] + [[v[1] or "0.0", *v[3::2]] for v in values]
-
     name = f"T({f.name or 'f'})"
-    return _composite(f.domain.tangent, f.codomain.tangent, ev, name, "T", (f,), write)
+    return _composite(f.domain.tangent, f.codomain.tangent, name, "T", (f,), combine)
 
 
 @dataclass(frozen=True)
 class _Rule:
-    """How a map that carries flat kernels writes its values in
-    :class:`jets._FlatWriter` arithmetic, and the one carrier of those
-    kernels (:meth:`kernel`).  ``write(w, ins, size, cells)`` returns the
-    coefficient names of the map's values.  ``ins`` holds the names of the
-    map's ``arity`` inputs, and ``size`` is the number of coefficients of
-    each value: each rule is told its depth, as a composite writes
-    :func:`tangent`'s part one level deeper than itself.  The rule reads
-    its ``cells``, the map's constants, from names it takes in turn from
-    the iterator ``cells``.
+    """A map's one description, and the one carrier of its flat kernels
+    (:meth:`kernel`).  ``write(w, ins)`` returns the map's values on its
+    ``arity`` inputs ``ins`` in the arithmetic ``w``: in jet arithmetic
+    (:data:`jets._ARITHMETIC`) for a call on anything but floats, and in a
+    :class:`jets._FlatWriter`, where the values are coefficient names, to
+    write a kernel.  The rule reads its ``cells``, the map's constants,
+    through ``w.cells(cells)``, which gives the values themselves in jet
+    arithmetic and their names in the writer; the writer also keeps the
+    number of coefficients of each value, as :func:`tangent` opens a level.
 
     ``key`` determines the code ``write`` writes exactly: the map's kind,
     its parts' keys and every shape it reads.  A rule compares and hashes
@@ -322,8 +316,7 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
     depth ``depth``: one :class:`jets._FlatWriter` pass, in which the parts
     of a composite write their values in turn, with no time between them."""
     w = _FlatWriter(depth, [f"x{i}" for i in range(rule.arity)])
-    cells = tuple(f"c{k}" for k in range(len(rule.cells)))
-    return w.code(rule.write(w, w.inputs, 2**depth, iter(cells)), cells)
+    return w.code(rule.write(w, w.inputs))
 
 
 # A fresh-process run_suite("all") fills 95 slots, the same 95 at seeds 3,
@@ -351,25 +344,25 @@ _UNIT = (1,)
 def _composite(
     domain: Space,
     codomain: Space,
-    parts,
     name: str,
     kind: str,
     maps,
-    write,
+    combine,
     shape: tuple = (),
     cells: tuple = (),
 ) -> SmoothMap:
-    """The map that evaluates ``parts``, built of ``maps``.  When each of
-    them carries a rule, it carries one too, keyed by ``kind``, the
-    ``shape`` its ``write`` reads and their keys, that writes ``write(*their
-    rules, w, ins, size, cells)`` on their cells in turn and then its own
-    ``cells``; and a call whose arguments are all floats runs its depth-0
-    kernel at unit time (:func:`_ruled`), one straight-line function for
-    the whole composite.  The one builder of a
-    map written from other maps' rules: the combinators and
-    :func:`vertical_bracket` here, :func:`fields.lie_bracket`'s difference
-    and :func:`dynamics._geodesic_field`."""
-    rules = [_rule(f) for f in maps]
+    """The map ``combine(*parts, w, ins)`` of ``maps``, whose parts are
+    functions of ``ins`` in the arithmetic ``w``: a call runs it on their
+    evaluators in jet arithmetic.  When each of them carries a rule, the map
+    carries one too, keyed by ``kind``, the ``shape`` ``combine`` reads and
+    their keys, which runs it on their rules bound to its arithmetic, so
+    reads their cells in turn and then its own ``cells``.  The one builder
+    of a map written from other maps: the combinators here,
+    :func:`fields.lie_bracket`'s difference and
+    :func:`dynamics._geodesic_field`."""
+    evaluators = [f.evaluator for f in maps]
+    parts = functools.partial(combine, *evaluators, _ARITHMETIC)
+    rules = [getattr(ev, "rule", None) for ev in evaluators]
     if not all(rules):
         return SmoothMap(domain, codomain, parts, name=name)
     # one part's cells are shared, two are concatenated: a tuple built from
@@ -377,8 +370,11 @@ def _composite(
     # it raised the resident size after 60 `verify` passes by about 0.3 MB
     cells = functools.reduce(operator.add, [*(rule.cells for rule in rules), cells])
     key = (kind, *shape, *(rule.key for rule in rules))
-    rule = _Rule(key, domain.dim, functools.partial(write, *rules), cells)
-    return _ruled(domain, codomain, parts, rule, name)
+
+    def write(w, ins):
+        return combine(*[functools.partial(part.write, w) for part in rules], w, ins)
+
+    return _ruled(domain, codomain, parts, _Rule(key, domain.dim, write, cells), name)
 
 
 def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str):
@@ -413,45 +409,45 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     ``(op, b, ...)`` is ``op`` (``"add"`` or ``"neg"``) of the input blocks
     ``b, ...``, entry by entry.
 
-    The layout is its rule: each value is an input, a constant, or ``op``
-    of inputs, one comprehension over ``sources`` (:func:`_blocks`) that
-    calls evaluate in jet arithmetic and the writer runs in its own, so its
-    kernel runs little but the writer's ``t * v`` for each value ``v``.
-    The key is the layout's shape, and each map binds its own constants."""
-    starts = (0, *itertools.accumulate(sizes))
+    The layout is its rule: each value is a leaf (a constant, or an input
+    after the constants) or ``op`` of inputs, one comprehension over
+    ``sources`` (:func:`_blocks`) that calls evaluate in jet arithmetic and
+    the writer runs in its own, so its kernel runs little but the writer's
+    ``t * v`` for each value ``v``.  The key is the layout's shape, and
+    each map binds its own constants."""
+    constants = tuple(c for b in layout if isinstance(b, list) for c in b)
+    starts = tuple(itertools.accumulate(sizes, initial=len(constants)))
     blocks = [range(a, z) for a, z in zip(starts, starts[1:])]
+    leaf = itertools.count()
 
     def reads(b):
-        """What each value of ``b`` reads: an input, None for a constant, or
-        ``(op, input, ...)``.  Not recursive: a nested function that calls
-        itself is a reference cycle, which only the cyclic collector frees."""
+        """What each value of ``b`` reads: a leaf or ``(op, input, ...)``.
+        Not recursive: a nested function that calls itself is a reference
+        cycle, which only the cyclic collector frees."""
         if isinstance(b, int):
             return blocks[b]
         if isinstance(b, list):
-            return [None] * len(b)
+            return [next(leaf) for _ in b]
         return [(b[0], *inputs) for inputs in zip(*[blocks[k] for k in b[1:]])]
 
     sources = tuple(i for b in layout for i in reads(b))
-    constants = tuple(c for b in layout if isinstance(b, list) for c in b)
+    n = starts[-1] - starts[0]
 
-    def ev(xs):
-        return _blocks(sources, xs, iter(constants).__next__, _ARITHMETIC)
+    def write(w, ins):
+        return _blocks(sources, constants, w, ins)
 
-    def write(w, ins, size, cells):
-        return _blocks(sources, ins, lambda: w.constant(next(cells), size), w)
+    # the rule in jet arithmetic: a partial, cheaper to call than `write`
+    ev = functools.partial(_blocks, sources, constants, _ARITHMETIC)
+    ev.rule = _Rule(("block", n, starts[0], sources), n, write, constants)
+    return SmoothMap(Space(n), Space(len(sources)), ev, name=name)
 
-    ev.rule = _Rule(("block", starts[-1], sources), starts[-1], write, constants)
-    return SmoothMap(Space(starts[-1]), Space(len(sources)), ev, name=name)
 
-
-def _blocks(sources: tuple, ins, constant, arithmetic) -> list:
-    """A block map's values in ``arithmetic`` (:data:`jets._ARITHMETIC` or a
-    :class:`jets._FlatWriter`): for each source an input of ``ins``, the
-    next ``constant()``, or the arithmetic's ``op`` of inputs."""
+def _blocks(sources: tuple, constants: tuple, w, ins) -> list:
+    """A block map's rule: for each source a leaf, one of the cells of
+    ``constants`` and then ``ins``, or ``w``'s ``op`` of inputs."""
+    leaves = [*w.cells(constants), *ins]
     return [
-        ins[i] if i.__class__ is int
-        else constant() if i is None
-        else getattr(arithmetic, i[0])(*[ins[k] for k in i[1:]])
+        leaves[i] if i.__class__ is int else getattr(w, i[0])(*[leaves[k] for k in i[1:]])
         for i in sources
     ]
 
@@ -513,14 +509,11 @@ def compose(f: SmoothMap, g: SmoothMap) -> SmoothMap:
             f"{g.name or 'g'}: R^{g.domain.dim}"
         )
 
-    def ev(xs):
-        return g.evaluator(list(f.evaluator(xs)))
-
-    def write(first, then, w, ins, size, cells):
-        return then.write(w, first.write(w, ins, size, cells), size, cells)
+    def combine(first, then, w, ins):
+        return then(list(first(ins)))
 
     name = f"{f.name or 'f'};{g.name or 'g'}"
-    return _composite(f.domain, g.codomain, ev, name, "compose", (f, g), write)
+    return _composite(f.domain, g.codomain, name, "compose", (f, g), combine)
 
 
 def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -531,15 +524,12 @@ def pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     if f.domain != g.domain:
         raise ShapeError("pair requires a shared domain")
 
-    def ev(xs):
-        return list(f.evaluator(list(xs))) + list(g.evaluator(list(xs)))
-
-    def write(left, right, w, ins, size, cells):
-        return left.write(w, ins, size, cells) + right.write(w, ins, size, cells)
+    def combine(left, right, w, ins):
+        return list(left(list(ins))) + list(right(list(ins)))
 
     name = f"<{f.name or 'f'},{g.name or 'g'}>"
     codomain = Space(f.codomain.dim + g.codomain.dim)
-    return _composite(f.domain, codomain, ev, name, "pair", (f, g), write)
+    return _composite(f.domain, codomain, name, "pair", (f, g), combine)
 
 
 def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -549,15 +539,12 @@ def product(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     straight-line kernel per depth, which float calls run."""
     n1, n2 = f.domain.dim, g.domain.dim
 
-    def ev(xs):
-        return list(f.evaluator(xs[:n1])) + list(g.evaluator(xs[n1:]))
-
-    def write(left, right, w, ins, size, cells):
-        return left.write(w, ins[:n1], size, cells) + right.write(w, ins[n1:], size, cells)
+    def combine(left, right, w, ins):
+        return list(left(ins[:n1])) + list(right(ins[n1:]))
 
     name = f"{f.name or 'f'}x{g.name or 'g'}"
     domain, codomain = Space(n1 + n2), Space(f.codomain.dim + g.codomain.dim)
-    return _composite(domain, codomain, ev, name, "product", (f, g), write)
+    return _composite(domain, codomain, name, "product", (f, g), combine)
 
 
 def product_interleave(s1: Space, s2: Space) -> SmoothMap:
@@ -585,12 +572,13 @@ def vertical_bracket(
     and direction ``(0, w)`` the result is ``(x, w)``.  The tangent-bundle
     case is the bundle ``TM -> M``, i.e. ``TrivialBundle(n, n)``.
 
-    Of an ``f`` that carries a rule the result carries one too, keyed by
-    ``n``, ``m`` and ``f``'s key, with ``tol`` as a cell: ``f``'s values,
-    then one guard statement that runs the same check (:func:`jets._vertical`)
-    on the coefficients of the base-direction block, so the check runs
-    inside every kernel of a composite built on it, at every depth and
-    before the time scales the values.
+    The check is ``w.vertical`` on ``f``'s values, with ``tol`` as a cell:
+    :func:`jets._vertical_of` on jets, and in the writer one guard statement
+    that runs the same test on the coefficients of the base-direction
+    block.  So of an ``f`` that carries a rule the result carries one too,
+    keyed by ``n``, ``m`` and ``f``'s key, and the check runs inside every
+    kernel of a composite built on it, at every depth and before the time
+    scales the values.
     """
 
     n, m = bundle.base_dim, bundle.fibre_dim
@@ -599,22 +587,12 @@ def vertical_bracket(
             f"bracket source must land in R^{2 * (n + m)}, got R^{f.codomain.dim}"
         )
 
-    def ev(xs):
-        ys = f.evaluator(list(xs))
-        dx = ys[n + m : 2 * n + m]
-        _vertical(
-            [c for v in dx for c in coefficients(v)], [primal_value(v) for v in xs], tol
-        )
+    def combine(part, w, ins):
+        ys = part(list(ins))
+        w.vertical(ys[n + m : 2 * n + m], ins, tol)
         return list(ys[:n]) + list(ys[2 * n + m :])
-
-    def write(inner, w, ins, size, cells):
-        ys = inner.write(w, ins, size, cells)
-        dx = [c for v in ys[n + m : 2 * n + m] for c in v if c is not None]
-        point = [v[0] for v in ins]
-        w.lines.append(f"vertical([{', '.join(dx)}], [{', '.join(point)}], {next(cells)})")
-        return ys[:n] + ys[2 * n + m :]
 
     name = f"{{{f.name or 'f'}}}"
     return _composite(
-        f.domain, Space(n + m), ev, name, "vertical", (f,), write, (n, m), (tol,)
+        f.domain, Space(n + m), name, "vertical", (f,), combine, (n, m), (tol,)
     )

@@ -399,3 +399,28 @@ def test_smooth_map_shape_errors():
     bad = SmoothMap(Space(1), Space(2), lambda xs: [xs[0]])
     with pytest.raises(ShapeError):
         bad([1.0])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Space(2.5), "Space.dim"),
+        (lambda: Space(True), "Space.dim"),
+        (lambda: Space("2"), "Space.dim"),
+        (lambda: TrivialBundle(1.5, 1), "TrivialBundle.base_dim"),
+        (lambda: TrivialBundle(1, False), "TrivialBundle.fibre_dim"),
+    ],
+    ids=["space-float", "space-bool", "space-str", "bundle-float", "bundle-bool"],
+)
+def test_a_dimension_that_is_a_bool_or_no_integer_is_refused_where_it_is_given(build, field):
+    # accepted, these failed only later, deep inside a structural map
+    with pytest.raises(TypeError, match=field):
+        build()
+
+
+def test_a_numpy_integer_is_a_dimension():
+    np = pytest.importorskip("numpy")
+    space = Space(np.int64(2))
+    assert space == Space(2) and identity_map(space)([1.0, 2.0]) == [1.0, 2.0]
+    bundle = TrivialBundle(np.int32(0), np.int64(2))
+    assert structural_map("bundle_lift", bundle)([1.0, 2.0]) == [0.0, 0.0, 1.0, 2.0]
