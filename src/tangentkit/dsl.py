@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .kernel import SmoothMap, Space, _ruled, _Rule
+from .kernel import SmoothMap, Space, _ruled
 
 __all__ = [
     "Num",
@@ -149,7 +149,17 @@ class FieldSpec:
 
 # -- lexer ------------------------------------------------------------------
 
-_MINUS = {"-", "−"}
+# The one-character tokens: kind and text; the minus sign U+2212 is "-".
+_SINGLE = {
+    "+": ("OP", "+"),
+    "-": ("OP", "-"),
+    "−": ("OP", "-"),
+    "*": ("OP", "*"),
+    "/": ("OP", "/"),
+    "(": ("LPAREN", "("),
+    ")": ("RPAREN", ")"),
+    ";": ("SEMI", ";"),
+}
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT_RE = re.compile(r"([+\-−]?)\s*(\d+)")
@@ -191,24 +201,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("INT", sign + m.group(2), byte_at[j]))
             i = m.end()
             continue
-        if ch in _MINUS:
-            tokens.append(_Token("OP", "-", off))
-            i += 1
-            continue
-        if ch in "+*/":
-            tokens.append(_Token("OP", ch, off))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, off))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, off))
-            i += 1
-            continue
-        if ch == ";":
-            tokens.append(_Token("SEMI", ch, off))
+        token = _SINGLE.get(ch)
+        if token:
+            tokens.append(_Token(*token, off))
             i += 1
             continue
         m = _NUMBER_RE.match(text, i)
@@ -373,12 +368,13 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     The nodes, listed in post order as ``(name, operand count, args)``
     (:func:`_node`), are the field's one description, and its rule's key
     (:class:`kernel._Rule`).  The rule (:func:`_write`) walks them
-    (:func:`_walk`) in the arithmetic it is given: a call evaluates them in
-    jet arithmetic, and in the writer's they are the field's kernels, which
-    a composite of the field writes into its own and :func:`kernel.tangent`
-    one level deeper.  A call whose arguments are all floats runs the
-    depth-0 kernel at unit time instead, through the same lookup as a
-    composite (:func:`kernel._ruled`), with the same bits and errors.  For
+    (:func:`_walk`) in the arithmetic it is given, and the map is that rule
+    (:func:`kernel._ruled`), as every block map and composite is: a call on
+    anything but floats evaluates the nodes in jet arithmetic, one on all
+    floats runs the depth-0 kernel at unit time, with the same bits and
+    errors, and in the writer's arithmetic they are the field's kernels,
+    which a composite of the field writes into its own and
+    :func:`kernel.tangent` one level deeper.  For
     each jet depth D the solver looks up ``kernel(y, s)``, the flat
     coefficients (:func:`jets.flatten_levels`) of ``t * v`` for each output
     ``v``, computed from those of the inputs (``y``) and of a time ``t``
@@ -401,9 +397,9 @@ def compile_spec(spec: FieldSpec) -> SmoothMap:
     # the nodes name every input and cell the code reads
     leaves = (*inputs, *[f"c{k}" for k in range(len(cells))])
     write = functools.partial(_write, postorder, leaves, cells)
-    rule = _Rule(("dsl", len(inputs), postorder), len(inputs), write, cells, coded=True)
     domain, codomain = Space(len(inputs)), Space(len(spec.components))
-    return _ruled(domain, codomain, functools.partial(write, jets._ARITHMETIC), rule, "field")
+    key = ("dsl", len(inputs), postorder)
+    return _ruled(domain, codomain, "field", key, write, cells, coded=True)
 
 
 def _walk(postorder: tuple, leaves: dict, arithmetic) -> list:

@@ -12,14 +12,13 @@ import functools
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from . import dsl
-from .jets import primal_value
+from .jets import _ARITHMETIC, primal_value
 from .kernel import (
     ShapeError,
     SmoothMap,
@@ -27,7 +26,7 @@ from .kernel import (
     TrivialBundle,
     _block_map,
     _composite,
-    _Rule,
+    _ruled,
     compose,
     identity_map,
     pair,
@@ -118,9 +117,10 @@ class VectorField:
                 f"component map must be R^{self.space.dim} -> R^{self.space.dim}"
             )
 
-    @property
+    @functools.cached_property
     def full_map(self) -> SmoothMap:
-        """x -> (x, vhat(x)); the section property holds by construction."""
+        """x -> (x, vhat(x)); the section property holds by construction.
+        Built on first read and kept, outside the fields that compare."""
         return pair(identity_map(self.space), self.vhat)
 
     @classmethod
@@ -130,7 +130,8 @@ class VectorField:
 
 
 class LinearVectorField(VectorField):
-    """Vector field whose component map is a matrix."""
+    """Vector field whose component map is a matrix: the rule
+    (:func:`kernel._ruled`) :func:`_linear_rule` of its entries."""
 
     def __init__(self, matrix):
         import numpy as np
@@ -139,30 +140,29 @@ class LinearVectorField(VectorField):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ShapeError("matrix must be square")
         n = A.shape[0]
-        rows = [tuple(float(a) for a in row) for row in A]
-        ev = functools.partial(_matvec, rows)
-        entries = tuple(a for row in rows for a in row)
-        ev.rule = _Rule(("linear", n), n, functools.partial(_linear_rule, entries), entries)
+        entries = tuple(map(float, A.flat))
+        write = functools.partial(_linear_rule, entries)
+        vhat = _ruled(Space(n), Space(n), "linear", ("linear", n), write, (0, *entries))
         object.__setattr__(self, "matrix", A.copy())
-        super().__init__(Space(n), SmoothMap(Space(n), Space(n), ev, name="linear"))
+        super().__init__(Space(n), vhat)
 
 
-def _matvec(rows, xs) -> list:
-    """``rows`` times ``xs``, summed left to right from the int 0 (a left
-    fold, not ``sum``, which compensates float sums since Python 3.12): the
-    one float order of a linear field, its exact flow and
+def _matvec(rows, xs, w=_ARITHMETIC, zero=0) -> list:
+    """``rows`` times ``xs`` in the arithmetic ``w``, each row summed left
+    to right from ``zero``, the int 0 or its cell (a left fold, not
+    ``sum``, which compensates float sums since Python 3.12): the one float
+    order of a linear field (:func:`_linear_rule`), its exact flow and
     :func:`matrix_of`'s residuals."""
-    return [reduce(add, map(mul, row, xs), 0) for row in rows]
+    return [reduce(w.add, map(w.mul, row, xs), zero) for row in rows]
 
 
 def _linear_rule(entries: tuple, w, ins) -> list:
-    """The rule (see :class:`kernel._Rule`) of :func:`_matvec`, written in
-    the writer ``w``: the same fold, with the ``entries`` of the rows, row
-    by row, as its cells."""
+    """A linear field's rule (see :class:`kernel._Rule`): :func:`_matvec`
+    in ``w``, with the int 0 and then the ``entries`` of the rows, row by
+    row, as its cells."""
     n = len(ins)
-    cells = w.cells(entries)
-    rows = [cells[k : k + n] for k in range(0, n * n, n)]
-    return [reduce(w.add, map(w.mul, row, ins), w.constant("0", w.size)) for row in rows]
+    zero, *cells = w.cells((0, *entries))
+    return _matvec([cells[k : k + n] for k in range(0, n * n, n)], ins, w, zero)
 
 
 def zero_field(space: Space) -> VectorField:

@@ -27,13 +27,13 @@ built.  The writer and the jet arithmetic :data:`_ARITHMETIC` answer to one
 set of names: the scalar operations, and a map's own ``cells`` (its
 constants), ``open`` and ``close`` (a level, :func:`open_level` and
 :func:`close_level` on jets) and ``vertical`` (the verticality check).  So
-a map's rule (:class:`kernel._Rule`: a dsl field's, a block map's, and that
-of every composite of such maps) is one function that is the map's call in
-jet arithmetic and writes its kernels, one per jet depth, on first use, in
-the writer; a composite's parts write into one writer pass (see
-:mod:`kernel`).  The solver runs a kernel in place of the codec, and a
-float call of a dsl field or of a composite its depth-0 kernel; a dsl
-kernel's code (:class:`_FlatCode`) is written into the stages of the
+a map's rule (:class:`kernel._Rule`: a dsl field's, a block map's, a
+linear field's, and that of every composite of such maps) is one function
+that is the map's call in jet arithmetic and writes its kernels, one per
+jet depth, on first use, in the writer; a composite's parts write into one
+writer pass (see :mod:`kernel`).  The solver runs a kernel in place of the
+codec, and a float call of every map that carries a rule its depth-0
+kernel (:func:`kernel._ruled`); a dsl kernel's code (:class:`_FlatCode`) is written into the stages of the
 generated RK45 loop.  :func:`dynamics._trajectory` alone reads a solve's
 levels and places the codec, and calls any other evaluator on towers
 through one widening that joins the levels of the state, time and closure.

@@ -21,21 +21,22 @@ built by ``_block_map``: the scaling field behind ``e``, the multiplication
 and the action, and the library's constant and identity fields, are block
 maps.
 
-A dsl field, a block map and a composite of maps that carry rules are each
-their rule (:class:`_Rule`): one description ``write(w, ins)`` that is the
-map's call in jet arithmetic (:data:`jets._ARITHMETIC`) and writes its flat
-kernels in the writer (:class:`jets._FlatWriter`), which the solver runs in
-place of the jet codec.  Each combinator (and so the Lie bracket and
-:mod:`dynamics`' geodesic field) is one ``combine(*parts, w, ins)``
+A dsl field, a block map, a linear field and a composite of maps that
+carry rules are each their rule (:class:`_Rule`): one description
+``write(w, ins)`` that writes the map's flat kernels in the writer
+(:class:`jets._FlatWriter`), which the solver runs in place of the jet
+codec.  One builder, :func:`_ruled`, makes every such map and derives its
+whole call from the rule: on all floats it runs the depth-0 kernel, on
+anything else ``write`` in jet arithmetic (:data:`jets._ARITHMETIC`), with
+the same bits and the same errors.  Each combinator (and so the Lie bracket
+and :mod:`dynamics`' geodesic field) is one ``combine(*parts, w, ins)``
 (:func:`_composite`): ``tangent`` opens and closes a level (``w.open``,
 ``w.close``) and :func:`vertical_bracket` checks its base direction
 (``w.vertical``), in either arithmetic.  So a composite's kernel at each
 depth is one straight-line function of the whole tree, compiled once per
-structure and depth (:func:`_maker`), and a call of a composite or a dsl
-field whose arguments are all floats runs its depth-0 kernel
-(:func:`_ruled`), with the same bits and the same errors.  A composite of
-any other evaluator (a hand-written one, a wrapper, the tangent of an
-integrator flow) carries no rule and calls its parts on every argument.
+structure and depth (:func:`_maker`).  A composite of any other evaluator
+(a hand-written one, a wrapper, the tangent of an integrator flow) carries
+no rule and calls its parts on every argument.
 """
 
 from __future__ import annotations
@@ -240,14 +241,15 @@ def tangent(f: SmoothMap) -> SmoothMap:
 @dataclass(frozen=True)
 class _Rule:
     """A map's one description, and the one carrier of its flat kernels
-    (:meth:`kernel`).  ``write(w, ins)`` returns the map's values on its
-    ``arity`` inputs ``ins`` in the arithmetic ``w``: in jet arithmetic
-    (:data:`jets._ARITHMETIC`) for a call on anything but floats, and in a
-    :class:`jets._FlatWriter`, where the values are coefficient names, to
-    write a kernel.  The rule reads its ``cells``, the map's constants,
-    through ``w.cells(cells)``, which gives the values themselves in jet
-    arithmetic and their names in the writer; the writer also keeps the
-    number of coefficients of each value, as :func:`tangent` opens a level.
+    (:meth:`kernel`), made by :func:`_ruled`.  ``write(w, ins)`` returns the
+    map's values on its ``arity`` inputs ``ins`` in the arithmetic ``w``:
+    in jet arithmetic (:data:`jets._ARITHMETIC`) for a call on anything but
+    floats, and in a :class:`jets._FlatWriter`, where the values are
+    coefficient names, to write a kernel.  The rule reads its ``cells``,
+    the map's constants, through ``w.cells(cells)``, which gives the values
+    themselves in jet arithmetic and their names in the writer; the writer
+    also keeps the number of coefficients of each value, as :func:`tangent`
+    opens a level.
 
     ``key`` determines the code ``write`` writes exactly: the map's kind,
     its parts' keys and every shape it reads.  A rule compares and hashes
@@ -302,11 +304,10 @@ def _rule(f: SmoothMap):
 
 def _flat_kernel(f: SmoothMap, depth: int):
     """``f``'s flat kernel at ``depth`` (:meth:`_Rule.kernel`), or None when
-    its evaluator carries no rule: the one lookup of a float call of a dsl
-    field and of every composite (:func:`_ruled`; and, under its own name,
-    of the solver, :func:`dynamics._trajectory`).  With it returning None
-    every float call evaluates its parts, ``tangent`` on jets and a dsl
-    field by walking its nodes in jet arithmetic."""
+    its evaluator carries no rule: the one lookup of a float call of every
+    map that carries a rule (:func:`_ruled`; and, under its own name, of
+    the solver, :func:`dynamics._trajectory`).  With it returning None every
+    such call runs the map's rule in jet arithmetic."""
     rule = getattr(f.evaluator, "rule", None)
     return rule.kernel(depth) if rule is not None else None
 
@@ -319,11 +320,12 @@ def _code(rule: _Rule, depth: int) -> _FlatCode:
     return w.code(rule.write(w, w.inputs))
 
 
-# A fresh-process run_suite("all") fills 95 slots, the same 95 at seeds 3,
-# 1729 and 7: 65 compose, 3 T, 9 dsl, 4 geodesic, 1 pair, 1 linear and 12
+# A fresh-process run_suite("all") fills 115 slots, the same 115 at seeds 3,
+# 1729 and 7: 65 compose, 3 T, 9 dsl, 4 geodesic, 1 pair, 1 linear and 32
 # block.  Only block, dsl and geodesic keys go deeper than depth 0 (block
 # maps to depths 1 and 2, dsl fields to 1 and 2, geodesic fields to 1).  No
-# cli workload command fills more than 14, and `cli geodesic` fills 2.
+# cli workload command fills more than 18 (`cli verify --suite kernel`), and
+# `cli geodesic` fills 2.
 @functools.lru_cache(maxsize=128)
 def _maker(key: tuple, depth: int) -> list:
     """The slot ``[make, code]`` of the rules keyed ``key`` at ``depth``,
@@ -352,18 +354,18 @@ def _composite(
     cells: tuple = (),
 ) -> SmoothMap:
     """The map ``combine(*parts, w, ins)`` of ``maps``, whose parts are
-    functions of ``ins`` in the arithmetic ``w``: a call runs it on their
-    evaluators in jet arithmetic.  When each of them carries a rule, the map
-    carries one too, keyed by ``kind``, the ``shape`` ``combine`` reads and
-    their keys, which runs it on their rules bound to its arithmetic, so
-    reads their cells in turn and then its own ``cells``.  The one builder
-    of a map written from other maps: the combinators here,
+    functions of ``ins`` in the arithmetic ``w``.  When each of them carries
+    a rule, the map is the rule (:func:`_ruled`) that runs it on their
+    rules, keyed by ``kind``, the ``shape`` ``combine`` reads and their
+    keys, so reads their cells in turn and then its own ``cells``; else a
+    call runs it on their evaluators in jet arithmetic.  The one builder of
+    a map written from other maps: the combinators here,
     :func:`fields.lie_bracket`'s difference and
     :func:`dynamics._geodesic_field`."""
     evaluators = [f.evaluator for f in maps]
-    parts = functools.partial(combine, *evaluators, _ARITHMETIC)
     rules = [getattr(ev, "rule", None) for ev in evaluators]
     if not all(rules):
+        parts = functools.partial(combine, *evaluators, _ARITHMETIC)
         return SmoothMap(domain, codomain, parts, name=name)
     # one part's cells are shared, two are concatenated: a tuple built from
     # a generator grows by reallocation, and built so for every composite
@@ -374,28 +376,33 @@ def _composite(
     def write(w, ins):
         return combine(*[functools.partial(part.write, w) for part in rules], w, ins)
 
-    return _ruled(domain, codomain, parts, _Rule(key, domain.dim, write, cells), name)
+    return _ruled(domain, codomain, name, key, write, cells)
 
 
-def _ruled(domain: Space, codomain: Space, parts, rule: _Rule, name: str):
-    """The map that evaluates ``parts`` and carries ``rule``, whose call on
-    all floats runs its depth-0 kernel at unit time, looked up through
-    :func:`_flat_kernel`: the float call of every composite
-    (:func:`_composite`) and of a dsl field (:func:`dsl.compile_spec`)."""
-    # the lookup is given the map evaluated by its parts, which carries the
-    # same rule: given the map itself, ev would hold it in a reference
-    # cycle, which only the cyclic collector frees
-    parts.rule = rule
-    by_parts = SmoothMap(domain, codomain, parts, name=name)
+def _ruled(domain: Space, codomain: Space, name: str, key: tuple, write, cells=(), coded=False):
+    """The map that is the rule ``write`` (:class:`_Rule`, of ``key``,
+    ``cells`` and ``coded``), and the one builder of a map that carries a
+    rule: a dsl field (:func:`dsl.compile_spec`), a block map
+    (:func:`_block_map`), a linear field (:class:`fields.LinearVectorField`)
+    and every composite of such maps (:func:`_composite`).  Its call on all
+    floats runs its depth-0 kernel at unit time, looked up through
+    :func:`_flat_kernel`; any other call, or one with that lookup giving
+    None, runs ``write`` in jet arithmetic."""
+    rule = _Rule(key, domain.dim, write, cells, coded)
+    by_rule = functools.partial(write, _ARITHMETIC)
+    # the lookup is given a map of the rule alone, which carries the same
+    # rule: given the map itself, ev would hold it in a reference cycle,
+    # which only the cyclic collector frees
+    lookup = SmoothMap(domain, codomain, by_rule, name=name)
 
     def ev(xs):
         if all(a.__class__ is float for a in xs):
-            kernel = _flat_kernel(by_parts, 0)
+            kernel = _flat_kernel(lookup, 0)
             if kernel is not None:
                 return kernel(xs, _UNIT)
-        return parts(xs)
+        return by_rule(xs)
 
-    ev.rule = rule
+    ev.rule = by_rule.rule = rule
     return SmoothMap(domain, codomain, ev, name=name)
 
 
@@ -409,10 +416,11 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
     ``(op, b, ...)`` is ``op`` (``"add"`` or ``"neg"``) of the input blocks
     ``b, ...``, entry by entry.
 
-    The layout is its rule: each value is a leaf (a constant, or an input
-    after the constants) or ``op`` of inputs, one comprehension over
-    ``sources`` (:func:`_blocks`) that calls evaluate in jet arithmetic and
-    the writer runs in its own, so its kernel runs little but the writer's
+    The layout is its rule (:func:`_ruled`): each value is a leaf (a
+    constant, or an input after the constants) or ``op`` of inputs, one
+    comprehension over ``sources`` (:func:`_blocks`), which a call on
+    anything but floats runs in jet arithmetic and the writer in its own,
+    so its kernel, which a float call runs, runs little but the writer's
     ``t * v`` for each value ``v``.  The key is the layout's shape, and
     each map binds its own constants."""
     constants = tuple(c for b in layout if isinstance(b, list) for c in b)
@@ -432,14 +440,9 @@ def _block_map(name: str, sizes: Sequence[int], layout: Sequence) -> SmoothMap:
 
     sources = tuple(i for b in layout for i in reads(b))
     n = starts[-1] - starts[0]
-
-    def write(w, ins):
-        return _blocks(sources, constants, w, ins)
-
-    # the rule in jet arithmetic: a partial, cheaper to call than `write`
-    ev = functools.partial(_blocks, sources, constants, _ARITHMETIC)
-    ev.rule = _Rule(("block", n, starts[0], sources), n, write, constants)
-    return SmoothMap(Space(n), Space(len(sources)), ev, name=name)
+    key = ("block", n, starts[0], sources)
+    write = functools.partial(_blocks, sources, constants)
+    return _ruled(Space(n), Space(len(sources)), name, key, write, constants)
 
 
 def _blocks(sources: tuple, constants: tuple, w, ins) -> list:

@@ -45,6 +45,26 @@ def test_parse_rotation_field():
     assert spec.components[1] == Neg(Var(1))
 
 
+@pytest.mark.parametrize(
+    "char, kind, text",
+    [
+        ("+", "OP", "+"),
+        ("-", "OP", "-"),
+        ("−", "OP", "-"),
+        ("*", "OP", "*"),
+        ("/", "OP", "/"),
+        ("(", "LPAREN", "("),
+        (")", "RPAREN", ")"),
+        (";", "SEMI", ";"),
+    ],
+)
+def test_each_one_character_token_has_its_kind_text_and_byte_offset(char, kind, text):
+    # after a U+2212 (three bytes), x1 and a space: byte 6
+    tokens = dsl._tokenize(f"−x1 {char}")
+    assert tokens[2] == dsl._Token(kind, text, 6)
+    assert tokens[3] == dsl._Token("EOF", "", 6 + len(char.encode("utf-8")))
+
+
 def test_parse_time_dependent():
     spec = parse("x1 + cos(t)", 1, time_dependent=True)
     assert spec.components[0] == BinOp("+", Var(1), Call("cos", TimeVar()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,17 @@ from tangentkit.sampling import sample_points
 
 def _vals(xs):
     return [primal_value(v) for v in xs]
+
+
+def test_a_full_map_is_built_once_per_field():
+    v = rotation_field()
+    assert v.full_map is v.full_map
+    g = VectorField.from_expr("x1 * x2; 2.5", 2).vhat
+    w = dataclasses.replace(v, vhat=g)
+    assert w == VectorField(Space(2), g) and hash(w) == hash(VectorField(Space(2), g))
+    assert w.full_map is not v.full_map
+    assert w.full_map([2.0, 3.0]) == [2.0, 3.0, 6.0, 2.5]
+    assert v.full_map([2.0, 3.0]) == [2.0, 3.0, 3.0, -2.0]
 
 
 def test_vector_field_section_by_construction():
