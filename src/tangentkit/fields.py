@@ -131,7 +131,7 @@ class VectorField:
 
 class LinearVectorField(VectorField):
     """Vector field whose component map is a matrix: the rule
-    (:func:`kernel._ruled`) :func:`_linear_rule` of its entries."""
+    (:func:`kernel._ruled`) :func:`_linear_rule` of its rows."""
 
     def __init__(self, matrix):
         import numpy as np
@@ -140,9 +140,10 @@ class LinearVectorField(VectorField):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ShapeError("matrix must be square")
         n = A.shape[0]
-        entries = tuple(map(float, A.flat))
-        write = functools.partial(_linear_rule, entries)
-        vhat = _ruled(Space(n), Space(n), "linear", ("linear", n), write, (0, *entries))
+        rows = tuple(tuple(map(float, row)) for row in A)
+        cells = (0, *[a for row in rows for a in row])
+        write = functools.partial(_linear_rule, rows)
+        vhat = _ruled(Space(n), Space(n), "linear", ("linear", n), write, cells)
         object.__setattr__(self, "matrix", A.copy())
         super().__init__(Space(n), vhat)
 
@@ -156,13 +157,12 @@ def _matvec(rows, xs, w=_ARITHMETIC, zero=0) -> list:
     return [reduce(w.add, map(w.mul, row, xs), zero) for row in rows]
 
 
-def _linear_rule(entries: tuple, w, ins) -> list:
+def _linear_rule(rows: tuple, w, ins) -> list:
     """A linear field's rule (see :class:`kernel._Rule`): :func:`_matvec`
-    in ``w``, with the int 0 and then the ``entries`` of the rows, row by
-    row, as its cells."""
-    n = len(ins)
-    zero, *cells = w.cells((0, *entries))
-    return _matvec([cells[k : k + n] for k in range(0, n * n, n)], ins, w, zero)
+    in ``w``, with the int 0 and then each of the ``rows`` as its cells, so
+    in jet arithmetic the rows themselves."""
+    (zero,) = w.cells((0,))
+    return _matvec([w.cells(row) for row in rows], ins, w, zero)
 
 
 def zero_field(space: Space) -> VectorField:

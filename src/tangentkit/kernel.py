@@ -267,6 +267,16 @@ class _Rule:
     coded: bool = field(default=False, compare=False)
     kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __call__(self, ins: list) -> list:
+        """The rule in jet arithmetic, so a rule is an evaluator: the one
+        of the map :func:`_ruled` gives its kernel lookup."""
+        return self.write(_ARITHMETIC, ins)
+
+    @property
+    def rule(self) -> "_Rule":
+        """The rule itself, which a map it evaluates carries (:func:`_rule`)."""
+        return self
+
     def kernel(self, depth: int):
         """The flat kernel at ``depth``, made on first use and kept: the
         maker in :func:`_maker`'s slot for the key and depth, which the
@@ -354,19 +364,22 @@ def _composite(
     cells: tuple = (),
 ) -> SmoothMap:
     """The map ``combine(*parts, w, ins)`` of ``maps``, whose parts are
-    functions of ``ins`` in the arithmetic ``w``.  When each of them carries
-    a rule, the map is the rule (:func:`_ruled`) that runs it on their
-    rules, keyed by ``kind``, the ``shape`` ``combine`` reads and their
-    keys, so reads their cells in turn and then its own ``cells``; else a
-    call runs it on their evaluators in jet arithmetic.  The one builder of
-    a map written from other maps: the combinators here,
-    :func:`fields.lie_bracket`'s difference and
+    functions of ``ins`` in the arithmetic ``w``: in jet arithmetic the
+    maps' evaluators, bound once, which a call runs.  When each of them
+    carries a rule, the map is the rule (:func:`_ruled`) keyed by ``kind``,
+    the ``shape`` ``combine`` reads and their keys, which in the writer
+    runs ``combine`` on their rules, so reads their cells in turn and then
+    its own ``cells``.  The one builder of a map written from other maps:
+    the combinators here, :func:`fields.lie_bracket`'s difference and
     :func:`dynamics._geodesic_field`."""
     evaluators = [f.evaluator for f in maps]
+    # a part's evaluator is its rule in jet arithmetic, or on all floats its
+    # kernel, with the same bits; run as their rules instead, the parts
+    # raised the verify workload's peak resident size by 0.2-0.5 MB
+    jet = functools.partial(combine, *evaluators, _ARITHMETIC)
     rules = [getattr(ev, "rule", None) for ev in evaluators]
     if not all(rules):
-        parts = functools.partial(combine, *evaluators, _ARITHMETIC)
-        return SmoothMap(domain, codomain, parts, name=name)
+        return SmoothMap(domain, codomain, jet, name=name)
     # one part's cells are shared, two are concatenated: a tuple built from
     # a generator grows by reallocation, and built so for every composite
     # it raised the resident size after 60 `verify` passes by about 0.3 MB
@@ -374,7 +387,9 @@ def _composite(
     key = (kind, *shape, *(rule.key for rule in rules))
 
     def write(w, ins):
-        return combine(*[functools.partial(part.write, w) for part in rules], w, ins)
+        if w is _ARITHMETIC:
+            return jet(ins)
+        return combine(*[functools.partial(rule.write, w) for rule in rules], w, ins)
 
     return _ruled(domain, codomain, name, key, write, cells)
 
@@ -389,20 +404,19 @@ def _ruled(domain: Space, codomain: Space, name: str, key: tuple, write, cells=(
     :func:`_flat_kernel`; any other call, or one with that lookup giving
     None, runs ``write`` in jet arithmetic."""
     rule = _Rule(key, domain.dim, write, cells, coded)
-    by_rule = functools.partial(write, _ARITHMETIC)
-    # the lookup is given a map of the rule alone, which carries the same
-    # rule: given the map itself, ev would hold it in a reference cycle,
-    # which only the cyclic collector frees
-    lookup = SmoothMap(domain, codomain, by_rule, name=name)
+    # the lookup is given the map evaluated by the rule alone: given the map
+    # itself, ev would hold it in a reference cycle, which only the cyclic
+    # collector frees
+    lookup = SmoothMap(domain, codomain, rule, name=name)
 
     def ev(xs):
         if all(a.__class__ is float for a in xs):
             kernel = _flat_kernel(lookup, 0)
             if kernel is not None:
                 return kernel(xs, _UNIT)
-        return by_rule(xs)
+        return write(_ARITHMETIC, xs)
 
-    ev.rule = by_rule.rule = rule
+    ev.rule = rule
     return SmoothMap(domain, codomain, ev, name=name)
 
 

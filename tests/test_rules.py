@@ -198,6 +198,6 @@ def test_every_ruled_maps_float_call_looks_up_its_depth_0_kernel_once(kind, monk
 
 def test_a_linear_rule_in_jet_arithmetic_is_the_linear_fields_call():
     f = _linear().vhat
-    entries = (1.5, -0.0, 2.0, 0.25, -3.0, 1e300, 0.0, 1.0, -0.5)
+    rows = ((1.5, -0.0, 2.0), (0.25, -3.0, 1e300), (0.0, 1.0, -0.5))
     for xs in [*_census_points(3), [1, 2, 3], _ragged([0.5, -0.0, 2.0], 2)]:
-        assert repr(_linear_rule(entries, jets._ARITHMETIC, list(xs))) == repr(f(xs))
+        assert repr(_linear_rule(rows, jets._ARITHMETIC, list(xs))) == repr(f(xs))
