@@ -318,13 +318,13 @@ def _cmd_exp(args) -> tuple[bytes, int]:
 
 def _cmd_verify(args) -> tuple[bytes, int]:
     from .reports import emit_report
-    from .verify import _DETECTOR_ROWS, run_suite
+    from .verify import _VERDICT_ROWS, run_suite
 
     cfg = _integrator(args)
     laws = run_suite(args.suite, seed=args.seed, cfg=cfg, quick=args.quick)
     if args.tol is not None:
         laws = [
-            c if c.law in _DETECTOR_ROWS else replace(c, passed=c.max_residual <= args.tol)
+            c if c.law in _VERDICT_ROWS else replace(c, passed=c.max_residual <= args.tol)
             for c in laws
         ]
     payload = emit_report(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -232,10 +232,15 @@ def law_check(law: str, cases, residual, tol: float, seed: int | None) -> LawChe
     return LawCheck(law, worst <= tol, worst, witness, seed)
 
 
-def _default_samples(dim: int, samples, seed):
-    if samples is not None:
-        return samples, seed
-    return sample_points(dim, seed=seed), seed
+def _witness_free(law: str, cases, residual, tol: float, seed: int | None) -> LawCheck:
+    """:func:`law_check` reported with no witness: the same verdict and
+    residual, for the rows whose reports carry none although their cases
+    are points (see the README, "Reports and trajectories")."""
+    return replace(law_check(law, cases, residual, tol, seed), witness=None)
+
+
+def _default_samples(dim: int, samples, seed) -> list:
+    return sample_points(dim, seed=seed) if samples is None else samples
 
 
 # -- operations ----------------------------------------------------------------
@@ -290,7 +295,7 @@ def commutes(
     """V1 T(V2) c = V2 T(V1), sampled."""
     if v1.space != v2.space:
         raise ShapeError("commutes requires fields on the same space")
-    samples, seed = _default_samples(v1.space.dim, samples, seed)
+    samples = _default_samples(v1.space.dim, samples, seed)
     flip = structural_map("flip", v1.space)
     lhs = compose(compose(v1.full_map, tangent(v2.full_map)), flip)
     rhs = compose(v2.full_map, tangent(v1.full_map))
@@ -308,7 +313,7 @@ def is_vf_morphism(
     """f relates V1 to V2: V1 T(f) = f V2, sampled on the domain."""
     if f.domain != v1.space or f.codomain != v2.space:
         raise ShapeError("morphism check needs f: space(V1) -> space(V2)")
-    samples, seed = _default_samples(v1.space.dim, samples, seed)
+    samples = _default_samples(v1.space.dim, samples, seed)
     lhs = compose(v1.full_map, tangent(f))
     rhs = compose(f, v2.full_map)
     return law_check(

@@ -467,8 +467,9 @@ def test_verify_out_file(tmp_path):
 
 
 def test_verify_tol_leaves_detector_verdicts_as_they_are():
-    # detector rows judge classifications, so --tol cannot re-judge them;
-    # every other row becomes max_residual <= tol
+    # detector rows judge classifications, and three more rows judge a
+    # verdict that is not max_residual <= tol, so --tol cannot re-judge
+    # them; every other row becomes max_residual <= tol
     detectors = {
         "linear-commutation",
         "self-commutation",
@@ -477,6 +478,9 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
         "flow-interchange",
         "flow-morphism-equivalence",
         "linearity-equivalence",
+        "commutes-symmetric",
+        "blowup-detection",
+        "integrator-determinism",
     }
     argv = ["verify", "--suite", "all", "--quick"]
     _, plain = run(argv)
@@ -491,6 +495,29 @@ def test_verify_tol_leaves_detector_verdicts_as_they_are():
         else:
             assert now["passed"] == (now["max_residual"] <= 1e-300), now["law_id"]
     assert code == EXIT_LAW_FAILURE
+
+
+def blowup_row(argv):
+    code, out = run(argv)
+    (row,) = [law for law in json.loads(out)["laws"] if law["law_id"] == "blowup-detection"]
+    return code, row
+
+
+def test_verify_tol_does_not_pass_a_missed_blowup():
+    # fixed-step RK4 steps over the blow-up of x' = x^2 at t = 1, whose
+    # residual 1.0 is below --tol 2; the row still fails
+    argv = ["verify", "--suite", "flows", "--quick", "--rk4-h", "0.01"]
+    for extra in ([], ["--tol", "2"]):
+        code, row = blowup_row(argv + extra)
+        assert code == EXIT_LAW_FAILURE
+        assert (row["passed"], row["max_residual"]) == (False, 1.0)
+
+
+def test_verify_tol_does_not_fail_a_detected_blowup():
+    # RK45 flags the blow-up just before t = 1, a residual above --tol 1e-300
+    code, row = blowup_row(["verify", "--suite", "flows", "--quick", "--tol", "1e-300"])
+    assert code == EXIT_LAW_FAILURE  # other rows fail at this tolerance
+    assert row["passed"] and 0.0 < row["max_residual"] <= 0.01
 
 
 @pytest.mark.parametrize("seed", ["1729", "7"])

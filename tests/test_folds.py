@@ -1,10 +1,11 @@
-"""The shared fold behind every sampled law: ``gap``, ``worst_case`` and
-``law_check``, the detector-row fold, and the time-derivative probe."""
+"""The shared fold behind every sampled law: ``gap``, ``worst_case``,
+``law_check`` and its witness-free form, the detector-row fold, and the
+time-derivative probe."""
 
 import math
 
 from tangentkit.dynamics import time_derivative
-from tangentkit.fields import gap, law_check, worst_case
+from tangentkit.fields import _witness_free, gap, law_check, worst_case
 from tangentkit.jets import Jet
 from tangentkit.verify import _detector
 
@@ -91,3 +92,30 @@ def test_detector_row_needs_every_verdict_and_keeps_a_nan_residual():
     row = _detector("d", [(True, 1.0), (True, math.nan), (True, 5.0)], judge, 3)
     assert row.passed and math.isnan(row.max_residual) and row.witness is None
     assert len(judged) == 3  # every case is judged
+
+
+def both_folds(cases, tol=1e-2):
+    return (
+        law_check("unit", cases, lambda r: r, tol, 7),
+        _witness_free("unit", cases, lambda r: r, tol, 7),
+    )
+
+
+def test_witness_free_fold_is_law_check_with_no_witness():
+    full, free = both_folds([(1e-3,), (5e-3,), (2e-3,)])
+    assert full.witness == (5e-3,) and free.witness is None
+    assert (free.law, free.passed, free.max_residual, free.seed) == ("unit", True, 5e-3, 7)
+    full, free = both_folds([(1.0,)])
+    assert not free.passed and free.max_residual == 1.0 and free.witness is None
+
+
+def test_witness_free_fold_of_zero_residuals():
+    full, free = both_folds([(0.0,), (0.0,)], tol=0.0)
+    assert full == free
+    assert free.passed and free.max_residual == 0.0 and free.witness is None
+
+
+def test_witness_free_fold_keeps_a_nan_residual():
+    full, free = both_folds([(1.0,), (math.nan,), (5.0,)], tol=math.inf)
+    assert math.isnan(full.witness[0]) and free.witness is None
+    assert not free.passed and math.isnan(free.max_residual)
